@@ -1,8 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
-2 on usage errors.  Output for a fixed command line and seed is
-byte-identical across runs.
+2 on usage errors and when the output cannot be written (an unwritable
+``--output`` path, or a closed stdout pipe), which prints one
+``deltachain: ...`` line to stderr.  Output for a fixed command line and
+seed is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -46,11 +48,21 @@ def _alpha_arg(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Mul
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        print(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    """Write ``text`` and a newline to ``output`` or stdout; exit 2 if that fails."""
+    try:
+        if output is None:
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader is gone; send the unflushed rest to /dev/null so the
+            # flush at interpreter exit does not fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"deltachain: cannot write output: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 def _formula_command(args: argparse.Namespace, parser: argparse.ArgumentParser, expand) -> int:

@@ -80,15 +80,16 @@ def evaluate_delta(
     for r, d in zip(reps, directions):
         dirs.extend([tuple(d)] * r)
     k = len(dirs)
-    base = tuple(base)
 
+    # corner[m] = base + sum of dirs[i] for the bits i of m, one addition
+    # per corner: drop the lowest bit of m and add its direction back.
+    corners = [tuple(base)]
     acc = None
     for mask in range(1 << k):
-        pt = base
-        for i in range(k):
-            if (mask >> i) & 1:
-                pt = vector_add(pt, dirs[i])
-        val = tuple(F(pt))
+        if mask:
+            low = mask & -mask
+            corners.append(vector_add(corners[mask ^ low], dirs[low.bit_length() - 1]))
+        val = tuple(F(corners[mask]))
         if (k - mask.bit_count()) % 2 == 0:
             acc = val if acc is None else vector_add(acc, val)
         else:
@@ -98,7 +99,14 @@ def evaluate_delta(
 
 def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
     """Evaluate an expression with names bound to points (tuples), cuboids,
-    and callables for function symbols."""
+    and callables for function symbols.
+
+    Each distinct subexpression is evaluated once per call: values are
+    memoized by structural equality of the nodes for the duration of the
+    call, so the inner differences shared by many terms of an expansion are
+    computed once.
+    """
+    memo: dict[Expr, Value] = {}
 
     def lookup(name: str) -> Any:
         try:
@@ -106,45 +114,57 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
         except KeyError:
             raise EvaluationError(f"unbound symbol {name!r}") from None
 
-    if isinstance(e, (PointSym, VecSym)):
-        v = lookup(e.name)
-        if not isinstance(v, (tuple, list)):
-            raise EvaluationError(f"symbol {e.name!r} must be bound to a vector")
-        return tuple(v)
-    if isinstance(e, ComponentSym):
-        c = lookup(e.cuboid)
-        if not isinstance(c, Cuboid):
-            raise EvaluationError(f"symbol {e.cuboid!r} must be bound to a cuboid")
+    def ev(e: Expr) -> Value:
         try:
-            return c.component(e.index)
-        except ValueError as exc:
-            raise EvaluationError(str(exc)) from None
-    if isinstance(e, App):
-        F = lookup(e.func)
-        if not callable(F):
-            raise EvaluationError(f"symbol {e.func!r} must be bound to a map")
-        return tuple(F(eval_expr(e.arg, bindings)))
-    if isinstance(e, Sum):
-        if not e.terms:
-            raise EvaluationError("cannot evaluate an empty sum")
-        acc = eval_expr(e.terms[0], bindings)
-        for t in e.terms[1:]:
+            value = memo.get(e)
+        except TypeError:  # unhashable, so not an expression node
+            return node(e)
+        if value is None:
+            value = memo[e] = node(e)
+        return value
+
+    def node(e: Expr) -> Value:
+        if isinstance(e, (PointSym, VecSym)):
+            v = lookup(e.name)
+            if not isinstance(v, (tuple, list)):
+                raise EvaluationError(f"symbol {e.name!r} must be bound to a vector")
+            return tuple(v)
+        if isinstance(e, ComponentSym):
+            c = lookup(e.cuboid)
+            if not isinstance(c, Cuboid):
+                raise EvaluationError(f"symbol {e.cuboid!r} must be bound to a cuboid")
             try:
-                acc = vector_add(acc, eval_expr(t, bindings))
+                return c.component(e.index)
             except ValueError as exc:
                 raise EvaluationError(str(exc)) from None
-        return acc
-    if isinstance(e, DeltaTerm):
-        F = lookup(e.func)
-        if not callable(F):
-            raise EvaluationError(f"symbol {e.func!r} must be bound to a map")
-        base = eval_expr(e.base, bindings)
-        dirs = [eval_expr(d, bindings) for d in e.directions]
-        try:
-            return evaluate_delta(F, base, dirs, e.alpha)
-        except ValueError as exc:
-            raise EvaluationError(str(exc)) from None
-    raise EvaluationError(f"not an expression: {e!r}")
+        if isinstance(e, App):
+            F = lookup(e.func)
+            if not callable(F):
+                raise EvaluationError(f"symbol {e.func!r} must be bound to a map")
+            return tuple(F(ev(e.arg)))
+        if isinstance(e, Sum):
+            if not e.terms:
+                raise EvaluationError("cannot evaluate an empty sum")
+            acc = ev(e.terms[0])
+            for t in e.terms[1:]:
+                try:
+                    acc = vector_add(acc, ev(t))
+                except ValueError as exc:
+                    raise EvaluationError(str(exc)) from None
+            return acc
+        if isinstance(e, DeltaTerm):
+            F = lookup(e.func)
+            if not callable(F):
+                raise EvaluationError(f"symbol {e.func!r} must be bound to a map")
+            base = ev(e.base)
+            dirs = [ev(d) for d in e.directions]
+            try:
+                return evaluate_delta(F, base, dirs, e.alpha)
+            except ValueError as exc:
+                raise EvaluationError(str(exc)) from None
+        raise EvaluationError(f"not an expression: {e!r}")
+
+    return ev(e)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +191,7 @@ class RandomRationalMap:
         self._memo: dict[tuple[Fraction, ...], Value] = {}
 
     def __call__(self, point: Value) -> Value:
-        pt = tuple(Fraction(c) for c in point)
+        pt = tuple(c if type(c) is Fraction else Fraction(c) for c in point)
         if len(pt) != self.domain_dim:
             raise ValueError(f"need {self.domain_dim} coordinates, got {len(pt)}")
         cached = self._memo.get(pt)

@@ -321,27 +321,47 @@ def render(e: Expr, fmt: str = "text") -> str:
 # parsing
 
 def expr_from_obj(obj: dict) -> Expr:
+    """Rebuild an expression from its JSON object form.
+
+    Missing fields, fields of the wrong type and booleans where integers
+    belong raise ``ValueError``.
+    """
     if not isinstance(obj, dict) or "node" not in obj:
         raise ValueError(f"malformed expression node: {obj!r}")
     kind = obj["node"]
-    if kind == "point":
-        return PointSym(obj["name"])
-    if kind == "vector":
-        return VecSym(obj["name"])
-    if kind == "component":
-        return ComponentSym(obj["cuboid"], MultiIndex.from_string(obj["index"]))
-    if kind == "apply":
-        return App(obj["func"], expr_from_obj(obj["arg"]))
-    if kind == "delta":
-        return DeltaTerm(
-            tuple(obj["alpha"]),
-            tuple(expr_from_obj(d) for d in obj["directions"]),
-            obj["func"],
-            expr_from_obj(obj["base"]),
-        )
-    if kind == "sum":
-        return Sum(tuple(expr_from_obj(t) for t in obj["terms"]))
-    raise ValueError(f"unknown node kind: {kind!r}")
+    try:
+        if kind == "point" or kind == "vector":
+            name = obj["name"]
+            if type(name) is str:
+                return PointSym(name) if kind == "point" else VecSym(name)
+        elif kind == "component":
+            cuboid, index = obj["cuboid"], obj["index"]
+            if type(cuboid) is str and type(index) is str:
+                return ComponentSym(cuboid, MultiIndex.from_string(index))
+        elif kind == "apply":
+            func = obj["func"]
+            if type(func) is str:
+                return App(func, expr_from_obj(obj["arg"]))
+        elif kind == "delta":
+            alpha, dirs, func = obj["alpha"], obj["directions"], obj["func"]
+            if (
+                isinstance(alpha, (list, tuple))
+                and isinstance(dirs, (list, tuple))
+                and type(func) is str
+                and bool not in map(type, alpha)
+            ):
+                return DeltaTerm(
+                    tuple(alpha), tuple(expr_from_obj(d) for d in dirs), func, expr_from_obj(obj["base"])
+                )
+        elif kind == "sum":
+            terms = obj["terms"]
+            if isinstance(terms, (list, tuple)):
+                return Sum(tuple(expr_from_obj(t) for t in terms))
+        else:
+            raise ValueError(f"unknown node kind: {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"{kind} node lacks the field {exc}") from None
+    raise ValueError(f"{kind} node has a field of the wrong type")
 
 
 _TOKEN_RE = re.compile(

@@ -85,6 +85,33 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "identities", "--trials", "1", "--output", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("deltachain: cannot write output: ")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_closed_stdout_pipe_exits_2_with_one_line():
+    # The formula is larger than a pipe buffer, so the write fails even if
+    # the child starts writing before the read end is closed.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deltachain", "chain", "--order", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err.startswith("deltachain: cannot write output: ")
+    assert err.count("\n") == 1
+
+
 # -- aset inspection -----------------------------------------------------------------
 
 def test_asets_dump(capsys):

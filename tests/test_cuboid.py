@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deltachain.combinatorics import MultiIndex
 from deltachain.cuboid import (
@@ -19,6 +21,7 @@ from deltachain.cuboid import (
     vector_sub,
 )
 from deltachain.numeric import RandomRationalMap, evaluate_delta
+from deltachain.polynomials import Poly
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=8
@@ -99,6 +102,61 @@ def test_json_round_trip_preserves_exact_rationals():
     assert Cuboid.from_json(text) == c
 
 
+def _cuboid_obj(**changes):
+    obj = {"dim": 1, "space": 2, "components": {"0": ["1", 2], "1": ["-1/3", "0"]}}
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        ["not", "an", "object"],
+        {"space": 2, "components": {}},
+        _cuboid_obj(dim=True),
+        _cuboid_obj(dim=0),
+        _cuboid_obj(space="2"),
+        _cuboid_obj(dim=10**9),
+        {"dim": 1, "space": 2},
+        _cuboid_obj(components=[["1", "2"], ["3", "4"]]),
+        _cuboid_obj(components={"0": ["1", "2"]}),
+        _cuboid_obj(components={"0": ["1", "2"], "2": ["3", "4"]}),
+        _cuboid_obj(components={"0": ["1", "2"], "1": ["3"]}),
+        _cuboid_obj(components={"0": ["1", "2"], "1": "34"}),
+        _cuboid_obj(components={"0": ["1", "2"], "1": [True, "4"]}),
+        _cuboid_obj(components={"0": ["1", "2"], "1": [0.5, "4"]}),
+        _cuboid_obj(components={"0": ["1", "2"], "1": ["x", "4"]}),
+        _cuboid_obj(components={"0": ["1", "2"], "1": ["1/0", "4"]}),
+    ],
+    ids=[
+        "not-an-object",
+        "missing-dim",
+        "boolean-dim",
+        "zero-dim",
+        "string-space",
+        "huge-dim",
+        "missing-components",
+        "components-not-an-object",
+        "missing-component",
+        "misnamed-component",
+        "short-component",
+        "component-not-a-list",
+        "boolean-entry",
+        "float-entry",
+        "non-numeric-entry",
+        "zero-denominator",
+    ],
+)
+def test_from_json_rejects_malformed_input(obj):
+    with pytest.raises(ValueError):
+        Cuboid.from_json(json.dumps(obj))
+
+
+def test_from_json_accepts_integer_entries():
+    c = Cuboid.from_json(json.dumps(_cuboid_obj()))
+    assert c.components == ((1, 2), (Fraction(-1, 3), 0))
+
+
 # -- difference and sum operators ------------------------------------------------
 
 def test_delta_on_a_square():
@@ -118,6 +176,68 @@ def test_delta_inv_is_the_down_set_sum():
     assert s.component(mi("10")) == (11,)
     assert s.component(mi("01")) == (101,)
     assert s.component(mi("11")) == (1111,)
+
+
+def down_set_sums(c: Cuboid, sign: int) -> Cuboid:
+    """The definition written out: component alpha is the sum over
+    beta <= alpha of sign^(|alpha| - |beta|) c_beta."""
+    comps = []
+    for alpha in c.indices():
+        acc = None
+        for beta in c.indices():
+            if not beta <= alpha:
+                continue
+            v = c.component(beta)
+            if sign < 0 and (alpha.order - beta.order) % 2:
+                v = vector_neg(v)
+            acc = v if acc is None else vector_add(acc, v)
+        comps.append(acc)
+    return Cuboid(c.dim, tuple(comps))
+
+
+def poly_cuboids(dim: int):
+    """Cuboids of one-variable polynomials with up to three terms."""
+    polys = st.lists(rationals, min_size=3, max_size=3).map(
+        lambda cs: Poly.make(1, {(i,): c for i, c in enumerate(cs)})
+    )
+    return st.lists(polys, min_size=2 ** dim, max_size=2 ** dim).map(
+        lambda ps: Cuboid(dim, tuple((p,) for p in ps))
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: cuboids(k, 2)))
+def test_transforms_match_the_submask_sum_definition(c):
+    assert delta(c) == down_set_sums(c, -1)
+    assert delta_inv(c) == down_set_sums(c, 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 6).flatmap(poly_cuboids))
+def test_transforms_match_the_definition_on_polynomials(c):
+    assert delta(c) == down_set_sums(c, -1)
+    assert delta_inv(c) == down_set_sums(c, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda a: sum(a) <= 6),
+    st.integers(0, 10**6),
+)
+def test_evaluate_delta_with_repeated_directions_matches_the_definition(alpha, seed):
+    f = RandomRationalMap(seed, 2, 2)
+    base = (Fraction(seed % 7), Fraction(-3, 2))
+    directions = [(Fraction(i + 1), Fraction(seed % 5 - i, 3)) for i in range(len(alpha))]
+    dirs = [d for d, r in zip(directions, alpha) for _ in range(r)]
+    want = (Fraction(0), Fraction(0))
+    for subset in product((0, 1), repeat=len(dirs)):
+        pt = base
+        for bit, d in zip(subset, dirs):
+            if bit:
+                pt = vector_add(pt, d)
+        v = f(pt)
+        want = vector_add(want, v) if (len(dirs) - sum(subset)) % 2 == 0 else vector_sub(want, v)
+    assert evaluate_delta(f, base, directions, alpha=alpha) == want
 
 
 @given(st.integers(1, 4).flatmap(lambda k: cuboids(k, 2)))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from deltachain import numeric
 from deltachain.combinatorics import MultiIndex
 from deltachain.cuboid import Cuboid
 from deltachain.numeric import (
@@ -27,7 +28,7 @@ from deltachain.numeric import (
     verify_tangent_expansion,
 )
 from deltachain.polynomials import Poly, PolynomialMap, random_polynomial_map
-from deltachain.symbolic import expand_chain, parse
+from deltachain.symbolic import App, DeltaTerm, PointSym, Sum, VecSym, expand_chain, parse
 
 mi = MultiIndex.from_string
 
@@ -103,6 +104,79 @@ def test_eval_expr_rejects_wrong_cuboid_dimension():
         eval_expr(expr, {"u": one_dim})
 
 
+def _delta_terms(e, found):
+    """Collect the distinct difference terms of a tree into ``found`` and
+    return how many times a walk of the tree meets one."""
+    if isinstance(e, DeltaTerm):
+        found.add(e)
+        return 1 + sum(_delta_terms(d, found) for d in e.directions) + _delta_terms(e.base, found)
+    if isinstance(e, App):
+        return _delta_terms(e.arg, found)
+    if isinstance(e, Sum):
+        return sum(_delta_terms(t, found) for t in e.terms)
+    return 0
+
+
+def _chain_bindings(k, seed):
+    rng = random.Random(seed)
+    f = RandomRationalMap(derive_seed(seed, "f"), 2, 2)
+    g = RandomRationalMap(derive_seed(seed, "g"), 2, 2)
+    x = random_rational_vector(rng, 2)
+    vs = [random_rational_vector(rng, 2) for _ in range(k)]
+    bindings = {"f": f, "g": g, "x": x}
+    bindings.update({f"v_{i + 1}": v for i, v in enumerate(vs)})
+    return bindings, lambda p: f(g(p)), x, vs
+
+
+def test_eval_expr_evaluates_each_distinct_difference_once(monkeypatch):
+    expr = expand_chain(MultiIndex.ones(4))
+    distinct = set()
+    visits = _delta_terms(expr, distinct)
+    bindings, fg, x, vs = _chain_bindings(4, 5)
+    want = evaluate_delta(fg, x, vs)
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return evaluate_delta(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "evaluate_delta", counting)
+    assert eval_expr(expr, bindings) == want
+    assert calls == len(distinct) < visits
+
+
+def test_eval_expr_reports_an_unbound_name_in_a_shared_subtree():
+    shared = DeltaTerm((1,), (VecSym("w"),), "g", PointSym("x"))
+    expr = Sum((App("f", shared), DeltaTerm((1,), (shared,), "f", shared)))
+    bindings = {"f": square, "g": square, "x": (Fraction(1),)}
+    with pytest.raises(EvaluationError, match="unbound symbol 'w'"):
+        eval_expr(expr, bindings)
+    bindings["w"] = (Fraction(2),)
+    inner = evaluate_delta(square, (Fraction(1),), [(Fraction(2),)])
+    want = (square(inner)[0] + evaluate_delta(square, inner, [inner])[0],)
+    assert eval_expr(expr, bindings) == want
+
+
+def test_eval_expr_rejects_non_expressions_inside_a_tree():
+    with pytest.raises(EvaluationError, match="not an expression"):
+        eval_expr(Sum(([1],)), {})
+    with pytest.raises(EvaluationError, match="not an expression"):
+        eval_expr(App("f", 3), {"f": square})
+
+
+def test_eval_expr_keeps_no_state_between_calls():
+    expr = expand_chain(MultiIndex.ones(3))
+    first, fg1, x1, vs1 = _chain_bindings(3, 11)
+    second, fg2, x2, vs2 = _chain_bindings(3, 12)
+    a = eval_expr(expr, first)
+    b = eval_expr(expr, second)
+    assert a == evaluate_delta(fg1, x1, vs1)
+    assert b == evaluate_delta(fg2, x2, vs2)
+    assert a != b
+    assert eval_expr(expr, first) == a
+
+
 # -- seeds and random sources ----------------------------------------------------------
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -120,6 +194,13 @@ def test_random_rational_map_is_deterministic_and_memoized():
     assert len(f(x)) == 3
     for c in f(x):
         assert -100 <= c.numerator <= 100 or 1 <= c.denominator <= 16
+
+
+def test_random_rational_map_converts_non_fraction_coordinates():
+    f = RandomRationalMap(7, 2, 2)
+    want = f((Fraction(1), Fraction(1, 2)))
+    assert f((1, Fraction(1, 2))) is want
+    assert len(f._memo) == 1
 
 
 def test_random_rational_map_checks_dimension():

@@ -278,3 +278,56 @@ def test_json_parse_rejects_bad_envelope():
         parse(json.dumps({"root": {"node": "point", "name": "x"}}), "json")
     with pytest.raises(ValueError):
         parse(json.dumps({"version": 2, "root": {}}), "json")
+
+
+_POINT = {"node": "point", "name": "x"}
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        {"node": "point"},
+        {"node": "vector", "name": 3},
+        {"node": "component", "cuboid": "u"},
+        {"node": "component", "cuboid": "u", "index": 101},
+        {"node": "component", "cuboid": "u", "index": ""},
+        {"node": "apply", "func": "f"},
+        {"node": "apply", "func": "f", "arg": "x"},
+        {"node": "sum"},
+        {"node": "sum", "terms": _POINT},
+        {"node": "sum", "terms": [_POINT, None]},
+        {"node": "delta", "alpha": [True], "directions": [_POINT], "func": "f", "base": _POINT},
+        {"node": "delta", "alpha": [1.0], "directions": [_POINT], "func": "f", "base": _POINT},
+        {"node": "delta", "alpha": [-1], "directions": [_POINT], "func": "f", "base": _POINT},
+        {"node": "delta", "alpha": 1, "directions": [_POINT], "func": "f", "base": _POINT},
+        {"node": "delta", "alpha": [1, 1], "directions": [_POINT], "func": "f", "base": _POINT},
+        {"node": "delta", "alpha": [1], "func": "f", "base": _POINT},
+        {"node": "delta", "alpha": [1], "directions": [_POINT], "base": _POINT},
+        {"node": "delta", "alpha": [1], "directions": [_POINT], "func": "f"},
+        {"node": "delta", "alpha": [1], "directions": [_POINT], "func": ["f"], "base": _POINT},
+    ],
+    ids=[
+        "point-without-name",
+        "integer-name",
+        "component-without-index",
+        "integer-index",
+        "empty-index",
+        "apply-without-arg",
+        "string-arg",
+        "sum-without-terms",
+        "terms-not-a-list",
+        "null-term",
+        "boolean-alpha",
+        "float-alpha",
+        "negative-alpha",
+        "alpha-not-a-list",
+        "alpha-longer-than-directions",
+        "delta-without-directions",
+        "delta-without-func",
+        "delta-without-base",
+        "list-func",
+    ],
+)
+def test_json_parse_rejects_malformed_nodes(root):
+    with pytest.raises(ValueError):
+        parse(json.dumps({"version": 1, "root": root}), "json")
