@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
-2 on usage errors and when the output cannot be written (an unwritable
-``--output`` path, or a closed stdout pipe), which prints one
-``deltachain: ...`` line to stderr.  Output for a fixed command line and
+2 on usage errors (a cube dimension above ``MAX_ORDER`` is one) and when
+the output cannot be written (an unwritable ``--output`` path, or a closed
+stdout pipe), which prints one ``deltachain: ...`` line to stderr.  Output for a fixed command line and
 seed is byte-identical across runs.
 """
 
@@ -16,11 +16,16 @@ import sys
 
 from . import __version__
 from .asets import asets_to_json
-from .combinatorics import MultiIndex
+from .combinatorics import MultiIndex, bell_number
 from .numeric import SUITE_NAMES, reports_to_json, run_suite
 from .symbolic import expand_chain, expand_tangent, render
 
 DEFAULT_SEED = 1729
+
+# The largest cube dimension a command accepts (--order, the length of
+# --alpha, --kmax).  The work grows with the Bell number of the dimension:
+# Bell(8) = 4,140 set partitions, Bell(12) = 4,213,597.
+MAX_ORDER = 8
 
 
 def _env_int(parser: argparse.ArgumentParser, name: str) -> int | None:
@@ -33,16 +38,31 @@ def _env_int(parser: argparse.ArgumentParser, name: str) -> int | None:
         parser.error(f"{name} must be an integer, got {raw!r}")
 
 
+def _check_size(parser: argparse.ArgumentParser, flag: str, k: int) -> None:
+    if k > MAX_ORDER:
+        bell = bell_number(min(k, 30))
+        parser.error(
+            f"{flag} asks for cube dimension {k}, above the limit {MAX_ORDER}: "
+            f"the work grows with Bell({k}) {'=' if k <= 30 else '>'} {bell:,} set partitions"
+        )
+
+
+def _bitstring_arg(parser: argparse.ArgumentParser, raw: str) -> MultiIndex:
+    if not raw or any(c not in "01" for c in raw):
+        parser.error(f"--alpha must be a nonempty bitstring, got {raw!r}")
+    _check_size(parser, "--alpha", len(raw))
+    return MultiIndex.from_string(raw)
+
+
 def _alpha_arg(parser: argparse.ArgumentParser, args: argparse.Namespace) -> MultiIndex:
     if args.alpha is not None and args.order is not None:
         parser.error("give --alpha or --order, not both")
     if args.alpha is not None:
-        if not args.alpha or any(c not in "01" for c in args.alpha):
-            parser.error(f"--alpha must be a nonempty bitstring, got {args.alpha!r}")
-        return MultiIndex.from_string(args.alpha)
+        return _bitstring_arg(parser, args.alpha)
     if args.order is not None:
         if args.order < 1:
             parser.error("--order must be at least 1")
+        _check_size(parser, "--order", args.order)
         return MultiIndex.ones(args.order)
     parser.error("one of --alpha or --order is required")
 
@@ -140,13 +160,11 @@ def main(argv: list[str] | None = None) -> int:
             trials = _env_int(parser, "DELTACHAIN_TRIALS")
         if trials is not None and trials < 1:
             parser.error("--trials must be at least 1")
-        if args.kmax is not None and args.kmax < 1:
-            parser.error("--kmax must be at least 1")
-        alpha = None
-        if args.alpha is not None:
-            if not args.alpha or any(c not in "01" for c in args.alpha):
-                parser.error(f"--alpha must be a nonempty bitstring, got {args.alpha!r}")
-            alpha = MultiIndex.from_string(args.alpha)
+        if args.kmax is not None:
+            if args.kmax < 1:
+                parser.error("--kmax must be at least 1")
+            _check_size(parser, "--kmax", args.kmax)
+        alpha = None if args.alpha is None else _bitstring_arg(parser, args.alpha)
         if args.eps_pow_min < 1 or args.eps_pow_max < args.eps_pow_min:
             parser.error("need 1 <= eps-pow-min <= eps-pow-max")
         eps_exponents = tuple(range(args.eps_pow_min, args.eps_pow_max + 1))

@@ -1,5 +1,8 @@
 """Exact multivariate polynomials over the rationals, and polynomial maps.
 
+Coefficients are exact rationals: integral ones are stored as ``int`` and
+the rest as ``Fraction``, so integer data never pays for ``Fraction``.
+
 Evaluation is ring-generic: arguments may be rationals, floats, or other
 polynomials, since only +, * and ** are used.  That one method yields both
 composition of maps and valuation in a formal scale parameter.
@@ -12,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from typing import Any, Sequence
+from operator import add
+from typing import Any, Iterable, Sequence
 
 from .combinatorics import MultiIndex
 from .cuboid import Value
@@ -22,12 +26,19 @@ from .cuboid import Value
 class Poly:
     """A polynomial as a sorted tuple of (exponent tuple, coefficient) pairs.
 
-    Zero coefficients are dropped, so the zero polynomial has no terms and
-    equality of values is equality of representations.
+    Zero coefficients are dropped and integral coefficients are stored as
+    ``int`` (the rest as ``Fraction``), so the zero polynomial has no terms
+    and equality of values is equality of representations.
+
+    >>> p = Poly.make(1, {(1,): Fraction(4, 2), (0,): Fraction(1, 3)})
+    >>> p.terms
+    (((0,), Fraction(1, 3)), ((1,), 2))
+    >>> Poly.make(2, {})((Fraction(1), Fraction(2)))
+    Fraction(0, 1)
     """
 
     nvars: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    terms: tuple[tuple[tuple[int, ...], int | Fraction], ...]
 
     @classmethod
     def make(cls, nvars: int, coeffs: dict[tuple[int, ...], Fraction | int]) -> "Poly":
@@ -38,20 +49,26 @@ class Poly:
                 raise ValueError(f"exponent tuple {expts} does not have {nvars} entries")
             c = Fraction(c)
             if c:
-                cleaned[expts] = cleaned.get(expts, Fraction(0)) + c
-        terms = tuple(sorted((e, c) for e, c in cleaned.items() if c))
-        return cls(nvars, terms)
+                cleaned[expts] = cleaned.get(expts, 0) + c
+        return cls._of(nvars, cleaned.items())
+
+    @classmethod
+    def _of(cls, nvars: int, pairs: Iterable[tuple[tuple[int, ...], int | Fraction]]) -> "Poly":
+        """Internal constructor from (exponents, rational) pairs with distinct
+        exponents: drops zeros, normalizes integral values to ``int``, sorts."""
+        terms = ((e, c if type(c) is int or c.denominator != 1 else c.numerator) for e, c in pairs if c)
+        return cls(nvars, tuple(sorted(terms)))
 
     @classmethod
     def constant(cls, nvars: int, value: Fraction | int) -> "Poly":
-        return cls.make(nvars, {(0,) * nvars: Fraction(value)})
+        return cls._of(nvars, [((0,) * nvars, Fraction(value))])
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         expts = tuple(int(j == i) for j in range(nvars))
-        return cls.make(nvars, {expts: 1})
+        return cls._of(nvars, [(expts, 1)])
 
-    def as_dict(self) -> dict[tuple[int, ...], Fraction]:
+    def as_dict(self) -> dict[tuple[int, ...], int | Fraction]:
         return dict(self.terms)
 
     @property
@@ -70,15 +87,15 @@ class Poly:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
+            other = Poly._of(self.nvars, [((0,) * self.nvars, other)])
         if not isinstance(other, Poly):
             return NotImplemented
         if other.nvars != self.nvars:
             raise ValueError("variable count mismatch")
-        coeffs = self.as_dict()
+        coeffs = dict(self.terms)
         for e, c in other.terms:
-            coeffs[e] = coeffs.get(e, Fraction(0)) + c
-        return Poly.make(self.nvars, coeffs)
+            coeffs[e] = coeffs.get(e, 0) + c
+        return Poly._of(self.nvars, coeffs.items())
 
     __radd__ = __add__
 
@@ -86,9 +103,7 @@ class Poly:
         return Poly(self.nvars, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        if not isinstance(other, Poly):
+        if not isinstance(other, (int, Fraction, Poly)):
             return NotImplemented
         return self + (-other)
 
@@ -97,48 +112,58 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.nvars, tuple((e, c * Fraction(other)) for e, c in self.terms if c * Fraction(other)))
+            return Poly._of(self.nvars, ((e, c * other) for e, c in self.terms))
         if not isinstance(other, Poly):
             return NotImplemented
         if other.nvars != self.nvars:
             raise ValueError("variable count mismatch")
-        coeffs: dict[tuple[int, ...], Fraction] = {}
+        coeffs: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                coeffs[e] = coeffs.get(e, Fraction(0)) + c1 * c2
-        return Poly.make(self.nvars, coeffs)
+                e = tuple(map(add, e1, e2))
+                coeffs[e] = coeffs.get(e, 0) + c1 * c2
+        return Poly._of(self.nvars, coeffs.items())
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Power by repeated squaring."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = Poly.constant(self.nvars, 1)
-        for _ in range(n):
-            out = out * self
+        square = self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def __call__(self, args: Sequence[Any]):
-        """Evaluate at arguments from any commutative ring containing Q."""
+        """Evaluate at arguments from any commutative ring containing Q.
+
+        Each power ``args[i] ** e`` is computed once per call."""
         if len(args) != self.nvars:
             raise ValueError(f"need {self.nvars} arguments, got {len(args)}")
+        powers: dict[tuple[int, int], Any] = {}
         acc = None
         for expts, coeff in self.terms:
             term: Any = coeff
             for i, e in enumerate(expts):
                 if e:
-                    term = term * args[i] ** e
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = args[i] ** e
+                    term = term * power
             acc = term if acc is None else acc + term
         return Fraction(0) if acc is None else acc
 
     def partial(self, i: int) -> "Poly":
-        coeffs = {}
-        for expts, c in self.terms:
-            if expts[i]:
-                lowered = expts[:i] + (expts[i] - 1,) + expts[i + 1 :]
-                coeffs[lowered] = coeffs.get(lowered, Fraction(0)) + c * expts[i]
-        return Poly.make(self.nvars, coeffs)
+        return Poly._of(
+            self.nvars,
+            ((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in self.terms if e[i]),
+        )
 
     def directional(self, u: Sequence[Fraction | int]) -> "Poly":
         """Derivative along the constant vector u."""
@@ -154,11 +179,8 @@ class Poly:
         """Reinterpret in a larger variable set, shifting variables by offset."""
         if offset + self.nvars > nvars:
             raise ValueError("embedding does not fit")
-        coeffs = {}
-        for expts, c in self.terms:
-            e = (0,) * offset + expts + (0,) * (nvars - offset - self.nvars)
-            coeffs[e] = c
-        return Poly.make(nvars, coeffs)
+        before, after = (0,) * offset, (0,) * (nvars - offset - self.nvars)
+        return Poly._of(nvars, ((before + e + after, c) for e, c in self.terms))
 
 
 @dataclass(frozen=True)

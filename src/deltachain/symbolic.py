@@ -320,11 +320,15 @@ def render(e: Expr, fmt: str = "text") -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
+_TOO_DEEP = "nesting too deep"
+
+
 def expr_from_obj(obj: dict) -> Expr:
     """Rebuild an expression from its JSON object form.
 
-    Missing fields, fields of the wrong type and booleans where integers
-    belong raise ``ValueError``.
+    Missing fields, fields of the wrong type, booleans where integers
+    belong and nesting deeper than the interpreter can recurse raise
+    ``ValueError``.
     """
     if not isinstance(obj, dict) or "node" not in obj:
         raise ValueError(f"malformed expression node: {obj!r}")
@@ -361,6 +365,8 @@ def expr_from_obj(obj: dict) -> Expr:
             raise ValueError(f"unknown node kind: {kind!r}")
     except KeyError as exc:
         raise ValueError(f"{kind} node lacks the field {exc}") from None
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
     raise ValueError(f"{kind} node has a field of the wrong type")
 
 
@@ -524,10 +530,14 @@ def parse(
 
     JSON is faithful.  The text form needs the component dimension ``dim``
     to rebuild subscripts like ``u_{1,3}``; when omitted it is inferred as
-    the largest position appearing in any component subscript.
+    the largest position appearing in any component subscript.  Input
+    nested deeper than the interpreter can recurse raises ``ValueError``.
     """
     if fmt == "json":
-        obj = json.loads(s)
+        try:
+            obj = json.loads(s)
+        except RecursionError:
+            raise ValueError(_TOO_DEEP) from None
         if not isinstance(obj, dict) or obj.get("version") != 1 or "root" not in obj:
             raise ValueError("expected an envelope {'version': 1, 'root': ...}")
         return expr_from_obj(obj["root"])
@@ -537,7 +547,10 @@ def parse(
     if dim is None:
         dim = _infer_dim(tokens, cuboids)
     parser = _Parser(tokens, dim, cuboids, points)
-    expr = parser.parse_expr()
+    try:
+        expr = parser.parse_expr()
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
     if parser.i != len(parser.tokens):
         raise ValueError(f"trailing input from token {parser.i}")
     return expr

@@ -85,6 +85,36 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag, k",
+    [
+        (["chain", "--order", "12"], "--order", 12),
+        (["expand", "--alpha", "1" * 9], "--alpha", 9),
+        (["asets", "--alpha", "0" * 8 + "1"], "--alpha", 9),
+        (["verify", "--kmax", "9"], "--kmax", 9),
+        (["verify", "--suite", "smooth-chain", "--alpha", "1" * 10], "--alpha", 10),
+    ],
+)
+def test_sizes_above_the_limit_exit_2_naming_the_bell_number(argv, flag, k, capsys):
+    from deltachain.combinatorics import bell_number
+
+    assert k > cli.MAX_ORDER >= 8
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag} asks for cube dimension {k}, above the limit {cli.MAX_ORDER}" in err
+    assert f"Bell({k}) = {bell_number(k):,} set partitions" in err
+
+
+def test_sizes_at_the_limit_are_accepted(capsys):
+    code, out = run_cli(capsys, "expand", "--alpha", "0" * (cli.MAX_ORDER - 1) + "1")
+    assert code == 0
+    assert out == f"Δ_{{u_{cli.MAX_ORDER}}} f(u_0)\n"
+    code, _ = run_cli(capsys, "verify", "--suite", "identities", "--trials", "1", "--kmax", str(cli.MAX_ORDER))
+    assert code == 0
+
+
 def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
     with pytest.raises(SystemExit) as exc:

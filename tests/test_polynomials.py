@@ -85,6 +85,135 @@ def test_call_with_polynomials_is_composition(p, a, b, v):
         assert composed == p((a(v), b(v)))
 
 
+# -- agreement with a plain dict-of-Fraction reference -----------------------------
+#
+# The reference keeps every coefficient as a Fraction and is written out here,
+# independent of Poly, so the int/Fraction coefficient handling is checked
+# against arithmetic that never normalizes anything.
+
+mixed = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+
+
+def raw_polys(nvars: int, degree: int = 3):
+    exps = st.tuples(*([st.integers(0, degree)] * nvars))
+    return st.dictionaries(exps, mixed, max_size=5)
+
+
+def ref_of(raw):
+    return {e: Fraction(c) for e, c in raw.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_scale(a, s):
+    return {e: c * Fraction(s) for e, c in a.items() if c * Fraction(s)}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_pow(a, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_partial(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            lowered = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            out[lowered] = out.get(lowered, Fraction(0)) + c * e[i]
+    return out
+
+
+def ref_eval(a, v):
+    total = Fraction(0)
+    for e, c in a.items():
+        term = c
+        for x, k in zip(v, e):
+            term *= Fraction(x) ** k
+        total += term
+    return total
+
+
+def ref_compose(a, inner, nvars):
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * nvars: c}
+        for q, k in zip(inner, e):
+            term = ref_mul(term, ref_pow(q, k, nvars))
+        out = ref_add(out, term)
+    return out
+
+
+def assert_matches(p, ref):
+    assert p.as_dict() == ref
+    assert all(c and (type(c) is int or c.denominator > 1) for _, c in p.terms)
+    same = Poly.make(p.nvars, ref)
+    assert p == same and p.terms == same.terms and repr(p) == repr(same)
+    assert hash(p) == hash(same)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    a = Poly.make(1, {(1,): Fraction(4, 2)})
+    b = Poly.make(1, {(1,): 2})
+    assert a == b and a.terms == b.terms == (((1,), 2),) and hash(a) == hash(b)
+    assert type(a.terms[0][1]) is int
+    assert type((a * Fraction(1, 2)).terms[0][1]) is int
+
+
+@given(raw_polys(2), raw_polys(2), mixed, st.integers(0, 5))
+def test_arithmetic_matches_the_reference(a, b, s, n):
+    p, q, ra, rb = Poly.make(2, a), Poly.make(2, b), ref_of(a), ref_of(b)
+    assert_matches(p, ra)
+    assert_matches(p + q, ref_add(ra, rb))
+    assert_matches(p - q, ref_add(ra, ref_scale(rb, -1)))
+    assert_matches(-p, ref_scale(ra, -1))
+    assert_matches(p * q, ref_mul(ra, rb))
+    assert_matches(p * s, ref_scale(ra, s))
+    assert_matches(s * p, ref_scale(ra, s))
+    assert_matches(p + s, ref_add(ra, ref_of({(0, 0): s})))
+    assert_matches(s - p, ref_add(ref_of({(0, 0): s}), ref_scale(ra, -1)))
+    assert_matches(p ** n, ref_pow(ra, n, 2))
+
+
+@given(raw_polys(2), st.tuples(mixed, mixed), st.integers(0, 2))
+def test_derivatives_and_embedding_match_the_reference(a, u, offset):
+    p, ra = Poly.make(2, a), ref_of(a)
+    assert_matches(p.partial(0), ref_partial(ra, 0))
+    assert_matches(p.partial(1), ref_partial(ra, 1))
+    along = ref_add(ref_scale(ref_partial(ra, 0), u[0]), ref_scale(ref_partial(ra, 1), u[1]))
+    assert_matches(p.directional(u), along)
+    padded = {(0,) * offset + e + (0,) * (2 - offset): c for e, c in ra.items()}
+    assert_matches(p.embed(4, offset), padded)
+
+
+@given(raw_polys(2), st.tuples(mixed, mixed), raw_polys(1, 2), raw_polys(1, 2))
+def test_evaluation_and_composition_match_the_reference(a, v, b, c):
+    p, ra = Poly.make(2, a), ref_of(a)
+    assert p(v) == ref_eval(ra, v)
+    inner = (Poly.make(1, b), Poly.make(1, c))
+    expected = ref_compose(ra, (ref_of(b), ref_of(c)), 1)
+    assert_matches(Poly.constant(1, 0) + p(inner), expected)
+    (composed,) = compose(PolynomialMap(2, (p,)), PolynomialMap(1, inner)).components
+    assert_matches(composed, expected)
+
+
 # -- derivatives -------------------------------------------------------------------
 
 def test_partial_of_a_monomial():

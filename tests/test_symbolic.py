@@ -331,3 +331,39 @@ _POINT = {"node": "point", "name": "x"}
 def test_json_parse_rejects_malformed_nodes(root):
     with pytest.raises(ValueError):
         parse(json.dumps({"version": 1, "root": root}), "json")
+
+
+def _nested_apply_envelope(depth: int) -> str:
+    # Built as text: json.dumps itself cannot encode this depth.
+    opening = '{"node": "apply", "func": "f", "arg": ' * depth
+    return '{"version": 1, "root": ' + opening + '{"node": "vector", "name": "v"}' + "}" * depth + "}"
+
+
+@pytest.mark.parametrize(
+    "text, fmt",
+    [
+        ("f(" * 2000 + "x" + ")" * 2000, "text"),
+        (_nested_apply_envelope(1200), "json"),
+        ("[" * 100000 + "]" * 100000, "json"),
+    ],
+    ids=["text-parentheses", "json-apply-nodes", "json-arrays"],
+)
+def test_parse_rejects_too_deep_nesting_with_value_error(text, fmt):
+    with pytest.raises(ValueError, match="^nesting too deep$"):
+        parse(text, fmt)
+
+
+def test_expr_from_obj_rejects_too_deep_nesting_with_value_error():
+    root = {"node": "vector", "name": "v"}
+    for _ in range(5000):
+        root = {"node": "apply", "func": "f", "arg": root}
+    with pytest.raises(ValueError, match="^nesting too deep$"):
+        expr_from_obj(root)
+
+
+def test_json_nesting_within_the_recursion_limit_still_parses():
+    e = parse(_nested_apply_envelope(900), "json")
+    depth = 0
+    while isinstance(e, App):
+        e, depth = e.arg, depth + 1
+    assert depth == 900 and e == VecSym("v")
