@@ -7,12 +7,8 @@ __version__ = "0.1.0"
 from .combinatorics import (
     MultiIndex,
     Partition,
-    PartitionTable,
     bell_number,
-    diamond_set,
     enumerate_partitions,
-    leq,
-    maxord,
     refine,
 )
 from .cuboid import (

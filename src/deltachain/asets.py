@@ -13,12 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinatorics import (
-    MultiIndex,
-    Partition,
-    diamond_set,
-    enumerate_partitions,
-)
+from .combinatorics import MultiIndex, Partition, enumerate_partitions, refine
 
 #: condition names used in validation reports, in check order
 CONDITIONS = ("disjoint", "anchored", "base-extras", "block-extras", "order-increase")
@@ -73,74 +68,46 @@ class FamilyValidation:
         }
 
 
-def _sorted_union(*groups) -> tuple[MultiIndex, ...]:
-    out = set()
-    for g in groups:
-        out.update(g)
-    return tuple(sorted(out, key=lambda m: m.sort_key))
-
-
 @lru_cache(maxsize=None)
-def _ones_families(dim: int) -> tuple[tuple[Partition, tuple[tuple[MultiIndex, tuple[MultiIndex, ...]], ...]], ...]:
+def _ones_families(dim: int) -> tuple[tuple[Partition, tuple[tuple[int, ...], ...]], ...]:
     """Families for the all-ones target of the given dimension.
 
-    Returned in refinement-lineage order as nested tuples (hashable for the
-    cache); ``build_asets`` reshapes them into ASetFamily objects.
+    Returned in refinement-lineage order: each family is its partition and
+    one sorted tuple of masks per key, the zero index first and then the
+    blocks.  ``build_asets`` turns them into ASetFamily objects.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if dim == 1:
-        one = MultiIndex((1,))
-        zero = MultiIndex((0,))
-        p = Partition(one, (one,))
-        return ((p, ((zero, (zero,)), (one, (one,)))),)
+        one = MultiIndex(1, 1)
+        return ((Partition(one, (one,)), ((0,), (1,))),)
+
+    # Appending a digit to every member keeps a sorted set sorted, so the
+    # 0-lift of a set is the set itself and its 1-lift sets the top bit.  A
+    # union is sorted again by the MultiIndex order (order, digit string).
+    top = 1 << (dim - 1)
+
+    def lift(s: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(m | top for m in s)
+
+    def union(*groups: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted(set().union(*groups), key=lambda m: (m.bit_count(), format(m, f"0{dim}b")[::-1])))
 
     out = []
-    for parent, raw_sets in _ones_families(dim - 1):
-        sets = dict(raw_sets)
-        zero = MultiIndex.zero(dim - 1)
-        base = sets[zero]
-        blocks = parent.blocks
-        new_target = parent.target.diamond(1)
-        new_zero = zero.diamond(0)
-
-        # Child 0: every block gains a 0 digit, a new singleton block appears.
-        new_block = zero.diamond(1)
-        child = Partition(new_target, tuple(b.diamond(0) for b in blocks) + (new_block,))
-        child_sets = [(new_zero, diamond_set(base, 0)), (new_block, diamond_set(base, 1))]
-        for b in blocks:
-            child_sets.append((b.diamond(0), diamond_set(sets[b], 0)))
-        out.append((child, _freeze(child, child_sets)))
-
+    for parent, (base, *block_sets) in _ones_families(dim - 1):
+        first, *rest = refine(parent)
+        # Child 0: every block gains a 0 digit, and the new singleton block
+        # takes the 1-lift of the base.
+        out.append((first, (base, *block_sets, lift(base))))
         # Child i: block i gains a 1 digit; blocks before it keep only their
         # 0-lift, blocks after it also absorb their 1-lift, and the base
         # absorbs both of its lifts plus the 0-lift of block i.
-        for i, bi in enumerate(blocks):
-            child = Partition(
-                new_target,
-                tuple(b.diamond(1 if j == i else 0) for j, b in enumerate(blocks)),
-            )
-            child_sets = [
-                (new_zero, _sorted_union(diamond_set(base, 0), diamond_set(base, 1), diamond_set(sets[bi], 0))),
-                (bi.diamond(1), diamond_set(sets[bi], 1)),
-            ]
-            for j, bj in enumerate(blocks):
-                if j < i:
-                    child_sets.append((bj.diamond(0), diamond_set(sets[bj], 0)))
-                elif j > i:
-                    child_sets.append(
-                        (bj.diamond(0), _sorted_union(diamond_set(sets[bj], 0), diamond_set(sets[bj], 1)))
-                    )
-            out.append((child, _freeze(child, child_sets)))
+        for i, child in enumerate(rest):
+            sets = [union(base, lift(base), block_sets[i])]
+            for j, s in enumerate(block_sets):
+                sets.append(s if j < i else lift(s) if j == i else union(s, lift(s)))
+            out.append((child, tuple(sets)))
     return tuple(out)
-
-
-def _freeze(partition: Partition, items) -> tuple:
-    # store keyed sets in canonical key order: zero index first, then blocks
-    d = dict(items)
-    zero = MultiIndex.zero(partition.target.dim)
-    keys = (zero,) + partition.blocks
-    return tuple((k, d[k]) for k in keys)
 
 
 def build_asets(alpha: MultiIndex) -> dict[Partition, ASetFamily]:
@@ -152,23 +119,21 @@ def build_asets(alpha: MultiIndex) -> dict[Partition, ASetFamily]:
     """
     table = enumerate_partitions(alpha)
     if alpha.order == 0:
-        fam = ASetFamily(table.partitions[0], {alpha: (alpha,)})
-        return {table.partitions[0]: fam}
+        return {table[0]: ASetFamily(table[0], {alpha: (alpha,)})}
 
     positions = alpha.support
+    placed = [MultiIndex(alpha.order, m).embed(positions, alpha.dim) for m in range(1 << alpha.order)]
     built: dict[Partition, ASetFamily] = {}
-    for small_partition, raw_sets in _ones_families(alpha.order):
-        blocks = tuple(b.embed(positions, alpha.dim) for b in small_partition.blocks)
-        partition = Partition(alpha, blocks)
-        sets = {
-            k.embed(positions, alpha.dim): tuple(m.embed(positions, alpha.dim) for m in ms)
-            for k, ms in raw_sets
-        }
+    for small_partition, mask_sets in _ones_families(alpha.order):
+        partition = Partition(alpha, tuple(placed[b.mask] for b in small_partition.blocks))
+        # embedding keeps the blocks' order, so the keys line up with mask_sets
+        keys = (placed[0],) + partition.blocks
+        sets = {k: tuple(placed[m] for m in ms) for k, ms in zip(keys, mask_sets)}
         built[partition] = ASetFamily(partition, sets)
 
-    if set(built) != set(table.partitions):
+    if set(built) != set(table):
         raise AssertionError("refinement lineage disagrees with partition enumeration")
-    return {p: built[p] for p in table.partitions}
+    return {p: built[p] for p in table}
 
 
 def validate(family: ASetFamily) -> FamilyValidation:

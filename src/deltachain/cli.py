@@ -132,12 +132,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--eps-pow-min", type=int, default=3, help="smallest j in the scale grid 2**-j")
     p_verify.add_argument("--eps-pow-max", type=int, default=10, help="largest j in the scale grid 2**-j")
     p_verify.add_argument("--output", help="write the JSON report to this file instead of stdout")
+    # usage errors found after parsing are reported with the subcommand's usage line
+    for p in (p_expand, p_chain, p_asets, p_verify):
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.parser
 
     if args.command == "expand":
         return _formula_command(args, parser, expand_tangent)

@@ -1,6 +1,7 @@
 """Binary multi-indices, their partitions, and the refinement recursion.
 
-A multi-index is a finite tuple of binary digits, ordered componentwise.
+A multi-index is a finite string of binary digits, ordered componentwise
+and stored as its length and a bit mask.
 A partition of a nonzero multi-index splits it into nonzero pieces with
 pairwise disjoint supports; partitions correspond one-to-one to set
 partitions of the support, so their counts are Bell numbers.
@@ -13,98 +14,103 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiIndex:
     """An element of {0,1}^k under the componentwise partial order.
 
+    Stored as the dimension k and a mask with bit i set iff digit i+1 is 1.
+
     >>> a = MultiIndex.from_string("101")
-    >>> a.order, a.dim, a.support
-    (2, 3, (0, 2))
+    >>> a.order, a.dim, a.mask, a.support
+    (2, 3, 5, (0, 2))
     >>> MultiIndex.from_string("100") <= a
     True
     """
 
-    bits: tuple[int, ...]
+    dim: int
+    mask: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, tuple):
-            object.__setattr__(self, "bits", tuple(self.bits))
-        if not self.bits:
+        if type(self.dim) is not int or type(self.mask) is not int:
+            raise ValueError(f"dim and mask must be integers: {self.dim!r}, {self.mask!r}")
+        if self.dim < 1:
             raise ValueError("a multi-index needs at least one digit")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"digits must be 0 or 1: {self.bits!r}")
+        # bit_length, not 1 << dim: a huge dim must not build a huge integer
+        if self.mask < 0 or self.mask.bit_length() > self.dim:
+            raise ValueError(f"mask {self.mask} out of range for dim {self.dim}")
+
+    @classmethod
+    def from_bits(cls, bits: Iterable[int]) -> "MultiIndex":
+        """The multi-index with the given digits, first digit first."""
+        bits = tuple(bits)
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"digits must be 0 or 1: {bits!r}")
+        return cls(len(bits), sum(int(b) << i for i, b in enumerate(bits)))
 
     @classmethod
     def from_string(cls, s: str) -> "MultiIndex":
         if any(c not in "01" for c in s):
             raise ValueError(f"not a bitstring: {s!r}")
-        return cls(tuple(int(c) for c in s))
+        return cls(len(s), int(s[::-1] or "0", 2))
 
     @classmethod
     def zero(cls, dim: int) -> "MultiIndex":
-        return cls((0,) * dim)
+        return cls(dim, 0)
 
     @classmethod
     def unit(cls, dim: int, position: int) -> "MultiIndex":
         """The multi-index with a single 1-digit at ``position`` (0-based)."""
         if not 0 <= position < dim:
             raise ValueError(f"position {position} out of range for dim {dim}")
-        return cls(tuple(int(i == position) for i in range(dim)))
+        return cls(dim, 1 << position)
 
     @classmethod
     def ones(cls, dim: int) -> "MultiIndex":
-        return cls((1,) * dim)
+        return cls(dim, (1 << dim) - 1)
 
     @property
-    def dim(self) -> int:
-        return len(self.bits)
+    def bits(self) -> tuple[int, ...]:
+        """The digits, first digit first."""
+        return tuple((self.mask >> i) & 1 for i in range(self.dim))
 
     @property
     def order(self) -> int:
         """Number of 1-digits."""
-        return sum(self.bits)
-
-    @property
-    def mask(self) -> int:
-        """Integer with bit i set iff digit i+1 is 1."""
-        m = 0
-        for i, b in enumerate(self.bits):
-            m |= b << i
-        return m
+        return self.mask.bit_count()
 
     @property
     def support(self) -> tuple[int, ...]:
         """0-based positions of the 1-digits, ascending."""
-        return tuple(i for i, b in enumerate(self.bits) if b)
+        return tuple(i for i in range(self.dim) if (self.mask >> i) & 1)
 
     @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
+    def sort_key(self) -> tuple[int, str]:
         """Total order key: order first, then lexicographic digits."""
-        return (self.order, self.bits)
+        return (self.order, str(self))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.mask, f"0{self.dim}b")[::-1]
 
     def __le__(self, other: "MultiIndex") -> bool:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return all(a <= b for a, b in zip(self.bits, other.bits))
+        return not self.mask & ~other.mask
 
     def __lt__(self, other: "MultiIndex") -> bool:
-        return self <= other and self != other
+        return self <= other and self.mask != other.mask
 
     def diamond(self, digit: int) -> "MultiIndex":
         """Append one digit."""
         if digit not in (0, 1):
             raise ValueError(f"digit must be 0 or 1: {digit!r}")
-        return MultiIndex(self.bits + (digit,))
+        return MultiIndex(self.dim + 1, self.mask | int(digit) << self.dim)
 
     def down_set(self) -> tuple["MultiIndex", ...]:
         """All multi-indices below self, sorted by ``sort_key``."""
         out = []
         sub = self.mask
         while True:
-            out.append(MultiIndex(tuple((sub >> i) & 1 for i in range(self.dim))))
+            out.append(MultiIndex(self.dim, sub))
             if sub == 0:
                 break
             sub = (sub - 1) & self.mask
@@ -113,7 +119,9 @@ class MultiIndex:
 
     def restrict(self, positions: Sequence[int]) -> "MultiIndex":
         """Project onto the given positions; support must lie inside them."""
-        picked = MultiIndex(tuple(self.bits[p] for p in positions))
+        if not all(0 <= p < self.dim for p in positions):
+            raise ValueError(f"positions {positions} outside dimension {self.dim}")
+        picked = MultiIndex.from_bits((self.mask >> p) & 1 for p in positions)
         if picked.order != self.order:
             raise ValueError(f"support of {self} not contained in {positions}")
         return picked
@@ -122,19 +130,12 @@ class MultiIndex:
         """Place the digits of self at ``positions`` inside a zero index of ``dim``."""
         if len(positions) != self.dim:
             raise ValueError("positions must match dimension")
-        bits = [0] * dim
-        for b, p in zip(self.bits, positions):
-            bits[p] = b
-        return MultiIndex(tuple(bits))
-
-
-def leq(a: MultiIndex, b: MultiIndex) -> bool:
-    return a <= b
-
-
-def diamond_set(indices: Iterable[MultiIndex], digit: int) -> tuple[MultiIndex, ...]:
-    """Append a digit to every index of a set, sorted by ``sort_key``."""
-    return tuple(sorted((m.diamond(digit) for m in indices), key=lambda m: m.sort_key))
+        if not all(0 <= p < dim for p in positions):
+            raise ValueError(f"positions {positions} outside dimension {dim}")
+        mask = 0
+        for i, p in enumerate(positions):
+            mask |= ((self.mask >> i) & 1) << p
+        return MultiIndex(dim, mask)
 
 
 @dataclass(frozen=True)
@@ -160,14 +161,14 @@ class Partition:
         for b in blocks:
             if b.dim != self.target.dim:
                 raise ValueError("block dimension mismatch")
-            if b.order == 0:
+            if not b.mask:
                 raise ValueError("blocks must be nonzero")
             if seen & b.mask:
                 raise ValueError("blocks must have disjoint supports")
             seen |= b.mask
         if seen != self.target.mask:
             raise ValueError("blocks must sum to the target")
-        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: b.support[0])))
+        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: b.mask & -b.mask)))
 
     @property
     def size(self) -> int:
@@ -179,25 +180,7 @@ class Partition:
 
     @property
     def sort_key(self):
-        return (self.size, tuple(b.bits for b in self.blocks))
-
-
-def maxord(p: Partition) -> int:
-    return p.maxord
-
-
-@dataclass(frozen=True)
-class PartitionTable:
-    """All partitions of a target, in a fixed deterministic order."""
-
-    target: MultiIndex
-    partitions: tuple[Partition, ...]
-
-    def __len__(self) -> int:
-        return len(self.partitions)
-
-    def __iter__(self) -> Iterator[Partition]:
-        return iter(self.partitions)
+        return (self.size, tuple(str(b) for b in self.blocks))
 
 
 def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
@@ -214,24 +197,19 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_partitions(alpha: MultiIndex) -> PartitionTable:
+def enumerate_partitions(alpha: MultiIndex) -> tuple[Partition, ...]:
     """All partitions of ``alpha``, sorted by (size, block digit strings).
 
     The zero multi-index has exactly one partition: the empty one.
     """
     if alpha.order == 0:
-        return PartitionTable(alpha, (Partition(alpha, ()),))
-    parts = []
-    for groups in _set_partitions(alpha.support):
-        blocks = []
-        for group in groups:
-            bits = [0] * alpha.dim
-            for p in group:
-                bits[p] = 1
-            blocks.append(MultiIndex(tuple(bits)))
-        parts.append(Partition(alpha, tuple(blocks)))
+        return (Partition(alpha, ()),)
+    parts = [
+        Partition(alpha, tuple(MultiIndex(alpha.dim, sum(1 << p for p in group)) for group in groups))
+        for groups in _set_partitions(alpha.support)
+    ]
     parts.sort(key=lambda p: p.sort_key)
-    return PartitionTable(alpha, tuple(parts))
+    return tuple(parts)
 
 
 def refine(p: Partition) -> tuple[Partition, ...]:
@@ -243,7 +221,7 @@ def refine(p: Partition) -> tuple[Partition, ...]:
     the partitions of target⋄1.
     """
     new_target = p.target.diamond(1)
-    new_block = MultiIndex.zero(p.target.dim).diamond(1)
+    new_block = MultiIndex(p.target.dim + 1, 1 << p.target.dim)
     children = [Partition(new_target, tuple(b.diamond(0) for b in p.blocks) + (new_block,))]
     for i in range(p.size):
         blocks = tuple(

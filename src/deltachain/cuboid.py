@@ -144,9 +144,7 @@ class Cuboid:
 
 
 def _indices(dim: int) -> tuple[MultiIndex, ...]:
-    return tuple(
-        MultiIndex(tuple((i >> b) & 1 for b in range(dim))) for i in range(1 << dim)
-    )
+    return tuple(MultiIndex(dim, i) for i in range(1 << dim))
 
 
 def _subset_transform(c: Cuboid, sign: int) -> Cuboid:

@@ -392,11 +392,11 @@ def _check_telescoping(s: int) -> str | None:
 def _check_refinement_cover(s: int) -> str | None:
     rng = random.Random(s)
     k = rng.randrange(1, 6)
-    alpha = MultiIndex(tuple(rng.randint(0, 1) for _ in range(k)))
+    alpha = MultiIndex.from_bits(rng.randint(0, 1) for _ in range(k))
     children = []
     for p in enumerate_partitions(alpha):
         children.extend(refine(p))
-    expected = set(enumerate_partitions(alpha.diamond(1)).partitions)
+    expected = set(enumerate_partitions(alpha.diamond(1)))
     if len(children) != len(expected) or set(children) != expected:
         return f"alpha={alpha}"
     return None

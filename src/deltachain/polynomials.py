@@ -143,11 +143,13 @@ class Poly:
     def __call__(self, args: Sequence[Any]):
         """Evaluate at arguments from any commutative ring containing Q.
 
-        Each power ``args[i] ** e`` is computed once per call."""
+        Each power ``args[i] ** e`` is computed once per call, and terms that
+        are polynomials are summed in one coefficient dict."""
         if len(args) != self.nvars:
             raise ValueError(f"need {self.nvars} arguments, got {len(args)}")
         powers: dict[tuple[int, int], Any] = {}
         acc = None
+        poly_nvars, coeffs = None, {}
         for expts, coeff in self.terms:
             term: Any = coeff
             for i, e in enumerate(expts):
@@ -156,7 +158,18 @@ class Poly:
                     if power is None:
                         power = powers[i, e] = args[i] ** e
                     term = term * power
-            acc = term if acc is None else acc + term
+            if isinstance(term, Poly):
+                if poly_nvars is None:
+                    poly_nvars = term.nvars
+                elif term.nvars != poly_nvars:
+                    raise ValueError("variable count mismatch")
+                for e, c in term.terms:
+                    coeffs[e] = coeffs.get(e, 0) + c
+            else:
+                acc = term if acc is None else acc + term
+        if poly_nvars is not None:
+            total = Poly._of(poly_nvars, coeffs.items())
+            return total if acc is None else total + acc
         return Fraction(0) if acc is None else acc
 
     def partial(self, i: int) -> "Poly":

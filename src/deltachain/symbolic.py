@@ -111,7 +111,7 @@ def sort_key(e: Expr) -> tuple:
     if isinstance(e, VecSym):
         return (1, e.name)
     if isinstance(e, ComponentSym):
-        return (2, e.index.order, e.index.bits, e.cuboid)
+        return (2, e.index.order, str(e.index), e.cuboid)
     if isinstance(e, App):
         return (3, e.func, sort_key(e.arg))
     if isinstance(e, DeltaTerm):
@@ -322,6 +322,11 @@ def render(e: Expr, fmt: str = "text") -> str:
 
 _TOO_DEEP = "nesting too deep"
 
+# The largest component dimension ``parse`` infers from text.  A larger
+# position comes from no formula this library can build, and is rejected
+# before a multi-index of that dimension is allocated.
+_MAX_INFERRED_DIM = 1 << 16
+
 
 def expr_from_obj(obj: dict) -> Expr:
     """Rebuild an expression from its JSON object form.
@@ -494,12 +499,12 @@ class _Parser:
         if name in self.cuboids:
             if positions == [0]:
                 return ComponentSym(name, MultiIndex.zero(self.dim))
-            bits = [0] * self.dim
+            mask = 0
             for p in positions:
                 if not 1 <= p <= self.dim:
                     raise ValueError(f"component position {p} outside dimension {self.dim}")
-                bits[p - 1] = 1
-            return ComponentSym(name, MultiIndex(tuple(bits)))
+                mask |= 1 << (p - 1)
+            return ComponentSym(name, MultiIndex(self.dim, mask))
         full = f"{name}_{subtext}"
         if name in self.points:
             return PointSym(full)
@@ -530,8 +535,9 @@ def parse(
 
     JSON is faithful.  The text form needs the component dimension ``dim``
     to rebuild subscripts like ``u_{1,3}``; when omitted it is inferred as
-    the largest position appearing in any component subscript.  Input
-    nested deeper than the interpreter can recurse raises ``ValueError``.
+    the largest position appearing in any component subscript, which may
+    not exceed 2**16.  Input nested deeper than the interpreter can recurse
+    raises ``ValueError``.
     """
     if fmt == "json":
         try:
@@ -546,6 +552,8 @@ def parse(
     tokens = _tokenize(s)
     if dim is None:
         dim = _infer_dim(tokens, cuboids)
+        if dim > _MAX_INFERRED_DIM:
+            raise ValueError(f"component position {dim} is above {_MAX_INFERRED_DIM}")
     parser = _Parser(tokens, dim, cuboids, points)
     try:
         expr = parser.parse_expr()

@@ -140,7 +140,7 @@ def test_criterion_4_tangent_oracle():
 def sweep_families(kmax: int = 8):
     for k in range(1, kmax + 1):
         for mask in range(1 << k):
-            alpha = MultiIndex(tuple((mask >> i) & 1 for i in range(k)))
+            alpha = MultiIndex(k, mask)
             yield alpha, build_asets(alpha)
 
 

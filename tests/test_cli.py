@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -62,6 +63,20 @@ def test_output_flag_writes_the_same_bytes(tmp_path, capsys):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["asets", "--alpha", "1101110", "--validate"], "b2d7b5135c8b393d83dd926655d9d997ad672883ccbf4409292d5972fc2f85bb"),
+        (["chain", "--order", "6", "--format", "json"], "0255230f665e980a64e6b5b7e410dd698e8b40b90b9241b64283daa37993f7ac"),
+        (["expand", "--alpha", "10111010", "--format", "text"], "b152a1321aa42e6d5a860f1cd959ba7f84afc8b8683cf9e3070887411e7f7276"),
+    ],
+)
+def test_outputs_match_recorded_digests(argv, digest, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # -- usage errors ------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -79,10 +94,11 @@ def test_output_flag_writes_the_same_bytes(tmp_path, capsys):
         ["verify", "--eps-pow-min", "5", "--eps-pow-max", "3"],
     ],
 )
-def test_usage_errors_exit_2(argv):
+def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: deltachain {argv[0]} ")
 
 
 @pytest.mark.parametrize(
@@ -103,6 +119,7 @@ def test_sizes_above_the_limit_exit_2_naming_the_bell_number(argv, flag, k, caps
         cli.main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
+    assert err.startswith(f"usage: deltachain {argv[0]} ")
     assert f"{flag} asks for cube dimension {k}, above the limit {cli.MAX_ORDER}" in err
     assert f"Bell({k}) = {bell_number(k):,} set partitions" in err
 

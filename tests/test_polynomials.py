@@ -210,6 +210,15 @@ def test_evaluation_and_composition_match_the_reference(a, v, b, c):
     inner = (Poly.make(1, b), Poly.make(1, c))
     expected = ref_compose(ra, (ref_of(b), ref_of(c)), 1)
     assert_matches(Poly.constant(1, 0) + p(inner), expected)
+    value = p(inner)
+    if any(any(e) for e in ra):
+        # a term with a polynomial factor makes the value a polynomial
+        assert_matches(value, expected)
+    else:
+        assert not isinstance(value, Poly) and value == expected.get((0,), 0)
+    # a polynomial and a rational argument together
+    half = (inner[0], v[1])
+    assert_matches(Poly.constant(1, 0) + p(half), ref_compose(ra, (ref_of(b), ref_of({(0,): v[1]})), 1))
     (composed,) = compose(PolynomialMap(2, (p,)), PolynomialMap(1, inner)).components
     assert_matches(composed, expected)
 

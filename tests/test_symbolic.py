@@ -244,6 +244,94 @@ def test_object_round_trip(e):
     assert expr_from_obj(expr_to_obj(e)) == e
 
 
+@settings(max_examples=300)
+@given(exprs())
+def test_json_round_trip_of_random_expressions(e):
+    assert parse(render(e, "json"), "json") == e
+
+
+numerals = st.integers(0, 10**25).map(str)
+
+
+def grammar_texts():
+    # Strings of the text grammar with arbitrary numerals, so generated
+    # inputs reach past the tokenizer and into every parser rule.
+    leaves = st.one_of(
+        st.sampled_from(["x", "y", "v_1", "w", "0"]),
+        numerals.map(lambda n: f"u_{n}"),
+        st.lists(numerals, min_size=1, max_size=3).map(lambda ns: "u_{" + ",".join(ns) + "}"),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(names, children).map(lambda t: f"{t[0]}({t[1]})"),
+            st.lists(children, min_size=1, max_size=3).map(" + ".join),
+            st.tuples(numerals, st.lists(children, min_size=1, max_size=3), names, children).map(
+                lambda t: f"Δ^{t[0]}_{{{', '.join(t[1])}}} {t[2]}({t[3]})"
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@st.composite
+def edited(draw, texts):
+    # One slice of a string replaced by arbitrary text.
+    text = draw(texts)
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, len(text)))
+    return text[:i] + draw(st.text(max_size=3)) + text[j:]
+
+
+json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+
+
+json_values = st.recursive(
+    json_leaves, lambda c: st.lists(c, max_size=4) | st.dictionaries(st.text(max_size=5), c, max_size=4)
+)
+
+
+def node_values():
+    # Dicts shaped like expression nodes with any JSON in their fields.
+    def extend(children):
+        subtree = children | json_values
+        return st.fixed_dictionaries(
+            {"node": st.sampled_from(["point", "vector", "component", "apply", "delta", "sum", "other"]) | json_leaves},
+            optional={
+                "name": json_leaves,
+                "cuboid": json_leaves,
+                "index": st.text("01", max_size=4) | json_leaves,
+                "func": json_leaves,
+                "alpha": st.lists(st.integers(-1, 3) | json_leaves, max_size=3) | json_leaves,
+                "arg": subtree,
+                "base": subtree,
+                "directions": st.lists(subtree, max_size=3) | subtree,
+                "terms": st.lists(subtree, max_size=3) | subtree,
+            },
+        )
+
+    return st.recursive(json_leaves, extend, max_leaves=12)
+
+
+def parses_or_raises_value_error(text: str, fmt: str) -> None:
+    try:
+        parse(text, fmt)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=500)
+@given(st.text() | grammar_texts() | edited(grammar_texts()))
+def test_any_text_parses_or_raises_value_error(text):
+    parses_or_raises_value_error(text, "text")
+
+
+@settings(max_examples=500)
+@given(json_values | node_values().map(lambda root: {"version": 1, "root": root}))
+def test_any_json_value_parses_or_raises_value_error(value):
+    parses_or_raises_value_error(json.dumps(value), "json")
+
+
 @pytest.mark.parametrize("k", range(1, 5))
 def test_json_round_trip_of_generated_formulas(k):
     alpha = MultiIndex.ones(k)
