@@ -101,10 +101,10 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
     """Evaluate an expression with names bound to points (tuples), cuboids,
     and callables for function symbols.
 
-    Each distinct subexpression is evaluated once per call: values are
-    memoized by structural equality of the nodes for the duration of the
-    call, so the inner differences shared by many terms of an expansion are
-    computed once.
+    Each distinct subexpression is evaluated once per call: equal
+    expressions are one node (the nodes are hash-consed), values are
+    memoized by node identity for the duration of the call, so the inner
+    differences shared by many terms of an expansion are computed once.
     """
     memo: dict[Expr, Value] = {}
 
@@ -115,54 +115,55 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
             raise EvaluationError(f"unbound symbol {name!r}") from None
 
     def ev(e: Expr) -> Value:
+        # The memo lookup sits in the recursive function itself: one frame
+        # per nesting level.
         try:
             value = memo.get(e)
         except TypeError:  # unhashable, so not an expression node
-            return node(e)
-        if value is None:
-            value = memo[e] = node(e)
-        return value
-
-    def node(e: Expr) -> Value:
+            raise EvaluationError(f"not an expression: {e!r}") from None
+        if value is not None:
+            return value
         if isinstance(e, (PointSym, VecSym)):
             v = lookup(e.name)
             if not isinstance(v, (tuple, list)):
                 raise EvaluationError(f"symbol {e.name!r} must be bound to a vector")
-            return tuple(v)
-        if isinstance(e, ComponentSym):
+            value = tuple(v)
+        elif isinstance(e, ComponentSym):
             c = lookup(e.cuboid)
             if not isinstance(c, Cuboid):
                 raise EvaluationError(f"symbol {e.cuboid!r} must be bound to a cuboid")
             try:
-                return c.component(e.index)
+                value = c.component(e.index)
             except ValueError as exc:
                 raise EvaluationError(str(exc)) from None
-        if isinstance(e, App):
+        elif isinstance(e, App):
             F = lookup(e.func)
             if not callable(F):
                 raise EvaluationError(f"symbol {e.func!r} must be bound to a map")
-            return tuple(F(ev(e.arg)))
-        if isinstance(e, Sum):
+            value = tuple(F(ev(e.arg)))
+        elif isinstance(e, Sum):
             if not e.terms:
                 raise EvaluationError("cannot evaluate an empty sum")
-            acc = ev(e.terms[0])
+            value = ev(e.terms[0])
             for t in e.terms[1:]:
                 try:
-                    acc = vector_add(acc, ev(t))
+                    value = vector_add(value, ev(t))
                 except ValueError as exc:
                     raise EvaluationError(str(exc)) from None
-            return acc
-        if isinstance(e, DeltaTerm):
+        elif isinstance(e, DeltaTerm):
             F = lookup(e.func)
             if not callable(F):
                 raise EvaluationError(f"symbol {e.func!r} must be bound to a map")
             base = ev(e.base)
             dirs = [ev(d) for d in e.directions]
             try:
-                return evaluate_delta(F, base, dirs, e.alpha)
+                value = evaluate_delta(F, base, dirs, e.alpha)
             except ValueError as exc:
                 raise EvaluationError(str(exc)) from None
-        raise EvaluationError(f"not an expression: {e!r}")
+        else:
+            raise EvaluationError(f"not an expression: {e!r}")
+        memo[e] = value
+        return value
 
     return ev(e)
 

@@ -4,52 +4,110 @@ The expression language covers exactly what the expansions produce: point
 and vector symbols, cuboid components, function application, finite sums,
 and iterated difference terms.  Equality of expressions means syntactic
 equality of canonical forms; there is no general rewriting.
+
+Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): constructing a node returns the one live node with
+equal fields, so structurally equal expressions are one object, ``==`` and
+``hash`` are identity, and the inner differences an expansion shares are
+stored once.  Every pass over an expression memoizes per distinct node for
+the duration of one call.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Union, get_args
 
 from .asets import build_asets
 from .combinatorics import MultiIndex, enumerate_partitions
 
+# Every live node, keyed by its class and field values.  The table is weak:
+# a node no expression or caller holds any more drops out of it.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
 
-@dataclass(frozen=True)
-class PointSym:
+
+class _HashConsed(type):
+    """Metaclass of the node classes: the single interning point."""
+
+    def __call__(cls, *args, **kwargs):
+        node = type.__call__(cls, *args, **kwargs)
+        if not _NODE_TYPES.issuperset(map(type, node._children())):
+            # Not an expression, so not interned: no value that is ``==`` but
+            # of another type (1 and True, say) is ever merged into it.
+            return node
+        key = (cls, *node.__dict__.values())
+        with _NODES_LOCK:
+            return _NODES.setdefault(key, node)
+
+
+class _Node(metaclass=_HashConsed):
+    def _children(self) -> tuple:
+        return ()
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the interning point.
+        return type(self), tuple(self.__dict__.values())
+
+
+@dataclass(frozen=True, eq=False)
+class PointSym(_Node):
     """A point of the underlying space; contributes order 0."""
 
     name: str
 
+    def __post_init__(self) -> None:
+        if type(self.name) is not str:
+            raise ValueError("a symbol name must be a str")
 
-@dataclass(frozen=True)
-class VecSym:
+
+@dataclass(frozen=True, eq=False)
+class VecSym(_Node):
     """A displacement vector; contributes order 1."""
 
     name: str
 
+    def __post_init__(self) -> None:
+        if type(self.name) is not str:
+            raise ValueError("a symbol name must be a str")
 
-@dataclass(frozen=True)
-class ComponentSym:
+
+@dataclass(frozen=True, eq=False)
+class ComponentSym(_Node):
     """Component of a named cuboid at a multi-index; order is the index order."""
 
     cuboid: str
     index: MultiIndex
 
+    def __post_init__(self) -> None:
+        if type(self.cuboid) is not str:
+            raise ValueError("a cuboid name must be a str")
+        if type(self.index) is not MultiIndex:
+            raise ValueError("ComponentSym.index must be a MultiIndex")
 
-@dataclass(frozen=True)
-class App:
+
+@dataclass(frozen=True, eq=False)
+class App(_Node):
     """Function application; order 0 regardless of the argument."""
 
     func: str
     arg: "Expr"
 
+    def __post_init__(self) -> None:
+        if type(self.func) is not str:
+            raise ValueError("a function name must be a str")
 
-@dataclass(frozen=True)
-class DeltaTerm:
+    def _children(self) -> tuple:
+        return (self.arg,)
+
+
+@dataclass(frozen=True, eq=False)
+class DeltaTerm(_Node):
     """An iterated difference of ``func`` at ``base`` along ``directions``.
 
     ``alpha[i]`` counts how many times direction i is applied; generated
@@ -67,19 +125,28 @@ class DeltaTerm:
         object.__setattr__(self, "directions", tuple(self.directions))
         if len(self.alpha) != len(self.directions):
             raise ValueError("alpha and directions must have equal length")
-        if any(not isinstance(a, int) or a < 0 for a in self.alpha):
+        if any(not isinstance(a, int) or isinstance(a, bool) or a < 0 for a in self.alpha):
             raise ValueError("alpha entries must be nonnegative integers")
+        if type(self.func) is not str:
+            raise ValueError("a function name must be a str")
+
+    def _children(self) -> tuple:
+        return (*self.directions, self.base)
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False)
+class Sum(_Node):
     terms: tuple["Expr", ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
 
+    def _children(self) -> tuple:
+        return self.terms
+
 
 Expr = Union[PointSym, VecSym, ComponentSym, App, DeltaTerm, Sum]
+_NODE_TYPES = frozenset(get_args(Expr))
 
 
 def order_of(e: Expr) -> int:
@@ -106,83 +173,113 @@ def order_of(e: Expr) -> int:
 
 def sort_key(e: Expr) -> tuple:
     """Total order on expressions used everywhere a canonical order is needed."""
+    return _sort_key(e, {})
+
+
+def _sort_key(e: Expr, memo: dict) -> tuple:
+    key = memo.get(e)
+    if key is not None:
+        return key
     if isinstance(e, PointSym):
-        return (0, e.name)
-    if isinstance(e, VecSym):
-        return (1, e.name)
-    if isinstance(e, ComponentSym):
-        return (2, e.index.order, str(e.index), e.cuboid)
-    if isinstance(e, App):
-        return (3, e.func, sort_key(e.arg))
-    if isinstance(e, DeltaTerm):
-        return (
+        key = (0, e.name)
+    elif isinstance(e, VecSym):
+        key = (1, e.name)
+    elif isinstance(e, ComponentSym):
+        key = (2, e.index.order, str(e.index), e.cuboid)
+    elif isinstance(e, App):
+        key = (3, e.func, _sort_key(e.arg, memo))
+    elif isinstance(e, DeltaTerm):
+        key = (
             4,
             sum(e.alpha),
-            tuple(sort_key(d) for d in e.directions),
+            tuple(_sort_key(d, memo) for d in e.directions),
             e.func,
-            sort_key(e.base),
+            _sort_key(e.base, memo),
             e.alpha,
         )
-    if isinstance(e, Sum):
-        return (5, len(e.terms), tuple(sort_key(t) for t in e.terms))
-    raise TypeError(f"not an expression: {e!r}")
+    elif isinstance(e, Sum):
+        key = (5, len(e.terms), tuple(_sort_key(t, memo) for t in e.terms))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    memo[e] = key
+    return key
 
 
 def canonicalize(e: Expr) -> Expr:
     """Flatten sums, sort operands, expand repeated directions, and collapse
     zero-fold differences into plain applications.  Idempotent."""
+    keys: dict = {}
+    return _canonicalize(e, {}, lambda t: _sort_key(t, keys))
+
+
+def _canonicalize(e: Expr, memo: dict, key: Callable[[Expr], tuple]) -> Expr:
+    out = memo.get(e)
+    if out is not None:
+        return out
     if isinstance(e, (PointSym, VecSym, ComponentSym)):
-        return e
-    if isinstance(e, App):
-        return App(e.func, canonicalize(e.arg))
-    if isinstance(e, Sum):
+        out = e
+    elif isinstance(e, App):
+        out = App(e.func, _canonicalize(e.arg, memo, key))
+    elif isinstance(e, Sum):
         flat: list[Expr] = []
         for t in e.terms:
-            ct = canonicalize(t)
+            ct = _canonicalize(t, memo, key)
             if isinstance(ct, Sum):
                 flat.extend(ct.terms)
             else:
                 flat.append(ct)
         if len(flat) == 1:
-            return flat[0]
-        flat.sort(key=sort_key)
-        return Sum(tuple(flat))
-    if isinstance(e, DeltaTerm):
-        base = canonicalize(e.base)
+            out = flat[0]
+        else:
+            flat.sort(key=key)
+            out = Sum(tuple(flat))
+    elif isinstance(e, DeltaTerm):
+        base = _canonicalize(e.base, memo, key)
         dirs: list[Expr] = []
         for a, d in zip(e.alpha, e.directions):
             if a:
-                dirs.extend([canonicalize(d)] * a)
-        if not dirs:
-            return App(e.func, base)
-        dirs.sort(key=sort_key)
-        return DeltaTerm((1,) * len(dirs), tuple(dirs), e.func, base)
-    raise TypeError(f"not an expression: {e!r}")
+                dirs.extend([_canonicalize(d, memo, key)] * a)
+        if dirs:
+            dirs.sort(key=key)
+            out = DeltaTerm((1,) * len(dirs), tuple(dirs), e.func, base)
+        else:
+            out = App(e.func, base)
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    memo[e] = out
+    return out
 
 
 def substitute_components(e: Expr, repl: Callable[[ComponentSym], Expr]) -> Expr:
-    """Rebuild ``e`` with every cuboid component replaced by ``repl(component)``."""
+    """Rebuild ``e`` with every cuboid component replaced by ``repl(component)``.
+
+    ``repl`` is called once per distinct component."""
+    return _substitute(e, repl, {})
+
+
+def _substitute(e: Expr, repl: Callable[[ComponentSym], Expr], memo: dict) -> Expr:
+    out = memo.get(e)
+    if out is not None:
+        return out
     if isinstance(e, (PointSym, VecSym)):
-        return e
-    if isinstance(e, ComponentSym):
-        return repl(e)
-    if isinstance(e, App):
-        return App(e.func, substitute_components(e.arg, repl))
-    if isinstance(e, DeltaTerm):
-        return DeltaTerm(
+        out = e
+    elif isinstance(e, ComponentSym):
+        out = repl(e)
+    elif isinstance(e, App):
+        out = App(e.func, _substitute(e.arg, repl, memo))
+    elif isinstance(e, DeltaTerm):
+        out = DeltaTerm(
             e.alpha,
-            tuple(substitute_components(d, repl) for d in e.directions),
+            tuple(_substitute(d, repl, memo) for d in e.directions),
             e.func,
-            substitute_components(e.base, repl),
+            _substitute(e.base, repl, memo),
         )
-    if isinstance(e, Sum):
-        return Sum(tuple(substitute_components(t, repl) for t in e.terms))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _sum_of_components(cuboid: str, indices: Iterable[MultiIndex]) -> Expr:
-    parts = tuple(ComponentSym(cuboid, m) for m in indices)
-    return parts[0] if len(parts) == 1 else Sum(parts)
+    elif isinstance(e, Sum):
+        out = Sum(tuple(_substitute(t, repl, memo) for t in e.terms))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    memo[e] = out
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -190,10 +287,23 @@ def expand_tangent(alpha: MultiIndex, func: str = "f", cuboid: str = "u") -> Exp
     """Component ``alpha`` of the conjugated pointwise map, as one difference
     term per partition of ``alpha`` with directions and base point given by
     the per-partition index-set families."""
+    # One ComponentSym per index below alpha, keyed by mask, rather than one
+    # construction per member of every family set.
+    components: dict[int, Expr] = {}
+
+    def sum_of_components(indices: Iterable[MultiIndex]) -> Expr:
+        parts = []
+        for m in indices:
+            c = components.get(m.mask)
+            if c is None:
+                c = components[m.mask] = ComponentSym(cuboid, m)
+            parts.append(c)
+        return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+
     terms = []
     for partition, fam in build_asets(alpha).items():
-        base = _sum_of_components(cuboid, fam.base_set)
-        dirs = tuple(_sum_of_components(cuboid, fam.block_set(b)) for b in partition.blocks)
+        base = sum_of_components(fam.base_set)
+        dirs = tuple(sum_of_components(fam.block_set(b)) for b in partition.blocks)
         terms.append(DeltaTerm((1,) * len(dirs), dirs, func, base))
     return canonicalize(Sum(tuple(terms)))
 
@@ -254,29 +364,82 @@ def _component_subscript(index: MultiIndex) -> str:
     return "{" + ",".join(positions) + "}"
 
 
-def _render(e: Expr, latex: bool) -> str:
+def _render(e: Expr, latex: bool, memo: dict) -> str:
+    out = memo.get(e)
+    if out is not None:
+        return out
     if isinstance(e, (PointSym, VecSym)):
-        return e.name
-    if isinstance(e, ComponentSym):
-        return f"{e.cuboid}_{_component_subscript(e.index)}"
-    if isinstance(e, App):
-        return f"{e.func}({_render(e.arg, latex)})"
-    if isinstance(e, Sum):
-        if not e.terms:
-            return "0"
-        return " + ".join(_render(t, latex) for t in e.terms)
-    if isinstance(e, DeltaTerm):
+        out = e.name
+    elif isinstance(e, ComponentSym):
+        out = f"{e.cuboid}_{_component_subscript(e.index)}"
+    elif isinstance(e, App):
+        out = f"{e.func}({_render(e.arg, latex, memo)})"
+    elif isinstance(e, Sum):
+        out = " + ".join(_render(t, latex, memo) for t in e.terms) if e.terms else "0"
+    elif isinstance(e, DeltaTerm):
         dirs: list[Expr] = []
         for a, d in zip(e.alpha, e.directions):
             dirs.extend([d] * a)
         if not dirs:
-            return f"{e.func}({_render(e.base, latex)})"
-        head = "\\Delta" if latex else "Δ"
-        if len(dirs) >= 2:
-            head += f"^{{{len(dirs)}}}" if latex else f"^{len(dirs)}"
-        sub = ", ".join(_render(d, latex) for d in dirs)
-        return f"{head}_{{{sub}}} {e.func}({_render(e.base, latex)})"
-    raise TypeError(f"not an expression: {e!r}")
+            out = f"{e.func}({_render(e.base, latex, memo)})"
+        else:
+            head = "\\Delta" if latex else "Δ"
+            if len(dirs) >= 2:
+                head += f"^{{{len(dirs)}}}" if latex else f"^{len(dirs)}"
+            sub = ", ".join(_render(d, latex, memo) for d in dirs)
+            out = f"{head}_{{{sub}}} {e.func}({_render(e.base, latex, memo)})"
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    memo[e] = out
+    return out
+
+
+def _json_object(fields: Iterable[tuple[str, str]], depth: int) -> str:
+    # An object whose closing brace sits at ``depth``, laid out as
+    # json.dumps(..., indent=2, sort_keys=True) lays it out; ``fields`` are
+    # (key, rendered value) pairs in sorted key order.
+    pad = "\n" + "  " * (depth + 1)
+    return "{" + ",".join(f'{pad}"{k}": {v}' for k, v in fields) + "\n" + "  " * depth + "}"
+
+
+def _json_array(items: list[str], depth: int) -> str:
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + ",".join(pad + v for v in items) + "\n" + "  " * depth + "]"
+
+
+def _json(e: Expr, depth: int, memo: dict) -> str:
+    """``expr_to_obj(e)`` as json.dumps(..., indent=2, sort_keys=True) prints
+    it when it is a value at ``depth``, built once per (node, depth)."""
+    out = memo.get((e, depth))
+    if out is not None:
+        return out
+    if isinstance(e, (PointSym, VecSym)):
+        kind = '"point"' if isinstance(e, PointSym) else '"vector"'
+        fields = (("name", json.dumps(e.name)), ("node", kind))
+    elif isinstance(e, ComponentSym):
+        fields = (
+            ("cuboid", json.dumps(e.cuboid)),
+            ("index", json.dumps(str(e.index))),
+            ("node", '"component"'),
+        )
+    elif isinstance(e, App):
+        fields = (("arg", _json(e.arg, depth + 1, memo)), ("func", json.dumps(e.func)), ("node", '"apply"'))
+    elif isinstance(e, DeltaTerm):
+        fields = (
+            ("alpha", _json_array([str(int(a)) for a in e.alpha], depth + 1)),
+            ("base", _json(e.base, depth + 1, memo)),
+            ("directions", _json_array([_json(d, depth + 2, memo) for d in e.directions], depth + 1)),
+            ("func", json.dumps(e.func)),
+            ("node", '"delta"'),
+        )
+    elif isinstance(e, Sum):
+        fields = (("node", '"sum"'), ("terms", _json_array([_json(t, depth + 2, memo) for t in e.terms], depth + 1)))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    out = memo[(e, depth)] = _json_object(fields, depth)
+    return out
 
 
 def expr_to_obj(e: Expr) -> dict:
@@ -309,11 +472,13 @@ def render(e: Expr, fmt: str = "text") -> str:
     ``json`` is a faithful serialization and round-trips through ``parse``.
     """
     if fmt == "text":
-        return _render(e, latex=False)
+        return _render(e, False, {})
     if fmt == "latex":
-        return _render(e, latex=True)
+        return _render(e, True, {})
     if fmt == "json":
-        return json.dumps({"version": 1, "root": expr_to_obj(e)}, indent=2, sort_keys=True)
+        # Byte-identical to json.dumps({"version": 1, "root": expr_to_obj(e)},
+        # indent=2, sort_keys=True), without building the tree of dicts.
+        return _json_object((("root", _json(e, 1, {})), ("version", "1")), 0)
     raise ValueError(f"unknown format: {fmt!r}")
 
 
@@ -425,30 +590,31 @@ class _Parser:
         return text
 
     def parse_expr(self) -> Expr:
-        terms = [self.parse_term()]
-        while self.peek()[0] == "plus":
-            self.take("plus")
-            terms.append(self.parse_term())
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-    def parse_term(self) -> Expr:
-        kind, text = self.peek()
-        if kind == "delta":
-            return self.parse_delta()
-        if kind == "nat":
-            if text == "0":
+        # Terms are parsed inline, so that each level of nested parentheses
+        # costs one frame of recursion.
+        terms = []
+        while True:
+            kind, text = self.peek()
+            if kind == "delta":
+                terms.append(self.parse_delta())
+            elif kind == "nat":
+                if text != "0":
+                    raise ValueError(f"unexpected number {text!r}")
                 self.take("nat")
-                return Sum(())
-            raise ValueError(f"unexpected number {text!r}")
-        if kind == "name":
-            if self.peek(1)[0] == "lparen":
+                terms.append(Sum(()))
+            elif kind == "name" and self.peek(1)[0] == "lparen":
                 func = self.take("name")
                 self.take("lparen")
                 arg = self.parse_expr()
                 self.take("rparen")
-                return App(func, arg)
-            return self.parse_symbol()
-        raise ValueError(f"unexpected token {kind} ({text!r})")
+                terms.append(App(func, arg))
+            elif kind == "name":
+                terms.append(self.parse_symbol())
+            else:
+                raise ValueError(f"unexpected token {kind} ({text!r})")
+            if self.peek()[0] != "plus":
+                return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            self.take("plus")
 
     def parse_delta(self) -> Expr:
         self.take("delta")

@@ -1,10 +1,19 @@
+import copy
+import gc
 import json
+import pickle
+import subprocess
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_formulas as ref
+from deltachain import symbolic
 from deltachain.combinatorics import MultiIndex, bell_number
+from deltachain.numeric import eval_expr
 from deltachain.symbolic import (
     App,
     ComponentSym,
@@ -455,3 +464,174 @@ def test_json_nesting_within_the_recursion_limit_still_parses():
     while isinstance(e, App):
         e, depth = e.arg, depth + 1
     assert depth == 900 and e == VecSym("v")
+
+
+def test_every_pass_handles_900_deep_nesting():
+    e = parse(_nested_apply_envelope(900), "json")
+    text = "f(" * 900 + "v" + ")" * 900
+    assert canonicalize(e) is e
+    assert sort_key(e)[:2] == (3, "f")
+    assert order_of(e) == 0
+    assert substitute_components(e, lambda c: c) is e
+    assert eval_expr(e, {"f": lambda p: p, "v": (Fraction(1),)}) == (Fraction(1),)
+    assert render(e) == text
+    assert render(e, "latex") == text
+    assert parse(render(e, "json"), "json") is e
+    deep_text = "g(" * 900 + "x" + ")" * 900
+    assert render(parse(deep_text)) == deep_text
+
+
+# -- hash-consing -------------------------------------------------------------------
+
+def _fresh(name: str) -> str:
+    # An equal string that is another object.
+    return "".join(list(name))
+
+
+def _build(obj: dict):
+    # Construct the node of an object form directly, from fresh field values.
+    kind = obj["node"]
+    if kind == "point":
+        return PointSym(_fresh(obj["name"]))
+    if kind == "vector":
+        return VecSym(_fresh(obj["name"]))
+    if kind == "component":
+        return ComponentSym(_fresh(obj["cuboid"]), mi(obj["index"]))
+    if kind == "apply":
+        return App(_fresh(obj["func"]), _build(obj["arg"]))
+    if kind == "delta":
+        return DeltaTerm(
+            list(obj["alpha"]), [_build(d) for d in obj["directions"]], _fresh(obj["func"]), _build(obj["base"])
+        )
+    return Sum([_build(t) for t in obj["terms"]])
+
+
+@settings(max_examples=300)
+@given(exprs())
+def test_independent_constructions_of_one_expression_are_one_object(e):
+    obj = expr_to_obj(e)
+    assert _build(obj) is _build(obj) is e
+
+
+def test_copies_and_pickles_return_the_interned_node():
+    e = expand_chain(mi("111"))
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.deepcopy(e.terms[0].base) is e.terms[0].base
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DeltaTerm((True,), (VecSym("v_1"),), "f", PointSym("x")),
+        lambda: DeltaTerm((1, False), (VecSym("v_1"), VecSym("v_2")), "f", PointSym("x")),
+        lambda: DeltaTerm((1,), (VecSym("v_1"),), 1, PointSym("x")),
+        lambda: PointSym(1),
+        lambda: VecSym(None),
+        lambda: ComponentSym(b"u", mi("1")),
+        lambda: ComponentSym("u", "1"),
+        lambda: App(("f",), PointSym("x")),
+    ],
+    ids=["bool-alpha", "bool-among-alpha", "int-func", "int-name", "none-name", "bytes-cuboid", "str-index", "tuple-func"],
+)
+def test_fields_of_the_wrong_type_raise_value_error(build):
+    # Built after a valid node with == fields, so a merge would hide the error.
+    keep = (
+        DeltaTerm((1,), (VecSym("v_1"),), "f", PointSym("x")),
+        DeltaTerm((1, 0), (VecSym("v_1"), VecSym("v_2")), "f", PointSym("x")),
+    )
+    with pytest.raises(ValueError):
+        build()
+    assert keep[0].alpha == (1,)
+
+
+def test_nodes_with_a_non_expression_child_are_not_merged():
+    # 1 == True == 1.0, but only expression children make a node interned.
+    keep = (App("f", 1), Sum((PointSym("x"), 1)))
+    assert type(App("f", True).arg) is bool
+    assert type(Sum((PointSym("x"), 1.0)).terms[1]) is float
+    assert keep[0].arg == keep[1].terms[1] == 1
+
+
+def _interned_with(name: str) -> int:
+    return sum(name in key[1:] for key in list(symbolic._NODES.keys()))
+
+
+def test_threads_building_one_expansion_from_cold_get_one_node():
+    names = ("fthreads", "gthreads", "xthreads", "vthreads")
+    assert _interned_with("gthreads") == 0
+    alpha = MultiIndex.ones(4)
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(i: int) -> None:
+        start.wait()
+        results[i] = expand_chain.__wrapped__(alpha, *names)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        expand_tangent.cache_clear()
+    assert results[0] is not None
+    assert all(r is results[0] for r in results)
+    assert expand_chain.__wrapped__(alpha, *names) is results[0]
+
+
+def test_the_intern_table_forgets_dropped_nodes():
+    e = App("hweak", DeltaTerm((1,), (VecSym("vweak"),), "hweak", PointSym("x")))
+    assert _interned_with("hweak") == 2
+    del e
+    gc.collect()
+    assert _interned_with("hweak") == 0
+    assert _interned_with("vweak") == 0
+
+
+def test_importing_the_package_builds_no_node():
+    code = "import deltachain, deltachain.cli; from deltachain import symbolic; print(len(symbolic._NODES))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"
+
+
+# -- the JSON emitter ----------------------------------------------------------------
+
+awkward_names = st.text(max_size=4) | st.sampled_from(['"', "\\", 'a"b\\c', "é", "Δx", "\n\t", "\u2028", "😀"])
+
+
+def awkward_exprs():
+    leaves = st.one_of(
+        awkward_names.map(PointSym),
+        awkward_names.map(VecSym),
+        st.tuples(awkward_names, indices).map(lambda t: ComponentSym(*t)),
+        st.builds(Sum, st.just(())),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(awkward_names, children).map(lambda t: App(*t)),
+            st.tuples(
+                st.lists(st.tuples(st.integers(0, 2), children), max_size=3),
+                awkward_names,
+                children,
+            ).map(lambda t: DeltaTerm(tuple(a for a, _ in t[0]), tuple(d for _, d in t[0]), t[1], t[2])),
+            st.lists(children, max_size=4).map(lambda ts: Sum(tuple(ts))),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=500)
+@given(awkward_exprs())
+def test_json_rendering_is_json_dumps_of_the_object_form(e):
+    reference = json.dumps({"version": 1, "root": expr_to_obj(e)}, indent=2, sort_keys=True)
+    assert render(e, "json") == reference
+    assert parse(reference, "json") is e
+
