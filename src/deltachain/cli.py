@@ -168,8 +168,8 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("--kmax must be at least 1")
             _check_size(parser, "--kmax", args.kmax)
         alpha = None if args.alpha is None else _bitstring_arg(parser, args.alpha)
-        if args.eps_pow_min < 1 or args.eps_pow_max < args.eps_pow_min:
-            parser.error("need 1 <= eps-pow-min <= eps-pow-max")
+        if args.eps_pow_min < 1 or args.eps_pow_max <= args.eps_pow_min:
+            parser.error("need 1 <= eps-pow-min < eps-pow-max: a slope needs two grid points")
         eps_exponents = tuple(range(args.eps_pow_min, args.eps_pow_max + 1))
 
         reports = run_suite(args.suite, seed, trials=trials, kmax=args.kmax, alpha=alpha, eps_exponents=eps_exponents)

@@ -489,8 +489,13 @@ def scaling_slope(
 
     The fit uses the finest three grid points: coarse scales still carry
     next-order correction terms that bias the slope, while the tail sits in
-    the asymptotic regime.
+    the asymptotic regime.  A grid of fewer than two points raises
+    ``ValueError``.  The result is degenerate when every norm is zero; the
+    slope is ``None`` when it is degenerate or fewer than two norms are
+    nonzero.
     """
+    if len(set(eps_exponents)) < 2:
+        raise ValueError(f"a slope needs at least two grid points, got {sorted(set(eps_exponents))}")
     expr = main_part(alpha)
     pts = []
     norms = []
@@ -508,7 +513,7 @@ def scaling_slope(
         if norm:
             pts.append((math.log(float(eps)), math.log(float(norm))))
     if len(pts) < 2:
-        return ScalingResult(None, True, tuple(norms))
+        return ScalingResult(None, not pts, tuple(norms))
     tail = pts[-3:]
     fit = statistics.linear_regression([p[0] for p in tail], [p[1] for p in tail])
     return ScalingResult(fit.slope, False, tuple(norms))
@@ -523,7 +528,9 @@ def verify_scaling(
     """Check that the remainder shrinks at least like the next order.
 
     The slope threshold is |alpha| + 1 - 0.2; an identically zero remainder
-    is degenerate and reported, not failed.
+    is degenerate and reported, not failed.  A remainder that is zero at
+    all but one scale leaves no slope, and fails.  A grid of fewer than two
+    points raises ``ValueError`` (from ``scaling_slope``).
     """
     threshold = alpha.order + 1 - 0.2
     failures = []
@@ -539,6 +546,9 @@ def verify_scaling(
         result = scaling_slope(f, g, x, ws, alpha, eps_exponents)
         if result.degenerate:
             notes.append(f"trial {t}: degenerate (remainder identically zero)")
+        elif result.slope is None:
+            failures.append(Failure(s, str(alpha), "remainder nonzero at one scale only: no slope"))
+            notes.append(f"trial {t}: no slope")
         elif result.slope < threshold:
             failures.append(
                 Failure(s, str(alpha), f"slope {result.slope:.3f} below threshold {threshold:.3f}")

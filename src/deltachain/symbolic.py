@@ -21,6 +21,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, compress, count
 from typing import Callable, Iterable, Union, get_args
 
 from .asets import build_asets
@@ -484,6 +485,12 @@ def render(e: Expr, fmt: str = "text") -> str:
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# Both readers build each distinct subexpression once per call.  The text
+# reader keys each difference term, application and symbol by its source
+# text and skips a repeat; the JSON reader builds nodes inside json.loads,
+# children first, keyed by their fields.  A hit returns the node a build
+# would have returned, since nodes are interned.
 
 _TOO_DEEP = "nesting too deep"
 
@@ -498,8 +505,10 @@ def expr_from_obj(obj: dict) -> Expr:
 
     Missing fields, fields of the wrong type, booleans where integers
     belong and nesting deeper than the interpreter can recurse raise
-    ``ValueError``.
+    ``ValueError``.  A node in place of an object form is taken as it is.
     """
+    if type(obj) in _NODE_TYPES:
+        return obj
     if not isinstance(obj, dict) or "node" not in obj:
         raise ValueError(f"malformed expression node: {obj!r}")
     kind = obj["node"]
@@ -540,26 +549,128 @@ def expr_from_obj(obj: dict) -> Expr:
     raise ValueError(f"{kind} node has a field of the wrong type")
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?P<delta>Δ)|\s*(?P<caret>\^)|\s*(?P<under>_)|\s*(?P<lbrace>\{)"
-    r"|\s*(?P<rbrace>\})|\s*(?P<lparen>\()|\s*(?P<rparen>\))|\s*(?P<plus>\+)"
-    r"|\s*(?P<comma>,)|\s*(?P<nat>\d+)|\s*(?P<name>[A-Za-z][A-Za-z0-9]*)"
-)
+def _node_hook(memo: dict) -> Callable[[dict], object]:
+    """An ``object_hook`` for json.loads that turns a node object whose
+    children are already nodes into its node, through ``expr_from_obj``.
+
+    json.loads calls it innermost first, so a well-formed tree arrives
+    bottom-up.  ``memo`` maps the fields of each node built to the node,
+    so a repeat costs one lookup.  Only exact ``int`` multiplicities and
+    ``str`` names go into a key, so 1, True and 1.0 are never merged.  An
+    object that is malformed, has a child left as an object, or carries
+    ``root`` (the envelope) is returned unchanged.
+    """
+
+    def hook(obj: dict):
+        if "root" in obj:
+            return obj
+        kind = obj.get("node")
+        if kind == "apply":
+            func, arg = obj.get("func"), obj.get("arg")
+            if type(func) is not str or type(arg) not in _NODE_TYPES:
+                return obj
+            key = (kind, func, arg)
+        elif kind == "point" or kind == "vector":
+            name = obj.get("name")
+            if type(name) is not str:
+                return obj
+            key = (kind, name)
+        elif kind == "component":
+            cuboid, index = obj.get("cuboid"), obj.get("index")
+            if type(cuboid) is not str or type(index) is not str:
+                return obj
+            key = (kind, cuboid, index)
+        elif kind == "delta":
+            alpha, dirs, func, base = obj.get("alpha"), obj.get("directions"), obj.get("func"), obj.get("base")
+            if not (
+                type(alpha) is list
+                and type(dirs) is list
+                and type(func) is str
+                and type(base) in _NODE_TYPES
+                and {int}.issuperset(map(type, alpha))
+                and _NODE_TYPES.issuperset(map(type, dirs))
+            ):
+                return obj
+            key = (kind, tuple(alpha), tuple(dirs), func, base)
+        elif kind == "sum":
+            terms = obj.get("terms")
+            if type(terms) is not list or not _NODE_TYPES.issuperset(map(type, terms)):
+                return obj
+            key = (kind, tuple(terms))
+        else:
+            return obj
+        node = memo.get(key)
+        if node is None:
+            try:
+                node = memo[key] = expr_from_obj(obj)
+            except ValueError:
+                return obj
+        return node
+
+    return hook
 
 
-def _tokenize(s: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if m is None or m.end() == pos:
-            rest = s[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"cannot tokenize at: {rest[:20]!r}")
-        tokens.append((m.lastgroup, m.group(m.lastgroup)))
-        pos = m.end()
-    return tokens
+# A name, a natural number, or any other one non-space character.
+_TOKEN_RE = re.compile(r"\s*(?:[A-Za-z][A-Za-z0-9]*|\d+|\S)")
+_KIND_OF_CHAR = {
+    "Δ": "delta",
+    "^": "caret",
+    "_": "under",
+    "{": "lbrace",
+    "}": "rbrace",
+    "(": "lparen",
+    ")": "rparen",
+    "+": "plus",
+    ",": "comma",
+    **dict.fromkeys("0123456789", "nat"),
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "name"),
+}
+_OPENER = {"rparen": "lparen", "rbrace": "lbrace"}
+_BRACKETS = frozenset(_OPENER) | frozenset(_OPENER.values())
+
+
+class _TokenKinds(dict):
+    """Token text to kind, classified by its first character on first sight;
+    ``None`` for a character that starts no token."""
+
+    def __missing__(self, text: str) -> str | None:
+        first = text[0]
+        # \d matches every decimal digit, not only 0-9
+        kind = self[text] = _KIND_OF_CHAR.get(first) or ("nat" if first.isdecimal() else None)
+        return kind
+
+
+def _tokenize(s: str) -> tuple[list, list, list, dict | None]:
+    """The kinds, texts and end offsets of the tokens of ``s``, and the
+    index of the closing bracket of each opening one.
+
+    The kind and text lists end with two ``None`` markers, so lookahead
+    past the last token reads ``None``.  The bracket map is ``None`` when
+    the brackets do not balance.
+    """
+    raw = _TOKEN_RE.findall(s)
+    ends = list(accumulate(map(len, raw)))
+    texts = [t.lstrip() for t in raw]
+    kinds = list(map(_TokenKinds(_KIND_OF_CHAR).__getitem__, texts))
+    if None in kinds:
+        i = kinds.index(None)
+        raise ValueError(f"cannot tokenize at: {s[ends[i] - 1:].strip()[:20]!r}")
+    close: dict | None = {}
+    stack = []
+    for i in compress(count(), map(_BRACKETS.__contains__, kinds)):
+        kind = kinds[i]
+        if kind == "lparen" or kind == "lbrace":
+            stack.append(i)
+        elif stack and kinds[stack[-1]] == _OPENER[kind]:
+            close[stack.pop()] = i
+        else:
+            close = None
+            break
+    if stack:
+        close = None
+    kinds += (None, None)
+    texts += (None, None)
+    return kinds, texts, ends, close
 
 
 class _Parser:
@@ -567,20 +678,31 @@ class _Parser:
 
     The text format does not record the cube dimension of component
     subscripts, so it is supplied (or inferred as the largest position
-    mentioned).  Names listed in ``cuboids`` parse as components, names in
-    ``points`` as points, anything else as a vector.
+    mentioned; ``None`` when no position is).  Names listed in ``cuboids``
+    parse as components, names in ``points`` as points, anything else as a
+    vector.
+
+    The grammar is context free and the settings are fixed for the call,
+    so equal source text parses to the equal node: a difference term, an
+    application or a symbol whose text was parsed before is looked up and
+    skipped.  Without balanced brackets nothing is looked up, and the
+    parse, with its error, is the plain one.
     """
 
-    def __init__(self, tokens, dim, cuboids, points):
-        self.tokens = tokens
+    def __init__(self, s, dim, cuboids, points):
+        self.s = s
+        self.kinds, self.texts, self.ends, self.close = _tokenize(s)
+        self.n = len(self.ends)
         self.i = 0
         self.dim = dim
         self.cuboids = cuboids
         self.points = points
+        self.memo: dict[str, Expr] = {}
 
     def peek(self, offset: int = 0):
+        # Never past the end markers: the position stops at the first.
         j = self.i + offset
-        return self.tokens[j] if j < len(self.tokens) else (None, None)
+        return self.kinds[j], self.texts[j]
 
     def take(self, kind: str) -> str:
         got, text = self.peek()
@@ -589,29 +711,78 @@ class _Parser:
         self.i += 1
         return text
 
+    def span_end(self, i: int) -> int | None:
+        """The last token of the term at token ``i`` when it is a difference
+        term, an application or a symbol and the brackets balance."""
+        kinds, close = self.kinds, self.close
+        if close is None:
+            return None
+        kind = kinds[i]
+        if kind == "name":
+            after = kinds[i + 1]
+            if after == "lparen":
+                return close[i + 1]
+            if after != "under":
+                return i
+            after = kinds[i + 2]
+            if after == "lbrace":
+                return close[i + 2]
+            return i + 2 if after == "nat" else None
+        if kind != "delta":
+            return None
+        j = i + 1
+        if kinds[j] == "caret":
+            if kinds[j + 1] == "lbrace":
+                j = close[j + 1] + 1
+            elif kinds[j + 1] == "nat":
+                j += 2
+            else:
+                return None
+        if kinds[j] != "under" or kinds[j + 1] != "lbrace":
+            return None
+        j = close[j + 1] + 1
+        if kinds[j] != "name" or kinds[j + 1] != "lparen":
+            return None
+        return close[j + 1]
+
+    def source(self, i: int, j: int) -> str:
+        """The source text of tokens ``i`` to ``j``."""
+        return self.s[self.ends[i] - len(self.texts[i]) : self.ends[j]]
+
     def parse_expr(self) -> Expr:
         # Terms are parsed inline, so that each level of nested parentheses
-        # costs one frame of recursion.
+        # costs one frame of recursion.  The key of a term is sliced again
+        # to store it, rather than held across the recursion.
+        memo = self.memo
         terms = []
         while True:
-            kind, text = self.peek()
-            if kind == "delta":
-                terms.append(self.parse_delta())
-            elif kind == "nat":
-                if text != "0":
-                    raise ValueError(f"unexpected number {text!r}")
-                self.take("nat")
-                terms.append(Sum(()))
-            elif kind == "name" and self.peek(1)[0] == "lparen":
-                func = self.take("name")
-                self.take("lparen")
-                arg = self.parse_expr()
-                self.take("rparen")
-                terms.append(App(func, arg))
-            elif kind == "name":
-                terms.append(self.parse_symbol())
+            i = self.i
+            end = self.span_end(i)
+            term = None if end is None else memo.get(self.source(i, end))
+            if term is not None:
+                self.i = end + 1
             else:
-                raise ValueError(f"unexpected token {kind} ({text!r})")
+                kind, text = self.peek()
+                if kind == "delta":
+                    term = self.parse_delta()
+                elif kind == "nat":
+                    if text != "0":
+                        raise ValueError(f"unexpected number {text!r}")
+                    self.take("nat")
+                    term = Sum(())
+                elif kind == "name" and self.peek(1)[0] == "lparen":
+                    func = self.take("name")
+                    self.take("lparen")
+                    arg = self.parse_expr()
+                    self.take("rparen")
+                    term = App(func, arg)
+                elif kind == "name":
+                    term = self.parse_symbol()
+                else:
+                    raise ValueError(f"unexpected token {kind} ({text!r})")
+                if end is not None:
+                    memo[self.source(i, end)] = term
+            terms.append(term)
             if self.peek()[0] != "plus":
                 return terms[0] if len(terms) == 1 else Sum(tuple(terms))
             self.take("plus")
@@ -663,6 +834,11 @@ class _Parser:
             positions = [int(self.take("nat"))]
             subtext = str(positions[0])
         if name in self.cuboids:
+            if self.dim is None:
+                raise ValueError(
+                    f"cannot infer the dimension of {name}_{subtext}: no component"
+                    " has a nonzero position, so pass dim"
+                )
             if positions == [0]:
                 return ComponentSym(name, MultiIndex.zero(self.dim))
             mask = 0
@@ -677,14 +853,16 @@ class _Parser:
         return VecSym(full)
 
 
-def _infer_dim(tokens, cuboids) -> int:
+def _infer_dim(kinds: list, texts: list, cuboids) -> int:
+    # The largest number in a subscript of a cuboid name; ``kinds`` ends
+    # with ``None`` markers, which stop the scan.
     best = 0
-    for i, (kind, text) in enumerate(tokens):
-        if kind == "name" and text in cuboids and i + 2 < len(tokens) and tokens[i + 1][0] == "under":
+    for i in [i for i, text in enumerate(texts) if text in cuboids]:
+        if kinds[i] == "name" and kinds[i + 1] == "under":
             j = i + 2
-            while j < len(tokens) and tokens[j][0] in ("lbrace", "nat", "comma"):
-                if tokens[j][0] == "nat":
-                    best = max(best, int(tokens[j][1]))
+            while kinds[j] in ("lbrace", "nat", "comma"):
+                if kinds[j] == "nat":
+                    best = max(best, int(texts[j]))
                 j += 1
             # closing brace (if any) ends the subscript
     return best
@@ -702,29 +880,36 @@ def parse(
     JSON is faithful.  The text form needs the component dimension ``dim``
     to rebuild subscripts like ``u_{1,3}``; when omitted it is inferred as
     the largest position appearing in any component subscript, which may
-    not exceed 2**16.  Input nested deeper than the interpreter can recurse
-    raises ``ValueError``.
+    not exceed 2**16, and text whose only components are ``u_0`` raises
+    ``ValueError``.  Input nested deeper than the interpreter can recurse
+    raises ``ValueError``.  Each distinct subexpression is built once, and
+    the result is the interned node.
     """
     if fmt == "json":
         try:
-            obj = json.loads(s)
+            obj = json.loads(s, object_hook=_node_hook({}))
         except RecursionError:
             raise ValueError(_TOO_DEEP) from None
         if not isinstance(obj, dict) or obj.get("version") != 1 or "root" not in obj:
             raise ValueError("expected an envelope {'version': 1, 'root': ...}")
-        return expr_from_obj(obj["root"])
+        root = obj["root"]
+        if type(root) in _NODE_TYPES:
+            return root
+        # Left as an object while loading: rebuild it from the plain objects,
+        # so that an error quotes the input as it reads.
+        return expr_from_obj(json.loads(s)["root"])
     if fmt != "text":
         raise ValueError(f"unknown format: {fmt!r}")
-    tokens = _tokenize(s)
+    parser = _Parser(s, dim, cuboids, points)
     if dim is None:
-        dim = _infer_dim(tokens, cuboids)
+        dim = _infer_dim(parser.kinds, parser.texts, cuboids)
         if dim > _MAX_INFERRED_DIM:
             raise ValueError(f"component position {dim} is above {_MAX_INFERRED_DIM}")
-    parser = _Parser(tokens, dim, cuboids, points)
+        parser.dim = dim or None  # no position to infer it from
     try:
         expr = parser.parse_expr()
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
-    if parser.i != len(parser.tokens):
+    if parser.i != parser.n:
         raise ValueError(f"trailing input from token {parser.i}")
     return expr

@@ -101,6 +101,17 @@ def test_usage_errors_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith(f"usage: deltachain {argv[0]} ")
 
 
+def test_a_one_point_scale_grid_exits_2(capsys):
+    # One point fits no slope; it was once reported as a degenerate remainder.
+    argv = ["verify", "--suite", "scaling", "--eps-pow-min", "1", "--eps-pow-max", "1", "--kmax", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a slope needs two grid points" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, flag, k",
     [

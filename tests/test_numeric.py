@@ -303,6 +303,29 @@ def test_scaling_slope_flags_degenerate_remainders():
     assert result.slope is None
 
 
+@pytest.mark.parametrize("grid", [(), (1,), (4, 4)])
+def test_scaling_rejects_a_grid_of_fewer_than_two_points(grid):
+    rng = random.Random(23)
+    f = random_polynomial_map(rng, 2, 2, degree=3, dense=True)
+    g = random_polynomial_map(rng, 2, 2, degree=3, dense=True)
+    x = (Fraction(1), Fraction(0))
+    ws = [(Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))]
+    with pytest.raises(ValueError, match="at least two grid points"):
+        scaling_slope(f, g, x, ws, mi("11"), grid)
+    with pytest.raises(ValueError, match="at least two grid points"):
+        verify_scaling(seed=1729, alpha=mi("11"), trials=1, eps_exponents=grid)
+
+
+def test_verify_scaling_fails_a_remainder_with_no_slope(monkeypatch):
+    # Zero at every scale but one: not degenerate, and no slope to test.
+    no_slope = numeric.ScalingResult(None, False, (Fraction(0), Fraction(1, 8)))
+    monkeypatch.setattr(numeric, "scaling_slope", lambda *args: no_slope)
+    report = verify_scaling(seed=1729, alpha=mi("11"), trials=1)
+    assert not report.passed
+    assert report.failures[0].detail == "remainder nonzero at one scale only: no slope"
+    assert "degenerate" not in report.detail
+
+
 def test_verify_scaling_passes_and_reports_slopes():
     report = verify_scaling(seed=1729, alpha=mi("11"), trials=2)
     assert report.passed

@@ -2,9 +2,11 @@ import copy
 import gc
 import json
 import pickle
+import re
 import subprocess
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -355,6 +357,76 @@ def test_text_round_trip_of_generated_formulas(k):
         assert parse(render(e, "text"), dim=k) == e
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_parsing_a_rendered_expansion_returns_the_expansion_itself(k):
+    # Every nonzero alpha of dimension k, sparse ones included.
+    for mask in range(1, 1 << k):
+        alpha = MultiIndex(k, mask)
+        for e in (expand_tangent(alpha), expand_chain(alpha)):
+            assert parse(render(e), dim=k) is e
+            assert parse(render(e, "json"), "json") is e
+
+
+@st.composite
+def shared_exprs(draw):
+    # Expressions built from reused subterms, so that equal subtrees repeat.
+    pool = draw(st.lists(exprs(2), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 4))):
+        pick = st.sampled_from(pool)
+        pool.append(
+            draw(
+                st.one_of(
+                    st.tuples(names, pick).map(lambda t: App(*t)),
+                    st.lists(pick, min_size=1, max_size=4).map(lambda ts: Sum(tuple(ts))),
+                    st.tuples(st.lists(pick, min_size=1, max_size=3), names, pick).map(
+                        lambda t: DeltaTerm((1,) * len(t[0]), tuple(t[0]), t[1], t[2])
+                    ),
+                )
+            )
+        )
+    return pool[-1]
+
+
+@settings(max_examples=300)
+@given(shared_exprs())
+def test_json_parse_of_shared_subtrees_returns_the_expression_itself(e):
+    assert parse(render(e, "json"), "json") is e
+
+
+def test_equal_text_in_different_positions_parses_to_one_node():
+    e = parse("f(g(x)) + Δ^2_{f(g(x)), f( g (x) )} h(f(g(x)) + v_1) + Δ^2_{f(g(x)), f( g (x) )} h(f(g(x)) + v_1)")
+    inner = e.terms[0]
+    assert inner == App("f", App("g", PointSym("x")))
+    assert e.terms[1] is e.terms[2]
+    assert e.terms[1].directions == (inner, inner)
+    assert e.terms[1].base.terms[0] is inner
+    components = parse("u_{1,3} + Δ_{u_{1,3}} f(u_{1,3} + u_0)", dim=3)
+    assert components.terms[0] is components.terms[1].directions[0] is components.terms[1].base.terms[0]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("f(x) + f(x", "expected rparen, got None (None) at token 8"),
+        ("f(x) + f(x))", "trailing input from token 9"),
+        ("Δ_{f(x)} g(f(x)", "expected rparen, got None (None) at token 14"),
+        ("f(x}", "expected rparen, got rbrace ('}') at token 3"),
+    ],
+)
+def test_unbalanced_brackets_raise_the_parser_error(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse(text)
+
+
+def test_text_parse_needs_dim_when_no_component_has_a_position():
+    with pytest.raises(ValueError, match="cannot infer the dimension of u_0.*pass dim"):
+        parse("u_0")
+    with pytest.raises(ValueError, match="cannot infer the dimension of u_0.*pass dim"):
+        parse("Δ_{v_1} f(u_0)")
+    assert parse("u_0", dim=2) is ComponentSym("u", MultiIndex.zero(2))
+    assert parse("f(x)") is App("f", PointSym("x"))
+
+
 def test_text_parse_infers_the_dimension():
     e = expand_tangent(mi("111"))
     assert parse(render(e)) == e
@@ -381,27 +453,46 @@ _POINT = {"node": "point", "name": "x"}
 
 
 @pytest.mark.parametrize(
-    "root",
+    "root, message",
     [
-        {"node": "point"},
-        {"node": "vector", "name": 3},
-        {"node": "component", "cuboid": "u"},
-        {"node": "component", "cuboid": "u", "index": 101},
-        {"node": "component", "cuboid": "u", "index": ""},
-        {"node": "apply", "func": "f"},
-        {"node": "apply", "func": "f", "arg": "x"},
-        {"node": "sum"},
-        {"node": "sum", "terms": _POINT},
-        {"node": "sum", "terms": [_POINT, None]},
-        {"node": "delta", "alpha": [True], "directions": [_POINT], "func": "f", "base": _POINT},
-        {"node": "delta", "alpha": [1.0], "directions": [_POINT], "func": "f", "base": _POINT},
-        {"node": "delta", "alpha": [-1], "directions": [_POINT], "func": "f", "base": _POINT},
-        {"node": "delta", "alpha": 1, "directions": [_POINT], "func": "f", "base": _POINT},
-        {"node": "delta", "alpha": [1, 1], "directions": [_POINT], "func": "f", "base": _POINT},
-        {"node": "delta", "alpha": [1], "func": "f", "base": _POINT},
-        {"node": "delta", "alpha": [1], "directions": [_POINT], "base": _POINT},
-        {"node": "delta", "alpha": [1], "directions": [_POINT], "func": "f"},
-        {"node": "delta", "alpha": [1], "directions": [_POINT], "func": ["f"], "base": _POINT},
+        ({"node": "point"}, "point node lacks the field 'name'"),
+        ({"node": "vector", "name": 3}, "vector node has a field of the wrong type"),
+        ({"node": "component", "cuboid": "u"}, "component node lacks the field 'index'"),
+        ({"node": "component", "cuboid": "u", "index": 101}, "component node has a field of the wrong type"),
+        ({"node": "component", "cuboid": "u", "index": ""}, "a multi-index needs at least one digit"),
+        ({"node": "apply", "func": "f"}, "apply node lacks the field 'arg'"),
+        ({"node": "apply", "func": "f", "arg": "x"}, "malformed expression node: 'x'"),
+        ({"node": "apply", "func": "f", "arg": [_POINT]}, "malformed expression node: [{'node': 'point', 'name': 'x'}]"),
+        ({"node": "sum"}, "sum node lacks the field 'terms'"),
+        ({"node": "sum", "terms": _POINT}, "sum node has a field of the wrong type"),
+        ({"node": "sum", "terms": [_POINT, None]}, "malformed expression node: None"),
+        (
+            {"node": "delta", "alpha": [True], "directions": [_POINT], "func": "f", "base": _POINT},
+            "delta node has a field of the wrong type",
+        ),
+        (
+            {"node": "delta", "alpha": [1.0], "directions": [_POINT], "func": "f", "base": _POINT},
+            "alpha entries must be nonnegative integers",
+        ),
+        (
+            {"node": "delta", "alpha": [-1], "directions": [_POINT], "func": "f", "base": _POINT},
+            "alpha entries must be nonnegative integers",
+        ),
+        (
+            {"node": "delta", "alpha": 1, "directions": [_POINT], "func": "f", "base": _POINT},
+            "delta node has a field of the wrong type",
+        ),
+        (
+            {"node": "delta", "alpha": [1, 1], "directions": [_POINT], "func": "f", "base": _POINT},
+            "alpha and directions must have equal length",
+        ),
+        ({"node": "delta", "alpha": [1], "func": "f", "base": _POINT}, "delta node lacks the field 'directions'"),
+        ({"node": "delta", "alpha": [1], "directions": [_POINT], "base": _POINT}, "delta node lacks the field 'func'"),
+        ({"node": "delta", "alpha": [1], "directions": [_POINT], "func": "f"}, "delta node lacks the field 'base'"),
+        (
+            {"node": "delta", "alpha": [1], "directions": [_POINT], "func": ["f"], "base": _POINT},
+            "delta node has a field of the wrong type",
+        ),
     ],
     ids=[
         "point-without-name",
@@ -411,6 +502,7 @@ _POINT = {"node": "point", "name": "x"}
         "empty-index",
         "apply-without-arg",
         "string-arg",
+        "list-arg",
         "sum-without-terms",
         "terms-not-a-list",
         "null-term",
@@ -425,9 +517,28 @@ _POINT = {"node": "point", "name": "x"}
         "list-func",
     ],
 )
-def test_json_parse_rejects_malformed_nodes(root):
-    with pytest.raises(ValueError):
+def test_json_parse_rejects_malformed_nodes(root, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse(json.dumps({"version": 1, "root": root}), "json")
+
+
+def test_an_envelope_with_a_node_key_parses_to_its_root():
+    doc = {"version": 1, "root": _POINT, "node": "point", "name": "y"}
+    assert parse(json.dumps(doc), "json") is PointSym("x")
+    # A node carrying a root field is not taken for an envelope either.
+    doc = {"version": 1, "root": {"node": "apply", "func": "f", "arg": dict(_POINT, root=0)}}
+    assert parse(json.dumps(doc), "json") is App("f", PointSym("x"))
+
+
+@pytest.mark.parametrize("bad_alpha", [[True], [1.0]], ids=["boolean", "float"])
+@pytest.mark.parametrize("bad_first", [False, True], ids=["after", "before"])
+def test_json_parse_never_merges_equal_values_of_other_types(bad_alpha, bad_first):
+    good = {"node": "delta", "alpha": [1], "directions": [_POINT], "func": "f", "base": _POINT}
+    terms = [good, dict(good, alpha=bad_alpha)]
+    if bad_first:
+        terms.reverse()
+    with pytest.raises(ValueError):
+        parse(json.dumps({"version": 1, "root": {"node": "sum", "terms": terms}}), "json")
 
 
 def _nested_apply_envelope(depth: int) -> str:
@@ -584,6 +695,44 @@ def test_threads_building_one_expansion_from_cold_get_one_node():
     assert results[0] is not None
     assert all(r is results[0] for r in results)
     assert expand_chain.__wrapped__(alpha, *names) is results[0]
+
+
+def test_the_intern_lock_lets_one_builder_store_a_node(monkeypatch):
+    # A table that looks the key up and then waits for the other thread to
+    # miss too before storing.  Under the lock the other thread cannot get
+    # in, so the wait times out and the second builder finds the node.
+    first_missed, second_missed = threading.Event(), threading.Event()
+
+    class RacyTable(weakref.WeakValueDictionary):
+        def setdefault(self, key, default):
+            found = self.get(key)
+            if found is not None:
+                return found
+            if first_missed.is_set():
+                second_missed.set()
+            else:
+                first_missed.set()
+                second_missed.wait(timeout=1.0)
+            self[key] = default
+            return default
+
+    monkeypatch.setattr(symbolic, "_NODES", RacyTable())
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def work(i: int) -> None:
+        start.wait()
+        results[i] = PointSym(_fresh("xlock"))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert results[0] is not None
+    assert results[0] is results[1]
+    assert not second_missed.is_set()
 
 
 def test_the_intern_table_forgets_dropped_nodes():
