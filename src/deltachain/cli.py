@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .asets import asets_to_json
 from .combinatorics import MultiIndex, bell_number
-from .numeric import SUITE_NAMES, reports_to_json, run_suite
+from .numeric import SUITE_NAMES, run_suite
 from .symbolic import expand_chain, expand_tangent, render
 
 DEFAULT_SEED = 1729
@@ -178,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             "suite": args.suite,
             "seed": seed,
             "passed": passed,
-            "reports": json.loads(reports_to_json(reports)),
+            "reports": [r.to_obj() for r in reports],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
         return 0 if passed else 1

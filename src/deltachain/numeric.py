@@ -46,6 +46,7 @@ from .symbolic import (
     PointSym,
     Sum,
     VecSym,
+    _postorder,
     expand_chain,
     expand_tangent,
     main_part,
@@ -101,71 +102,54 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
     """Evaluate an expression with names bound to points (tuples), cuboids,
     and callables for function symbols.
 
-    Each distinct subexpression is evaluated once per call: equal
-    expressions are one node (the nodes are hash-consed), values are
-    memoized by node identity for the duration of the call, so the inner
-    differences shared by many terms of an expansion are computed once.
+    Each distinct subexpression is evaluated once per call, children first:
+    equal expressions are one node (the nodes are hash-consed), so the inner
+    differences shared by many terms of an expansion are computed once.  Of
+    several faults, the one met first in that order is reported.
     """
-    memo: dict[Expr, Value] = {}
+    try:
+        nodes = _postorder(e)
+    except TypeError as exc:
+        raise EvaluationError(str(exc)) from None
 
-    def lookup(name: str) -> Any:
+    def bound(name: str, ok: Callable[[Any], bool], what: str) -> Any:
         try:
-            return bindings[name]
+            value = bindings[name]
         except KeyError:
             raise EvaluationError(f"unbound symbol {name!r}") from None
-
-    def ev(e: Expr) -> Value:
-        # The memo lookup sits in the recursive function itself: one frame
-        # per nesting level.
-        try:
-            value = memo.get(e)
-        except TypeError:  # unhashable, so not an expression node
-            raise EvaluationError(f"not an expression: {e!r}") from None
-        if value is not None:
-            return value
-        if isinstance(e, (PointSym, VecSym)):
-            v = lookup(e.name)
-            if not isinstance(v, (tuple, list)):
-                raise EvaluationError(f"symbol {e.name!r} must be bound to a vector")
-            value = tuple(v)
-        elif isinstance(e, ComponentSym):
-            c = lookup(e.cuboid)
-            if not isinstance(c, Cuboid):
-                raise EvaluationError(f"symbol {e.cuboid!r} must be bound to a cuboid")
-            try:
-                value = c.component(e.index)
-            except ValueError as exc:
-                raise EvaluationError(str(exc)) from None
-        elif isinstance(e, App):
-            F = lookup(e.func)
-            if not callable(F):
-                raise EvaluationError(f"symbol {e.func!r} must be bound to a map")
-            value = tuple(F(ev(e.arg)))
-        elif isinstance(e, Sum):
-            if not e.terms:
-                raise EvaluationError("cannot evaluate an empty sum")
-            value = ev(e.terms[0])
-            for t in e.terms[1:]:
-                try:
-                    value = vector_add(value, ev(t))
-                except ValueError as exc:
-                    raise EvaluationError(str(exc)) from None
-        elif isinstance(e, DeltaTerm):
-            F = lookup(e.func)
-            if not callable(F):
-                raise EvaluationError(f"symbol {e.func!r} must be bound to a map")
-            base = ev(e.base)
-            dirs = [ev(d) for d in e.directions]
-            try:
-                value = evaluate_delta(F, base, dirs, e.alpha)
-            except ValueError as exc:
-                raise EvaluationError(str(exc)) from None
-        else:
-            raise EvaluationError(f"not an expression: {e!r}")
-        memo[e] = value
+        if not ok(value):
+            raise EvaluationError(f"symbol {name!r} must be bound to {what}")
         return value
 
-    return ev(e)
+    values: dict[Expr, Value] = {}
+    for n in nodes:
+        if isinstance(n, (PointSym, VecSym)):
+            value = tuple(bound(n.name, lambda v: isinstance(v, (tuple, list)), "a vector"))
+        elif isinstance(n, ComponentSym):
+            c = bound(n.cuboid, lambda c: isinstance(c, Cuboid), "a cuboid")
+            try:
+                value = c.component(n.index)
+            except ValueError as exc:
+                raise EvaluationError(str(exc)) from None
+        elif isinstance(n, App):
+            value = tuple(bound(n.func, callable, "a map")(values[n.arg]))
+        elif isinstance(n, Sum):
+            if not n.terms:
+                raise EvaluationError("cannot evaluate an empty sum")
+            value = values[n.terms[0]]
+            for t in n.terms[1:]:
+                try:
+                    value = vector_add(value, values[t])
+                except ValueError as exc:
+                    raise EvaluationError(str(exc)) from None
+        else:  # a difference term
+            F = bound(n.func, callable, "a map")
+            try:
+                value = evaluate_delta(F, values[n.base], [values[d] for d in n.directions], n.alpha)
+            except ValueError as exc:
+                raise EvaluationError(str(exc)) from None
+        values[n] = value
+    return values[e]
 
 
 # ---------------------------------------------------------------------------

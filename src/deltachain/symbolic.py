@@ -9,8 +9,9 @@ Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): constructing a node returns the one live node with
 equal fields, so structurally equal expressions are one object, ``==`` and
 ``hash`` are identity, and the inner differences an expansion shares are
-stored once.  Every pass over an expression memoizes per distinct node for
-the duration of one call.
+stored once.  Each pass over an expression is one loop over its distinct
+nodes, children first; only ``parse``, ``expr_from_obj`` and ``expr_to_obj``
+recurse, and they report ``nesting too deep``.
 """
 
 from __future__ import annotations
@@ -150,6 +151,32 @@ Expr = Union[PointSym, VecSym, ComponentSym, App, DeltaTerm, Sum]
 _NODE_TYPES = frozenset(get_args(Expr))
 
 
+def _postorder(root: Expr) -> list[Expr]:
+    """The distinct nodes of ``root`` in the order a recursive left-to-right
+    postorder finishes them, found with an explicit stack so that nesting
+    has no limit.  A child that is not a node raises ``TypeError``."""
+    if type(root) not in _NODE_TYPES:
+        raise TypeError(f"not an expression: {root!r}")
+    # A node is marked when it is pushed: the graph has no cycles, so no
+    # node is met again below itself before it is finished.
+    seen = {root}
+    out = []
+    stack = [(root, iter(root._children()))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if type(child) not in _NODE_TYPES:
+                raise TypeError(f"not an expression: {child!r}")
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(child._children())))
+                break
+        else:
+            stack.pop()
+            out.append(node)
+    return out
+
+
 def order_of(e: Expr) -> int:
     """Leading order of an expression in the direction calculus.
 
@@ -157,130 +184,98 @@ def order_of(e: Expr) -> int:
     order of their index; a sum takes the minimum of its terms and a
     difference term adds ``alpha[i]`` copies of each direction's order.
     """
-    if isinstance(e, PointSym):
-        return 0
-    if isinstance(e, VecSym):
-        return 1
-    if isinstance(e, ComponentSym):
-        return e.index.order
-    if isinstance(e, App):
-        return 0
-    if isinstance(e, DeltaTerm):
-        return sum(a * order_of(d) for a, d in zip(e.alpha, e.directions))
-    if isinstance(e, Sum):
-        return min((order_of(t) for t in e.terms), default=0)
-    raise TypeError(f"not an expression: {e!r}")
+    orders: dict[Expr, int] = {}
+    for n in _postorder(e):
+        if isinstance(n, VecSym):
+            orders[n] = 1
+        elif isinstance(n, ComponentSym):
+            orders[n] = n.index.order
+        elif isinstance(n, DeltaTerm):
+            orders[n] = sum(a * orders[d] for a, d in zip(n.alpha, n.directions))
+        elif isinstance(n, Sum):
+            orders[n] = min((orders[t] for t in n.terms), default=0)
+        else:  # a point or an application
+            orders[n] = 0
+    return orders[e]
+
+
+def _key_of(n: Expr, keys: dict) -> tuple:
+    """The sort key of ``n``, given the keys of its children in ``keys``."""
+    if isinstance(n, PointSym):
+        return (0, n.name)
+    if isinstance(n, VecSym):
+        return (1, n.name)
+    if isinstance(n, ComponentSym):
+        return (2, n.index.order, str(n.index), n.cuboid)
+    if isinstance(n, App):
+        return (3, n.func, keys[n.arg])
+    if isinstance(n, DeltaTerm):
+        return (4, sum(n.alpha), tuple(keys[d] for d in n.directions), n.func, keys[n.base], n.alpha)
+    return (5, len(n.terms), tuple(keys[t] for t in n.terms))
 
 
 def sort_key(e: Expr) -> tuple:
     """Total order on expressions used everywhere a canonical order is needed."""
-    return _sort_key(e, {})
-
-
-def _sort_key(e: Expr, memo: dict) -> tuple:
-    key = memo.get(e)
-    if key is not None:
-        return key
-    if isinstance(e, PointSym):
-        key = (0, e.name)
-    elif isinstance(e, VecSym):
-        key = (1, e.name)
-    elif isinstance(e, ComponentSym):
-        key = (2, e.index.order, str(e.index), e.cuboid)
-    elif isinstance(e, App):
-        key = (3, e.func, _sort_key(e.arg, memo))
-    elif isinstance(e, DeltaTerm):
-        key = (
-            4,
-            sum(e.alpha),
-            tuple(_sort_key(d, memo) for d in e.directions),
-            e.func,
-            _sort_key(e.base, memo),
-            e.alpha,
-        )
-    elif isinstance(e, Sum):
-        key = (5, len(e.terms), tuple(_sort_key(t, memo) for t in e.terms))
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    memo[e] = key
-    return key
+    keys: dict[Expr, tuple] = {}
+    for n in _postorder(e):
+        keys[n] = _key_of(n, keys)
+    return keys[e]
 
 
 def canonicalize(e: Expr) -> Expr:
     """Flatten sums, sort operands, expand repeated directions, and collapse
     zero-fold differences into plain applications.  Idempotent."""
-    keys: dict = {}
-    return _canonicalize(e, {}, lambda t: _sort_key(t, keys))
-
-
-def _canonicalize(e: Expr, memo: dict, key: Callable[[Expr], tuple]) -> Expr:
-    out = memo.get(e)
-    if out is not None:
-        return out
-    if isinstance(e, (PointSym, VecSym, ComponentSym)):
-        out = e
-    elif isinstance(e, App):
-        out = App(e.func, _canonicalize(e.arg, memo, key))
-    elif isinstance(e, Sum):
-        flat: list[Expr] = []
-        for t in e.terms:
-            ct = _canonicalize(t, memo, key)
-            if isinstance(ct, Sum):
-                flat.extend(ct.terms)
+    out: dict[Expr, Expr] = {}
+    # The sort key of each canonical node, computed from its children's as it is built.
+    keys: dict[Expr, tuple] = {}
+    for n in _postorder(e):
+        if isinstance(n, (PointSym, VecSym, ComponentSym)):
+            c = n
+        elif isinstance(n, App):
+            c = App(n.func, out[n.arg])
+        elif isinstance(n, Sum):
+            flat: list[Expr] = []
+            for t in n.terms:
+                ct = out[t]
+                if isinstance(ct, Sum):
+                    flat.extend(ct.terms)
+                else:
+                    flat.append(ct)
+            if len(flat) == 1:
+                c = flat[0]
             else:
-                flat.append(ct)
-        if len(flat) == 1:
-            out = flat[0]
-        else:
-            flat.sort(key=key)
-            out = Sum(tuple(flat))
-    elif isinstance(e, DeltaTerm):
-        base = _canonicalize(e.base, memo, key)
-        dirs: list[Expr] = []
-        for a, d in zip(e.alpha, e.directions):
-            if a:
-                dirs.extend([_canonicalize(d, memo, key)] * a)
-        if dirs:
-            dirs.sort(key=key)
-            out = DeltaTerm((1,) * len(dirs), tuple(dirs), e.func, base)
-        else:
-            out = App(e.func, base)
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    memo[e] = out
-    return out
+                flat.sort(key=keys.__getitem__)
+                c = Sum(tuple(flat))
+        else:  # a difference term
+            dirs = [out[d] for a, d in zip(n.alpha, n.directions) for _ in range(a)]
+            if dirs:
+                dirs.sort(key=keys.__getitem__)
+                c = DeltaTerm((1,) * len(dirs), tuple(dirs), n.func, out[n.base])
+            else:
+                c = App(n.func, out[n.base])
+        if c not in keys:
+            keys[c] = _key_of(c, keys)
+        out[n] = c
+    return out[e]
 
 
 def substitute_components(e: Expr, repl: Callable[[ComponentSym], Expr]) -> Expr:
     """Rebuild ``e`` with every cuboid component replaced by ``repl(component)``.
 
     ``repl`` is called once per distinct component."""
-    return _substitute(e, repl, {})
-
-
-def _substitute(e: Expr, repl: Callable[[ComponentSym], Expr], memo: dict) -> Expr:
-    out = memo.get(e)
-    if out is not None:
-        return out
-    if isinstance(e, (PointSym, VecSym)):
-        out = e
-    elif isinstance(e, ComponentSym):
-        out = repl(e)
-    elif isinstance(e, App):
-        out = App(e.func, _substitute(e.arg, repl, memo))
-    elif isinstance(e, DeltaTerm):
-        out = DeltaTerm(
-            e.alpha,
-            tuple(_substitute(d, repl, memo) for d in e.directions),
-            e.func,
-            _substitute(e.base, repl, memo),
-        )
-    elif isinstance(e, Sum):
-        out = Sum(tuple(_substitute(t, repl, memo) for t in e.terms))
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    memo[e] = out
-    return out
+    out: dict[Expr, Expr] = {}
+    for n in _postorder(e):
+        if isinstance(n, ComponentSym):
+            out[n] = repl(n)
+        elif isinstance(n, App):
+            out[n] = App(n.func, out[n.arg])
+        elif isinstance(n, DeltaTerm):
+            out[n] = DeltaTerm(n.alpha, tuple(out[d] for d in n.directions), n.func, out[n.base])
+        elif isinstance(n, Sum):
+            out[n] = Sum(tuple(out[t] for t in n.terms))
+        else:
+            out[n] = n
+    return out[e]
 
 
 @lru_cache(maxsize=None)
@@ -365,103 +360,104 @@ def _component_subscript(index: MultiIndex) -> str:
     return "{" + ",".join(positions) + "}"
 
 
-def _render(e: Expr, latex: bool, memo: dict) -> str:
-    out = memo.get(e)
-    if out is not None:
-        return out
-    if isinstance(e, (PointSym, VecSym)):
-        out = e.name
-    elif isinstance(e, ComponentSym):
-        out = f"{e.cuboid}_{_component_subscript(e.index)}"
-    elif isinstance(e, App):
-        out = f"{e.func}({_render(e.arg, latex, memo)})"
-    elif isinstance(e, Sum):
-        out = " + ".join(_render(t, latex, memo) for t in e.terms) if e.terms else "0"
-    elif isinstance(e, DeltaTerm):
-        dirs: list[Expr] = []
-        for a, d in zip(e.alpha, e.directions):
-            dirs.extend([d] * a)
-        if not dirs:
-            out = f"{e.func}({_render(e.base, latex, memo)})"
-        else:
-            head = "\\Delta" if latex else "Δ"
-            if len(dirs) >= 2:
-                head += f"^{{{len(dirs)}}}" if latex else f"^{len(dirs)}"
-            sub = ", ".join(_render(d, latex, memo) for d in dirs)
-            out = f"{head}_{{{sub}}} {e.func}({_render(e.base, latex, memo)})"
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    memo[e] = out
-    return out
-
-
 def _json_object(fields: Iterable[tuple[str, str]], depth: int) -> str:
     # An object whose closing brace sits at ``depth``, laid out as
     # json.dumps(..., indent=2, sort_keys=True) lays it out; ``fields`` are
-    # (key, rendered value) pairs in sorted key order.
+    # (key, rendered value) pairs in sorted key order, copied by one join.
     pad = "\n" + "  " * (depth + 1)
-    return "{" + ",".join(f'{pad}"{k}": {v}' for k, v in fields) + "\n" + "  " * depth + "}"
+    parts = ["{"]
+    for k, v in fields:
+        parts += (pad, f'"{k}": ', v, ",")
+    parts[-1] = "\n" + "  " * depth + "}"
+    return "".join(parts)
 
 
 def _json_array(items: list[str], depth: int) -> str:
     if not items:
         return "[]"
     pad = "\n" + "  " * (depth + 1)
-    return "[" + ",".join(pad + v for v in items) + "\n" + "  " * depth + "]"
+    return "".join(("[", pad, ("," + pad).join(items), "\n", "  " * depth, "]"))
 
 
-def _json(e: Expr, depth: int, memo: dict) -> str:
+def _json(e: Expr) -> str:
     """``expr_to_obj(e)`` as json.dumps(..., indent=2, sort_keys=True) prints
-    it when it is a value at ``depth``, built once per (node, depth)."""
-    out = memo.get((e, depth))
-    if out is not None:
-        return out
-    if isinstance(e, (PointSym, VecSym)):
-        kind = '"point"' if isinstance(e, PointSym) else '"vector"'
-        fields = (("name", json.dumps(e.name)), ("node", kind))
-    elif isinstance(e, ComponentSym):
-        fields = (
-            ("cuboid", json.dumps(e.cuboid)),
-            ("index", json.dumps(str(e.index))),
-            ("node", '"component"'),
-        )
-    elif isinstance(e, App):
-        fields = (("arg", _json(e.arg, depth + 1, memo)), ("func", json.dumps(e.func)), ("node", '"apply"'))
-    elif isinstance(e, DeltaTerm):
-        fields = (
-            ("alpha", _json_array([str(int(a)) for a in e.alpha], depth + 1)),
-            ("base", _json(e.base, depth + 1, memo)),
-            ("directions", _json_array([_json(d, depth + 2, memo) for d in e.directions], depth + 1)),
-            ("func", json.dumps(e.func)),
-            ("node", '"delta"'),
-        )
-    elif isinstance(e, Sum):
-        fields = (("node", '"sum"'), ("terms", _json_array([_json(t, depth + 2, memo) for t in e.terms], depth + 1)))
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    out = memo[(e, depth)] = _json_object(fields, depth)
-    return out
+    it as the root of the envelope, built once per (node, depth)."""
+    nodes = _postorder(e)
+    # The depths each node is printed at, found parents first.  A node's
+    # strings are dropped after its last reader, the parent that meets it
+    # first here, so a deep chain holds a few levels' text, not every level's.
+    depths: dict[Expr, set[int]] = {e: {1}}
+    last_read: dict[Expr, list[Expr]] = {}
+    for n in reversed(nodes):
+        if isinstance(n, App):
+            groups = ((1, (n.arg,)),)
+        elif isinstance(n, DeltaTerm):
+            groups = ((2, n.directions), (1, (n.base,)))
+        elif isinstance(n, Sum):
+            groups = ((2, n.terms),)
+        else:
+            continue
+        for step, children in groups:
+            below = {d + step for d in depths[n]}
+            for child in children:
+                if child not in depths:
+                    depths[child] = set()
+                    last_read.setdefault(n, []).append(child)
+                depths[child] |= below
+    out: dict[Expr, dict[int, str]] = {}
+    for n in nodes:
+        strings = out[n] = {}
+        for depth in depths[n]:
+            if isinstance(n, (PointSym, VecSym)):
+                kind = '"point"' if isinstance(n, PointSym) else '"vector"'
+                fields = (("name", json.dumps(n.name)), ("node", kind))
+            elif isinstance(n, ComponentSym):
+                fields = (
+                    ("cuboid", json.dumps(n.cuboid)),
+                    ("index", json.dumps(str(n.index))),
+                    ("node", '"component"'),
+                )
+            elif isinstance(n, App):
+                fields = (("arg", out[n.arg][depth + 1]), ("func", json.dumps(n.func)), ("node", '"apply"'))
+            elif isinstance(n, DeltaTerm):
+                fields = (
+                    ("alpha", _json_array([str(int(a)) for a in n.alpha], depth + 1)),
+                    ("base", out[n.base][depth + 1]),
+                    ("directions", _json_array([out[d][depth + 2] for d in n.directions], depth + 1)),
+                    ("func", json.dumps(n.func)),
+                    ("node", '"delta"'),
+                )
+            else:
+                fields = (("node", '"sum"'), ("terms", _json_array([out[t][depth + 2] for t in n.terms], depth + 1)))
+            strings[depth] = _json_object(fields, depth)
+        for child in last_read.get(n, ()):
+            del out[child]
+    return out[e][1]
 
 
 def expr_to_obj(e: Expr) -> dict:
-    if isinstance(e, PointSym):
-        return {"node": "point", "name": e.name}
-    if isinstance(e, VecSym):
-        return {"node": "vector", "name": e.name}
-    if isinstance(e, ComponentSym):
-        return {"node": "component", "cuboid": e.cuboid, "index": str(e.index)}
-    if isinstance(e, App):
-        return {"node": "apply", "func": e.func, "arg": expr_to_obj(e.arg)}
-    if isinstance(e, DeltaTerm):
-        return {
-            "node": "delta",
-            "alpha": list(e.alpha),
-            "directions": [expr_to_obj(d) for d in e.directions],
-            "func": e.func,
-            "base": expr_to_obj(e.base),
-        }
-    if isinstance(e, Sum):
-        return {"node": "sum", "terms": [expr_to_obj(t) for t in e.terms]}
+    """The JSON object form of ``e``; nesting too deep to recurse raises ``ValueError``."""
+    try:
+        if isinstance(e, PointSym):
+            return {"node": "point", "name": e.name}
+        if isinstance(e, VecSym):
+            return {"node": "vector", "name": e.name}
+        if isinstance(e, ComponentSym):
+            return {"node": "component", "cuboid": e.cuboid, "index": str(e.index)}
+        if isinstance(e, App):
+            return {"node": "apply", "func": e.func, "arg": expr_to_obj(e.arg)}
+        if isinstance(e, DeltaTerm):
+            return {
+                "node": "delta",
+                "alpha": list(e.alpha),
+                "directions": [expr_to_obj(d) for d in e.directions],
+                "func": e.func,
+                "base": expr_to_obj(e.base),
+            }
+        if isinstance(e, Sum):
+            return {"node": "sum", "terms": [expr_to_obj(t) for t in e.terms]}
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -472,15 +468,34 @@ def render(e: Expr, fmt: str = "text") -> str:
     expanded, so the exponent always equals the number of listed directions.
     ``json`` is a faithful serialization and round-trips through ``parse``.
     """
-    if fmt == "text":
-        return _render(e, False, {})
-    if fmt == "latex":
-        return _render(e, True, {})
     if fmt == "json":
         # Byte-identical to json.dumps({"version": 1, "root": expr_to_obj(e)},
         # indent=2, sort_keys=True), without building the tree of dicts.
-        return _json_object((("root", _json(e, 1, {})), ("version", "1")), 0)
-    raise ValueError(f"unknown format: {fmt!r}")
+        return _json_object((("root", _json(e)), ("version", "1")), 0)
+    if fmt != "text" and fmt != "latex":
+        raise ValueError(f"unknown format: {fmt!r}")
+    latex = fmt == "latex"
+    out: dict[Expr, str] = {}
+    for n in _postorder(e):
+        if isinstance(n, (PointSym, VecSym)):
+            out[n] = n.name
+        elif isinstance(n, ComponentSym):
+            out[n] = f"{n.cuboid}_{_component_subscript(n.index)}"
+        elif isinstance(n, App):
+            out[n] = f"{n.func}({out[n.arg]})"
+        elif isinstance(n, Sum):
+            out[n] = " + ".join(out[t] for t in n.terms) if n.terms else "0"
+        else:  # a difference term
+            dirs = [out[d] for a, d in zip(n.alpha, n.directions) for _ in range(a)]
+            if not dirs:
+                out[n] = f"{n.func}({out[n.base]})"
+                continue
+            head = "\\Delta" if latex else "Δ"
+            if len(dirs) >= 2:
+                head += f"^{{{len(dirs)}}}" if latex else f"^{len(dirs)}"
+            sub = ", ".join(dirs)
+            out[n] = f"{head}_{{{sub}}} {n.func}({out[n.base]})"
+    return out[e]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import reference_formulas as ref
 from deltachain import symbolic
 from deltachain.combinatorics import MultiIndex, bell_number
-from deltachain.numeric import eval_expr
+from deltachain.numeric import EvaluationError, eval_expr
 from deltachain.symbolic import (
     App,
     ComponentSym,
@@ -590,6 +591,101 @@ def test_every_pass_handles_900_deep_nesting():
     assert parse(render(e, "json"), "json") is e
     deep_text = "g(" * 900 + "x" + ")" * 900
     assert render(parse(deep_text)) == deep_text
+
+
+def _deep_app(depth: int):
+    e = VecSym("v")
+    for _ in range(depth):
+        e = App("f", e)
+    return e
+
+
+def _deep_sum(depth: int):
+    e = VecSym("v")
+    for _ in range(depth):
+        e = Sum((e,))
+    return e
+
+
+def _deep_delta(depth: int):
+    e = PointSym("x")
+    for _ in range(depth):
+        e = DeltaTerm((1,), (VecSym("v"),), "f", e)
+    return e
+
+
+def _frames() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "build, depth, order, text",
+    [
+        (_deep_app, 5000, 0, "f(" * 5000 + "v" + ")" * 5000),
+        (_deep_sum, 5000, 1, "v"),
+        (_deep_delta, 3000, 1, "Δ_{v} f(" * 3000 + "x" + ")" * 3000),
+    ],
+    ids=["app-chain", "nested-sum", "delta-base-chain"],
+)
+def test_every_pass_walks_nesting_far_beyond_the_recursion_limit(build, depth, order, text):
+    e = build(depth)
+    assert order_of(e) == order
+    assert sort_key(e)[0] == sort_key(build(1))[0]
+    assert canonicalize(canonicalize(e)) is canonicalize(e)
+    assert substitute_components(e, lambda c: c) is e
+    assert render(e) == text
+    assert render(e, "latex") == text.replace("Δ", "\\Delta")
+    one = (Fraction(1),)
+    assert eval_expr(e, {"f": lambda p: p, "v": one, "x": one}) == one
+    # Only the recursive object form keeps the limit, as its documented error.
+    with pytest.raises(ValueError, match="^nesting too deep$"):
+        expr_to_obj(e)
+    # Indented JSON grows with the square of the depth (about 100 MB for the
+    # 5,000-deep chain), so it is rendered 300 deep under a recursion limit
+    # that a pass taking one frame per level would exceed.
+    shallow = build(300)
+    want = json.dumps({"version": 1, "root": expr_to_obj(shallow)}, indent=2, sort_keys=True)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 100)
+    tracemalloc.start()
+    try:
+        got = render(shallow, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.setrecursionlimit(limit)
+    assert got == want
+    # Each level's text is dropped once its parent holds it; keeping every
+    # level's would take about depth / 2 times the output.
+    assert peak < 8 * len(got)
+
+
+@pytest.mark.parametrize("bad", [App("f", 3), Sum(([1],))], ids=["int-arg", "list-term"])
+def test_every_pass_rejects_a_child_that_is_not_an_expression(bad):
+    passes = [
+        order_of,
+        sort_key,
+        canonicalize,
+        lambda e: substitute_components(e, lambda c: c),
+        render,
+        lambda e: render(e, "latex"),
+        lambda e: render(e, "json"),
+    ]
+    for run in passes:
+        with pytest.raises(TypeError, match="^not an expression: "):
+            run(bad)
+    with pytest.raises(EvaluationError, match="^not an expression: "):
+        eval_expr(bad, {"f": lambda p: p})
+
+    def broken(p):
+        raise TypeError("inside the map")
+
+    # Only the walk's own TypeError becomes an EvaluationError.
+    with pytest.raises(TypeError, match="^inside the map$"):
+        eval_expr(App("f", PointSym("x")), {"f": broken, "x": (Fraction(1),)})
 
 
 # -- hash-consing -------------------------------------------------------------------
