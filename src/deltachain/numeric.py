@@ -1,12 +1,13 @@
 """Exact evaluation of difference expressions and the verification suites.
 
-Everything here computes in rational arithmetic; the only floating-point
-step is the slope fit in the remainder-scaling check, which is the one
-deliberately inexact report.
+Everything here computes in rational arithmetic.  Every verdict is exact;
+the only floating-point step is the slope fit that the remainder-scaling
+check reports alongside its exact ε-valuation verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -30,13 +31,14 @@ from .cuboid import (
     vector_sub,
 )
 from .polynomials import (
-    Poly,
     PolynomialMap,
+    _Series,
     compose,
     d_alpha,
     iterated_directional,
     iterated_tangent_lift,
     random_polynomial_map,
+    series_valuation,
 )
 from .symbolic import (
     App,
@@ -122,33 +124,28 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
         return value
 
     values: dict[Expr, Value] = {}
-    for n in nodes:
-        if isinstance(n, (PointSym, VecSym)):
-            value = tuple(bound(n.name, lambda v: isinstance(v, (tuple, list)), "a vector"))
-        elif isinstance(n, ComponentSym):
-            c = bound(n.cuboid, lambda c: isinstance(c, Cuboid), "a cuboid")
-            try:
-                value = c.component(n.index)
-            except ValueError as exc:
-                raise EvaluationError(str(exc)) from None
-        elif isinstance(n, App):
-            value = tuple(bound(n.func, callable, "a map")(values[n.arg]))
-        elif isinstance(n, Sum):
-            if not n.terms:
-                raise EvaluationError("cannot evaluate an empty sum")
-            value = values[n.terms[0]]
-            for t in n.terms[1:]:
-                try:
+    # A ValueError from a cuboid lookup, a vector sum or a bound map becomes
+    # an EvaluationError with the same text, whichever node raised it.
+    try:
+        for n in nodes:
+            if isinstance(n, (PointSym, VecSym)):
+                value = tuple(bound(n.name, lambda v: isinstance(v, (tuple, list)), "a vector"))
+            elif isinstance(n, ComponentSym):
+                value = bound(n.cuboid, lambda c: isinstance(c, Cuboid), "a cuboid").component(n.index)
+            elif isinstance(n, App):
+                value = tuple(bound(n.func, callable, "a map")(values[n.arg]))
+            elif isinstance(n, Sum):
+                if not n.terms:
+                    raise EvaluationError("cannot evaluate an empty sum")
+                value = values[n.terms[0]]
+                for t in n.terms[1:]:
                     value = vector_add(value, values[t])
-                except ValueError as exc:
-                    raise EvaluationError(str(exc)) from None
-        else:  # a difference term
-            F = bound(n.func, callable, "a map")
-            try:
+            else:  # a difference term
+                F = bound(n.func, callable, "a map")
                 value = evaluate_delta(F, values[n.base], [values[d] for d in n.directions], n.alpha)
-            except ValueError as exc:
-                raise EvaluationError(str(exc)) from None
-        values[n] = value
+            values[n] = value
+    except ValueError as exc:
+        raise EvaluationError(str(exc)) from None
     return values[e]
 
 
@@ -391,35 +388,27 @@ def _check_main_term_remainder_order(s: int) -> str | None:
     rng = random.Random(s)
     k = 2 + s % 2
     alpha = MultiIndex.ones(k)
+    n = alpha.order + 1
     space = 2
-    f = random_polynomial_map(rng, space, space, degree=2 + s % 2, dense=True)
-    eps = Poly.variable(1, 0)
+    # Corners recur across the partitions' differences: evaluate each once.
+    f = functools.cache(random_polynomial_map(rng, space, space, degree=2 + s % 2, dense=True))
+    eps = _Series.epsilon(n)
     x = random_rational_vector(rng, space)
-    base = tuple(Poly.constant(1, c) for c in x)
 
     def component(m: MultiIndex) -> tuple:
         if m.order == 0:
-            return base
+            return x
         scale = eps ** m.order
-        return tuple(scale * Fraction(rng.randint(-3, 3)) for _ in range(space))
+        return tuple(scale * rng.randint(-3, 3) for _ in range(space))
 
     cub = Cuboid.build(k, component)
     lhs = discrete_tangent(f, cub).component(alpha)
     acc = None
     for p in enumerate_partitions(alpha):
-        term = evaluate_delta(f, base, [cub.component(b) for b in p.blocks])
+        term = evaluate_delta(f, x, [cub.component(b) for b in p.blocks])
         acc = term if acc is None else vector_add(acc, term)
-    rem = vector_sub(lhs, acc)
-    vals = []
-    for c in rem:
-        if isinstance(c, Poly):
-            if not c.is_zero:
-                vals.append(c.min_degree)
-        elif c != 0:
-            vals.append(0)
-    if vals and min(vals) < alpha.order + 1:
-        return f"remainder valuation {min(vals)} below {alpha.order + 1}"
-    return None
+    v = series_valuation(lhs, acc)
+    return None if v is None else f"remainder valuation {v} below {n}"
 
 
 _IDENTITY_CHECKS = (
@@ -460,6 +449,25 @@ class ScalingResult:
     norms: tuple[Fraction, ...]
 
 
+def _main_term_split(
+    f: PolynomialMap, g: PolynomialMap, x: Value, dirs: Sequence[Value], alpha: MultiIndex
+) -> tuple[Value, Value]:
+    """The direct difference of f∘g at x along ``dirs``, and its main part."""
+    bindings: dict[str, Any] = {"f": f, "g": g, "x": x}
+    for i, d in enumerate(dirs):
+        bindings[f"v_{i + 1}"] = d
+    return evaluate_delta(lambda p: f(g(p)), x, dirs, alpha), eval_expr(main_part(alpha), bindings)
+
+
+def remainder_valuation(
+    f: PolynomialMap, g: PolynomialMap, x: Value, ws: Sequence[Value], alpha: MultiIndex
+) -> int | None:
+    """The exact ε-valuation of the remainder at directions ε·w, or ``None``
+    when it is at least |alpha| + 1 (computed mod ε^(|alpha|+1))."""
+    eps = _Series.epsilon(alpha.order + 1)
+    return series_valuation(*_main_term_split(f, g, x, [tuple(eps * c for c in w) for w in ws], alpha))
+
+
 def scaling_slope(
     f: PolynomialMap,
     g: PolynomialMap,
@@ -480,18 +488,11 @@ def scaling_slope(
     """
     if len(set(eps_exponents)) < 2:
         raise ValueError(f"a slope needs at least two grid points, got {sorted(set(eps_exponents))}")
-    expr = main_part(alpha)
     pts = []
     norms = []
     for j in sorted(eps_exponents):
         eps = Fraction(1, 2**j)
-        dirs = [tuple(eps * c for c in w) for w in ws]
-        bindings: dict[str, Any] = {"f": f, "g": g, "x": x}
-        for i, d in enumerate(dirs):
-            bindings[f"v_{i + 1}"] = d
-        lhs = evaluate_delta(lambda p: f(g(p)), x, dirs, alpha)
-        approx = eval_expr(expr, bindings)
-        r = vector_sub(lhs, approx)
+        r = vector_sub(*_main_term_split(f, g, x, [tuple(eps * c for c in w) for w in ws], alpha))
         norm = max(abs(c) for c in r)
         norms.append(norm)
         if norm:
@@ -503,6 +504,16 @@ def scaling_slope(
     return ScalingResult(fit.slope, False, tuple(norms))
 
 
+def scaling_trial(s: int, alpha: MultiIndex) -> tuple[PolynomialMap, PolynomialMap, Value, list[Value]]:
+    """The maps f and g, point x and directions ws of one scaling trial."""
+    rng = random.Random(s)
+    deg = alpha.order + 1
+    f = random_polynomial_map(rng, 2, 2, degree=deg, dense=True)
+    g = random_polynomial_map(rng, 2, 2, degree=deg, dense=True)
+    x = random_rational_vector(rng, 2, bound=2)
+    return f, g, x, [random_rational_vector(rng, 2, bound=3) for _ in range(alpha.dim)]
+
+
 def verify_scaling(
     seed: int,
     alpha: MultiIndex,
@@ -511,33 +522,28 @@ def verify_scaling(
 ) -> VerificationReport:
     """Check that the remainder shrinks at least like the next order.
 
-    The slope threshold is |alpha| + 1 - 0.2; an identically zero remainder
-    is degenerate and reported, not failed.  A remainder that is zero at
-    all but one scale leaves no slope, and fails.  A grid of fewer than two
-    points raises ``ValueError`` (from ``scaling_slope``).
+    The verdict is exact: a trial fails when the remainder's ε-valuation at
+    directions ε·w is below |alpha| + 1.  The slope fitted over the grid is
+    only reported, next to the threshold |alpha| + 1 - 0.2 it is expected
+    to clear; a remainder zero at every grid point is reported as
+    degenerate, and one nonzero at a single point as having no slope.  A
+    grid of fewer than two points raises ``ValueError`` (from
+    ``scaling_slope``).
     """
     threshold = alpha.order + 1 - 0.2
     failures = []
     notes = []
     for t in range(trials):
         s = derive_seed(seed, "scaling", str(alpha), t)
-        rng = random.Random(s)
-        deg = alpha.order + 1
-        f = random_polynomial_map(rng, 2, 2, degree=deg, dense=True)
-        g = random_polynomial_map(rng, 2, 2, degree=deg, dense=True)
-        x = random_rational_vector(rng, 2, bound=2)
-        ws = [random_rational_vector(rng, 2, bound=3) for _ in range(alpha.dim)]
+        f, g, x, ws = scaling_trial(s, alpha)
         result = scaling_slope(f, g, x, ws, alpha, eps_exponents)
+        v = remainder_valuation(f, g, x, ws, alpha)
+        if v is not None:
+            failures.append(Failure(s, str(alpha), f"remainder valuation {v} below {alpha.order + 1}"))
         if result.degenerate:
             notes.append(f"trial {t}: degenerate (remainder identically zero)")
         elif result.slope is None:
-            failures.append(Failure(s, str(alpha), "remainder nonzero at one scale only: no slope"))
             notes.append(f"trial {t}: no slope")
-        elif result.slope < threshold:
-            failures.append(
-                Failure(s, str(alpha), f"slope {result.slope:.3f} below threshold {threshold:.3f}")
-            )
-            notes.append(f"trial {t}: slope {result.slope:.3f}")
         else:
             notes.append(f"trial {t}: slope {result.slope:.3f}")
     detail = f"threshold {threshold:.3f}; " + "; ".join(notes)

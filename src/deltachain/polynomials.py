@@ -3,9 +3,11 @@
 Coefficients are exact rationals: integral ones are stored as ``int`` and
 the rest as ``Fraction``, so integer data never pays for ``Fraction``.
 
-Evaluation is ring-generic: arguments may be rationals, floats, or other
-polynomials, since only +, * and ** are used.  That one method yields both
-composition of maps and valuation in a formal scale parameter.
+Evaluation is ring-generic: arguments may be rationals, floats, other
+polynomials or truncated series, since only +, * and ** are used.  That one
+method yields both composition of maps and valuation in a formal scale
+parameter ε; the truncated series answer the valuation question to a fixed
+order without computing the degrees above it.
 """
 
 from __future__ import annotations
@@ -15,11 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from operator import add
+from operator import add, sub
 from typing import Any, Iterable, Sequence
 
 from .combinatorics import MultiIndex
 from .cuboid import Value
+
+
+def _rational(c: int | Fraction) -> int | Fraction:
+    """An integral rational as ``int``; any other rational unchanged."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,7 @@ class Poly:
     def _of(cls, nvars: int, pairs: Iterable[tuple[tuple[int, ...], int | Fraction]]) -> "Poly":
         """Internal constructor from (exponents, rational) pairs with distinct
         exponents: drops zeros, normalizes integral values to ``int``, sorts."""
-        terms = ((e, c if type(c) is int or c.denominator != 1 else c.numerator) for e, c in pairs if c)
-        return cls(nvars, tuple(sorted(terms)))
+        return cls(nvars, tuple(sorted((e, _rational(c)) for e, c in pairs if c)))
 
     @classmethod
     def constant(cls, nvars: int, value: Fraction | int) -> "Poly":
@@ -144,9 +150,16 @@ class Poly:
         """Evaluate at arguments from any commutative ring containing Q.
 
         Each power ``args[i] ** e`` is computed once per call, and terms that
-        are polynomials are summed in one coefficient dict."""
+        are polynomials are summed in one coefficient dict.  Integral
+        ``Fraction`` arguments are evaluated as ``int``, and a rational value
+        that used one is returned as a ``Fraction``, as ``Fraction``
+        arithmetic would have returned it."""
         if len(args) != self.nvars:
             raise ValueError(f"need {self.nvars} arguments, got {len(args)}")
+        integral = [type(a) is Fraction and a.denominator == 1 for a in args]
+        if any(integral):
+            args = [a.numerator if whole else a for a, whole in zip(args, integral)]
+        used_integral = False
         powers: dict[tuple[int, int], Any] = {}
         acc = None
         poly_nvars, coeffs = None, {}
@@ -156,7 +169,8 @@ class Poly:
                 if e:
                     power = powers.get((i, e))
                     if power is None:
-                        power = powers[i, e] = args[i] ** e
+                        power = powers[i, e] = args[i] if e == 1 else args[i] ** e
+                        used_integral = used_integral or integral[i]
                     term = term * power
             if isinstance(term, Poly):
                 if poly_nvars is None:
@@ -170,7 +184,9 @@ class Poly:
         if poly_nvars is not None:
             total = Poly._of(poly_nvars, coeffs.items())
             return total if acc is None else total + acc
-        return Fraction(0) if acc is None else acc
+        if acc is None or (used_integral and type(acc) is int):
+            return Fraction(0 if acc is None else acc)
+        return acc
 
     def partial(self, i: int) -> "Poly":
         return Poly._of(
@@ -179,14 +195,17 @@ class Poly:
         )
 
     def directional(self, u: Sequence[Fraction | int]) -> "Poly":
-        """Derivative along the constant vector u."""
+        """Derivative along the constant vector u, summed in one dict."""
         if len(u) != self.nvars:
             raise ValueError("direction dimension mismatch")
-        out = Poly.constant(self.nvars, 0)
-        for j, uj in enumerate(u):
-            if uj:
-                out = out + self.partial(j) * Fraction(uj)
-        return out
+        u = [_rational(Fraction(uj)) for uj in u]
+        coeffs: dict[tuple[int, ...], int | Fraction] = {}
+        for e, c in self.terms:
+            for j, uj in enumerate(u):
+                if uj and e[j]:
+                    lowered = e[:j] + (e[j] - 1,) + e[j + 1 :]
+                    coeffs[lowered] = coeffs.get(lowered, 0) + c * e[j] * uj
+        return Poly._of(self.nvars, coeffs.items())
 
     def embed(self, nvars: int, offset: int = 0) -> "Poly":
         """Reinterpret in a larger variable set, shifting variables by offset."""
@@ -194,6 +213,112 @@ class Poly:
             raise ValueError("embedding does not fit")
         before, after = (0,) * offset, (0,) * (nvars - offset - self.nvars)
         return Poly._of(nvars, ((before + e + after, c) for e, c in self.terms))
+
+
+class _Series:
+    """A power series in one scale parameter ε, truncated mod ε^n.
+
+    ``coeffs[i]`` is the coefficient of ε^i for i < n, and every degree from
+    n up is dropped, so a product costs at most n(n+1)/2 coefficient
+    products whatever the degrees of its factors.  Integral coefficients are
+    stored as ``int``.  The operations are +, -, unary -, * by a rational or
+    a series, and ** by a nonnegative int: what ``Poly.__call__`` and the
+    difference operators use.  Equality and hashing are by value, so a
+    point of series can key a cache.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[int | Fraction]):
+        coeffs = tuple(coeffs)
+        if Fraction in map(type, coeffs):
+            coeffs = tuple(map(_rational, coeffs))
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        return type(other) is _Series and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    @classmethod
+    def epsilon(cls, n: int) -> "_Series":
+        """The scale parameter ε itself, mod ε^n."""
+        return cls(int(i == 1) for i in range(n))
+
+    def _other(self, other: "_Series") -> tuple[int | Fraction, ...]:
+        if len(other.coeffs) != len(self.coeffs):
+            raise ValueError("truncation order mismatch")
+        return other.coeffs
+
+    def __add__(self, other):
+        if type(other) is _Series:
+            return _Series(map(add, self.coeffs, self._other(other)))
+        if isinstance(other, (int, Fraction)):
+            return _Series((self.coeffs[0] + _rational(other),) + self.coeffs[1:])
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Series([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        if type(other) is _Series:
+            return _Series(map(sub, self.coeffs, self._other(other)))
+        if isinstance(other, (int, Fraction)):
+            return _Series((self.coeffs[0] - _rational(other),) + self.coeffs[1:])
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        a = self.coeffs
+        if type(other) is _Series:
+            b = self._other(other)
+            n = len(a)
+            out: list[int | Fraction] = [0] * n
+            for i, x in enumerate(a):
+                if x:
+                    for j in range(n - i):
+                        if b[j]:
+                            out[i + j] += x * b[j]
+            return _Series(out)
+        if isinstance(other, (int, Fraction)):
+            other = _rational(other)
+            return _Series([c * other for c in a])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        if k == 0:
+            return _Series(int(i == 0) for i in range(len(self.coeffs)))
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
+
+
+def series_valuation(lhs: Sequence[Any], rhs: Sequence[Any]) -> int | None:
+    """The exact ε-valuation of the vector ``lhs - rhs`` of truncated series:
+    the lowest degree with a nonzero coefficient in any component, or
+    ``None`` when the difference is zero mod ε^n.  Rational entries count as
+    constants.  Truncation mod ε^n is a ring map, so below n the lowest
+    nonzero degree is that of the untruncated difference."""
+    if len(lhs) != len(rhs):
+        raise ValueError(f"space dimension mismatch: {len(lhs)} vs {len(rhs)}")
+    low = None
+    for a, b in zip(lhs, rhs):
+        d = a - b
+        for i, c in enumerate(d.coeffs if isinstance(d, _Series) else (d,)):
+            if c:
+                low = i if low is None else min(low, i)
+                break
+    return low
 
 
 @dataclass(frozen=True)
@@ -255,12 +380,16 @@ def tangent_lift(f: PolynomialMap) -> PolynomialMap:
     variables; base variables come first, fiber variables second."""
     n = f.domain_dim
     base = [p.embed(2 * n, 0) for p in f.components]
-    fiber = []
-    for p in f.components:
-        acc = Poly.constant(2 * n, 0)
-        for j in range(n):
-            acc = acc + Poly.variable(2 * n, n + j) * p.partial(j).embed(2 * n, 0)
-        fiber.append(acc)
+    # The fiber component is sum_j u_j * d_j p.  Its monomials are distinct:
+    # the fiber exponents name j, and lowering e_j is injective in e.
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    fiber = [
+        Poly._of(
+            2 * n,
+            ((e[:j] + (e[j] - 1,) + e[j + 1 :] + units[j], c * e[j]) for e, c in p.terms for j in range(n) if e[j]),
+        )
+        for p in f.components
+    ]
     return PolynomialMap(2 * n, tuple(base + fiber))
 
 

@@ -242,6 +242,22 @@ def test_verify_rejects_malformed_env(capsys, monkeypatch):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "seed, low_slope",
+    [(280623061, "threshold 2.800; trial 0: slope 2.994; trial 1: slope 3.015; trial 2: slope 2.537"),
+     (124551739, "threshold 3.800; trial 0: slope 3.560; trial 1: slope 4.009; trial 2: slope 3.952")],
+)
+def test_verify_scaling_passes_a_slope_below_threshold_on_an_exact_valuation(seed, low_slope, capsys):
+    # Both remainders are zero mod eps^(|alpha|+1): the fitted slope falls
+    # short of the threshold, and is reported, but does not decide.
+    code, out = run_cli(capsys, "verify", "--suite", "scaling", "--seed", str(seed), "--trials", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert low_slope in [r["detail"] for r in payload["reports"]]
+    assert all(not r["failures"] and r["exact"] is False for r in payload["reports"])
+
+
 def test_verify_exit_code_reflects_failures(capsys, monkeypatch):
     from deltachain.numeric import Failure
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from deltachain import numeric
-from deltachain.combinatorics import MultiIndex
+from deltachain.combinatorics import MultiIndex, enumerate_partitions
 from deltachain.cuboid import Cuboid
 from deltachain.numeric import (
     DEFAULT_EPS_EXPONENTS,
@@ -28,7 +28,9 @@ from deltachain.numeric import (
     verify_tangent_expansion,
 )
 from deltachain.polynomials import Poly, PolynomialMap, random_polynomial_map
-from deltachain.symbolic import App, DeltaTerm, PointSym, Sum, VecSym, expand_chain, parse
+from deltachain.symbolic import App, DeltaTerm, PointSym, Sum, VecSym, expand_chain, main_part, parse
+
+import remainder_verdicts as rv
 
 mi = MultiIndex.from_string
 
@@ -163,6 +165,15 @@ def test_eval_expr_rejects_non_expressions_inside_a_tree():
         eval_expr(Sum(([1],)), {})
     with pytest.raises(EvaluationError, match="not an expression"):
         eval_expr(App("f", 3), {"f": square})
+
+
+@pytest.mark.parametrize("node", ["app", "delta"])
+def test_eval_expr_reports_a_map_value_error_alike_under_every_node(node):
+    f = RandomRationalMap(1, 2, 2)
+    x = PointSym("x")
+    expr = App("f", x) if node == "app" else DeltaTerm((1,), (VecSym("v"),), "f", x)
+    with pytest.raises(EvaluationError, match="^need 2 coordinates, got 1$"):
+        eval_expr(expr, {"f": f, "x": (Fraction(1),), "v": (Fraction(1),)})
 
 
 def test_eval_expr_keeps_no_state_between_calls():
@@ -316,14 +327,53 @@ def test_scaling_rejects_a_grid_of_fewer_than_two_points(grid):
         verify_scaling(seed=1729, alpha=mi("11"), trials=1, eps_exponents=grid)
 
 
-def test_verify_scaling_fails_a_remainder_with_no_slope(monkeypatch):
-    # Zero at every scale but one: not degenerate, and no slope to test.
+def test_verify_scaling_fails_a_low_remainder_valuation(monkeypatch):
+    # A main part missing one term leaves a remainder of order |alpha|.
+    alpha = mi("11")
+    full = main_part(alpha)
+    monkeypatch.setattr(numeric, "main_part", lambda a: Sum(full.terms[1:]))
+    report = verify_scaling(seed=1729, alpha=alpha, trials=1)
+    assert not report.passed
+    (failure,) = report.failures
+    assert failure.detail == "remainder valuation 2 below 3"
+    assert failure.seed == derive_seed(1729, "scaling", "11", 0) and failure.alpha == "11"
+    assert report.detail.startswith("threshold 2.800; trial 0: slope ")
+    f, g, x, ws = numeric.scaling_trial(failure.seed, alpha)
+    assert rv.full_remainder_valuation(f, g, x, ws, alpha) == 2
+
+
+def test_verify_scaling_reports_a_missing_slope_without_failing(monkeypatch):
+    # Zero at every scale but one: no slope to report, and the exact
+    # valuation, not the slope, decides the verdict.
     no_slope = numeric.ScalingResult(None, False, (Fraction(0), Fraction(1, 8)))
     monkeypatch.setattr(numeric, "scaling_slope", lambda *args: no_slope)
     report = verify_scaling(seed=1729, alpha=mi("11"), trials=1)
-    assert not report.passed
-    assert report.failures[0].detail == "remainder nonzero at one scale only: no slope"
-    assert "degenerate" not in report.detail
+    assert report.passed
+    assert report.detail == "threshold 2.800; trial 0: no slope"
+
+
+def test_main_term_check_matches_the_untruncated_reference(monkeypatch):
+    # Criterion 6's first 200 trials; the script sweeps all 1000.
+    seeds = [derive_seed(1729, "main-term-remainder-order", t) for t in range(200)]
+    assert {s % 2 for s in seeds} == {0, 1}
+    for s in seeds:
+        assert numeric._check_main_term_remainder_order(s) == rv.main_term_reference(s)
+    # Without its last partition the main part leaves a remainder of order |alpha|.
+    for module in (numeric, rv):
+        monkeypatch.setattr(module, "enumerate_partitions", lambda a: enumerate_partitions(a)[:-1])
+    details = set()
+    for s in seeds[:20]:
+        details.add(rv.main_term_reference(s))
+        assert numeric._check_main_term_remainder_order(s) == rv.main_term_reference(s)
+    assert details - {None} == {"remainder valuation 2 below 3", "remainder valuation 3 below 4"}
+
+
+@pytest.mark.parametrize("seed", [0, *rv.SCALING_SEEDS_FOUND])
+@pytest.mark.parametrize("alpha", ["11", "111"])
+def test_scaling_valuation_matches_the_untruncated_one(seed, alpha):
+    for t in range(3):
+        row = rv.scaling_side_by_side(seed, mi(alpha), t)
+        assert row["truncated"] == row["expected"], row
 
 
 def test_verify_scaling_passes_and_reports_slopes():

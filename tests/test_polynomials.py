@@ -8,12 +8,14 @@ from deltachain.combinatorics import MultiIndex
 from deltachain.polynomials import (
     Poly,
     PolynomialMap,
+    _Series,
     compose,
     d_alpha,
     directional_derivative,
     iterated_directional,
     iterated_tangent_lift,
     random_polynomial_map,
+    series_valuation,
     tangent_lift,
 )
 
@@ -221,6 +223,136 @@ def test_evaluation_and_composition_match_the_reference(a, v, b, c):
     assert_matches(Poly.constant(1, 0) + p(half), ref_compose(ra, (ref_of(b), ref_of({(0,): v[1]})), 1))
     (composed,) = compose(PolynomialMap(2, (p,)), PolynomialMap(1, inner)).components
     assert_matches(composed, expected)
+
+
+whole_fractions = st.integers(-6, 6).map(Fraction)
+
+
+@given(raw_polys(2), st.tuples(*[st.one_of(mixed, whole_fractions)] * 2))
+def test_evaluation_values_and_types_match_the_reference(a, v):
+    # The value is the reference's.  Its type is int exactly when no Fraction
+    # takes part: every coefficient is int and every argument that some
+    # term raises to a positive power is int.  Otherwise it is a Fraction,
+    # however integral the arguments; the zero polynomial gives Fraction(0).
+    p = Poly.make(2, a)
+    got = p(v)
+    assert got == ref_eval(ref_of(a), v)
+    used = {i for e, _ in p.terms for i, k in enumerate(e) if k}
+    all_int = p.terms and all(type(c) is int for _, c in p.terms) and all(type(v[i]) is int for i in used)
+    assert type(got) is (int if all_int else Fraction)
+
+
+# -- truncated series ---------------------------------------------------------------
+#
+# The reference is Poly in one variable with every degree >= n dropped.
+
+def series_and_poly(n):
+    return st.lists(mixed, min_size=n, max_size=n).map(
+        lambda cs: (_Series(cs), Poly.make(1, {(i,): c for i, c in enumerate(cs)}))
+    )
+
+
+def truncated(p, n):
+    return tuple(Fraction(p.as_dict().get((i,), 0)) for i in range(n))
+
+
+def assert_series_matches(series, p, n):
+    assert series.coeffs == truncated(p, n)
+    assert all(type(c) is int or c.denominator > 1 for c in series.coeffs)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), series_and_poly(n), series_and_poly(n))),
+       mixed, st.integers(0, 5))
+def test_series_arithmetic_matches_truncated_polynomials(case, s, k):
+    n, (a, p), (b, q) = case
+    assert_series_matches(a, p, n)
+    assert_series_matches(a + b, p + q, n)
+    assert_series_matches(a - b, p - q, n)
+    assert_series_matches(-a, -p, n)
+    assert_series_matches(a * b, p * q, n)
+    assert_series_matches(a + s, p + s, n)
+    assert_series_matches(s + a, s + p, n)
+    assert_series_matches(a - s, p - s, n)
+    assert_series_matches(s - a, s - p, n)
+    assert_series_matches(a * s, p * s, n)
+    assert_series_matches(s * a, s * p, n)
+    assert_series_matches(a ** k, p ** k, n)
+    assert (a == b) == (truncated(p, n) == truncated(q, n))
+    same = _Series(truncated(p, n))
+    assert a == same and hash(a) == hash(same) and a != truncated(p, n)
+
+
+def test_series_reject_mixed_orders_and_bad_exponents():
+    eps = _Series.epsilon(3)
+    assert eps.coeffs == (0, 1, 0)
+    with pytest.raises(ValueError, match="truncation order"):
+        eps * _Series.epsilon(2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        eps ** -1
+
+
+@given(raw_polys(2), raw_polys(1, 3), raw_polys(1, 3), st.integers(1, 5))
+def test_series_evaluation_and_valuation_match_truncated_polynomials(a, b, c, n):
+    p = Poly.make(2, a)
+    t = Poly.variable(1, 0)
+    u, w = Poly.make(1, b) * t, Poly.make(1, c) * t
+    su, sw = _Series(truncated(u, n)), _Series(truncated(w, n))
+    got = (p((su, _Series.epsilon(n) * 2)), p((sw, su)))
+    want = (Poly.constant(1, 0) + p((u, t * 2)), Poly.constant(1, 0) + p((w, u)))
+    for g, q in zip(got, want):
+        assert (g.coeffs if isinstance(g, _Series) else (g,) + (0,) * (n - 1)) == truncated(q, n)
+    lows = [None if q.is_zero or q.min_degree >= n else q.min_degree for q in want]
+    assert series_valuation(got, (0, 0)) == min((v for v in lows if v is not None), default=None)
+    assert series_valuation(got, (got[0], 0)) == lows[1]
+    assert series_valuation(got, got) is None
+
+
+def test_series_valuation_is_the_lowest_nonzero_degree_over_components():
+    e = _Series.epsilon(4)
+    assert series_valuation((e ** 3, e, e ** 2), (0, 0, 0)) == 1
+    assert series_valuation((e ** 3 + 1, e * 2), (1, e * 2)) == 3
+    assert series_valuation((e ** 3, e ** 4), (0, 0)) == 3  # e^4 is 0 mod e^4
+    assert series_valuation((e, Fraction(1, 2)), (e, 0)) == 0
+    assert series_valuation((e ** 4, e), (0, e)) is None
+    with pytest.raises(ValueError, match="dimension"):
+        series_valuation((e,), (e, e))
+
+
+# -- one-dict derivatives and lifts, against products of partials --------------------
+
+def directional_by_partials(p, u):
+    out = Poly.constant(p.nvars, 0)
+    for j, uj in enumerate(u):
+        if uj:
+            out = out + p.partial(j) * Fraction(uj)
+    return out
+
+
+def tangent_lift_by_products(f):
+    n = f.domain_dim
+    fiber = []
+    for p in f.components:
+        acc = Poly.constant(2 * n, 0)
+        for j in range(n):
+            acc = acc + Poly.variable(2 * n, n + j) * p.partial(j).embed(2 * n, 0)
+        fiber.append(acc)
+    return PolynomialMap(2 * n, tuple(p.embed(2 * n, 0) for p in f.components) + tuple(fiber))
+
+
+@given(raw_polys(3), st.tuples(*[st.one_of(mixed, whole_fractions)] * 3))
+def test_directional_matches_the_sum_of_scaled_partials(a, u):
+    p = Poly.make(3, a)
+    want = directional_by_partials(p, u)
+    got = p.directional(u)
+    assert got == want and got.terms == want.terms
+
+
+@given(st.lists(raw_polys(2), min_size=1, max_size=3), st.lists(raw_polys(3), min_size=1, max_size=2))
+def test_tangent_lift_matches_products_of_partials(two, three):
+    for f in (PolynomialMap(2, tuple(Poly.make(2, a) for a in two)), PolynomialMap(3, tuple(Poly.make(3, a) for a in three))):
+        want = tangent_lift_by_products(f)
+        got = tangent_lift(f)
+        assert got == want and all(g.terms == w.terms for g, w in zip(got.components, want.components))
 
 
 # -- derivatives -------------------------------------------------------------------
