@@ -40,6 +40,18 @@ class MultiIndex:
             raise ValueError(f"mask {self.mask} out of range for dim {self.dim}")
 
     @classmethod
+    def empty(cls) -> "MultiIndex":
+        """The index with no digits, the one index of a 0-dimensional cuboid.
+
+        The constructor rejects it: an expansion, a component subscript and
+        a bitstring all need at least one digit.
+        """
+        index = object.__new__(cls)
+        object.__setattr__(index, "dim", 0)
+        object.__setattr__(index, "mask", 0)
+        return index
+
+    @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "MultiIndex":
         """The multi-index with the given digits, first digit first."""
         bits = tuple(bits)
@@ -89,7 +101,8 @@ class MultiIndex:
         return (self.order, str(self))
 
     def __str__(self) -> str:
-        return format(self.mask, f"0{self.dim}b")[::-1]
+        # the binary digits below a sentinel bit at dim, lowest first
+        return bin(self.mask | 1 << self.dim)[:2:-1]
 
     def __le__(self, other: "MultiIndex") -> bool:
         if self.dim != other.dim:

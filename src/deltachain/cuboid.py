@@ -3,18 +3,28 @@
 A cuboid of dimension k assigns a vector to every multi-index in {0,1}^k.
 Components may be exact rationals or any values supporting +, - and unary
 negation (polynomials work too); nothing here ever multiplies or divides.
+Vectors of exact rationals (``int`` and ``Fraction`` entries) are summed as
+integer numerators over one common denominator, and every other value by
+its own + and -; both paths give the same values of the same types.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add, attrgetter, floordiv, mul, or_, sub
 from typing import Any, Callable, Iterator, Sequence
 
 from .combinatorics import MultiIndex
 
 Value = tuple[Any, ...]
+
+_RATIONAL = frozenset((int, Fraction))
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def vector_add(a: Value, b: Value) -> Value:
@@ -31,6 +41,96 @@ def vector_sub(a: Value, b: Value) -> Value:
 
 def vector_neg(a: Value) -> Value:
     return tuple(-x for x in a)
+
+
+def rational_columns(vectors: Sequence[Value]) -> tuple[list[list[int]], int, list[int]] | None:
+    """Integer numerators of nonempty ``vectors`` over one denominator, by coordinate.
+
+    When every entry is exactly an ``int`` or a ``Fraction`` (and there is
+    one at least), returns ``(cols, den, masks)``: ``vectors[i][j] ==
+    cols[j][i] / den``, ``den`` is the lcm of the entries' denominators, and
+    bit i of ``masks[j]`` is set iff ``vectors[i][j]`` is a ``Fraction``.
+    Otherwise returns ``None``, and the caller adds with + and -.  Vectors
+    of unequal length raise ``vector_add``'s error.
+    """
+    size = len(vectors[0])
+    for v in vectors:
+        if len(v) != size:
+            raise ValueError(f"space dimension mismatch: {size} vs {len(v)}")
+    flat = list(chain.from_iterable(zip(*vectors)))  # coordinate by coordinate
+    kinds = set(map(type, flat))
+    if not kinds or not kinds <= _RATIONAL:
+        return None
+    n = len(vectors)
+    dens = list(map(_denominator, flat))
+    den = math.lcm(*dens)
+    nums = list(map(mul, map(_numerator, flat), map(floordiv, repeat(den), dens)))
+    if Fraction not in kinds:
+        masks = [0] * size
+    elif int not in kinds:
+        masks = [(1 << n) - 1] * size
+    else:
+        masks = [sum(1 << i for i, v in enumerate(vectors) if type(v[j]) is Fraction) for j in range(size)]
+    return [nums[j * n : (j + 1) * n] for j in range(size)], den, masks
+
+
+def _values(nums: Sequence[int], den: int, fractions: bool | Sequence[int]) -> list:
+    """``nums[i] / den``: a ``Fraction`` where ``fractions[i]`` is set and an
+    ``int`` elsewhere, or all of one kind when ``fractions`` is a bool."""
+    if fractions is True:
+        return list(map(Fraction, nums, repeat(den)))
+    if fractions is False:
+        return [n // den for n in nums]
+    return [Fraction(n, den) if f else n // den for n, f in zip(nums, fractions)]
+
+
+def vector_sum(vectors: Sequence[Value], signs: Sequence[int] | None = None) -> Value:
+    """The sum of nonempty ``vectors``, each negated where ``signs`` is -1.
+
+    Exact rationals are summed as integers over one common denominator and
+    reduced once per coordinate; a coordinate is a ``Fraction`` exactly
+    when a ``Fraction`` takes part in it, as with pairwise + and -.
+    """
+    exact = rational_columns(vectors)
+    if exact is None:
+        signs = signs or (1,) * len(vectors)
+        acc = vectors[0] if signs[0] > 0 else vector_neg(vectors[0])
+        for v, s in zip(vectors[1:], signs[1:]):
+            acc = vector_add(acc, v) if s > 0 else vector_sub(acc, v)
+        return acc
+    cols, den, masks = exact
+    totals = map(sum, cols) if signs is None else (sum(map(mul, c, signs)) for c in cols)
+    return tuple(Fraction(t, den) if m else t // den for t, m in zip(totals, masks))
+
+
+def _subset_sums(first: Any, steps: Sequence[Any], combine: Callable[[Any, Any], Any]) -> list:
+    """Entry m is ``first`` combined with ``steps[i]`` for each bit i of m,
+    one combination per entry: the list doubles at each step."""
+    out = [first]
+    for step in steps:
+        out += [combine(x, step) for x in out]
+    return out
+
+
+def corners(base: Value, dirs: Sequence[Value]) -> list[Value]:
+    """The 2^k corners: entry m is base plus ``dirs[i]`` for each bit i of m.
+
+    Exact rational corners are summed as integer numerators, one
+    ``Fraction`` per corner coordinate.
+    """
+    exact = rational_columns([base, *dirs])
+    if exact is None:
+        return _subset_sums(base, dirs, vector_add)
+    cols, den, masks = exact
+    full = (1 << (len(dirs) + 1)) - 1
+    corner_cols = []
+    for col, mask in zip(cols, masks):
+        if mask in (0, full):
+            fractions = mask == full
+        else:
+            fractions = _subset_sums(mask & 1, [mask >> i & 1 for i in range(1, len(dirs) + 1)], or_)
+        corner_cols.append(_values(_subset_sums(col[0], col[1:], add), den, fractions))
+    return list(zip(*corner_cols))
 
 
 @dataclass(frozen=True)
@@ -125,9 +225,10 @@ class Cuboid:
     def from_json(cls, text: str) -> "Cuboid":
         """Inverse of ``to_json``; malformed input raises ``ValueError``."""
         obj = json.loads(text)
-        if not isinstance(obj, dict) or not all(type(obj.get(k)) is int and obj[k] > 0 for k in ("dim", "space")):
-            raise ValueError("need positive integers dim and space")
-        dim, space, raw = obj["dim"], obj["space"], obj.get("components")
+        dim, space = (obj.get("dim"), obj.get("space")) if isinstance(obj, dict) else (None, None)
+        if not (type(dim) is int and dim >= 0 and type(space) is int and space > 0):
+            raise ValueError("need a nonnegative integer dim and a positive integer space")
+        raw = obj.get("components")
         # bit_length first: a huge dim must not build the integer 1 << dim
         if not isinstance(raw, dict) or len(raw).bit_length() != dim + 1 or len(raw) != 1 << dim:
             raise ValueError(f"components must map each of the 2^{dim} indices to a vector")
@@ -144,21 +245,42 @@ class Cuboid:
 
 
 def _indices(dim: int) -> tuple[MultiIndex, ...]:
+    if dim == 0:
+        return (MultiIndex.empty(),)
     return tuple(MultiIndex(dim, i) for i in range(1 << dim))
+
+
+def _butterfly(values: list, dim: int, combine: Callable[[Any, Any], Any]) -> None:
+    """In place, entry alpha becomes the combination of the entries beta <=
+    alpha, by one pass per axis (Yates' method): O(k 2^k) steps, not O(3^k)."""
+    for axis in range(dim):
+        bit = 1 << axis
+        for m in range(1 << dim):
+            if m & bit:
+                values[m] = combine(values[m], values[m ^ bit])
 
 
 def _subset_transform(c: Cuboid, sign: int) -> Cuboid:
     """Component alpha becomes the sum over beta <= alpha of
-    sign^(|alpha|-|beta|) c_beta, by one pass per axis (Yates' method):
-    O(k 2^k) vector operations instead of O(3^k)."""
-    combine = vector_add if sign > 0 else vector_sub
-    comps = list(c.components)
-    for axis in range(c.dim):
-        bit = 1 << axis
-        for m in range(1 << c.dim):
-            if m & bit:
-                comps[m] = combine(comps[m], comps[m ^ bit])
-    return Cuboid(c.dim, tuple(comps))
+    sign^(|alpha|-|beta|) c_beta.  Exact rational components are
+    transformed as integer numerators, one coordinate at a time."""
+    exact = rational_columns(c.components)
+    if exact is None:
+        comps = list(c.components)
+        _butterfly(comps, c.dim, vector_add if sign > 0 else vector_sub)
+        return Cuboid(c.dim, tuple(comps))
+    cols, den, masks = exact
+    full = (1 << len(c.components)) - 1
+    out = []
+    for col, mask in zip(cols, masks):
+        _butterfly(col, c.dim, add if sign > 0 else sub)
+        if mask in (0, full):
+            fractions = mask == full
+        else:
+            fractions = [mask >> i & 1 for i in range(len(col))]
+            _butterfly(fractions, c.dim, or_)
+        out.append(_values(col, den, fractions))
+    return Cuboid(c.dim, tuple(zip(*out)))
 
 
 def delta(c: Cuboid) -> Cuboid:

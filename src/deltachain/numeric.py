@@ -22,6 +22,7 @@ from .cuboid import (
     Cuboid,
     PointedDirections,
     Value,
+    corners,
     delta,
     delta_inv,
     discrete_tangent,
@@ -29,6 +30,7 @@ from .cuboid import (
     pair,
     vector_add,
     vector_sub,
+    vector_sum,
 )
 from .polynomials import (
     PolynomialMap,
@@ -69,7 +71,10 @@ def evaluate_delta(
     all corners base + sum of a subset of directions.
 
     ``alpha`` repeats direction i ``alpha[i]`` times; omitted means once
-    each.  With no directions this is just F(base).
+    each, and an entry that is not a nonnegative ``int`` raises
+    ``ValueError``.  With no directions this is just F(base).  Exact
+    rational corners and values are summed as integer numerators over one
+    common denominator (``cuboid.corners`` and ``cuboid.vector_sum``).
     """
     if alpha is None:
         reps = (1,) * len(directions)
@@ -77,27 +82,14 @@ def evaluate_delta(
         reps = alpha.bits
     else:
         reps = tuple(alpha)
+        if any(not isinstance(r, int) or isinstance(r, bool) or r < 0 for r in reps):
+            raise ValueError("alpha entries must be nonnegative integers")
     if len(reps) != len(directions):
         raise ValueError("alpha length differs from direction count")
-    dirs: list[Value] = []
-    for r, d in zip(reps, directions):
-        dirs.extend([tuple(d)] * r)
+    dirs = [tuple(d) for d, r in zip(directions, reps) for _ in range(r)]
+    values = [tuple(F(c)) for c in corners(tuple(base), dirs)]
     k = len(dirs)
-
-    # corner[m] = base + sum of dirs[i] for the bits i of m, one addition
-    # per corner: drop the lowest bit of m and add its direction back.
-    corners = [tuple(base)]
-    acc = None
-    for mask in range(1 << k):
-        if mask:
-            low = mask & -mask
-            corners.append(vector_add(corners[mask ^ low], dirs[low.bit_length() - 1]))
-        val = tuple(F(corners[mask]))
-        if (k - mask.bit_count()) % 2 == 0:
-            acc = val if acc is None else vector_add(acc, val)
-        else:
-            acc = tuple(-x for x in val) if acc is None else vector_sub(acc, val)
-    return acc
+    return vector_sum(values, [-1 if (k - m.bit_count()) % 2 else 1 for m in range(1 << k)])
 
 
 def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
@@ -137,9 +129,7 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
             elif isinstance(n, Sum):
                 if not n.terms:
                     raise EvaluationError("cannot evaluate an empty sum")
-                value = values[n.terms[0]]
-                for t in n.terms[1:]:
-                    value = vector_add(value, values[t])
+                value = vector_sum([values[t] for t in n.terms])
             else:  # a difference term
                 F = bound(n.func, callable, "a map")
                 value = evaluate_delta(F, values[n.base], [values[d] for d in n.directions], n.alpha)

@@ -6,31 +6,46 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltachain.combinatorics import MultiIndex
+from deltachain import cuboid
 from deltachain.cuboid import (
     Cuboid,
     PointedDirections,
+    corners,
     delta,
     delta_inv,
     discrete_tangent,
     inject,
     pair,
     pointwise,
+    rational_columns,
     split,
     vector_add,
     vector_neg,
     vector_sub,
+    vector_sum,
 )
 from deltachain.numeric import RandomRationalMap, evaluate_delta
-from deltachain.polynomials import Poly
+from deltachain.polynomials import Poly, _Series
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=8
 )
+# Exact rationals as the library meets them: plain ints, integral Fractions
+# and Fractions with negative numerators and non-unit denominators.
+exact_entries = st.one_of(st.integers(-10, 10), rationals)
+
+
+def exact_vectors(space: int):
+    return st.tuples(*[exact_entries] * space)
+
+
+def types(v) -> list[type]:
+    return [type(x) for x in v]
 
 
 def cuboids(dim: int, space: int):
     n_values = (2 ** dim) * space
-    return st.lists(rationals, min_size=n_values, max_size=n_values).map(
+    return st.lists(exact_entries, min_size=n_values, max_size=n_values).map(
         lambda vals: Cuboid.from_flat(dim, space, vals)
     )
 
@@ -52,6 +67,22 @@ def test_vector_dimension_mismatch():
         vector_add((1, 2), (1, 2, 3))
     with pytest.raises(ValueError):
         vector_sub((1,), (1, 2))
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), _Series.epsilon(2)], ids=["exact", "series"])
+def test_sums_report_a_dimension_mismatch_as_vector_add_does(entry):
+    with pytest.raises(ValueError, match="^space dimension mismatch: 2 vs 1$"):
+        vector_sum([(entry, 1), (entry,)])
+    with pytest.raises(ValueError, match="^space dimension mismatch: 2 vs 1$"):
+        corners((entry, 1), [(1, entry), (entry,)])
+
+
+def test_rational_columns_put_every_entry_over_one_denominator():
+    cols, den, masks = rational_columns([(Fraction(1, 2), 3), (Fraction(-2, 3), Fraction(5))])
+    assert (cols, den, masks) == ([[3, -4], [18, 30]], 6, [0b11, 0b10])
+    assert rational_columns([(1, 2), (True, 0)]) is None
+    assert rational_columns([(1, 2), (0.5, 0)]) is None
+    assert rational_columns([(), ()]) is None
 
 
 # -- cuboid container ----------------------------------------------------------
@@ -100,6 +131,11 @@ def test_json_round_trip_preserves_exact_rationals():
     text = c.to_json()
     assert '"1/3"' in text
     assert Cuboid.from_json(text) == c
+    # a 0-dimensional cuboid has one index, the empty one
+    point = Cuboid(0, ((Fraction(-1, 3), 2),))
+    assert [(m.dim, str(m)) for m in point.indices()] == [(0, "")]
+    assert json.loads(point.to_json())["components"] == {"": ["-1/3", "2"]}
+    assert Cuboid.from_json(point.to_json()) == point
 
 
 def _cuboid_obj(**changes):
@@ -208,8 +244,10 @@ def poly_cuboids(dim: int):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda k: cuboids(k, 2)))
 def test_transforms_match_the_submask_sum_definition(c):
-    assert delta(c) == down_set_sums(c, -1)
-    assert delta_inv(c) == down_set_sums(c, 1)
+    """Values and coordinate types both match pairwise + and -."""
+    for got, want in ((delta(c), down_set_sums(c, -1)), (delta_inv(c), down_set_sums(c, 1))):
+        assert got == want
+        assert [types(v) for v in got.components] == [types(v) for v in want.components]
 
 
 @settings(max_examples=15, deadline=None)
@@ -219,25 +257,59 @@ def test_transforms_match_the_definition_on_polynomials(c):
     assert delta_inv(c) == down_set_sums(c, 1)
 
 
-@settings(max_examples=40, deadline=None)
+def type_following_map(p):
+    """A map whose coordinate j is a Fraction exactly when p[j] is one."""
+    return (p[0] * p[0] - p[0], 3 * p[1])
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda a: sum(a) <= 6),
+    st.lists(st.integers(0, 3), max_size=3).filter(lambda a: sum(a) <= 6),
     st.integers(0, 10**6),
+    exact_vectors(2),
+    st.lists(st.one_of(exact_vectors(2), st.just((0, 0)), st.just((Fraction(0), 0))), min_size=3, max_size=3),
 )
-def test_evaluate_delta_with_repeated_directions_matches_the_definition(alpha, seed):
-    f = RandomRationalMap(seed, 2, 2)
-    base = (Fraction(seed % 7), Fraction(-3, 2))
-    directions = [(Fraction(i + 1), Fraction(seed % 5 - i, 3)) for i in range(len(alpha))]
+def test_evaluate_delta_with_repeated_directions_matches_the_definition(alpha, seed, base, directions):
+    """On mixed int/Fraction vectors, zero directions included, the value
+    and its coordinate types match pairwise + and - over the corners."""
+    directions = directions[: len(alpha)]
     dirs = [d for d, r in zip(directions, alpha) for _ in range(r)]
-    want = (Fraction(0), Fraction(0))
-    for subset in product((0, 1), repeat=len(dirs)):
-        pt = base
-        for bit, d in zip(subset, dirs):
-            if bit:
-                pt = vector_add(pt, d)
-        v = f(pt)
-        want = vector_add(want, v) if (len(dirs) - sum(subset)) % 2 == 0 else vector_sub(want, v)
-    assert evaluate_delta(f, base, directions, alpha=alpha) == want
+    for f in (RandomRationalMap(seed, 2, 2), type_following_map):
+        want = None
+        for subset in product((0, 1), repeat=len(dirs)):
+            pt = base
+            for bit, d in zip(subset, dirs):
+                if bit:
+                    pt = vector_add(pt, d)
+            v = f(pt) if (len(dirs) - sum(subset)) % 2 == 0 else vector_neg(f(pt))
+            want = v if want is None else vector_add(want, v)
+        got = evaluate_delta(f, base, directions, alpha=alpha)
+        assert got == want
+        assert types(got) == types(want)
+
+
+def test_series_entries_take_the_generic_path(monkeypatch):
+    eps = _Series.epsilon(3)
+    base, u, v = (Fraction(1, 2), eps), (eps * 2, 1), (1, eps * eps)
+    assert rational_columns([base, u, v]) is None
+    adds = 0
+
+    def counting(a, b):
+        nonlocal adds
+        adds += 1
+        return vector_add(a, b)
+
+    monkeypatch.setattr(cuboid, "vector_add", counting)
+    bu = vector_add(base, u)
+    want = [base, bu, vector_add(base, v), vector_add(bu, v)]
+    assert corners(base, [u, v]) == want
+    assert adds == 3
+    assert vector_sum([base, u, v], [1, -1, 1]) == vector_add(vector_sub(base, u), v)
+    c = Cuboid(1, (base, u))
+    assert delta(c) == down_set_sums(c, -1)
+    assert delta_inv(c) == down_set_sums(c, 1)
+    f = type_following_map
+    assert evaluate_delta(f, base, [u]) == vector_sub(f(vector_add(base, u)), f(base))
 
 
 @given(st.integers(1, 4).flatmap(lambda k: cuboids(k, 2)))

@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltachain import numeric
 from deltachain.combinatorics import MultiIndex, enumerate_partitions
-from deltachain.cuboid import Cuboid
+from deltachain.cuboid import Cuboid, vector_add
 from deltachain.numeric import (
     DEFAULT_EPS_EXPONENTS,
     EvaluationError,
@@ -73,6 +74,13 @@ def test_evaluate_delta_repeats_directions_per_alpha():
         evaluate_delta(square, (Fraction(0),), [u], alpha=(1, 1))
 
 
+@pytest.mark.parametrize("alpha", [(-1, 1), (1.5, 1), ("1", 1), (True, 1)])
+def test_evaluate_delta_rejects_malformed_alpha(alpha):
+    u, v = (Fraction(1),), (Fraction(2),)
+    with pytest.raises(ValueError, match="^alpha entries must be nonnegative integers$"):
+        evaluate_delta(square, (Fraction(3),), [u, v], alpha=alpha)
+
+
 def test_evaluate_delta_accepts_multi_index_alpha():
     u, v = (Fraction(1),), (Fraction(2),)
     assert evaluate_delta(square, (Fraction(3),), [u, v], alpha=mi("01")) == (
@@ -91,6 +99,31 @@ def test_eval_expr_full_pipeline_against_direct_difference():
     got = eval_expr(expr, {"f": f, "g": g, "x": x, "v_1": v1, "v_2": v2})
     want = evaluate_delta(lambda p: f(g(p)), x, [v1, v2])
     assert got == want
+
+
+exact_entries = st.one_of(st.integers(-10, 10), st.fractions(min_value=-10, max_value=10, max_denominator=8))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(exact_entries, exact_entries), min_size=1, max_size=12))
+def test_eval_expr_sums_exact_vectors_like_pairwise_addition(vectors):
+    """Value and coordinate types both match adding the terms pairwise."""
+    names = [f"w_{i}" for i in range(len(vectors))]
+    got = eval_expr(Sum(tuple(VecSym(n) for n in names)), dict(zip(names, vectors)))
+    want = vectors[0]
+    for v in vectors[1:]:
+        want = vector_add(want, v)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@pytest.mark.parametrize("node", ["sum", "delta"])
+def test_eval_expr_reports_a_dimension_mismatch_as_vector_add_does(node):
+    x, w = PointSym("x"), VecSym("w")
+    expr = Sum((x, w)) if node == "sum" else DeltaTerm((1,), (w,), "f", x)
+    bindings = {"f": lambda p: p, "x": (Fraction(1, 2), 2), "w": (Fraction(1, 3),)}
+    with pytest.raises(EvaluationError, match="^space dimension mismatch: 2 vs 1$"):
+        eval_expr(expr, bindings)
 
 
 def test_eval_expr_reports_unbound_names():
