@@ -8,12 +8,12 @@ validated against the structural conditions they must satisfy.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
-from .combinatorics import MultiIndex, Partition, enumerate_partitions, refine
+from .combinatorics import MultiIndex, Partition, enumerate_partitions, mask_rank, refine
 
 #: condition names used in validation reports, in check order
 CONDITIONS = ("disjoint", "anchored", "base-extras", "block-extras", "order-increase")
@@ -86,12 +86,13 @@ def _ones_families(dim: int) -> tuple[tuple[Partition, tuple[tuple[int, ...], ..
     # 0-lift of a set is the set itself and its 1-lift sets the top bit.  A
     # union is sorted again by the MultiIndex order (order, digit string).
     top = 1 << (dim - 1)
+    rank = mask_rank(dim).__getitem__
 
     def lift(s: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(m | top for m in s)
 
     def union(*groups: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted(set().union(*groups), key=lambda m: (m.bit_count(), format(m, f"0{dim}b")[::-1])))
+        return tuple(sorted(set().union(*groups), key=rank))
 
     out = []
     for parent, (base, *block_sets) in _ones_families(dim - 1):
@@ -121,19 +122,27 @@ def build_asets(alpha: MultiIndex) -> dict[Partition, ASetFamily]:
     if alpha.order == 0:
         return {table[0]: ASetFamily(table[0], {alpha: (alpha,)})}
 
-    positions = alpha.support
-    placed = [MultiIndex(alpha.order, m).embed(positions, alpha.dim) for m in range(1 << alpha.order)]
+    # placed[c] is the index below alpha whose digits on the support are
+    # those of c: the down-set is sorted by the rank of c (see down_set).
+    down = alpha.down_set()
+    placed = [down[r] for r in mask_rank(alpha.order)]
+    # Each lineage family is matched to its table partition by block masks;
+    # embedding keeps the blocks' order, so the keys line up with its sets.
+    lineage = {
+        tuple(placed[b.mask].mask for b in small.blocks): mask_sets
+        for small, mask_sets in _ones_families(alpha.order)
+    }
     built: dict[Partition, ASetFamily] = {}
-    for small_partition, mask_sets in _ones_families(alpha.order):
-        partition = Partition(alpha, tuple(placed[b.mask] for b in small_partition.blocks))
-        # embedding keeps the blocks' order, so the keys line up with mask_sets
+    for partition in table:
+        mask_sets = lineage.pop(tuple(b.mask for b in partition.blocks), None)
+        if mask_sets is None:
+            raise AssertionError("refinement lineage disagrees with partition enumeration")
         keys = (placed[0],) + partition.blocks
-        sets = {k: tuple(placed[m] for m in ms) for k, ms in zip(keys, mask_sets)}
+        sets = {k: tuple(map(placed.__getitem__, ms)) for k, ms in zip(keys, mask_sets)}
         built[partition] = ASetFamily(partition, sets)
-
-    if set(built) != set(table):
+    if lineage:
         raise AssertionError("refinement lineage disagrees with partition enumeration")
-    return {p: built[p] for p in table}
+    return built
 
 
 def validate(family: ASetFamily) -> FamilyValidation:
@@ -149,64 +158,110 @@ def validate(family: ASetFamily) -> FamilyValidation:
                     order <= maxord
     order-increase  members of a key's set other than the key itself have
                     order strictly greater than the key
+
+    A key without a set, or a member that is not a ``MultiIndex`` of the
+    target's dimension, raises ``ValueError``.
     """
     p = family.partition
-    alpha = p.target
-    zero = family.zero
-    mo = p.maxord
+    dim, target, mo = p.target.dim, p.target.mask, p.maxord
+    keys = family.keys()
+    sets = []
+    for k in keys:
+        try:
+            s = family.sets[k]
+        except KeyError:
+            raise ValueError(f"the family has no set for key {k}") from None
+        masks = [m.mask for m in s if isinstance(m, MultiIndex) and m.dim == dim]
+        if len(masks) != len(s):
+            for m in s:
+                if not isinstance(m, MultiIndex):
+                    raise ValueError(f"the set of key {k} holds {m!r}, which is not a MultiIndex")
+                if m.dim != dim:
+                    raise ValueError(f"dimension mismatch: {m.dim} vs {dim}")
+        sets.append((k, k.mask, s, masks))
+    outside = ~target
 
-    counts: Counter[MultiIndex] = Counter()
-    for k in family.keys():
-        counts.update(family.sets[k])
-    dup = sorted(str(m) for m, c in counts.items() if c > 1)
-    c_disjoint = ConditionReport("disjoint", not dup, tuple(dup))
+    members = [m for _, _, _, masks in sets for m in masks]
+    bad_disjoint = []
+    if len(set(members)) < len(members):
+        bad_disjoint = sorted(str(MultiIndex(dim, m)) for m, c in Counter(members).items() if c > 1)
 
     bad_anchor = []
-    for k in family.keys():
-        s = family.sets[k]
-        if k not in s:
+    for k, km, s, masks in sets:
+        if km not in masks:
             bad_anchor.append(f"{k} missing from its own set")
-        for m in s:
-            if not m <= alpha:
-                bad_anchor.append(f"{k}:{m} not below target")
-    c_anchor = ConditionReport("anchored", not bad_anchor, tuple(bad_anchor))
+        bad_anchor += [f"{k}:{m} not below target" for m, mask in zip(s, masks) if mask & outside]
 
-    bad_base = []
-    for m in family.base_set:
-        if m == zero:
-            continue
-        if not (zero < m < alpha) or m.order >= mo:
-            bad_base.append(str(m))
-    c_base = ConditionReport("base-extras", not bad_base, tuple(bad_base))
+    # "Strictly below the target" and "other than the block itself" need no
+    # test of their own: the target's order is at least maxord, and above it
+    # unless the target is the only block; a block lies between itself and
+    # the target, with order <= maxord.
+    _, _, base, masks = sets[0]
+    bad_base = [str(m) for m, mask in zip(base, masks) if mask and (mask & outside or mask.bit_count() >= mo)]
 
     bad_block = []
-    for b in p.blocks:
-        for m in family.block_set(b):
-            if m == b:
-                continue
-            if not (b < m < alpha) or m.order > mo:
-                bad_block.append(f"{b}:{m}")
-    c_block = ConditionReport("block-extras", not bad_block, tuple(bad_block))
+    for b, bm, s, masks in sets[1:]:
+        prefix = f"{b}:"
+        bad_block += [
+            prefix + str(m) for m, mask in zip(s, masks) if bm & ~mask or mask & outside or mask.bit_count() > mo
+        ]
 
     bad_order = []
-    for k in family.keys():
-        for m in family.sets[k]:
-            if m != k and m.order <= k.order:
-                bad_order.append(f"{k}:{m}")
-    c_order = ConditionReport("order-increase", not bad_order, tuple(bad_order))
+    for k, km, s, masks in sets:
+        order = km.bit_count()
+        bad_order += [f"{k}:{m}" for m, mask in zip(s, masks) if mask != km and mask.bit_count() <= order]
 
-    conditions = (c_disjoint, c_anchor, c_base, c_block, c_order)
+    conditions = tuple(
+        ConditionReport(name, not bad, tuple(bad))
+        for name, bad in zip(CONDITIONS, (bad_disjoint, bad_anchor, bad_base, bad_block, bad_order))
+    )
     return FamilyValidation(all(c.ok for c in conditions), conditions)
 
 
+def _json_object(fields: Iterable[tuple[str, str]], depth: int) -> str:
+    # An object whose closing brace sits at ``depth``, laid out as
+    # json.dumps(..., indent=2, sort_keys=True) lays it out; ``fields`` are
+    # (key, rendered value) pairs in sorted key order, copied by one join.
+    pad = "\n" + "  " * (depth + 1)
+    parts = ["{"]
+    for k, v in fields:
+        parts += (pad, f'"{k}": ', v, ",")
+    parts[-1] = "\n" + "  " * depth + "}"
+    return "".join(parts)
+
+
+def _json_array(items: list[str], depth: int) -> str:
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "".join(("[", pad, ("," + pad).join(items), "\n", "  " * depth, "]"))
+
+
 def asets_to_json(alpha: MultiIndex, include_validation: bool = False) -> str:
-    """JSON dump of every family for ``alpha``, with validation status."""
+    """JSON dump of every family for ``alpha``, with validation status.
+
+    Byte-identical to ``json.dumps(rows, indent=2, sort_keys=True)`` of the
+    rows ``ASetFamily.to_obj`` and ``FamilyValidation.to_obj`` describe,
+    written without building them.
+    """
+    # every member lies below alpha: one quoted digit string per mask
+    names = {m.mask: f'"{m}"' for m in alpha.down_set()}
+    boolean = {True: "true", False: "false"}
     rows = []
     for fam in build_asets(alpha).values():
-        row = fam.to_obj()
         report = validate(fam)
-        row["valid"] = report.ok
+        fields = []
         if include_validation:
-            row["conditions"] = report.to_obj()["conditions"]
-        rows.append(row)
-    return json.dumps(rows, indent=2, sort_keys=True)
+            conditions = [
+                (c.name, _json_object(
+                    (("offenders", _json_array([f'"{o}"' for o in c.offenders], 4)), ("ok", boolean[c.ok])), 3
+                ))
+                for c in sorted(report.conditions, key=lambda c: c.name)
+            ]
+            fields.append(("conditions", _json_object(conditions, 2)))
+        fields.append(("partition", _json_array([names[b.mask] for b in fam.partition.blocks], 2)))
+        sets = sorted((str(k), _json_array([names[m.mask] for m in fam.sets[k]], 3)) for k in fam.keys())
+        fields.append(("sets", _json_object(sets, 2)))
+        fields.append(("valid", boolean[report.ok]))
+        rows.append(_json_object(fields, 1))
+    return _json_array(rows, 0)

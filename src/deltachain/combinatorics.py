@@ -120,15 +120,14 @@ class MultiIndex:
 
     def down_set(self) -> tuple["MultiIndex", ...]:
         """All multi-indices below self, sorted by ``sort_key``."""
-        out = []
-        sub = self.mask
-        while True:
-            out.append(MultiIndex(self.dim, sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & self.mask
-        out.sort(key=lambda m: m.sort_key)
-        return tuple(out)
+        # placed[c] spreads the digits of c over the support.  That keeps
+        # both the order and the digit-string order, so the rank of c among
+        # the indices of dimension ``order`` sorts the placed masks.
+        placed = [0]
+        for p in self.support:
+            placed += [m | 1 << p for m in placed]
+        rank = mask_rank(self.order)
+        return tuple(MultiIndex(self.dim, placed[c]) for c in sorted(range(len(placed)), key=rank.__getitem__))
 
     def restrict(self, positions: Sequence[int]) -> "MultiIndex":
         """Project onto the given positions; support must lie inside them."""
@@ -194,6 +193,23 @@ class Partition:
     @property
     def sort_key(self):
         return (self.size, tuple(str(b) for b in self.blocks))
+
+
+@lru_cache(maxsize=None)
+def mask_rank(dim: int) -> tuple[int, ...]:
+    """``rank[m]`` is the position of ``MultiIndex(dim, m)`` among the
+    indices of dimension ``dim`` sorted by ``sort_key``.
+
+    >>> mask_rank(2)  # masks 0, 1, 2, 3 are 00, 10, 01, 11
+    (0, 2, 1, 3)
+    """
+    if dim == 0:
+        return (0,)
+    ordered = sorted(range(1 << dim), key=lambda m: MultiIndex(dim, m).sort_key)
+    rank = [0] * len(ordered)
+    for position, m in enumerate(ordered):
+        rank[m] = position
+    return tuple(rank)
 
 
 def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:

@@ -23,9 +23,9 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, count
-from typing import Callable, Iterable, Union, get_args
+from typing import Callable, Union, get_args
 
-from .asets import build_asets
+from .asets import _json_array, _json_object, build_asets
 from .combinatorics import MultiIndex, enumerate_partitions
 
 # Every live node, keyed by its class and field values.  The table is weak:
@@ -283,18 +283,20 @@ def expand_tangent(alpha: MultiIndex, func: str = "f", cuboid: str = "u") -> Exp
     """Component ``alpha`` of the conjugated pointwise map, as one difference
     term per partition of ``alpha`` with directions and base point given by
     the per-partition index-set families."""
-    # One ComponentSym per index below alpha, keyed by mask, rather than one
-    # construction per member of every family set.
-    components: dict[int, Expr] = {}
+    # One ComponentSym per index below alpha, and one Sum per distinct set:
+    # about half the sets of the families repeat.  A set's tuple of
+    # components is its memo key and, on a miss, the new Sum's terms.
+    components = {m.mask: ComponentSym(cuboid, m) for m in alpha.down_set()}
+    sums: dict[tuple[Expr, ...], Expr] = {}
 
-    def sum_of_components(indices: Iterable[MultiIndex]) -> Expr:
-        parts = []
-        for m in indices:
-            c = components.get(m.mask)
-            if c is None:
-                c = components[m.mask] = ComponentSym(cuboid, m)
-            parts.append(c)
-        return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+    def sum_of_components(indices: tuple[MultiIndex, ...]) -> Expr:
+        if len(indices) == 1:
+            return components[indices[0].mask]
+        parts = tuple([components[m.mask] for m in indices])
+        e = sums.get(parts)
+        if e is None:
+            e = sums[parts] = Sum(parts)
+        return e
 
     terms = []
     for partition, fam in build_asets(alpha).items():
@@ -358,25 +360,6 @@ def _component_subscript(index: MultiIndex) -> str:
     if len(positions) == 1:
         return positions[0]
     return "{" + ",".join(positions) + "}"
-
-
-def _json_object(fields: Iterable[tuple[str, str]], depth: int) -> str:
-    # An object whose closing brace sits at ``depth``, laid out as
-    # json.dumps(..., indent=2, sort_keys=True) lays it out; ``fields`` are
-    # (key, rendered value) pairs in sorted key order, copied by one join.
-    pad = "\n" + "  " * (depth + 1)
-    parts = ["{"]
-    for k, v in fields:
-        parts += (pad, f'"{k}": ', v, ",")
-    parts[-1] = "\n" + "  " * depth + "}"
-    return "".join(parts)
-
-
-def _json_array(items: list[str], depth: int) -> str:
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "".join(("[", pad, ("," + pad).join(items), "\n", "  " * depth, "]"))
 
 
 def _json(e: Expr) -> str:

@@ -1,8 +1,17 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deltachain.asets import ASetFamily, asets_to_json, build_asets, validate
+from deltachain.asets import (
+    ASetFamily,
+    ConditionReport,
+    FamilyValidation,
+    asets_to_json,
+    build_asets,
+    validate,
+)
 from deltachain.combinatorics import (
     MultiIndex,
     Partition,
@@ -126,6 +135,113 @@ def test_validation_catches_an_order_decrease():
     assert not by_name["order-increase"].ok
 
 
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ({}, "no set for key 00"),
+        ({mi("00"): (mi("00"),), mi("11"): (mi("11"), "00")}, "holds '00', which is not a MultiIndex"),
+        ({mi("00"): (mi("00"),), mi("11"): (mi("11"), mi("011"))}, "dimension mismatch: 3 vs 2"),
+    ],
+)
+def test_validation_rejects_malformed_families(sets, message):
+    fam = ASetFamily(family_for("11", ("11",)).partition, sets)
+    with pytest.raises(ValueError, match=message):
+        validate(fam)
+
+
+def reference_validate(family: ASetFamily) -> FamilyValidation:
+    """The conditions checked one MultiIndex at a time, as the definitions
+    in ``validate``'s docstring read."""
+    p = family.partition
+    alpha = p.target
+    zero = family.zero
+    mo = p.maxord
+
+    counts: Counter[MultiIndex] = Counter()
+    for k in family.keys():
+        counts.update(family.sets[k])
+    dup = sorted(str(m) for m, c in counts.items() if c > 1)
+    c_disjoint = ConditionReport("disjoint", not dup, tuple(dup))
+
+    bad_anchor = []
+    for k in family.keys():
+        s = family.sets[k]
+        if k not in s:
+            bad_anchor.append(f"{k} missing from its own set")
+        for m in s:
+            if not m <= alpha:
+                bad_anchor.append(f"{k}:{m} not below target")
+    c_anchor = ConditionReport("anchored", not bad_anchor, tuple(bad_anchor))
+
+    bad_base = []
+    for m in family.base_set:
+        if m == zero:
+            continue
+        if not (zero < m < alpha) or m.order >= mo:
+            bad_base.append(str(m))
+    c_base = ConditionReport("base-extras", not bad_base, tuple(bad_base))
+
+    bad_block = []
+    for b in p.blocks:
+        for m in family.block_set(b):
+            if m == b:
+                continue
+            if not (b < m < alpha) or m.order > mo:
+                bad_block.append(f"{b}:{m}")
+    c_block = ConditionReport("block-extras", not bad_block, tuple(bad_block))
+
+    bad_order = []
+    for k in family.keys():
+        for m in family.sets[k]:
+            if m != k and m.order <= k.order:
+                bad_order.append(f"{k}:{m}")
+    c_order = ConditionReport("order-increase", not bad_order, tuple(bad_order))
+
+    conditions = (c_disjoint, c_anchor, c_base, c_block, c_order)
+    return FamilyValidation(all(c.ok for c in conditions), conditions)
+
+
+SMALL_TARGETS = [MultiIndex(d, m) for d in range(1, 6) for m in range(1 << d)]
+PERTURBATIONS = ("drop", "duplicate", "target", "lower", "unanchor", "any")
+
+
+@st.composite
+def perturbed_families(draw) -> ASetFamily:
+    """A built family with up to four members dropped or injected: a member
+    of another set, the target, a member of order at most the key's, any
+    index of the dimension, or the key itself removed."""
+    alpha = draw(st.sampled_from(SMALL_TARGETS))
+    fam = draw(st.sampled_from(list(build_asets(alpha).values())))
+    keys = fam.keys()
+    sets = {k: list(fam.sets[k]) for k in keys}
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(PERTURBATIONS))
+        k = draw(st.sampled_from(keys))
+        s = sets[k]
+        if kind == "drop" or kind == "unanchor":
+            doomed = [m for m in s if kind == "drop" or m == k]
+            if doomed:
+                s.remove(draw(st.sampled_from(doomed)))
+            continue
+        if kind == "duplicate":
+            pool = [m for other in keys if other != k for m in sets[other]]
+        elif kind == "target":
+            pool = [alpha]
+        elif kind == "lower":
+            pool = [m for m in alpha.down_set() if m.order <= k.order]
+        else:
+            pool = [MultiIndex(alpha.dim, m) for m in range(1 << alpha.dim)]
+        if pool:
+            s.insert(draw(st.integers(0, len(s))), draw(st.sampled_from(pool)))
+    return ASetFamily(fam.partition, {k: tuple(s) for k, s in sets.items()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_families())
+def test_mask_validation_matches_the_multiindex_reference(fam):
+    assert validate(fam) == reference_validate(fam)
+
+
 def test_structural_conditions_hold_everywhere_small():
     """Disjointness, anchoring, and order increase hold for every family
     up to order six; the two order-bound conditions do not (see below)."""
@@ -197,3 +313,27 @@ def test_json_dump_with_validation_details():
         assert set(bad) <= {"base-extras", "block-extras"}
         for name in bad:
             assert r["conditions"][name]["offenders"]
+
+
+def reference_json(alpha: MultiIndex) -> dict[bool, str]:
+    """json.dumps of the row objects, without and with validation details."""
+    rows, detailed = [], []
+    for fam in build_asets(alpha).values():
+        report = validate(fam)
+        row = {**fam.to_obj(), "valid": report.ok}
+        rows.append(row)
+        detailed.append({**row, "conditions": report.to_obj()["conditions"]})
+    return {v: json.dumps(r, indent=2, sort_keys=True) for v, r in ((False, rows), (True, detailed))}
+
+
+# every target of dimension 1 to 7, and the all-ones target of dimension 8
+WRITER_TARGETS = {f"dim {d}": [MultiIndex(d, m) for m in range(1 << d)] for d in range(1, 8)}
+WRITER_TARGETS["11111111"] = [MultiIndex.ones(8)]
+
+
+@pytest.mark.parametrize("alphas", WRITER_TARGETS.values(), ids=WRITER_TARGETS.keys())
+def test_json_writer_matches_json_dumps(alphas):
+    for alpha in alphas:
+        want = reference_json(alpha)
+        for include_validation in (False, True):
+            assert asets_to_json(alpha, include_validation) == want[include_validation]

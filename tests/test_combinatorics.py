@@ -6,6 +6,7 @@ from deltachain.combinatorics import (
     Partition,
     bell_number,
     enumerate_partitions,
+    mask_rank,
     refine,
 )
 
@@ -127,6 +128,14 @@ def test_down_set_is_the_full_interval(bits):
     assert all(b <= a for b in down)
     assert down[0] == MultiIndex.zero(a.dim)
     assert down[-1] == a
+    assert list(down) == sorted(down, key=lambda m: m.sort_key)
+
+
+def test_mask_rank_is_the_position_in_sort_key_order():
+    assert mask_rank(0) == (0,)
+    for dim in range(1, 9):
+        ordered = sorted((MultiIndex(dim, m) for m in range(1 << dim)), key=lambda a: a.sort_key)
+        assert mask_rank(dim) == tuple(ordered.index(MultiIndex(dim, m)) for m in range(1 << dim))
 
 
 def test_restrict_embed_round_trip():
