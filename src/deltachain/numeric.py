@@ -1,8 +1,10 @@
 """Exact evaluation of difference expressions and the verification suites.
 
-Everything here computes in rational arithmetic.  Every verdict is exact;
-the only floating-point step is the slope fit that the remainder-scaling
-check reports alongside its exact ε-valuation verdict.
+Everything here computes in rational arithmetic, and every verdict is exact.
+The scaling check evaluates its remainder once, in ε-series of order above
+deg f · deg g, so exactly: that one polynomial gives the verdict and the grid
+norms, and their slope fit is the only float step.  The main-term identity
+check truncates mod ε^(|α|+1), which is exact below that order.
 """
 
 from __future__ import annotations
@@ -437,6 +439,7 @@ class ScalingResult:
     slope: float | None
     degenerate: bool
     norms: tuple[Fraction, ...]
+    valuation: int | None = None
 
 
 def _main_term_split(
@@ -449,15 +452,6 @@ def _main_term_split(
     return evaluate_delta(lambda p: f(g(p)), x, dirs, alpha), eval_expr(main_part(alpha), bindings)
 
 
-def remainder_valuation(
-    f: PolynomialMap, g: PolynomialMap, x: Value, ws: Sequence[Value], alpha: MultiIndex
-) -> int | None:
-    """The exact ε-valuation of the remainder at directions ε·w, or ``None``
-    when it is at least |alpha| + 1 (computed mod ε^(|alpha|+1))."""
-    eps = _Series.epsilon(alpha.order + 1)
-    return series_valuation(*_main_term_split(f, g, x, [tuple(eps * c for c in w) for w in ws], alpha))
-
-
 def scaling_slope(
     f: PolynomialMap,
     g: PolynomialMap,
@@ -466,32 +460,36 @@ def scaling_slope(
     alpha: MultiIndex,
     eps_exponents: Sequence[int] = DEFAULT_EPS_EXPONENTS,
 ) -> ScalingResult:
-    """Fit the log-log slope of the remainder after subtracting the
-    leading-order truncation, over directions scaled by 2**-j.
-
-    The fit uses the finest three grid points: coarse scales still carry
-    next-order correction terms that bias the slope, while the tail sits in
-    the asymptotic regime.  A grid of fewer than two points raises
-    ``ValueError``.  The result is degenerate when every norm is zero; the
-    slope is ``None`` when it is degenerate or fewer than two norms are
-    nonzero.
+    """The remainder left after the leading-order truncation at directions
+    ε·w, evaluated once in ε-series of order deg f · deg g + 1: exact, as
+    both sides have degree at most deg f · deg g in ε.  ``valuation`` is its
+    lowest nonzero degree when below |alpha| + 1, else ``None``; ``norms``
+    are max_i |R_i(2**-j)| over the grid, by Horner's rule, and ``slope``
+    their log-log fit on the finest three points (coarse scales still carry
+    next-order corrections).  A grid of fewer than two points, or an
+    exponent not a nonnegative ``int``, raises ``ValueError``.  The result
+    is degenerate when every norm is zero; ``slope`` is ``None`` then or
+    when fewer than two norms are nonzero.
     """
+    if any(not isinstance(j, int) or isinstance(j, bool) or j < 0 for j in eps_exponents):
+        raise ValueError(f"grid exponents must be nonnegative integers, got {list(eps_exponents)}")
     if len(set(eps_exponents)) < 2:
         raise ValueError(f"a slope needs at least two grid points, got {sorted(set(eps_exponents))}")
-    pts = []
-    norms = []
+    df, dg = (max(0, max((p.degree for p in m.components), default=0)) for m in (f, g))
+    eps = _Series.epsilon(df * dg + 1)
+    lhs, rhs = _main_term_split(f, g, x, [tuple(eps * c for c in w) for w in ws], alpha)
+    v = series_valuation(lhs, rhs)
+    valuation = v if v is not None and v <= alpha.order else None
+    rem = [d.coeffs if isinstance(d, _Series) else (d,) for d in vector_sub(lhs, rhs)]
+    pts, norms = [], []
     for j in sorted(eps_exponents):
-        eps = Fraction(1, 2**j)
-        r = vector_sub(*_main_term_split(f, g, x, [tuple(eps * c for c in w) for w in ws], alpha))
-        norm = max(abs(c) for c in r)
+        e = Fraction(1, 2**j)
+        norm = max(abs(functools.reduce(lambda acc, c: acc * e + c, reversed(cs), 0)) for cs in rem)
         norms.append(norm)
         if norm:
-            pts.append((math.log(float(eps)), math.log(float(norm))))
-    if len(pts) < 2:
-        return ScalingResult(None, not pts, tuple(norms))
-    tail = pts[-3:]
-    fit = statistics.linear_regression([p[0] for p in tail], [p[1] for p in tail])
-    return ScalingResult(fit.slope, False, tuple(norms))
+            pts.append((math.log(float(e)), math.log(float(norm))))
+    slope = statistics.linear_regression(*zip(*pts[-3:])).slope if len(pts) > 1 else None
+    return ScalingResult(slope, not pts, tuple(norms), valuation)
 
 
 def scaling_trial(s: int, alpha: MultiIndex) -> tuple[PolynomialMap, PolynomialMap, Value, list[Value]]:
@@ -512,13 +510,13 @@ def verify_scaling(
 ) -> VerificationReport:
     """Check that the remainder shrinks at least like the next order.
 
-    The verdict is exact: a trial fails when the remainder's ε-valuation at
-    directions ε·w is below |alpha| + 1.  The slope fitted over the grid is
-    only reported, next to the threshold |alpha| + 1 - 0.2 it is expected
-    to clear; a remainder zero at every grid point is reported as
-    degenerate, and one nonzero at a single point as having no slope.  A
-    grid of fewer than two points raises ``ValueError`` (from
-    ``scaling_slope``).
+    Each trial makes one ``scaling_slope`` call: one exact ε-series
+    evaluation of the remainder gives both the verdict and the grid norms.
+    A trial fails when the remainder's ε-valuation at directions ε·w is
+    below |alpha| + 1.  The fitted slope is only reported, next to the
+    threshold |alpha| + 1 - 0.2 it is expected to clear; a remainder zero
+    at every grid point is reported as degenerate, and one nonzero at a
+    single point as having no slope.  A bad grid raises ``ValueError``.
     """
     threshold = alpha.order + 1 - 0.2
     failures = []
@@ -527,9 +525,8 @@ def verify_scaling(
         s = derive_seed(seed, "scaling", str(alpha), t)
         f, g, x, ws = scaling_trial(s, alpha)
         result = scaling_slope(f, g, x, ws, alpha, eps_exponents)
-        v = remainder_valuation(f, g, x, ws, alpha)
-        if v is not None:
-            failures.append(Failure(s, str(alpha), f"remainder valuation {v} below {alpha.order + 1}"))
+        if result.valuation is not None:
+            failures.append(Failure(s, str(alpha), f"remainder valuation {result.valuation} below {alpha.order + 1}"))
         if result.degenerate:
             notes.append(f"trial {t}: degenerate (remainder identically zero)")
         elif result.slope is None:
@@ -625,6 +622,8 @@ def run_suite(
     eps_exponents: Sequence[int] = DEFAULT_EPS_EXPONENTS,
 ) -> list[VerificationReport]:
     """Run one named verification suite (or all of them) and return reports."""
+    if any(n is not None and (type(n) is not int or n < 1) for n in (trials, kmax)):
+        raise ValueError(f"trials and kmax must be None or an int >= 1, got {trials!r} and {kmax!r}")
     if name == "theorem-b":
         return verify_chain_expansion(seed, trials or 50, kmax or 5)
     if name == "eq9":

@@ -2,35 +2,40 @@
 and a sweep that compares them with the library's verdicts.
 
 Both checks ask whether the remainder left after the main part is
-O(ε^(|α|+1)).  The library answers in series truncated mod ε^(|α|+1).  The
-references here answer in untruncated ``Poly``s in ε, and, for ``scaling``,
-also give the float slope verdict that the exact one replaced.
+O(ε^(|α|+1)).  The library's main-term check answers in series truncated
+mod ε^(|α|+1); its ``scaling`` check answers from one series of order
+deg f · deg g + 1, which also gives its grid norms.  The references here
+answer in untruncated ``Poly``s in ε, give the grid norms one exact
+rational evaluation per grid point, and, for ``scaling``, also give the
+float slope verdict that the exact one replaced.
 
 Run the full sweep (criterion 6's 1000 main-term trials, then scaling
 seeds 0..N-1 and the seeds 280623061 and 124551739 at alphas 11 and 111,
-three trials each):
+three trials each, grid norms included):
 
     PYTHONPATH=src python tests/remainder_verdicts.py [N]
 
 It prints the counts and exits 1 on any trial where a library verdict
-differs from the untruncated one.
+differs from the untruncated one, or its grid norms from the per-point ones.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
 import sys
 from fractions import Fraction
 
 from deltachain.combinatorics import MultiIndex, enumerate_partitions
 from deltachain.cuboid import Cuboid, discrete_tangent, vector_add, vector_sub
 from deltachain.numeric import (
+    DEFAULT_EPS_EXPONENTS,
     _check_main_term_remainder_order,
     _main_term_split,
     derive_seed,
     evaluate_delta,
     random_rational_vector,
-    remainder_valuation,
     scaling_slope,
     scaling_trial,
 )
@@ -88,27 +93,46 @@ def full_remainder_valuation(f, g, x, ws, alpha: MultiIndex) -> int | None:
     return poly_valuation(vector_sub(*_main_term_split(f, g, x, dirs, alpha)))
 
 
-def slope_verdict_fails(f, g, x, ws, alpha: MultiIndex) -> bool:
-    """The float verdict ``scaling`` used before: no slope, or a slope below
-    |alpha| + 1 - 0.2, failed; a remainder zero at every scale passed."""
-    result = scaling_slope(f, g, x, ws, alpha)
-    if result.degenerate:
+def grid_norms_reference(f, g, x, ws, alpha: MultiIndex, grid) -> tuple:
+    """The remainder norms max_i |R_i(2^-j)|, one exact rational evaluation
+    of the remainder per grid point j."""
+    norms = []
+    for j in sorted(grid):
+        eps = Fraction(1, 2**j)
+        r = vector_sub(*_main_term_split(f, g, x, [tuple(eps * c for c in w) for w in ws], alpha))
+        norms.append(max(abs(c) for c in r))
+    return tuple(norms)
+
+
+def slope_verdict_fails(norms: tuple, alpha: MultiIndex) -> bool:
+    """The float verdict ``scaling`` used before, on the default grid's
+    norms: no slope, or a slope below |alpha| + 1 - 0.2 (fitted on the
+    finest three nonzero norms), failed; a remainder zero at every scale
+    passed."""
+    grid = sorted(DEFAULT_EPS_EXPONENTS)
+    pts = [(math.log(2.0**-j), math.log(float(n))) for j, n in zip(grid, norms) if n]
+    if not pts:
         return False
-    return result.slope is None or result.slope < alpha.order + 1 - 0.2
+    if len(pts) < 2:
+        return True
+    return statistics.linear_regression(*zip(*pts[-3:])).slope < alpha.order + 1 - 0.2
 
 
 def scaling_side_by_side(seed: int, alpha: MultiIndex, t: int) -> dict:
     s = derive_seed(seed, "scaling", str(alpha), t)
     f, g, x, ws = scaling_trial(s, alpha)
     full = full_remainder_valuation(f, g, x, ws, alpha)
+    result = scaling_slope(f, g, x, ws, alpha)
+    norms = grid_norms_reference(f, g, x, ws, alpha, DEFAULT_EPS_EXPONENTS)
     return {
         "seed": seed,
         "alpha": str(alpha),
         "trial": t,
-        "truncated": remainder_valuation(f, g, x, ws, alpha),
+        "valuation": result.valuation,
         "full": full,
         "expected": full if full is not None and full < alpha.order + 1 else None,
-        "slope_fails": slope_verdict_fails(f, g, x, ws, alpha),
+        "norms_match": result.norms == norms,
+        "slope_fails": slope_verdict_fails(norms, alpha),
     }
 
 
@@ -129,16 +153,18 @@ def main(argv: list[str]) -> int:
         for a in ("11", "111")
         for t in range(3)
     ]
-    wrong = [r for r in rows if r["truncated"] != r["expected"]]
-    exact_fails = [r for r in rows if r["truncated"] is not None]
-    slope_only = [r for r in rows if r["slope_fails"] and r["truncated"] is None]
+    wrong = [r for r in rows if r["valuation"] != r["expected"]]
+    norms_wrong = [r for r in rows if not r["norms_match"]]
+    exact_fails = [r for r in rows if r["valuation"] is not None]
+    slope_only = [r for r in rows if r["slope_fails"] and r["valuation"] is None]
     print(
         f"scaling: {len(rows)} trials, {len(exact_fails)} failing by valuation, "
-        f"{len(slope_only)} failing by slope only, {len(wrong)} truncated valuations differ"
+        f"{len(slope_only)} failing by slope only, {len(wrong)} valuations differ, "
+        f"{len(norms_wrong)} norm tuples differ"
     )
     for r in slope_only:
         print(f"  slope-only failure: {r}")
-    return 1 if differing or wrong else 0
+    return 1 if differing or wrong or norms_wrong else 0
 
 
 if __name__ == "__main__":

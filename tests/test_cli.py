@@ -69,6 +69,10 @@ def test_output_flag_writes_the_same_bytes(tmp_path, capsys):
         (["asets", "--alpha", "1101110", "--validate"], "b2d7b5135c8b393d83dd926655d9d997ad672883ccbf4409292d5972fc2f85bb"),
         (["chain", "--order", "6", "--format", "json"], "0255230f665e980a64e6b5b7e410dd698e8b40b90b9241b64283daa37993f7ac"),
         (["expand", "--alpha", "10111010", "--format", "text"], "b152a1321aa42e6d5a860f1cd959ba7f84afc8b8683cf9e3070887411e7f7276"),
+        (["verify", "--suite", "scaling", "--seed", "280623061", "--trials", "3"], "2ee96e06d10b5579a788f6392e894c6b23b3de93eb61f24a0ad3d870546382fd"),
+        (["verify", "--suite", "scaling", "--seed", "124551739", "--trials", "3"], "2dd093e6284c499bbefeb45764d1cd819b891e0fe4c124c387c36d50a39f8335"),
+        (["verify", "--suite", "scaling", "--alpha", "1111", "--seed", "7", "--trials", "1"], "3654c716a36bc8cb6ceceb18575f624e909480f4c827fc7b946d2d028e3ecac8"),
+        (["verify", "--suite", "all", "--trials", "1"], "053271ca33207fa0315be8c29bda4d1fb186a805a4aee9184da332a563b92e93"),
     ],
 )
 def test_outputs_match_recorded_digests(argv, digest, capsys):

@@ -347,16 +347,17 @@ def test_scaling_slope_flags_degenerate_remainders():
     assert result.slope is None
 
 
-@pytest.mark.parametrize("grid", [(), (1,), (4, 4)])
-def test_scaling_rejects_a_grid_of_fewer_than_two_points(grid):
+@pytest.mark.parametrize("grid", [(), (1,), (4, 4), (-1, 2), (1.5, 3)])
+def test_scaling_rejects_a_short_grid_or_a_bad_exponent(grid):
     rng = random.Random(23)
     f = random_polynomial_map(rng, 2, 2, degree=3, dense=True)
     g = random_polynomial_map(rng, 2, 2, degree=3, dense=True)
     x = (Fraction(1), Fraction(0))
     ws = [(Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))]
-    with pytest.raises(ValueError, match="at least two grid points"):
+    match = "at least two grid points|must be nonnegative integers"
+    with pytest.raises(ValueError, match=match):
         scaling_slope(f, g, x, ws, mi("11"), grid)
-    with pytest.raises(ValueError, match="at least two grid points"):
+    with pytest.raises(ValueError, match=match):
         verify_scaling(seed=1729, alpha=mi("11"), trials=1, eps_exponents=grid)
 
 
@@ -406,7 +407,15 @@ def test_main_term_check_matches_the_untruncated_reference(monkeypatch):
 def test_scaling_valuation_matches_the_untruncated_one(seed, alpha):
     for t in range(3):
         row = rv.scaling_side_by_side(seed, mi(alpha), t)
-        assert row["truncated"] == row["expected"], row
+        assert row["valuation"] == row["expected"] and row["norms_match"], row
+
+
+@pytest.mark.parametrize("seed", [*range(10), *rv.SCALING_SEEDS_FOUND])
+@pytest.mark.parametrize("alpha", ["11", "111"])
+def test_scaling_norms_and_valuation_match_the_per_point_reference(seed, alpha):
+    # One series evaluation stands in for one exact evaluation per grid point.
+    row = rv.scaling_side_by_side(seed, mi(alpha), 0)
+    assert row["norms_match"] and row["valuation"] == row["expected"], row
 
 
 def test_verify_scaling_passes_and_reports_slopes():
@@ -443,6 +452,23 @@ def test_run_suite_dispatch():
 def test_run_suite_all_forwards_overrides():
     reports = run_suite("all", seed=1, trials=1, kmax=1)
     assert all(r.trials == 1 for r in reports)
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("theorem-b", {"trials": 0}),
+        ("theorem-b", {"trials": -2}),
+        ("identities", {"trials": 1.5}),
+        ("scaling", {"trials": True}),
+        ("smooth-chain", {"kmax": -1}),
+        ("eq9", {"kmax": 0}),
+        ("all", {"trials": 0}),
+    ],
+)
+def test_run_suite_rejects_bad_trial_and_depth_counts(name, overrides):
+    with pytest.raises(ValueError, match="must be None or an int >= 1"):
+        run_suite(name, seed=1, **overrides)
 
 
 def test_run_suite_rejects_unknown_names():
