@@ -74,16 +74,6 @@ def rational_columns(vectors: Sequence[Value]) -> tuple[list[list[int]], int, li
     return [nums[j * n : (j + 1) * n] for j in range(size)], den, masks
 
 
-def _values(nums: Sequence[int], den: int, fractions: bool | Sequence[int]) -> list:
-    """``nums[i] / den``: a ``Fraction`` where ``fractions[i]`` is set and an
-    ``int`` elsewhere, or all of one kind when ``fractions`` is a bool."""
-    if fractions is True:
-        return list(map(Fraction, nums, repeat(den)))
-    if fractions is False:
-        return [n // den for n in nums]
-    return [Fraction(n, den) if f else n // den for n, f in zip(nums, fractions)]
-
-
 def vector_sum(vectors: Sequence[Value], signs: Sequence[int] | None = None) -> Value:
     """The sum of nonempty ``vectors``, each negated where ``signs`` is -1.
 
@@ -112,25 +102,40 @@ def _subset_sums(first: Any, steps: Sequence[Any], combine: Callable[[Any, Any],
     return out
 
 
+def _linear(vectors: Sequence[Value], combine: Callable[[list, Callable, Callable], list]) -> list[Value]:
+    """``combine(values, add, sub)``, a program of + and - on a list, run on
+    ``vectors``.
+
+    Exact rationals run it once per coordinate on integer numerators over
+    one denominator, and once on the coordinate's ``Fraction`` bits with |
+    for both + and -: an output entry is a ``Fraction`` exactly when a
+    ``Fraction`` takes part in it.  Other values run it on whole vectors.
+    """
+    exact = rational_columns(vectors)
+    if exact is None:
+        return combine(list(vectors), vector_add, vector_sub)
+    cols, den, masks = exact
+    full = (1 << len(vectors)) - 1
+    out = []
+    for col, mask in zip(cols, masks):
+        nums = combine(col, add, sub)
+        if mask == full:
+            out.append(list(map(Fraction, nums, repeat(den))))
+        elif mask == 0:
+            out.append([n // den for n in nums])
+        else:
+            bits = combine([mask >> i & 1 for i in range(len(col))], or_, or_)
+            out.append([Fraction(n, den) if f else n // den for n, f in zip(nums, bits)])
+    return list(zip(*out))
+
+
 def corners(base: Value, dirs: Sequence[Value]) -> list[Value]:
     """The 2^k corners: entry m is base plus ``dirs[i]`` for each bit i of m.
 
     Exact rational corners are summed as integer numerators, one
     ``Fraction`` per corner coordinate.
     """
-    exact = rational_columns([base, *dirs])
-    if exact is None:
-        return _subset_sums(base, dirs, vector_add)
-    cols, den, masks = exact
-    full = (1 << (len(dirs) + 1)) - 1
-    corner_cols = []
-    for col, mask in zip(cols, masks):
-        if mask in (0, full):
-            fractions = mask == full
-        else:
-            fractions = _subset_sums(mask & 1, [mask >> i & 1 for i in range(1, len(dirs) + 1)], or_)
-        corner_cols.append(_values(_subset_sums(col[0], col[1:], add), den, fractions))
-    return list(zip(*corner_cols))
+    return _linear([base, *dirs], lambda values, add, sub: _subset_sums(values[0], values[1:], add))
 
 
 @dataclass(frozen=True)
@@ -250,37 +255,24 @@ def _indices(dim: int) -> tuple[MultiIndex, ...]:
     return tuple(MultiIndex(dim, i) for i in range(1 << dim))
 
 
-def _butterfly(values: list, dim: int, combine: Callable[[Any, Any], Any]) -> None:
-    """In place, entry alpha becomes the combination of the entries beta <=
-    alpha, by one pass per axis (Yates' method): O(k 2^k) steps, not O(3^k)."""
+def _butterfly(values: list, dim: int, combine: Callable[[Any, Any], Any]) -> list:
+    """In place, and returned: entry alpha becomes the combination of the
+    entries beta <= alpha, by one pass per axis (Yates' method): O(k 2^k)
+    steps, not O(3^k)."""
     for axis in range(dim):
         bit = 1 << axis
         for m in range(1 << dim):
             if m & bit:
                 values[m] = combine(values[m], values[m ^ bit])
+    return values
 
 
 def _subset_transform(c: Cuboid, sign: int) -> Cuboid:
     """Component alpha becomes the sum over beta <= alpha of
     sign^(|alpha|-|beta|) c_beta.  Exact rational components are
     transformed as integer numerators, one coordinate at a time."""
-    exact = rational_columns(c.components)
-    if exact is None:
-        comps = list(c.components)
-        _butterfly(comps, c.dim, vector_add if sign > 0 else vector_sub)
-        return Cuboid(c.dim, tuple(comps))
-    cols, den, masks = exact
-    full = (1 << len(c.components)) - 1
-    out = []
-    for col, mask in zip(cols, masks):
-        _butterfly(col, c.dim, add if sign > 0 else sub)
-        if mask in (0, full):
-            fractions = mask == full
-        else:
-            fractions = [mask >> i & 1 for i in range(len(col))]
-            _butterfly(fractions, c.dim, or_)
-        out.append(_values(col, den, fractions))
-    return Cuboid(c.dim, tuple(zip(*out)))
+    comps = _linear(c.components, lambda values, add, sub: _butterfly(values, c.dim, add if sign > 0 else sub))
+    return Cuboid(c.dim, tuple(comps))
 
 
 def delta(c: Cuboid) -> Cuboid:

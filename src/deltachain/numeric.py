@@ -5,6 +5,9 @@ The scaling check evaluates its remainder once, in ε-series of order above
 deg f · deg g, so exactly: that one polynomial gives the verdict and the grid
 norms, and their slope fit is the only float step.  The main-term identity
 check truncates mod ε^(|α|+1), which is exact below that order.
+Every suite runs through one trial runner: each trial is one ``check(seed)``
+call on a seed derived from the suite's labels, so a failure replays from its
+recorded seed alone, and a trial count below 1 raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -234,6 +237,29 @@ def reports_to_json(reports: Sequence[VerificationReport]) -> str:
     return json.dumps([r.to_obj() for r in reports], indent=2, sort_keys=True)
 
 
+def _require_count(name: str, n: Any) -> None:
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {n!r}")
+
+
+def _run_trials(
+    identity: str,
+    seed: int,
+    labels: tuple[Any, ...],
+    trials: int,
+    check: Callable[[int], Failure | None],
+    exact: bool = True,
+    detail: Callable[[], str] | None = None,
+) -> VerificationReport:
+    """Trial t calls ``check(derive_seed(seed, *labels, t))``; ``detail`` is
+    read after the last trial.  A ``trials`` that is not an ``int`` >= 1 (a
+    ``bool`` included) raises ``ValueError``."""
+    _require_count("trials", trials)
+    outcomes = [check(derive_seed(seed, *labels, t)) for t in range(trials)]
+    failures = tuple(f for f in outcomes if f is not None)
+    return VerificationReport(identity, trials, failures, exact, detail() if detail else None)
+
+
 # ---------------------------------------------------------------------------
 # oracle suites
 
@@ -245,14 +271,14 @@ def verify_chain_expansion(
 ) -> list[VerificationReport]:
     """Evaluate the symbolic expansion of an iterated difference of f(g(x))
     against direct evaluation, with fresh pseudorandom maps per trial."""
+    _require_count("kmax", kmax)
     zdim, mid, out = dims
-    reports = []
-    for k in range(1, kmax + 1):
+
+    def report(k: int) -> VerificationReport:
         alpha = MultiIndex.ones(k)
         expr = expand_chain(alpha)
-        failures = []
-        for t in range(trials):
-            s = derive_seed(seed, "chain", k, t)
+
+        def check(s: int) -> Failure | None:
             rng = random.Random(s)
             g = RandomRationalMap(derive_seed(s, "g"), zdim, mid)
             f = RandomRationalMap(derive_seed(s, "f"), mid, out)
@@ -261,12 +287,13 @@ def verify_chain_expansion(
             bindings = {"f": f, "g": g, "x": x}
             for i, v in enumerate(vs):
                 bindings[f"v_{i + 1}"] = v
-            lhs = eval_expr(expr, bindings)
-            rhs = evaluate_delta(lambda p: f(g(p)), x, vs)
-            if lhs != rhs:
-                failures.append(Failure(s, str(alpha), "expansion differs from direct difference"))
-        reports.append(VerificationReport(f"chain-expansion-k{k}", trials, tuple(failures), True))
-    return reports
+            if eval_expr(expr, bindings) != evaluate_delta(lambda p: f(g(p)), x, vs):
+                return Failure(s, str(alpha), "expansion differs from direct difference")
+            return None
+
+        return _run_trials(f"chain-expansion-k{k}", seed, ("chain", k), trials, check)
+
+    return [report(k) for k in range(1, kmax + 1)]
 
 
 def verify_tangent_expansion(
@@ -277,23 +304,24 @@ def verify_tangent_expansion(
 ) -> list[VerificationReport]:
     """Evaluate the symbolic top component of the conjugated pointwise map
     against the cuboid-level computation on random cuboids."""
+    _require_count("kmax", kmax)
     space, out = dims
-    reports = []
-    for k in range(1, kmax + 1):
+
+    def report(k: int) -> VerificationReport:
         alpha = MultiIndex.ones(k)
         expr = expand_tangent(alpha)
-        failures = []
-        for t in range(trials):
-            s = derive_seed(seed, "tangent", k, t)
+
+        def check(s: int) -> Failure | None:
             rng = random.Random(s)
             f = RandomRationalMap(derive_seed(s, "f"), space, out)
             cub = random_cuboid(rng, k, space)
-            lhs = eval_expr(expr, {"f": f, "u": cub})
-            rhs = discrete_tangent(f, cub).component(alpha)
-            if lhs != rhs:
-                failures.append(Failure(s, str(alpha), "expansion differs from cuboid computation"))
-        reports.append(VerificationReport(f"tangent-expansion-k{k}", trials, tuple(failures), True))
-    return reports
+            if eval_expr(expr, {"f": f, "u": cub}) != discrete_tangent(f, cub).component(alpha):
+                return Failure(s, str(alpha), "expansion differs from cuboid computation")
+            return None
+
+        return _run_trials(f"tangent-expansion-k{k}", seed, ("tangent", k), trials, check)
+
+    return [report(k) for k in range(1, kmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +423,8 @@ def _check_main_term_remainder_order(s: int) -> str | None:
 
     cub = Cuboid.build(k, component)
     lhs = discrete_tangent(f, cub).component(alpha)
-    acc = None
-    for p in enumerate_partitions(alpha):
-        term = evaluate_delta(f, x, [cub.component(b) for b in p.blocks])
-        acc = term if acc is None else vector_add(acc, term)
-    v = series_valuation(lhs, acc)
+    terms = [evaluate_delta(f, x, [cub.component(b) for b in p.blocks]) for p in enumerate_partitions(alpha)]
+    v = series_valuation(lhs, vector_sum(terms))
     return None if v is None else f"remainder valuation {v} below {n}"
 
 
@@ -416,16 +441,10 @@ _IDENTITY_CHECKS = (
 
 def identity_suite(seed: int, trials: int = 1000) -> list[VerificationReport]:
     """Run every exact structural identity check ``trials`` times each."""
-    reports = []
-    for name, check in _IDENTITY_CHECKS:
-        failures = []
-        for t in range(trials):
-            s = derive_seed(seed, name, t)
-            detail = check(s)
-            if detail is not None:
-                failures.append(Failure(s, "", detail))
-        reports.append(VerificationReport(name, trials, tuple(failures), True))
-    return reports
+    return [
+        _run_trials(name, seed, (name,), trials, lambda s, c=check: None if (d := c(s)) is None else Failure(s, "", d))
+        for name, check in _IDENTITY_CHECKS
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -518,25 +537,25 @@ def verify_scaling(
     at every grid point is reported as degenerate, and one nonzero at a
     single point as having no slope.  A bad grid raises ``ValueError``.
     """
-    threshold = alpha.order + 1 - 0.2
-    failures = []
     notes = []
-    for t in range(trials):
-        s = derive_seed(seed, "scaling", str(alpha), t)
-        f, g, x, ws = scaling_trial(s, alpha)
-        result = scaling_slope(f, g, x, ws, alpha, eps_exponents)
-        if result.valuation is not None:
-            failures.append(Failure(s, str(alpha), f"remainder valuation {result.valuation} below {alpha.order + 1}"))
+
+    def check(s: int) -> Failure | None:
+        result = scaling_slope(*scaling_trial(s, alpha), alpha, eps_exponents)
         if result.degenerate:
-            notes.append(f"trial {t}: degenerate (remainder identically zero)")
+            note = "degenerate (remainder identically zero)"
         elif result.slope is None:
-            notes.append(f"trial {t}: no slope")
+            note = "no slope"
         else:
-            notes.append(f"trial {t}: slope {result.slope:.3f}")
-    detail = f"threshold {threshold:.3f}; " + "; ".join(notes)
-    return VerificationReport(
-        f"remainder-scaling-{alpha}", trials, tuple(failures), False, detail
-    )
+            note = f"slope {result.slope:.3f}"
+        notes.append(f"trial {len(notes)}: {note}")
+        if result.valuation is not None:
+            return Failure(s, str(alpha), f"remainder valuation {result.valuation} below {alpha.order + 1}")
+        return None
+
+    def detail() -> str:
+        return f"threshold {alpha.order + 1 - 0.2:.3f}; " + "; ".join(notes)
+
+    return _run_trials(f"remainder-scaling-{alpha}", seed, ("scaling", str(alpha)), trials, check, False, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -552,59 +571,39 @@ def verify_smooth_chain(alpha: MultiIndex, seed: int, trials: int = 25) -> Verif
         if sum(b.order for b in p.blocks) != alpha.order:
             raise AssertionError("partition violates homogeneity")
 
-    failures = []
-    for t in range(trials):
-        s = derive_seed(seed, "smooth", str(alpha), t)
+    def check(s: int) -> Failure | None:
         rng = random.Random(s)
         f = random_polynomial_map(rng, 2, 2, degree=2)
         g = random_polynomial_map(rng, 2, 2, degree=2)
         x = random_rational_vector(rng, 2, bound=3)
         us = [random_rational_vector(rng, 2, bound=3) for _ in range(k)]
 
-        lhs = d_alpha(compose(f, g), us, alpha)(x)
-        acc = None
         gx = g(x)
-        for p in table:
-            ws = [d_alpha(g, us, b)(x) for b in p.blocks]
-            term = iterated_directional(f, ws)(gx)
-            acc = term if acc is None else vector_add(acc, term)
-        if lhs != acc:
-            failures.append(Failure(s, str(alpha), "composition derivative expansion"))
-            continue
+        terms = [iterated_directional(f, [d_alpha(g, us, b)(x) for b in p.blocks])(gx) for p in table]
+        if d_alpha(compose(f, g), us, alpha)(x) != vector_sum(terms):
+            return Failure(s, str(alpha), "composition derivative expansion")
 
         lift = iterated_tangent_lift(f, k)
         injected = inject(PointedDirections(x, tuple(us)))
         out = Cuboid.from_flat(k, 2, lift(injected.flatten()))
-        ok = True
         for beta in injected.indices():
             if out.component(beta) != d_alpha(f, us, beta)(x):
-                failures.append(Failure(s, str(beta), "lift disagrees on injected cuboid"))
-                ok = False
-                break
-        if not ok:
-            continue
+                return Failure(s, str(beta), "lift disagrees on injected cuboid")
 
         cub = random_cuboid(rng, k, 2, bound=3)
         out = Cuboid.from_flat(k, 2, lift(cub.flatten()))
         base = cub.component(MultiIndex.zero(k))
-        acc = None
-        for p in table:
-            ws = [cub.component(b) for b in p.blocks]
-            term = iterated_directional(f, ws)(base)
-            acc = term if acc is None else vector_add(acc, term)
-        if out.component(alpha) != acc:
-            failures.append(Failure(s, str(alpha), "component formula on a general cuboid"))
-            continue
+        terms = [iterated_directional(f, [cub.component(b) for b in p.blocks])(base) for p in table]
+        if out.component(alpha) != vector_sum(terms):
+            return Failure(s, str(alpha), "component formula on a general cuboid")
 
         if k <= 2:
-            comp_lift = iterated_tangent_lift(compose(f, g), k)
-            glift = iterated_tangent_lift(g, k)
             flat = random_cuboid(rng, k, 2, bound=3).flatten()
-            if comp_lift(flat) != lift(glift(flat)):
-                failures.append(Failure(s, str(alpha), "lift is not functorial"))
-    return VerificationReport(
-        f"smooth-composition-{alpha}", trials, tuple(failures), True
-    )
+            if iterated_tangent_lift(compose(f, g), k)(flat) != lift(iterated_tangent_lift(g, k)(flat)):
+                return Failure(s, str(alpha), "lift is not functorial")
+        return None
+
+    return _run_trials(f"smooth-composition-{alpha}", seed, ("smooth", str(alpha)), trials, check)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,8 @@ def test_output_flag_writes_the_same_bytes(tmp_path, capsys):
         (["verify", "--suite", "scaling", "--seed", "124551739", "--trials", "3"], "2dd093e6284c499bbefeb45764d1cd819b891e0fe4c124c387c36d50a39f8335"),
         (["verify", "--suite", "scaling", "--alpha", "1111", "--seed", "7", "--trials", "1"], "3654c716a36bc8cb6ceceb18575f624e909480f4c827fc7b946d2d028e3ecac8"),
         (["verify", "--suite", "all", "--trials", "1"], "053271ca33207fa0315be8c29bda4d1fb186a805a4aee9184da332a563b92e93"),
+        (["verify", "--suite", "all", "--trials", "3", "--kmax", "3", "--seed", "11"], "3524cdef23266777824645601167bb71c31e9529deda6eeaa6bec005a78cc60f"),
+        (["verify", "--suite", "smooth-chain", "--alpha", "101", "--trials", "4", "--seed", "11"], "5efa1bdf4a2f06633e2c0ded0c97e4dd520ca3d86745b3c2d71c82c9d4789c8e"),
     ],
 )
 def test_outputs_match_recorded_digests(argv, digest, capsys):

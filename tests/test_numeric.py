@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -469,6 +470,71 @@ def test_run_suite_all_forwards_overrides():
 def test_run_suite_rejects_bad_trial_and_depth_counts(name, overrides):
     with pytest.raises(ValueError, match="must be None or an int >= 1"):
         run_suite(name, seed=1, **overrides)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda n: verify_chain_expansion(1, trials=n, kmax=2), "trials"),
+        (lambda n: verify_tangent_expansion(1, trials=n, kmax=2), "trials"),
+        (lambda n: identity_suite(1, trials=n), "trials"),
+        (lambda n: verify_scaling(1, mi("11"), trials=n, eps_exponents=(1,)), "trials"),
+        (lambda n: verify_scaling(1, mi("11"), trials=n), "trials"),
+        (lambda n: verify_smooth_chain(MultiIndex.ones(2), 1, trials=n), "trials"),
+        (lambda n: verify_chain_expansion(1, trials=1, kmax=n), "kmax"),
+        (lambda n: verify_tangent_expansion(1, trials=1, kmax=n), "kmax"),
+    ],
+    ids=["theorem-b", "eq9", "identities", "scaling-one-point-grid", "scaling", "smooth-chain", "theorem-b-kmax", "eq9-kmax"],
+)
+@pytest.mark.parametrize("count", [0, -3, True, 1.5])
+def test_suites_reject_a_count_that_checks_nothing(call, name, count):
+    # Each of these once returned a passing report that checked nothing.
+    with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+        call(count)
+
+
+@pytest.mark.parametrize(
+    "name, fake, suites, overrides, alphas, count, digest",
+    [
+        (
+            "eval_expr",
+            lambda e, b: ("wrong",),
+            ("theorem-b", "eq9"),
+            {"trials": 2, "kmax": 3},
+            ["1", "11", "111"],
+            12,
+            "b8831c8f998785597ccf050b91d9af61dbb1ee3fb1b121f758540baa54b878c2",
+        ),
+        (
+            "iterated_tangent_lift",
+            lambda f, k: (lambda flat: flat),
+            ("smooth-chain",),
+            {"trials": 2, "kmax": 3},
+            ["0", "00", "000"],
+            6,
+            "452b2a2618f3cabb324e05b72f8fe922c173cab12a433ba79b37789b3ecefcb0",
+        ),
+        (
+            "series_valuation",
+            lambda a, b: 1,
+            ("identities", "scaling"),
+            {"trials": 2},
+            ["", "11", "111"],
+            6,
+            "bef602f85e19d7ed88a7d787863401b592c4e2e93be97366897d8fbd77ef186d",
+        ),
+    ],
+    ids=["oracles", "smooth-chain-lift", "valuations"],
+)
+def test_forced_failures_are_recorded_byte_for_byte(monkeypatch, name, fake, suites, overrides, alphas, count, digest):
+    # Seeds, alphas and details of every failure record, in report order; a
+    # lift failure names the injected index it disagrees on, not alpha.
+    monkeypatch.setattr(numeric, name, fake)
+    reports = [r for s in suites for r in run_suite(s, seed=11, **overrides)]
+    failures = [f for r in reports for f in r.failures]
+    assert len(failures) == count
+    assert sorted({f.alpha for f in failures}) == alphas
+    assert hashlib.sha256(reports_to_json(reports).encode("utf-8")).hexdigest() == digest
 
 
 def test_run_suite_rejects_unknown_names():
