@@ -8,6 +8,11 @@ check truncates mod ε^(|α|+1), which is exact below that order.
 Every suite runs through one trial runner: each trial is one ``check(seed)``
 call on a seed derived from the suite's labels, so a failure replays from its
 recorded seed alone, and a trial count below 1 raises ``ValueError``.
+The evaluators hold each exact vector as one integer record (``_Exact``):
+numerators over one denominator and a bit per ``Fraction`` coordinate.  A
+``RandomRationalMap`` is read at such a record through its integer-keyed
+memo, so sums and differences of exact trees run on ``int``s, and
+``Fraction``s are built only for the caller.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ import random
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, or_
 from typing import Any, Callable, Mapping, Sequence
 
 from .combinatorics import MultiIndex, enumerate_partitions, refine
 from .cuboid import (
+    _RATIONAL,
     Cuboid,
     PointedDirections,
     Value,
@@ -66,6 +73,83 @@ class EvaluationError(Exception):
     """Unbound symbol, dimension mismatch, or non-evaluable expression."""
 
 
+_SCALE = 720720  # lcm(1..16): a RandomRationalMap value's numerators over it are integers
+
+
+class _Exact:
+    """An exact rational vector inside the evaluators: coordinate j is
+    ``nums[j] / den``, and a ``Fraction`` exactly when bit j of ``mask`` is
+    set.  Records are never changed once built, so nodes may share one."""
+
+    __slots__ = ("den", "nums", "mask")
+
+    def __init__(self, den: int, nums: tuple[int, ...], mask: int):
+        self.den, self.nums, self.mask = den, nums, mask
+
+
+def _record(v: Value) -> Any:
+    """``v`` as an ``_Exact`` when every entry is exactly an ``int`` or a
+    ``Fraction``, over the lcm of their denominators; else ``v`` itself."""
+    if not set(map(type, v)) <= _RATIONAL:
+        return v
+    den = math.lcm(*[c.denominator for c in v])
+    mask = sum(1 << j for j, c in enumerate(v) if type(c) is Fraction)
+    return _Exact(den, tuple([c.numerator * (den // c.denominator) for c in v]), mask)
+
+
+def _vector(v: Any) -> Value:
+    """The tuple of an evaluator value: the inverse of ``_record``."""
+    if type(v) is not _Exact:
+        return v
+    den, mask = v.den, v.mask
+    return tuple(Fraction(n, den) if mask >> j & 1 else n // den for j, n in enumerate(v.nums))
+
+
+def _common(vectors: Sequence[_Exact]) -> tuple[int, list[Sequence[int]]]:
+    """The lcm of the records' denominators and each record's numerators
+    over it; records of unequal length raise ``vector_add``'s error."""
+    size = len(vectors[0].nums)
+    for v in vectors:
+        if len(v.nums) != size:
+            raise ValueError(f"space dimension mismatch: {size} vs {len(v.nums)}")
+    den = math.lcm(*[v.den for v in vectors])
+    return den, [v.nums if v.den == den else [n * (den // v.den) for n in v.nums] for v in vectors]
+
+
+def _sum(values: Sequence[Any]) -> Any:
+    """The sum of evaluator values: records add integer numerators over one
+    denominator and OR their masks; other values go through ``vector_sum``."""
+    if any(type(v) is not _Exact for v in values):
+        return _record(vector_sum([_vector(v) for v in values]))
+    den, rows = _common(values)
+    return _Exact(den, tuple(map(sum, zip(*rows))), functools.reduce(or_, [v.mask for v in values]))
+
+
+def _difference(F: Callable[[Value], Value], base: Any, dirs: Sequence[Any]) -> Any:
+    """The alternating sum of F over the corners base + a subset of
+    ``dirs``, on evaluator values; corner m adds ``dirs[i]`` for each bit i.
+
+    For a ``RandomRationalMap`` and records, each corner is an integer
+    subset sum ``(den, *nums)``, read from the map's memo as its key, and
+    the integer values are summed with signs over ``_SCALE``.  Any other map
+    is called on the tuples ``cuboid.corners`` builds, and its values are
+    summed by ``vector_sum``.
+    """
+    signs = [-1 if len(dirs) % 2 else 1]
+    for _ in dirs:
+        signs += [-s for s in signs]
+    if type(F) is not RandomRationalMap or type(base) is not _Exact or any(type(d) is not _Exact for d in dirs):
+        values = [tuple(F(c)) for c in corners(_vector(base), [_vector(d) for d in dirs])]
+        return _record(vector_sum(values, signs))
+    den, (first, *steps) = _common([base, *dirs])
+    points = [(den, *first)]
+    for step in steps:
+        step = (0, *step)
+        points += [tuple(map(add, p, step)) for p in points]
+    outs = [F._at(p).nums for p in points]
+    return _Exact(_SCALE, tuple([sum(map(mul, col, signs)) for col in zip(*outs)]), F._mask)
+
+
 def evaluate_delta(
     F: Callable[[Value], Value],
     base: Value,
@@ -78,8 +162,10 @@ def evaluate_delta(
     ``alpha`` repeats direction i ``alpha[i]`` times; omitted means once
     each, and an entry that is not a nonnegative ``int`` raises
     ``ValueError``.  With no directions this is just F(base).  Exact
-    rational corners and values are summed as integer numerators over one
-    common denominator (``cuboid.corners`` and ``cuboid.vector_sum``).
+    rational corners are integer subset sums over one common denominator; a
+    ``RandomRationalMap`` is read at them through its integer-keyed memo and
+    its values are summed as integers.  ``eval_expr`` runs the same kernel,
+    ``_difference``, at each difference node.
     """
     if alpha is None:
         reps = (1,) * len(directions)
@@ -91,10 +177,8 @@ def evaluate_delta(
             raise ValueError("alpha entries must be nonnegative integers")
     if len(reps) != len(directions):
         raise ValueError("alpha length differs from direction count")
-    dirs = [tuple(d) for d, r in zip(directions, reps) for _ in range(r)]
-    values = [tuple(F(c)) for c in corners(tuple(base), dirs)]
-    k = len(dirs)
-    return vector_sum(values, [-1 if (k - m.bit_count()) % 2 else 1 for m in range(1 << k)])
+    dirs = [_record(tuple(d)) for d, r in zip(directions, reps) for _ in range(r)]
+    return _vector(_difference(F, _record(tuple(base)), dirs))
 
 
 def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
@@ -103,8 +187,10 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
 
     Each distinct subexpression is evaluated once per call, children first:
     equal expressions are one node (the nodes are hash-consed), so the inner
-    differences shared by many terms of an expansion are computed once.  Of
-    several faults, the one met first in that order is reported.
+    differences shared by many terms of an expansion are computed once.  A
+    node's value is kept as an integer record (``_Exact``) while its entries
+    are exact rationals, and becomes a tuple only at the root.  Of several
+    faults, the one met first in that order is reported.
     """
     try:
         nodes = _postorder(e)
@@ -120,28 +206,33 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
             raise EvaluationError(f"symbol {name!r} must be bound to {what}")
         return value
 
-    values: dict[Expr, Value] = {}
+    values: dict[Expr, Any] = {}
     # A ValueError from a cuboid lookup, a vector sum or a bound map becomes
     # an EvaluationError with the same text, whichever node raised it.
     try:
         for n in nodes:
             if isinstance(n, (PointSym, VecSym)):
-                value = tuple(bound(n.name, lambda v: isinstance(v, (tuple, list)), "a vector"))
+                value = _record(tuple(bound(n.name, lambda v: isinstance(v, (tuple, list)), "a vector")))
             elif isinstance(n, ComponentSym):
-                value = bound(n.cuboid, lambda c: isinstance(c, Cuboid), "a cuboid").component(n.index)
+                value = _record(bound(n.cuboid, lambda c: isinstance(c, Cuboid), "a cuboid").component(n.index))
             elif isinstance(n, App):
-                value = tuple(bound(n.func, callable, "a map")(values[n.arg]))
+                F, arg = bound(n.func, callable, "a map"), values[n.arg]
+                if type(F) is RandomRationalMap and type(arg) is _Exact:
+                    value = F._at((arg.den, *arg.nums))
+                else:
+                    value = _record(tuple(F(_vector(arg))))
             elif isinstance(n, Sum):
                 if not n.terms:
                     raise EvaluationError("cannot evaluate an empty sum")
-                value = vector_sum([values[t] for t in n.terms])
+                value = _sum([values[t] for t in n.terms])
             else:  # a difference term
                 F = bound(n.func, callable, "a map")
-                value = evaluate_delta(F, values[n.base], [values[d] for d in n.directions], n.alpha)
+                dirs = [values[d] for d, r in zip(n.directions, n.alpha) for _ in range(r)]
+                value = _difference(F, values[n.base], dirs)
             values[n] = value
     except ValueError as exc:
         raise EvaluationError(str(exc)) from None
-    return values[e]
+    return _vector(values[e])
 
 
 # ---------------------------------------------------------------------------
@@ -158,33 +249,47 @@ class RandomRationalMap:
 
     Values are derived from a keyed hash of the exact input coordinates, so
     equal seeds give equal maps across runs and platforms, and every call is
-    memoized.  Numerators lie in [-100, 100], denominators in [1, 16].
+    memoized.  Numerators lie in [-100, 100], denominators in [1, 16].  The
+    memo is keyed by integers: a point's key is ``(den, *nums)``, with
+    ``den`` the lcm of its reduced denominators, so no ``Fraction`` is
+    hashed on a hit.
     """
 
     def __init__(self, seed: int, domain_dim: int, codomain_dim: int):
         self.seed = seed
         self.domain_dim = domain_dim
         self.codomain_dim = codomain_dim
-        self._memo: dict[tuple[Fraction, ...], Value] = {}
+        self._mask = (1 << codomain_dim) - 1
+        self._memo: dict[tuple[int, ...], _Exact] = {}  # key -> value, over _SCALE
+        self._values: dict[tuple[int, ...], Value] = {}  # key -> value, as Fractions
 
     def __call__(self, point: Value) -> Value:
-        pt = tuple(c if type(c) is Fraction else Fraction(c) for c in point)
-        if len(pt) != self.domain_dim:
-            raise ValueError(f"need {self.domain_dim} coordinates, got {len(pt)}")
-        cached = self._memo.get(pt)
-        if cached is not None:
-            return cached
-        key = "|".join(str(c) for c in pt)
-        out = []
-        for j in range(self.codomain_dim):
-            digest = hashlib.blake2b(
-                f"{self.seed};{j};{key}".encode(), digest_size=16
-            ).digest()
-            num = int.from_bytes(digest[:8], "big") % 201 - 100
-            den = int.from_bytes(digest[8:], "big") % 16 + 1
-            out.append(Fraction(num, den))
-        value = tuple(out)
-        self._memo[pt] = value
+        exact = _record(tuple(c if type(c) is Fraction else Fraction(c) for c in point))
+        key = (exact.den, *exact.nums)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = _vector(self._at(key))
+        return value
+
+    def _at(self, point: tuple[int, ...]) -> _Exact:
+        """The value at ``point[1:] / point[0]``, as a record over ``_SCALE``."""
+        if len(point) != self.domain_dim + 1:
+            raise ValueError(f"need {self.domain_dim} coordinates, got {len(point) - 1}")
+        g = math.gcd(*point)
+        key = point if g == 1 else tuple([x // g for x in point])
+        value = self._memo.get(key)
+        if value is None:
+            # the text of each reduced coordinate, as str(Fraction) writes it
+            den, text = key[0], []
+            for n in key[1:]:
+                g = math.gcd(n, den)
+                text.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+            text, nums = "|".join(text), []
+            for j in range(self.codomain_dim):
+                digest = hashlib.blake2b(f"{self.seed};{j};{text}".encode(), digest_size=16).digest()
+                num = int.from_bytes(digest[:8], "big") % 201 - 100
+                nums.append(num * (_SCALE // (int.from_bytes(digest[8:], "big") % 16 + 1)))
+            value = self._memo[key] = _Exact(_SCALE, tuple(nums), self._mask)
         return value
 
 
@@ -242,6 +347,11 @@ def _require_count(name: str, n: Any) -> None:
         raise ValueError(f"{name} must be an int >= 1, got {n!r}")
 
 
+def _require_dims(dims: Any, n: int) -> None:
+    if not isinstance(dims, (tuple, list)) or len(dims) != n or any(type(d) is not int or d < 1 for d in dims):
+        raise ValueError(f"dims must be {n} ints >= 1, got {dims!r}")
+
+
 def _run_trials(
     identity: str,
     seed: int,
@@ -270,8 +380,11 @@ def verify_chain_expansion(
     dims: tuple[int, int, int] = (2, 2, 2),
 ) -> list[VerificationReport]:
     """Evaluate the symbolic expansion of an iterated difference of f(g(x))
-    against direct evaluation, with fresh pseudorandom maps per trial."""
+    against direct evaluation, with fresh pseudorandom maps per trial.
+    ``dims`` are the dimensions of the spaces of x, g(x) and f(g(x)); each
+    must be an ``int`` >= 1, or ``ValueError`` is raised."""
     _require_count("kmax", kmax)
+    _require_dims(dims, 3)
     zdim, mid, out = dims
 
     def report(k: int) -> VerificationReport:
@@ -303,8 +416,11 @@ def verify_tangent_expansion(
     dims: tuple[int, int] = (2, 2),
 ) -> list[VerificationReport]:
     """Evaluate the symbolic top component of the conjugated pointwise map
-    against the cuboid-level computation on random cuboids."""
+    against the cuboid-level computation on random cuboids.  ``dims`` are
+    the dimensions of the spaces of the cuboid and of f's values; each must
+    be an ``int`` >= 1, or ``ValueError`` is raised."""
     _require_count("kmax", kmax)
+    _require_dims(dims, 2)
     space, out = dims
 
     def report(k: int) -> VerificationReport:

@@ -1,0 +1,128 @@
+"""The tuple evaluator that ``numeric.eval_expr`` replaced, kept as a
+reference, and a sweep that compares the two.
+
+``eval_expr_reference`` holds every node's value as a tuple of ``int`` and
+``Fraction`` entries (or of whatever the bound maps return), adds exact
+vectors with ``cuboid.vector_sum`` and builds each difference from
+``cuboid.corners``, one map call per corner.  The library's evaluator holds
+exact vectors as integer records and reads a ``RandomRationalMap``'s memo by
+integer keys; both must give equal values with equal coordinate types.
+
+Run the sweep (seeds 0..N-1; chain and tangent expansions for k = 1..7, with
+pseudorandom maps and with a map whose coordinate types follow its argument;
+leaves mix ``int`` and ``Fraction`` entries):
+
+    PYTHONPATH=src python tests/eval_reference.py [N]
+
+It prints the counts and exits 1 on any difference, in value or in type.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from fractions import Fraction
+from typing import Any, Callable, Mapping, Sequence
+
+from deltachain.combinatorics import MultiIndex
+from deltachain.cuboid import Cuboid, Value, corners, vector_sum
+from deltachain.numeric import EvaluationError, RandomRationalMap, derive_seed, eval_expr
+from deltachain.symbolic import App, ComponentSym, Expr, PointSym, Sum, VecSym, _postorder, expand_chain, expand_tangent
+
+
+def evaluate_delta_reference(F: Callable[[Value], Value], base: Value, dirs: Sequence[Value]) -> Value:
+    """The alternating sum of F over all corners base + a subset of ``dirs``."""
+    values = [tuple(F(c)) for c in corners(tuple(base), [tuple(d) for d in dirs])]
+    k = len(dirs)
+    return vector_sum(values, [-1 if (k - m.bit_count()) % 2 else 1 for m in range(1 << k)])
+
+
+def eval_expr_reference(e: Expr, bindings: Mapping[str, Any]) -> Value:
+    """``eval_expr`` on tuples: each distinct node once, children first."""
+    try:
+        nodes = _postorder(e)
+    except TypeError as exc:
+        raise EvaluationError(str(exc)) from None
+
+    def bound(name: str, ok: Callable[[Any], bool], what: str) -> Any:
+        try:
+            value = bindings[name]
+        except KeyError:
+            raise EvaluationError(f"unbound symbol {name!r}") from None
+        if not ok(value):
+            raise EvaluationError(f"symbol {name!r} must be bound to {what}")
+        return value
+
+    values: dict[Expr, Value] = {}
+    try:
+        for n in nodes:
+            if isinstance(n, (PointSym, VecSym)):
+                value = tuple(bound(n.name, lambda v: isinstance(v, (tuple, list)), "a vector"))
+            elif isinstance(n, ComponentSym):
+                value = bound(n.cuboid, lambda c: isinstance(c, Cuboid), "a cuboid").component(n.index)
+            elif isinstance(n, App):
+                value = tuple(bound(n.func, callable, "a map")(values[n.arg]))
+            elif isinstance(n, Sum):
+                if not n.terms:
+                    raise EvaluationError("cannot evaluate an empty sum")
+                value = vector_sum([values[t] for t in n.terms])
+            else:  # a difference term
+                F = bound(n.func, callable, "a map")
+                dirs = [values[d] for d, r in zip(n.directions, n.alpha) for _ in range(r)]
+                value = evaluate_delta_reference(F, values[n.base], dirs)
+            values[n] = value
+    except ValueError as exc:
+        raise EvaluationError(str(exc)) from None
+    return values[e]
+
+
+def type_following_map(p: Value) -> Value:
+    """An exact map whose coordinate j is a ``Fraction`` exactly when p[j] is one."""
+    return (p[0] * p[0] - p[0], 3 * p[1])
+
+
+def mixed_vector(rng: random.Random, dim: int) -> Value:
+    """Entries that are ``int``s, integral ``Fraction``s or proper fractions."""
+    return tuple(
+        rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-9, 9), rng.randint(2, 4))))
+        for _ in range(dim)
+    )
+
+
+def sweep_bindings(seed: int, k: int, pseudorandom: bool) -> tuple[dict, dict]:
+    """Bindings for the chain and the tangent expansion at order k."""
+    rng = random.Random(derive_seed(seed, "eval-reference", k, pseudorandom))
+    if pseudorandom:
+        f, g = (RandomRationalMap(derive_seed(seed, name, k), 2, 2) for name in ("f", "g"))
+    else:
+        f = g = type_following_map
+    chain = {"f": f, "g": g, "x": mixed_vector(rng, 2)}
+    chain.update({f"v_{i + 1}": mixed_vector(rng, 2) for i in range(k)})
+    tangent = {"f": f, "u": Cuboid(k, tuple(mixed_vector(rng, 2) for _ in range(1 << k)))}
+    return chain, tangent
+
+
+def same(got: Value, want: Value) -> bool:
+    """Equal values with equal coordinate types."""
+    return got == want and [type(c) for c in got] == [type(c) for c in want]
+
+
+def main(argv: list[str]) -> int:
+    n_seeds = int(argv[0]) if argv else 20
+    cases = differing = 0
+    for pseudorandom in (True, False):
+        for k in range(1, 8):
+            alpha = MultiIndex.ones(k)
+            exprs = (expand_chain(alpha), expand_tangent(alpha))
+            for seed in range(n_seeds):
+                for name, expr, bindings in zip(("chain", "tangent"), exprs, sweep_bindings(seed, k, pseudorandom)):
+                    cases += 1
+                    if not same(eval_expr(expr, bindings), eval_expr_reference(expr, bindings)):
+                        differing += 1
+                        print(f"  differs: {name}, seed {seed}, k {k}, pseudorandom maps {pseudorandom}")
+    print(f"evaluator: {cases} evaluations, {differing} differ from the reference")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

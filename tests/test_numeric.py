@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,8 +32,9 @@ from deltachain.numeric import (
     verify_tangent_expansion,
 )
 from deltachain.polynomials import Poly, PolynomialMap, random_polynomial_map
-from deltachain.symbolic import App, DeltaTerm, PointSym, Sum, VecSym, expand_chain, main_part, parse
+from deltachain.symbolic import App, DeltaTerm, PointSym, Sum, VecSym, expand_chain, expand_tangent, main_part, parse
 
+import eval_reference
 import remainder_verdicts as rv
 
 mi = MultiIndex.from_string
@@ -171,15 +174,76 @@ def test_eval_expr_evaluates_each_distinct_difference_once(monkeypatch):
     bindings, fg, x, vs = _chain_bindings(4, 5)
     want = evaluate_delta(fg, x, vs)
     calls = 0
+    difference = numeric._difference
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return evaluate_delta(*args, **kwargs)
+        return difference(*args, **kwargs)
 
-    monkeypatch.setattr(numeric, "evaluate_delta", counting)
+    monkeypatch.setattr(numeric, "_difference", counting)
     assert eval_expr(expr, bindings) == want
     assert calls == len(distinct) < visits
+
+
+def test_eval_expr_values_match_the_recorded_digest():
+    # Recorded with the tuple evaluator that integer records replaced.
+    h = hashlib.sha256()
+    for k in range(1, 7):
+        for s in range(5):
+            rng = random.Random(s)
+            f = RandomRationalMap(derive_seed(s, "f"), 2, 2)
+            g = RandomRationalMap(derive_seed(s, "g"), 2, 2)
+            bindings = {"f": f, "g": g, "x": random_rational_vector(rng, 2)}
+            bindings.update({f"v_{i + 1}": random_rational_vector(rng, 2) for i in range(k)})
+            h.update(repr(eval_expr(expand_chain(MultiIndex.ones(k)), bindings)).encode())
+            cub = random_cuboid(rng, k, 2)
+            h.update(repr(eval_expr(expand_tangent(MultiIndex.ones(k)), {"f": f, "u": cub})).encode())
+    assert h.hexdigest() == "87f1002c09d8febf9708df01f1b09db88110a2c0f43007d5ae401100b3af7a83"
+
+
+def test_random_rational_map_values_match_the_recorded_digest():
+    # Recorded when the memo was keyed by Fractions; the hashed text is unchanged.
+    h = hashlib.sha256()
+    for dim in range(4):
+        f = RandomRationalMap(12345, dim, 3)
+        for pt in itertools.product((0, 1, -2, Fraction(1, 3), Fraction(-7, 4), Fraction(5, 16)), repeat=dim):
+            h.update(repr(f(pt)).encode())
+    assert h.hexdigest() == "cf53869296e985dca29b71e8d2c3a73b7c08a6dc63e510ecaa45ad350b418d13"
+
+
+@st.composite
+def expansions_and_bindings(draw):
+    """A chain or tangent expansion with k <= 5, leaves mixing ints and
+    Fractions, and maps that are pseudorandom or other exact callables."""
+    k = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(["random", "type-following", "polynomial"]))
+    if kind == "random":
+        f, g = RandomRationalMap(derive_seed(seed, "f"), 2, 2), RandomRationalMap(derive_seed(seed, "g"), 2, 2)
+    elif kind == "type-following":
+        f = g = eval_reference.type_following_map
+    else:
+        rng = random.Random(seed)
+        f, g = (random_polynomial_map(rng, 2, 2, degree=2) for _ in range(2))
+    vector = st.tuples(exact_entries, exact_entries)
+    if draw(st.booleans()):
+        leaves = draw(st.lists(vector, min_size=k + 1, max_size=k + 1))
+        bindings = {"f": f, "g": g, "x": leaves[0]}
+        bindings.update({f"v_{i + 1}": v for i, v in enumerate(leaves[1:])})
+        return expand_chain(MultiIndex.ones(k)), bindings
+    leaves = draw(st.lists(vector, min_size=1 << k, max_size=1 << k))
+    return expand_tangent(MultiIndex.ones(k)), {"f": f, "u": Cuboid(k, tuple(leaves))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(expansions_and_bindings())
+def test_eval_expr_matches_the_tuple_reference_in_value_and_type(case):
+    expr, bindings = case
+    got = eval_expr(expr, bindings)
+    want = eval_reference.eval_expr_reference(expr, bindings)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
 
 
 def test_eval_expr_reports_an_unbound_name_in_a_shared_subtree():
@@ -491,6 +555,26 @@ def test_suites_reject_a_count_that_checks_nothing(call, name, count):
     # Each of these once returned a passing report that checked nothing.
     with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
         call(count)
+
+
+@pytest.mark.parametrize(
+    "suite, n, dims",
+    [
+        (verify_tangent_expansion, 2, (2, 0)),
+        (verify_tangent_expansion, 2, (0, 0)),
+        (verify_tangent_expansion, 2, (True, 2)),
+        (verify_tangent_expansion, 2, (2, 2, 2)),
+        (verify_chain_expansion, 3, (2, 0, 2)),
+        (verify_chain_expansion, 3, (-1, 2, 2)),
+        (verify_chain_expansion, 3, (2, 2)),
+        (verify_chain_expansion, 3, (2, 1.5, 2)),
+    ],
+    ids=["eq9-empty-output", "eq9-empty", "eq9-bool", "eq9-three", "theorem-b-empty-middle", "theorem-b-negative", "theorem-b-two", "theorem-b-float"],
+)
+def test_oracle_suites_reject_dimensions_that_are_not_positive_ints(suite, n, dims):
+    # Empty spaces once passed by comparing empty tuples.
+    with pytest.raises(ValueError, match=f"^{re.escape(f'dims must be {n} ints >= 1, got {dims!r}')}$"):
+        suite(1, trials=1, kmax=2, dims=dims)
 
 
 @pytest.mark.parametrize(
