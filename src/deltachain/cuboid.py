@@ -2,140 +2,55 @@
 
 A cuboid of dimension k assigns a vector to every multi-index in {0,1}^k.
 Components may be exact rationals or any values supporting +, - and unary
-negation (polynomials work too); nothing here ever multiplies or divides.
-Vectors of exact rationals (``int`` and ``Fraction`` entries) are summed as
-integer numerators over one common denominator, and every other value by
-its own + and -; both paths give the same values of the same types.
+negation (polynomials work too); nothing here ever multiplies or divides,
+and every value type is added by its own + and -.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import add, attrgetter, floordiv, mul, or_, sub
+from operator import add, neg, sub
 from typing import Any, Callable, Iterator, Sequence
 
 from .combinatorics import MultiIndex
 
 Value = tuple[Any, ...]
 
-_RATIONAL = frozenset((int, Fraction))
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
 
 def vector_add(a: Value, b: Value) -> Value:
     if len(a) != len(b):
         raise ValueError(f"space dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vector_sub(a: Value, b: Value) -> Value:
     if len(a) != len(b):
         raise ValueError(f"space dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vector_neg(a: Value) -> Value:
-    return tuple(-x for x in a)
-
-
-def rational_columns(vectors: Sequence[Value]) -> tuple[list[list[int]], int, list[int]] | None:
-    """Integer numerators of nonempty ``vectors`` over one denominator, by coordinate.
-
-    When every entry is exactly an ``int`` or a ``Fraction`` (and there is
-    one at least), returns ``(cols, den, masks)``: ``vectors[i][j] ==
-    cols[j][i] / den``, ``den`` is the lcm of the entries' denominators, and
-    bit i of ``masks[j]`` is set iff ``vectors[i][j]`` is a ``Fraction``.
-    Otherwise returns ``None``, and the caller adds with + and -.  Vectors
-    of unequal length raise ``vector_add``'s error.
-    """
-    size = len(vectors[0])
-    for v in vectors:
-        if len(v) != size:
-            raise ValueError(f"space dimension mismatch: {size} vs {len(v)}")
-    flat = list(chain.from_iterable(zip(*vectors)))  # coordinate by coordinate
-    kinds = set(map(type, flat))
-    if not kinds or not kinds <= _RATIONAL:
-        return None
-    n = len(vectors)
-    dens = list(map(_denominator, flat))
-    den = math.lcm(*dens)
-    nums = list(map(mul, map(_numerator, flat), map(floordiv, repeat(den), dens)))
-    if Fraction not in kinds:
-        masks = [0] * size
-    elif int not in kinds:
-        masks = [(1 << n) - 1] * size
-    else:
-        masks = [sum(1 << i for i, v in enumerate(vectors) if type(v[j]) is Fraction) for j in range(size)]
-    return [nums[j * n : (j + 1) * n] for j in range(size)], den, masks
+    return tuple(map(neg, a))
 
 
 def vector_sum(vectors: Sequence[Value], signs: Sequence[int] | None = None) -> Value:
-    """The sum of nonempty ``vectors``, each negated where ``signs`` is -1.
-
-    Exact rationals are summed as integers over one common denominator and
-    reduced once per coordinate; a coordinate is a ``Fraction`` exactly
-    when a ``Fraction`` takes part in it, as with pairwise + and -.
-    """
-    exact = rational_columns(vectors)
-    if exact is None:
-        signs = signs or (1,) * len(vectors)
-        acc = vectors[0] if signs[0] > 0 else vector_neg(vectors[0])
-        for v, s in zip(vectors[1:], signs[1:]):
-            acc = vector_add(acc, v) if s > 0 else vector_sub(acc, v)
-        return acc
-    cols, den, masks = exact
-    totals = map(sum, cols) if signs is None else (sum(map(mul, c, signs)) for c in cols)
-    return tuple(Fraction(t, den) if m else t // den for t, m in zip(totals, masks))
-
-
-def _subset_sums(first: Any, steps: Sequence[Any], combine: Callable[[Any, Any], Any]) -> list:
-    """Entry m is ``first`` combined with ``steps[i]`` for each bit i of m,
-    one combination per entry: the list doubles at each step."""
-    out = [first]
-    for step in steps:
-        out += [combine(x, step) for x in out]
-    return out
-
-
-def _linear(vectors: Sequence[Value], combine: Callable[[list, Callable, Callable], list]) -> list[Value]:
-    """``combine(values, add, sub)``, a program of + and - on a list, run on
-    ``vectors``.
-
-    Exact rationals run it once per coordinate on integer numerators over
-    one denominator, and once on the coordinate's ``Fraction`` bits with |
-    for both + and -: an output entry is a ``Fraction`` exactly when a
-    ``Fraction`` takes part in it.  Other values run it on whole vectors.
-    """
-    exact = rational_columns(vectors)
-    if exact is None:
-        return combine(list(vectors), vector_add, vector_sub)
-    cols, den, masks = exact
-    full = (1 << len(vectors)) - 1
-    out = []
-    for col, mask in zip(cols, masks):
-        nums = combine(col, add, sub)
-        if mask == full:
-            out.append(list(map(Fraction, nums, repeat(den))))
-        elif mask == 0:
-            out.append([n // den for n in nums])
-        else:
-            bits = combine([mask >> i & 1 for i in range(len(col))], or_, or_)
-            out.append([Fraction(n, den) if f else n // den for n, f in zip(nums, bits)])
-    return list(zip(*out))
+    """The sum of nonempty ``vectors``, each negated where ``signs`` is -1."""
+    signs = signs or (1,) * len(vectors)
+    acc = vectors[0] if signs[0] > 0 else vector_neg(vectors[0])
+    for v, s in zip(vectors[1:], signs[1:]):
+        acc = vector_add(acc, v) if s > 0 else vector_sub(acc, v)
+    return acc
 
 
 def corners(base: Value, dirs: Sequence[Value]) -> list[Value]:
     """The 2^k corners: entry m is base plus ``dirs[i]`` for each bit i of m.
-
-    Exact rational corners are summed as integer numerators, one
-    ``Fraction`` per corner coordinate.
-    """
-    return _linear([base, *dirs], lambda values, add, sub: _subset_sums(values[0], values[1:], add))
+    The list doubles at each direction, one ``vector_add`` per new corner."""
+    out = [base]
+    for d in dirs:
+        out += [vector_add(x, d) for x in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -267,23 +182,15 @@ def _butterfly(values: list, dim: int, combine: Callable[[Any, Any], Any]) -> li
     return values
 
 
-def _subset_transform(c: Cuboid, sign: int) -> Cuboid:
-    """Component alpha becomes the sum over beta <= alpha of
-    sign^(|alpha|-|beta|) c_beta.  Exact rational components are
-    transformed as integer numerators, one coordinate at a time."""
-    comps = _linear(c.components, lambda values, add, sub: _butterfly(values, c.dim, add if sign > 0 else sub))
-    return Cuboid(c.dim, tuple(comps))
-
-
 def delta(c: Cuboid) -> Cuboid:
     """Alternating down-set sums: component alpha becomes
     sum over beta <= alpha of (-1)^(|alpha|-|beta|) c_beta."""
-    return _subset_transform(c, -1)
+    return Cuboid(c.dim, tuple(_butterfly(list(c.components), c.dim, vector_sub)))
 
 
 def delta_inv(c: Cuboid) -> Cuboid:
     """Down-set sums: component alpha becomes sum over beta <= alpha of c_beta."""
-    return _subset_transform(c, 1)
+    return Cuboid(c.dim, tuple(_butterfly(list(c.components), c.dim, vector_add)))
 
 
 def pair(u: Cuboid, v: Cuboid) -> Cuboid:

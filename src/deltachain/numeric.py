@@ -30,7 +30,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .combinatorics import MultiIndex, enumerate_partitions, refine
 from .cuboid import (
-    _RATIONAL,
     Cuboid,
     PointedDirections,
     Value,
@@ -74,6 +73,7 @@ class EvaluationError(Exception):
 
 
 _SCALE = 720720  # lcm(1..16): a RandomRationalMap value's numerators over it are integers
+_RATIONAL = frozenset((int, Fraction))
 
 
 class _Exact:
@@ -161,10 +161,11 @@ def evaluate_delta(
 
     ``alpha`` repeats direction i ``alpha[i]`` times; omitted means once
     each, and an entry that is not a nonnegative ``int`` raises
-    ``ValueError``.  With no directions this is just F(base).  Exact
-    rational corners are integer subset sums over one common denominator; a
-    ``RandomRationalMap`` is read at them through its integer-keyed memo and
-    its values are summed as integers.  ``eval_expr`` runs the same kernel,
+    ``ValueError``.  With no directions this is just F(base).  For a
+    ``RandomRationalMap`` and exact rational vectors, the corners are
+    integer subset sums over one common denominator, read through the map's
+    integer-keyed memo, and its values are summed as integers; any other map
+    is called at corners added by + and -.  ``eval_expr`` runs the same kernel,
     ``_difference``, at each difference node.
     """
     if alpha is None:
@@ -622,7 +623,8 @@ def scaling_slope(
         norm = max(abs(functools.reduce(lambda acc, c: acc * e + c, reversed(cs), 0)) for cs in rem)
         norms.append(norm)
         if norm:
-            pts.append((math.log(float(e)), math.log(float(norm))))
+            # logs of the exact values: 2**-j and a tiny norm underflow as floats
+            pts.append((-j * math.log(2), math.log(norm.numerator) - math.log(norm.denominator)))
     slope = statistics.linear_regression(*zip(*pts[-3:])).slope if len(pts) > 1 else None
     return ScalingResult(slope, not pts, tuple(norms), valuation)
 

@@ -2,11 +2,13 @@
 reference, and a sweep that compares the two.
 
 ``eval_expr_reference`` holds every node's value as a tuple of ``int`` and
-``Fraction`` entries (or of whatever the bound maps return), adds exact
-vectors with ``cuboid.vector_sum`` and builds each difference from
-``cuboid.corners``, one map call per corner.  The library's evaluator holds
-exact vectors as integer records and reads a ``RandomRationalMap``'s memo by
-integer keys; both must give equal values with equal coordinate types.
+``Fraction`` entries (or of whatever the bound maps return), adds vectors
+with ``cuboid.vector_sum`` and builds each difference from
+``cuboid.corners``, one map call per corner; both add pairwise with plain +
+and -, so the reference shares no integer arithmetic with the library's
+evaluator, which holds exact vectors as integer records and reads a
+``RandomRationalMap``'s memo by integer keys.  Both must give equal values
+with equal coordinate types.
 
 Run the sweep (seeds 0..N-1; chain and tangent expansions for k = 1..7, with
 pseudorandom maps and with a map whose coordinate types follow its argument;

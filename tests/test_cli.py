@@ -250,6 +250,20 @@ def test_verify_rejects_malformed_env(capsys, monkeypatch):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("eps_pow_max", ["400", "1100"])
+def test_verify_scaling_passes_on_a_grid_past_float_underflow(eps_pow_max, capsys):
+    # The finest norms, and at 1100 the scales 2**-j too, are below the
+    # smallest float: a verification that passes exits 0 with its report.
+    code, out = run_cli(capsys, "verify", "--suite", "scaling", "--trials", "1", "--eps-pow-max", eps_pow_max)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert [r["detail"] for r in payload["reports"]] == [
+        "threshold 2.800; trial 0: slope 3.000",
+        "threshold 3.800; trial 0: slope 4.000",
+    ]
+
+
 @pytest.mark.parametrize(
     "seed, low_slope",
     [(280623061, "threshold 2.800; trial 0: slope 2.994; trial 1: slope 3.015; trial 2: slope 2.537"),

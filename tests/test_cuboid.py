@@ -17,7 +17,6 @@ from deltachain.cuboid import (
     inject,
     pair,
     pointwise,
-    rational_columns,
     split,
     vector_add,
     vector_neg,
@@ -75,14 +74,6 @@ def test_sums_report_a_dimension_mismatch_as_vector_add_does(entry):
         vector_sum([(entry, 1), (entry,)])
     with pytest.raises(ValueError, match="^space dimension mismatch: 2 vs 1$"):
         corners((entry, 1), [(1, entry), (entry,)])
-
-
-def test_rational_columns_put_every_entry_over_one_denominator():
-    cols, den, masks = rational_columns([(Fraction(1, 2), 3), (Fraction(-2, 3), Fraction(5))])
-    assert (cols, den, masks) == ([[3, -4], [18, 30]], 6, [0b11, 0b10])
-    assert rational_columns([(1, 2), (True, 0)]) is None
-    assert rational_columns([(1, 2), (0.5, 0)]) is None
-    assert rational_columns([(), ()]) is None
 
 
 # -- cuboid container ----------------------------------------------------------
@@ -288,10 +279,20 @@ def test_evaluate_delta_with_repeated_directions_matches_the_definition(alpha, s
         assert types(got) == types(want)
 
 
-def test_series_entries_take_the_generic_path(monkeypatch):
-    eps = _Series.epsilon(3)
-    base, u, v = (Fraction(1, 2), eps), (eps * 2, 1), (1, eps * eps)
-    assert rational_columns([base, u, v]) is None
+_EPS = _Series.epsilon(3)
+
+
+@pytest.mark.parametrize(
+    "base, u, v",
+    [
+        ((Fraction(1, 2), _EPS), (_EPS * 2, 1), (1, _EPS * _EPS)),
+        ((Fraction(1, 2), 3), (2, Fraction(-2, 3)), (-1, Fraction(5))),
+    ],
+    ids=["series", "mixed-exact"],
+)
+def test_every_value_type_is_added_pairwise(monkeypatch, base, u, v):
+    """ε-series and mixed int/Fraction vectors take one path: corners of k
+    directions are 2^k - 1 calls of vector_add."""
     adds = 0
 
     def counting(a, b):
@@ -302,8 +303,13 @@ def test_series_entries_take_the_generic_path(monkeypatch):
     monkeypatch.setattr(cuboid, "vector_add", counting)
     bu = vector_add(base, u)
     want = [base, bu, vector_add(base, v), vector_add(bu, v)]
-    assert corners(base, [u, v]) == want
-    assert adds == 3
+    got = corners(base, [u, v])
+    assert got == want
+    assert [types(c) for c in got] == [types(c) for c in want]
+    for k in range(4):
+        adds = 0
+        assert len(corners(base, [u, v, bu][:k])) == 1 << k
+        assert adds == 2**k - 1
     assert vector_sum([base, u, v], [1, -1, 1]) == vector_add(vector_sub(base, u), v)
     c = Cuboid(1, (base, u))
     assert delta(c) == down_set_sums(c, -1)

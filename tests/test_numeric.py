@@ -412,6 +412,16 @@ def test_scaling_slope_flags_degenerate_remainders():
     assert result.slope is None
 
 
+@pytest.mark.parametrize("grid", [(3, 400), (3, 1100), (398, 399, 400)])
+def test_scaling_slope_fits_grids_past_float_underflow(grid):
+    # At j = 400 the norm is near 2**-1200, below the smallest float; at
+    # j = 1100 so is 2**-j.  The fit takes both logs from the exact values.
+    alpha = mi("11")
+    result = scaling_slope(*numeric.scaling_trial(5, alpha), alpha, grid)
+    assert all(result.norms)
+    assert result.slope == pytest.approx(3, abs=0.01)
+
+
 @pytest.mark.parametrize("grid", [(), (1,), (4, 4), (-1, 2), (1.5, 3)])
 def test_scaling_rejects_a_short_grid_or_a_bad_exponent(grid):
     rng = random.Random(23)
