@@ -12,6 +12,11 @@ equal fields, so structurally equal expressions are one object, ``==`` and
 stored once.  Each pass over an expression is one loop over its distinct
 nodes, children first; only ``parse``, ``expr_from_obj`` and ``expr_to_obj``
 recurse, and they report ``nesting too deep``.
+
+The expansion generators take one pass over the index-set families and
+build each node once, its operands already in canonical order, so nothing
+is canonicalized or substituted afterwards; ``expand_chain`` does not build
+(or fill the cache of) ``expand_tangent``.
 """
 
 from __future__ import annotations
@@ -278,38 +283,87 @@ def substitute_components(e: Expr, repl: Callable[[ComponentSym], Expr]) -> Expr
     return out[e]
 
 
+def _build_expansion(families, func: str, leaf: Callable[[MultiIndex], Expr]) -> Expr:
+    """The sum over ``families`` of one difference of ``func`` each, built
+    canonical: the node ``canonicalize`` returns for it, in one pass.
+
+    Each family is a tuple of index sets, the base set first and then one
+    per direction; a set stands for the sum of ``leaf`` over its indices,
+    and ``leaf`` must return canonical nodes that are not sums.  Each leaf
+    and each distinct set is built once, and every operand list is sorted
+    by one memo of sort keys as it is built.
+    """
+    keys: dict[Expr, tuple] = {}
+    leaves: dict[int, Expr] = {}
+    sums: dict[tuple[int, ...], Expr] = {}
+
+    def new_leaf(m: MultiIndex) -> Expr:
+        p = leaves[m.mask] = leaf(m)
+        for n in _postorder(p):
+            keys[n] = _key_of(n, keys)
+        return p
+
+    def summed(indices: tuple[MultiIndex, ...]) -> Expr:
+        masks = tuple([m.mask for m in indices])
+        e = sums.get(masks)
+        if e is None:
+            parts = [leaves.get(m.mask) or new_leaf(m) for m in indices]
+            if len(parts) == 1:
+                e = parts[0]
+            else:
+                parts.sort(key=keys.__getitem__)
+                e = Sum(tuple(parts))
+                keys[e] = _key_of(e, keys)
+            sums[masks] = e
+        return e
+
+    terms = []
+    for base, *blocks in families:
+        dirs = sorted(map(summed, blocks), key=keys.__getitem__)
+        if dirs:
+            t = DeltaTerm((1,) * len(dirs), tuple(dirs), func, summed(base))
+        else:
+            t = App(func, summed(base))
+        keys[t] = _key_of(t, keys)
+        terms.append(t)
+    if len(terms) == 1:
+        return terms[0]
+    terms.sort(key=keys.__getitem__)
+    return Sum(tuple(terms))
+
+
+def _family_sets(alpha: MultiIndex):
+    """Per partition of ``alpha``, its family's base set and block sets."""
+    for partition, fam in build_asets(alpha).items():
+        yield (fam.base_set, *map(fam.block_set, partition.blocks))
+
+
+def _check_request(alpha: MultiIndex, *names: str) -> None:
+    if type(alpha) is not MultiIndex:
+        raise ValueError(f"alpha must be a MultiIndex, not {type(alpha).__name__}")
+    for name in names:
+        if type(name) is not str:
+            raise ValueError(f"a name must be a str, not {name!r}")
+
+
 @lru_cache(maxsize=None)
 def expand_tangent(alpha: MultiIndex, func: str = "f", cuboid: str = "u") -> Expr:
     """Component ``alpha`` of the conjugated pointwise map, as one difference
     term per partition of ``alpha`` with directions and base point given by
-    the per-partition index-set families."""
-    # One ComponentSym per index below alpha, and one Sum per distinct set:
-    # about half the sets of the families repeat.  A set's tuple of
-    # components is its memo key and, on a miss, the new Sum's terms.
-    components = {m.mask: ComponentSym(cuboid, m) for m in alpha.down_set()}
-    sums: dict[tuple[Expr, ...], Expr] = {}
-
-    def sum_of_components(indices: tuple[MultiIndex, ...]) -> Expr:
-        if len(indices) == 1:
-            return components[indices[0].mask]
-        parts = tuple([components[m.mask] for m in indices])
-        e = sums.get(parts)
-        if e is None:
-            e = sums[parts] = Sum(parts)
-        return e
-
-    terms = []
-    for partition, fam in build_asets(alpha).items():
-        base = sum_of_components(fam.base_set)
-        dirs = tuple(sum_of_components(fam.block_set(b)) for b in partition.blocks)
-        terms.append(DeltaTerm((1,) * len(dirs), dirs, func, base))
-    return canonicalize(Sum(tuple(terms)))
+    the per-partition index-set families.  Built canonical in one pass over
+    the families; an alpha that is not a ``MultiIndex`` or a name that is
+    not a ``str`` raises ``ValueError``."""
+    _check_request(alpha, func, cuboid)
+    return _build_expansion(_family_sets(alpha), func, lambda m: ComponentSym(cuboid, m))
 
 
 def _inner_difference(gamma: MultiIndex, inner: str, point: str, vec: str) -> Expr:
+    """``inner`` differenced at ``point`` along one vector per position of
+    ``gamma``, canonical: the vectors in name order, so ``v_10`` comes
+    before ``v_2``."""
     if gamma.order == 0:
         return App(inner, PointSym(point))
-    dirs = tuple(VecSym(f"{vec}_{i + 1}") for i in gamma.support)
+    dirs = tuple(map(VecSym, sorted([f"{vec}_{i + 1}" for i in gamma.support])))
     return DeltaTerm((1,) * len(dirs), dirs, inner, PointSym(point))
 
 
@@ -322,13 +376,13 @@ def expand_chain(
     vec: str = "v",
 ) -> Expr:
     """Iterated difference of the composite ``outer(inner(point))`` along the
-    vectors, obtained by substituting inner differences for the cuboid
-    components of ``expand_tangent(alpha)``."""
-    tangent = expand_tangent(alpha, func=outer, cuboid="u")
-    return canonicalize(
-        substitute_components(
-            tangent, lambda c: _inner_difference(c.index, inner, point, vec)
-        )
+    vectors: ``expand_tangent(alpha)`` with the inner difference of each
+    component's index in place of the component.  Built canonical in one
+    pass over the families, without building (or caching) the tangent
+    expansion; bad arguments raise ``ValueError`` as there."""
+    _check_request(alpha, outer, inner, point, vec)
+    return _build_expansion(
+        _family_sets(alpha), outer, lambda m: _inner_difference(m, inner, point, vec)
     )
 
 
@@ -343,11 +397,14 @@ def main_part(
     """The leading-order truncation of ``expand_chain(alpha)``: per partition,
     every direction keeps only its lowest-order summand and the base point
     collapses to ``inner(point)``.  Every term has order exactly |alpha|."""
-    terms = []
-    for p in enumerate_partitions(alpha):
-        dirs = tuple(_inner_difference(b, inner, point, vec) for b in p.blocks)
-        terms.append(DeltaTerm((1,) * len(dirs), dirs, outer, App(inner, PointSym(point))))
-    return canonicalize(Sum(tuple(terms)))
+    _check_request(alpha, outer, inner, point, vec)
+    # alpha is its own zero index when it has no ones (also at dimension 0)
+    zero = (alpha if alpha.order == 0 else MultiIndex.zero(alpha.dim),)
+    return _build_expansion(
+        ((zero, *((b,) for b in p.blocks)) for p in enumerate_partitions(alpha)),
+        outer,
+        lambda m: _inner_difference(m, inner, point, vec),
+    )
 
 
 # ---------------------------------------------------------------------------

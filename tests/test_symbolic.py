@@ -9,10 +9,12 @@ import threading
 import tracemalloc
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import expansion_reference as expref
 import reference_formulas as ref
 from deltachain import symbolic
 from deltachain.combinatorics import MultiIndex, bell_number
@@ -209,6 +211,79 @@ def test_expansion_handles_sparse_multi_indices():
             comps = d.terms if isinstance(d, Sum) else (d,)
             for c in comps:
                 assert c.index <= mi("101")
+
+
+# Every alpha of dimension 1..5; at 1000000001 and 0100000001 the inner
+# differences list v_10, which sorts before v_2 by name.
+_EXPANSION_ALPHAS = [
+    *(MultiIndex.from_bits(bits) for dim in range(1, 6) for bits in product((0, 1), repeat=dim)),
+    mi("1111111"),
+    mi("1000000001"),
+    mi("0100000001"),
+]
+
+
+@pytest.mark.parametrize("alpha", _EXPANSION_ALPHAS, ids=str)
+def test_expansions_are_the_reference_nodes_and_canonical(alpha):
+    # expand_tangent, expand_chain and main_part each return the reference
+    # pipeline's node itself, and canonicalize returns it unchanged.
+    assert expref.differences(alpha) == []
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "101", "1111", "0100000001"])
+def test_expansions_with_custom_names_are_the_reference_nodes(alpha):
+    assert expref.differences(mi(alpha), outer="F", inner="G", point="y", vec="w", cuboid="c") == []
+
+
+def test_inner_differences_list_their_vectors_in_name_order():
+    chain = render(expand_chain(mi("0100000001")))
+    assert "Δ^2_{v_10, v_2} g(x)" in chain
+
+
+def test_main_part_of_the_index_with_no_digits_is_the_reference_node():
+    assert main_part(MultiIndex.empty()) is expref.main_part_reference(MultiIndex.empty())
+
+
+def test_expansions_are_built_without_canonicalize_or_substitution(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an expansion generator walked its result again")
+
+    monkeypatch.setattr(symbolic, "canonicalize", forbidden)
+    monkeypatch.setattr(symbolic, "substitute_components", forbidden)
+    for generator in (expand_tangent, expand_chain, main_part):
+        generator.cache_clear()
+    for k in range(1, 6):
+        alpha = MultiIndex.ones(k)
+        expand_chain(alpha)
+        main_part(alpha)
+        # expand_chain no longer builds, or caches, the tangent expansion.
+        assert expand_tangent.cache_info().currsize == k - 1
+        expand_tangent(alpha)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: expand_tangent("11"),
+        lambda: expand_chain("11"),
+        lambda: main_part("11"),
+        lambda: expand_chain(2),
+        lambda: expand_tangent(mi("11"), cuboid=1),
+        lambda: expand_chain(mi("11"), vec=5),
+        lambda: expand_chain(mi("11"), outer=3),
+        lambda: main_part(mi("11"), point=b"x"),
+        lambda: main_part(mi("11"), inner=None),
+    ],
+    ids=["tangent-str", "chain-str", "main-str", "chain-int", "int-cuboid", "int-vec", "int-outer", "bytes-point", "none-inner"],
+)
+def test_generators_reject_malformed_input_with_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_unhashable_generator_input_raises_the_cache_type_error():
+    with pytest.raises(TypeError):
+        expand_chain([1, 1])
 
 
 def test_substitute_components():
@@ -787,7 +862,6 @@ def test_threads_building_one_expansion_from_cold_get_one_node():
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
-        expand_tangent.cache_clear()
     assert results[0] is not None
     assert all(r is results[0] for r in results)
     assert expand_chain.__wrapped__(alpha, *names) is results[0]
