@@ -2,8 +2,9 @@
 
 For every partition of a multi-index alpha, the expansion needs one set of
 cube indices per block (summed to form a direction) plus one set for the
-base point.  These families are built by a recursion on the last digit and
-validated against the structural conditions they must satisfy.
+base point.  The all-ones families are built once per dimension, as masks,
+by a recursion on the last digit, placed on the support of other indices,
+and validated against the structural conditions they must satisfy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .combinatorics import MultiIndex, Partition, enumerate_partitions, mask_rank, refine
+from .combinatorics import MultiIndex, Partition, bell_number, enumerate_partitions, mask_rank, refine
 
 #: condition names used in validation reports, in check order
 CONDITIONS = ("disjoint", "anchored", "base-extras", "block-extras", "order-increase")
@@ -30,7 +31,9 @@ class ASetFamily:
 
     @property
     def zero(self) -> MultiIndex:
-        return MultiIndex.zero(self.partition.target.dim)
+        # a target with no ones (000, or the empty index) is its own zero
+        target = self.partition.target
+        return target if not target.mask else MultiIndex.zero(target.dim)
 
     @property
     def base_set(self) -> tuple[MultiIndex, ...]:
@@ -70,17 +73,14 @@ class FamilyValidation:
 
 @lru_cache(maxsize=None)
 def _ones_families(dim: int) -> tuple[tuple[Partition, tuple[tuple[int, ...], ...]], ...]:
-    """Families for the all-ones target of the given dimension.
+    """Families for the all-ones target of the given dimension, grown by
+    ``refine`` from the empty index, in ``enumerate_partitions`` order.
 
-    Returned in refinement-lineage order: each family is its partition and
-    one sorted tuple of masks per key, the zero index first and then the
-    blocks.  ``build_asets`` turns them into ASetFamily objects.
+    Each family is its partition and one sorted tuple of masks per key, the
+    zero index first and then the blocks.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if dim == 1:
-        one = MultiIndex(1, 1)
-        return ((Partition(one, (one,)), ((0,), (1,))),)
+    if dim == 0:
+        return ((Partition(MultiIndex.empty(), ()), ((0,),)),)
 
     # Appending a digit to every member keeps a sorted set sorted, so the
     # 0-lift of a set is the set itself and its 1-lift sets the top bit.  A
@@ -108,40 +108,26 @@ def _ones_families(dim: int) -> tuple[tuple[Partition, tuple[tuple[int, ...], ..
             for j, s in enumerate(block_sets):
                 sets.append(s if j < i else lift(s) if j == i else union(s, lift(s)))
             out.append((child, tuple(sets)))
+    out.sort(key=lambda family: family[0].sort_key)
+    # Bell(dim) distinct partitions of the target are all of them.
+    if len({p for p, _ in out}) != bell_number(dim):
+        raise AssertionError("refinement lineage disagrees with partition enumeration")
     return tuple(out)
 
 
 def build_asets(alpha: MultiIndex) -> dict[Partition, ASetFamily]:
     """One family per partition of ``alpha``, keyed and ordered like
-    ``enumerate_partitions(alpha)``.
-
-    Indices with zero digits are handled by building over the support and
-    embedding the result back.
+    ``enumerate_partitions(alpha)``: the all-ones families of alpha's
+    order placed on its support, which keeps their order.
     """
-    table = enumerate_partitions(alpha)
-    if alpha.order == 0:
-        return {table[0]: ASetFamily(table[0], {alpha: (alpha,)})}
-
-    # placed[c] is the index below alpha whose digits on the support are
-    # those of c: the down-set is sorted by the rank of c (see down_set).
-    down = alpha.down_set()
-    placed = [down[r] for r in mask_rank(alpha.order)]
-    # Each lineage family is matched to its table partition by block masks;
-    # embedding keeps the blocks' order, so the keys line up with its sets.
-    lineage = {
-        tuple(placed[b.mask].mask for b in small.blocks): mask_sets
-        for small, mask_sets in _ones_families(alpha.order)
-    }
+    placed = alpha.placements()
     built: dict[Partition, ASetFamily] = {}
-    for partition in table:
-        mask_sets = lineage.pop(tuple(b.mask for b in partition.blocks), None)
-        if mask_sets is None:
+    for partition, (small, mask_sets) in zip(enumerate_partitions(alpha), _ones_families(alpha.order)):
+        if partition.blocks != tuple(placed[b.mask] for b in small.blocks):
             raise AssertionError("refinement lineage disagrees with partition enumeration")
         keys = (placed[0],) + partition.blocks
         sets = {k: tuple(map(placed.__getitem__, ms)) for k, ms in zip(keys, mask_sets)}
         built[partition] = ASetFamily(partition, sets)
-    if lineage:
-        raise AssertionError("refinement lineage disagrees with partition enumeration")
     return built
 
 

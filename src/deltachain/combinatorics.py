@@ -118,16 +118,25 @@ class MultiIndex:
             raise ValueError(f"digit must be 0 or 1: {digit!r}")
         return MultiIndex(self.dim + 1, self.mask | int(digit) << self.dim)
 
-    def down_set(self) -> tuple["MultiIndex", ...]:
-        """All multi-indices below self, sorted by ``sort_key``."""
-        # placed[c] spreads the digits of c over the support.  That keeps
-        # both the order and the digit-string order, so the rank of c among
-        # the indices of dimension ``order`` sorts the placed masks.
+    def placements(self) -> tuple["MultiIndex", ...]:
+        """Entry c is the index below self carrying the digits of mask c on
+        the support; placing keeps the order and the digit-string order.
+
+        >>> [str(m) for m in MultiIndex.from_string("101").placements()]
+        ['000', '100', '001', '101']
+        """
+        if not self.dim:
+            return (self,)
         placed = [0]
         for p in self.support:
             placed += [m | 1 << p for m in placed]
-        rank = mask_rank(self.order)
-        return tuple(MultiIndex(self.dim, placed[c]) for c in sorted(range(len(placed)), key=rank.__getitem__))
+        return tuple(MultiIndex(self.dim, m) for m in placed)
+
+    def down_set(self) -> tuple["MultiIndex", ...]:
+        """All multi-indices below self, sorted by ``sort_key``."""
+        # placing keeps the order, so the rank of c sorts the placed indices
+        placed = self.placements()
+        return tuple(map(placed.__getitem__, sorted(range(len(placed)), key=mask_rank(self.order).__getitem__)))
 
     def restrict(self, positions: Sequence[int]) -> "MultiIndex":
         """Project onto the given positions; support must lie inside them."""

@@ -13,10 +13,10 @@ stored once.  Each pass over an expression is one loop over its distinct
 nodes, children first; only ``parse``, ``expr_from_obj`` and ``expr_to_obj``
 recurse, and they report ``nesting too deep``.
 
-The expansion generators take one pass over the index-set families and
-build each node once, its operands already in canonical order, so nothing
-is canonicalized or substituted afterwards; ``expand_chain`` does not build
-(or fill the cache of) ``expand_tangent``.
+The expansion generators take one pass over the cached mask families and
+place each leaf below alpha; each node is built once, its operands already
+in canonical order, so nothing is canonicalized or substituted afterwards;
+``expand_chain`` does not build (or fill the cache of) ``expand_tangent``.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from functools import lru_cache
 from itertools import accumulate, compress, count
 from typing import Callable, Union, get_args
 
-from .asets import _json_array, _json_object, build_asets
-from .combinatorics import MultiIndex, enumerate_partitions
+from .asets import _json_array, _json_object, _ones_families
+from .combinatorics import MultiIndex
 
 # Every live node, keyed by its class and field values.  The table is weak:
 # a node no expression or caller holds any more drops out of it.
@@ -283,31 +283,31 @@ def substitute_components(e: Expr, repl: Callable[[ComponentSym], Expr]) -> Expr
     return out[e]
 
 
-def _build_expansion(families, func: str, leaf: Callable[[MultiIndex], Expr]) -> Expr:
+def _build_expansion(alpha: MultiIndex, families, func: str, leaf: Callable[[MultiIndex], Expr]) -> Expr:
     """The sum over ``families`` of one difference of ``func`` each, built
     canonical: the node ``canonicalize`` returns for it, in one pass.
 
-    Each family is a tuple of index sets, the base set first and then one
-    per direction; a set stands for the sum of ``leaf`` over its indices,
-    and ``leaf`` must return canonical nodes that are not sums.  Each leaf
-    and each distinct set is built once, and every operand list is sorted
-    by one memo of sort keys as it is built.
+    Each family is a tuple of mask sets, the base set first and then one
+    per direction; mask c stands for ``alpha.placements()[c]``, a set for
+    the sum of ``leaf`` over its indices, and ``leaf`` must return canonical
+    nodes that are not sums.  Each leaf and each distinct set is built once,
+    and every operand list is sorted by one memo of sort keys as it is built.
     """
+    placed = alpha.placements()
     keys: dict[Expr, tuple] = {}
     leaves: dict[int, Expr] = {}
     sums: dict[tuple[int, ...], Expr] = {}
 
-    def new_leaf(m: MultiIndex) -> Expr:
-        p = leaves[m.mask] = leaf(m)
+    def new_leaf(c: int) -> Expr:
+        p = leaves[c] = leaf(placed[c])
         for n in _postorder(p):
             keys[n] = _key_of(n, keys)
         return p
 
-    def summed(indices: tuple[MultiIndex, ...]) -> Expr:
-        masks = tuple([m.mask for m in indices])
+    def summed(masks: tuple[int, ...]) -> Expr:
         e = sums.get(masks)
         if e is None:
-            parts = [leaves.get(m.mask) or new_leaf(m) for m in indices]
+            parts = [leaves.get(c) or new_leaf(c) for c in masks]
             if len(parts) == 1:
                 e = parts[0]
             else:
@@ -332,18 +332,16 @@ def _build_expansion(families, func: str, leaf: Callable[[MultiIndex], Expr]) ->
     return Sum(tuple(terms))
 
 
-def _family_sets(alpha: MultiIndex):
-    """Per partition of ``alpha``, its family's base set and block sets."""
-    for partition, fam in build_asets(alpha).items():
-        yield (fam.base_set, *map(fam.block_set, partition.blocks))
+# A name as the text grammar reads it; the generators take no other.
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
 def _check_request(alpha: MultiIndex, *names: str) -> None:
     if type(alpha) is not MultiIndex:
         raise ValueError(f"alpha must be a MultiIndex, not {type(alpha).__name__}")
     for name in names:
-        if type(name) is not str:
-            raise ValueError(f"a name must be a str, not {name!r}")
+        if type(name) is not str or not _NAME_RE.fullmatch(name):
+            raise ValueError(f"a name must be a str matching {_NAME_RE.pattern}, not {name!r}")
 
 
 @lru_cache(maxsize=None)
@@ -351,10 +349,11 @@ def expand_tangent(alpha: MultiIndex, func: str = "f", cuboid: str = "u") -> Exp
     """Component ``alpha`` of the conjugated pointwise map, as one difference
     term per partition of ``alpha`` with directions and base point given by
     the per-partition index-set families.  Built canonical in one pass over
-    the families; an alpha that is not a ``MultiIndex`` or a name that is
-    not a ``str`` raises ``ValueError``."""
+    the cached families; an alpha that is not a ``MultiIndex`` or a name
+    that is not a ``str`` the text grammar reads raises ``ValueError``."""
     _check_request(alpha, func, cuboid)
-    return _build_expansion(_family_sets(alpha), func, lambda m: ComponentSym(cuboid, m))
+    families = (sets for _, sets in _ones_families(alpha.order))
+    return _build_expansion(alpha, families, func, lambda m: ComponentSym(cuboid, m))
 
 
 def _inner_difference(gamma: MultiIndex, inner: str, point: str, vec: str) -> Expr:
@@ -381,9 +380,8 @@ def expand_chain(
     pass over the families, without building (or caching) the tangent
     expansion; bad arguments raise ``ValueError`` as there."""
     _check_request(alpha, outer, inner, point, vec)
-    return _build_expansion(
-        _family_sets(alpha), outer, lambda m: _inner_difference(m, inner, point, vec)
-    )
+    families = (sets for _, sets in _ones_families(alpha.order))
+    return _build_expansion(alpha, families, outer, lambda m: _inner_difference(m, inner, point, vec))
 
 
 @lru_cache(maxsize=None)
@@ -398,13 +396,8 @@ def main_part(
     every direction keeps only its lowest-order summand and the base point
     collapses to ``inner(point)``.  Every term has order exactly |alpha|."""
     _check_request(alpha, outer, inner, point, vec)
-    # alpha is its own zero index when it has no ones (also at dimension 0)
-    zero = (alpha if alpha.order == 0 else MultiIndex.zero(alpha.dim),)
-    return _build_expansion(
-        ((zero, *((b,) for b in p.blocks)) for p in enumerate_partitions(alpha)),
-        outer,
-        lambda m: _inner_difference(m, inner, point, vec),
-    )
+    families = (((0,), *((b.mask,) for b in p.blocks)) for p, _ in _ones_families(alpha.order))
+    return _build_expansion(alpha, families, outer, lambda m: _inner_difference(m, inner, point, vec))
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +659,7 @@ def _node_hook(memo: dict) -> Callable[[dict], object]:
 
 
 # A name, a natural number, or any other one non-space character.
-_TOKEN_RE = re.compile(r"\s*(?:[A-Za-z][A-Za-z0-9]*|\d+|\S)")
+_TOKEN_RE = re.compile(rf"\s*(?:{_NAME_RE.pattern}|\d+|\S)")
 _KIND_OF_CHAR = {
     "Δ": "delta",
     "^": "caret",

@@ -9,9 +9,13 @@ builds each node once, already in canonical order.  Nodes are interned, so
 the two agree exactly when they return the same object; both must, and
 the library's result must be its own canonical form.
 
-Run the sweep (every alpha of dimension 1..7, ``11111111``, and every
-bitstring of length 10..13 with at most three ones; the tangent and chain
-expansions and the main part of each):
+The reference reads the families through ``build_asets``; the library
+reads the cached mask families of ``asets._ones_families`` and places
+their leaves itself, so the two share only that cache.
+
+Run the sweep (the index with no digits, every alpha of dimension 1..7,
+``11111111``, and every bitstring of length 10..13 with at most three
+ones; the tangent and chain expansions and the main part of each):
 
     PYTHONPATH=src python tests/expansion_reference.py
 
@@ -100,7 +104,8 @@ def differences(
 
 
 def sweep_alphas() -> list[MultiIndex]:
-    alphas = [MultiIndex.from_bits(bits) for dim in range(1, 8) for bits in product((0, 1), repeat=dim)]
+    alphas = [MultiIndex.empty()]
+    alphas += [MultiIndex.from_bits(bits) for dim in range(1, 8) for bits in product((0, 1), repeat=dim)]
     alphas.append(MultiIndex.ones(8))
     for dim in range(10, 14):
         for ones in range(4):

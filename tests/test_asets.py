@@ -8,6 +8,7 @@ from deltachain.asets import (
     ASetFamily,
     ConditionReport,
     FamilyValidation,
+    _ones_families,
     asets_to_json,
     build_asets,
     validate,
@@ -71,6 +72,25 @@ def test_zero_target_family():
     (fam,) = fams.values()
     assert fam.base_set == (mi("000"),)
     assert fam.partition.blocks == ()
+
+
+def test_cached_families_follow_the_partition_table():
+    assert _ones_families(0) == ((Partition(MultiIndex.empty(), ()), ((0,),)),)
+    for d in range(1, 9):
+        partitions = [p for p, _ in _ones_families(d)]
+        assert partitions == list(enumerate_partitions(MultiIndex.ones(d)))
+
+
+def test_the_index_with_no_digits_has_one_family():
+    e = MultiIndex.empty()
+    (fam,) = build_asets(e).values()
+    assert fam.partition == Partition(e, ())
+    assert fam.zero == e
+    assert fam.keys() == (e,)
+    assert fam.base_set == (e,)
+    assert validate(fam).ok
+    rows = json.loads(asets_to_json(e, include_validation=True))
+    assert [(r["partition"], r["sets"], r["valid"]) for r in rows] == [([], {"": [""]}, True)]
 
 
 def test_sparse_support_families_embed_the_dense_ones():

@@ -131,6 +131,16 @@ def test_down_set_is_the_full_interval(bits):
     assert list(down) == sorted(down, key=lambda m: m.sort_key)
 
 
+def test_placements_embed_each_index_of_the_support_cube():
+    assert MultiIndex.empty().placements() == (MultiIndex.empty(),)
+    assert MultiIndex.empty().down_set() == (MultiIndex.empty(),)
+    for dim in range(1, 9):
+        for mask in range(1 << dim):
+            a = MultiIndex(dim, mask)
+            want = [MultiIndex(a.order, c).embed(a.support, dim) for c in range(1, 1 << a.order)]
+            assert a.placements() == (MultiIndex.zero(dim), *want)
+
+
 def test_mask_rank_is_the_position_in_sort_key_order():
     assert mask_rank(0) == (0,)
     for dim in range(1, 9):

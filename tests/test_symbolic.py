@@ -16,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import expansion_reference as expref
 import reference_formulas as ref
-from deltachain import symbolic
+from deltachain import asets, combinatorics, symbolic
 from deltachain.combinatorics import MultiIndex, bell_number
-from deltachain.numeric import EvaluationError, eval_expr
+from deltachain.cuboid import Cuboid, discrete_tangent
+from deltachain.numeric import EvaluationError, RandomRationalMap, eval_expr, evaluate_delta
 from deltachain.symbolic import (
     App,
     ComponentSym,
@@ -241,24 +242,54 @@ def test_inner_differences_list_their_vectors_in_name_order():
 
 
 def test_main_part_of_the_index_with_no_digits_is_the_reference_node():
-    assert main_part(MultiIndex.empty()) is expref.main_part_reference(MultiIndex.empty())
+    e = MultiIndex.empty()
+    chain = App("f", App("g", PointSym("x")))
+    tangent = App("f", ComponentSym("u", e))
+    assert expand_chain(e) is main_part(e) is chain
+    assert expand_tangent(e) is tangent
+    assert expref.differences(e) == []
+
+    f = RandomRationalMap(5, 2, 2)
+    g = RandomRationalMap(6, 2, 2)
+    x = (Fraction(1, 3), Fraction(-2, 7))
+    want = evaluate_delta(lambda p: f(g(p)), x, [])
+    assert eval_expr(expand_chain(e), {"f": f, "g": g, "x": x}) == want
+    assert eval_expr(main_part(e), {"f": f, "g": g, "x": x}) == want
+    c = Cuboid(0, (x,))
+    assert eval_expr(tangent, {"f": f, "u": c}) == discrete_tangent(f, c).component(e)
 
 
 def test_expansions_are_built_without_canonicalize_or_substitution(monkeypatch):
+    alphas = [MultiIndex.empty(), mi("000"), mi("0110"), *map(MultiIndex.ones, range(1, 6))]
+    want = {
+        alpha: (
+            expref.expand_tangent_reference(alpha),
+            expref.expand_chain_reference(alpha),
+            expref.main_part_reference(alpha),
+        )
+        for alpha in alphas
+    }
+
     def forbidden(*args, **kwargs):
         raise AssertionError("an expansion generator walked its result again")
 
+    def no_table(*args, **kwargs):
+        raise AssertionError("an expansion generator read a partition table or an ASetFamily")
+
     monkeypatch.setattr(symbolic, "canonicalize", forbidden)
     monkeypatch.setattr(symbolic, "substitute_components", forbidden)
-    for generator in (expand_tangent, expand_chain, main_part):
-        generator.cache_clear()
-    for k in range(1, 6):
-        alpha = MultiIndex.ones(k)
-        expand_chain(alpha)
-        main_part(alpha)
+    monkeypatch.setattr(asets, "build_asets", no_table)
+    monkeypatch.setattr(asets, "enumerate_partitions", no_table)
+    monkeypatch.setattr(combinatorics, "enumerate_partitions", no_table)
+    for cache in (expand_tangent, expand_chain, main_part, asets._ones_families, combinatorics.mask_rank):
+        cache.cache_clear()
+    for i, alpha in enumerate(alphas):
+        tangent, chain, main = want[alpha]
+        assert expand_chain(alpha) is chain
+        assert main_part(alpha) is main
         # expand_chain no longer builds, or caches, the tangent expansion.
-        assert expand_tangent.cache_info().currsize == k - 1
-        expand_tangent(alpha)
+        assert expand_tangent.cache_info().currsize == i
+        assert expand_tangent(alpha) is tangent
 
 
 @pytest.mark.parametrize(
@@ -273,8 +304,14 @@ def test_expansions_are_built_without_canonicalize_or_substitution(monkeypatch):
         lambda: expand_chain(mi("11"), outer=3),
         lambda: main_part(mi("11"), point=b"x"),
         lambda: main_part(mi("11"), inner=None),
+        lambda: expand_chain(mi("11"), vec=""),
+        lambda: expand_chain(mi("11"), vec="v w"),
+        lambda: expand_chain(mi("11"), outer="1f"),
     ],
-    ids=["tangent-str", "chain-str", "main-str", "chain-int", "int-cuboid", "int-vec", "int-outer", "bytes-point", "none-inner"],
+    ids=[
+        "tangent-str", "chain-str", "main-str", "chain-int", "int-cuboid", "int-vec", "int-outer",
+        "bytes-point", "none-inner", "empty-vec", "spaced-vec", "digit-first-outer",
+    ],
 )
 def test_generators_reject_malformed_input_with_value_error(call):
     with pytest.raises(ValueError):
