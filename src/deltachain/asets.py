@@ -3,8 +3,10 @@
 For every partition of a multi-index alpha, the expansion needs one set of
 cube indices per block (summed to form a direction) plus one set for the
 base point.  The all-ones families are built once per dimension, as masks,
-by a recursion on the last digit, placed on the support of other indices,
-and validated against the structural conditions they must satisfy.
+by a recursion on the last digit, and placed on the support of other
+indices.  One mask-level core checks the structural conditions they must
+satisfy: ``validate`` feeds it an ``ASetFamily``, and ``asets_to_json``
+the cached masks themselves, named by their placements.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .combinatorics import MultiIndex, Partition, bell_number, enumerate_partitions, mask_rank, refine
+from .combinatorics import MultiIndex, Partition, bell_number, check_alpha, enumerate_partitions, mask_rank, refine
 
 #: condition names used in validation reports, in check order
 CONDITIONS = ("disjoint", "anchored", "base-extras", "block-extras", "order-increase")
@@ -118,8 +120,10 @@ def _ones_families(dim: int) -> tuple[tuple[Partition, tuple[tuple[int, ...], ..
 def build_asets(alpha: MultiIndex) -> dict[Partition, ASetFamily]:
     """One family per partition of ``alpha``, keyed and ordered like
     ``enumerate_partitions(alpha)``: the all-ones families of alpha's
-    order placed on its support, which keeps their order.
+    order placed on its support, which keeps their order.  An alpha that is
+    not a ``MultiIndex`` raises ``ValueError``.
     """
+    check_alpha(alpha)
     placed = alpha.placements()
     built: dict[Partition, ASetFamily] = {}
     for partition, (small, mask_sets) in zip(enumerate_partitions(alpha), _ones_families(alpha.order)):
@@ -129,6 +133,32 @@ def build_asets(alpha: MultiIndex) -> dict[Partition, ASetFamily]:
         sets = {k: tuple(map(placed.__getitem__, ms)) for k, ms in zip(keys, mask_sets)}
         built[partition] = ASetFamily(partition, sets)
     return built
+
+
+def _offenders(name, target: int, maxord: int, keys, sets) -> tuple[list[str], ...]:
+    """Offenders of each condition, in ``CONDITIONS`` order: key ``keys[i]`` (the zero
+    index first) has the member masks ``sets[i]``; ``name`` writes a mask as a digit string."""
+    outside = ~target
+    members = [m for s in sets for m in s]
+    bad_disjoint = []
+    if len(set(members)) < len(members):
+        bad_disjoint = sorted(name(m) for m, c in Counter(members).items() if c > 1)
+
+    # "Strictly below the target" and "other than the block itself" need no
+    # test of their own: the target's order is at least maxord, and above it
+    # unless the target is the only block; a block lies between itself and
+    # the target, with order <= maxord.
+    bad_base = [name(m) for m in sets[0] if m and (m & outside or m.bit_count() >= maxord)]
+    bad_anchor, bad_block, bad_order = [], [], []
+    for i, (k, s) in enumerate(zip(keys, sets)):
+        prefix, order = name(k) + ":", k.bit_count()
+        if k not in s:
+            bad_anchor.append(f"{name(k)} missing from its own set")
+        bad_anchor += [f"{prefix}{name(m)} not below target" for m in s if m & outside]
+        if i:
+            bad_block += [prefix + name(m) for m in s if k & ~m or m & outside or m.bit_count() > maxord]
+        bad_order += [prefix + name(m) for m in s if m != k and m.bit_count() <= order]
+    return bad_disjoint, bad_anchor, bad_base, bad_block, bad_order
 
 
 def validate(family: ASetFamily) -> FamilyValidation:
@@ -145,9 +175,11 @@ def validate(family: ASetFamily) -> FamilyValidation:
     order-increase  members of a key's set other than the key itself have
                     order strictly greater than the key
 
-    A key without a set, or a member that is not a ``MultiIndex`` of the
-    target's dimension, raises ``ValueError``.
+    Anything but an ``ASetFamily``, a key without a set, or a member that is
+    not a ``MultiIndex`` of the target's dimension raises ``ValueError``.
     """
+    if not isinstance(family, ASetFamily):
+        raise ValueError(f"expected an ASetFamily, not {type(family).__name__}")
     p = family.partition
     dim, target, mo = p.target.dim, p.target.mask, p.maxord
     keys = family.keys()
@@ -164,43 +196,12 @@ def validate(family: ASetFamily) -> FamilyValidation:
                     raise ValueError(f"the set of key {k} holds {m!r}, which is not a MultiIndex")
                 if m.dim != dim:
                     raise ValueError(f"dimension mismatch: {m.dim} vs {dim}")
-        sets.append((k, k.mask, s, masks))
-    outside = ~target
-
-    members = [m for _, _, _, masks in sets for m in masks]
-    bad_disjoint = []
-    if len(set(members)) < len(members):
-        bad_disjoint = sorted(str(MultiIndex(dim, m)) for m, c in Counter(members).items() if c > 1)
-
-    bad_anchor = []
-    for k, km, s, masks in sets:
-        if km not in masks:
-            bad_anchor.append(f"{k} missing from its own set")
-        bad_anchor += [f"{k}:{m} not below target" for m, mask in zip(s, masks) if mask & outside]
-
-    # "Strictly below the target" and "other than the block itself" need no
-    # test of their own: the target's order is at least maxord, and above it
-    # unless the target is the only block; a block lies between itself and
-    # the target, with order <= maxord.
-    _, _, base, masks = sets[0]
-    bad_base = [str(m) for m, mask in zip(base, masks) if mask and (mask & outside or mask.bit_count() >= mo)]
-
-    bad_block = []
-    for b, bm, s, masks in sets[1:]:
-        prefix = f"{b}:"
-        bad_block += [
-            prefix + str(m) for m, mask in zip(s, masks) if bm & ~mask or mask & outside or mask.bit_count() > mo
-        ]
-
-    bad_order = []
-    for k, km, s, masks in sets:
-        order = km.bit_count()
-        bad_order += [f"{k}:{m}" for m, mask in zip(s, masks) if mask != km and mask.bit_count() <= order]
-
-    conditions = tuple(
-        ConditionReport(name, not bad, tuple(bad))
-        for name, bad in zip(CONDITIONS, (bad_disjoint, bad_anchor, bad_base, bad_block, bad_order))
+        sets.append(masks)
+    # the index with no digits, which MultiIndex(0, 0) rejects, is the target
+    offenders = _offenders(
+        lambda m: str(MultiIndex(dim, m) if dim else p.target), target, mo, [k.mask for k in keys], sets
     )
+    conditions = tuple(ConditionReport(name, not bad, tuple(bad)) for name, bad in zip(CONDITIONS, offenders))
     return FamilyValidation(all(c.ok for c in conditions), conditions)
 
 
@@ -228,26 +229,30 @@ def asets_to_json(alpha: MultiIndex, include_validation: bool = False) -> str:
 
     Byte-identical to ``json.dumps(rows, indent=2, sort_keys=True)`` of the
     rows ``ASetFamily.to_obj`` and ``FamilyValidation.to_obj`` describe,
-    written without building them.
+    written from the cached all-ones families without building them.
     """
-    # every member lies below alpha: one quoted digit string per mask
-    names = {m.mask: f'"{m}"' for m in alpha.down_set()}
+    check_alpha(alpha)
+    # The all-ones families are validated against the all-ones target, and
+    # mask c is named by its placement on alpha's support: placing is
+    # injective and keeps <=, the order and the digit-string order, so every
+    # condition and offender (the sorted disjoint list too) is unchanged.
+    names = list(map(str, alpha.placements()))
+    quoted = [f'"{n}"' for n in names]
     boolean = {True: "true", False: "false"}
     rows = []
-    for fam in build_asets(alpha).values():
-        report = validate(fam)
+    for small, mask_sets in _ones_families(alpha.order):
+        keys = (0, *(b.mask for b in small.blocks))
+        offenders = _offenders(names.__getitem__, small.target.mask, small.maxord, keys, mask_sets)
         fields = []
         if include_validation:
             conditions = [
-                (c.name, _json_object(
-                    (("offenders", _json_array([f'"{o}"' for o in c.offenders], 4)), ("ok", boolean[c.ok])), 3
-                ))
-                for c in sorted(report.conditions, key=lambda c: c.name)
+                (c, _json_object((("offenders", _json_array([f'"{o}"' for o in bad], 4)), ("ok", boolean[not bad])), 3))
+                for c, bad in sorted(zip(CONDITIONS, offenders))
             ]
             fields.append(("conditions", _json_object(conditions, 2)))
-        fields.append(("partition", _json_array([names[b.mask] for b in fam.partition.blocks], 2)))
-        sets = sorted((str(k), _json_array([names[m.mask] for m in fam.sets[k]], 3)) for k in fam.keys())
+        fields.append(("partition", _json_array([quoted[b] for b in keys[1:]], 2)))
+        sets = sorted((names[k], _json_array([quoted[m] for m in ms], 3)) for k, ms in zip(keys, mask_sets))
         fields.append(("sets", _json_object(sets, 2)))
-        fields.append(("valid", boolean[report.ok]))
+        fields.append(("valid", boolean[not any(offenders)]))
         rows.append(_json_object(fields, 1))
     return _json_array(rows, 0)

@@ -140,8 +140,7 @@ class MultiIndex:
 
     def restrict(self, positions: Sequence[int]) -> "MultiIndex":
         """Project onto the given positions; support must lie inside them."""
-        if not all(0 <= p < self.dim for p in positions):
-            raise ValueError(f"positions {positions} outside dimension {self.dim}")
+        _check_positions(positions, self.dim)
         picked = MultiIndex.from_bits((self.mask >> p) & 1 for p in positions)
         if picked.order != self.order:
             raise ValueError(f"support of {self} not contained in {positions}")
@@ -151,12 +150,24 @@ class MultiIndex:
         """Place the digits of self at ``positions`` inside a zero index of ``dim``."""
         if len(positions) != self.dim:
             raise ValueError("positions must match dimension")
-        if not all(0 <= p < dim for p in positions):
-            raise ValueError(f"positions {positions} outside dimension {dim}")
+        _check_positions(positions, dim)
         mask = 0
         for i, p in enumerate(positions):
             mask |= ((self.mask >> i) & 1) << p
         return MultiIndex(dim, mask)
+
+
+def check_alpha(alpha: MultiIndex) -> None:
+    """Raise ``ValueError`` unless ``alpha`` is a ``MultiIndex``."""
+    if type(alpha) is not MultiIndex:
+        raise ValueError(f"alpha must be a MultiIndex, not {type(alpha).__name__}")
+
+
+def _check_positions(positions: Sequence[int], dim: int) -> None:
+    if not all(0 <= p < dim for p in positions):
+        raise ValueError(f"positions {positions} outside dimension {dim}")
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"positions {positions} repeat a position")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import add, mul, or_
 from typing import Any, Callable, Mapping, Sequence
 
-from .combinatorics import MultiIndex, enumerate_partitions, refine
+from .combinatorics import MultiIndex, check_alpha, enumerate_partitions, refine
 from .cuboid import (
     Cuboid,
     PointedDirections,
@@ -653,8 +653,10 @@ def verify_scaling(
     below |alpha| + 1.  The fitted slope is only reported, next to the
     threshold |alpha| + 1 - 0.2 it is expected to clear; a remainder zero
     at every grid point is reported as degenerate, and one nonzero at a
-    single point as having no slope.  A bad grid raises ``ValueError``.
+    single point as having no slope.  A bad grid, or an alpha that is not a
+    ``MultiIndex``, raises ``ValueError``.
     """
+    check_alpha(alpha)
     notes = []
 
     def check(s: int) -> Failure | None:
@@ -682,7 +684,9 @@ def verify_scaling(
 def verify_smooth_chain(alpha: MultiIndex, seed: int, trials: int = 25) -> VerificationReport:
     """Exact polynomial checks of the derivative-level composition formula,
     the lifted tangent map on injected and general cuboids, and (for small
-    dimensions) functoriality of the lift."""
+    dimensions) functoriality of the lift.  An alpha that is not a
+    ``MultiIndex`` raises ``ValueError``."""
+    check_alpha(alpha)
     k = alpha.dim
     table = enumerate_partitions(alpha)
     for p in table:
@@ -741,6 +745,8 @@ def run_suite(
     """Run one named verification suite (or all of them) and return reports."""
     if any(n is not None and (type(n) is not int or n < 1) for n in (trials, kmax)):
         raise ValueError(f"trials and kmax must be None or an int >= 1, got {trials!r} and {kmax!r}")
+    if alpha is not None:
+        check_alpha(alpha)
     if name == "theorem-b":
         return verify_chain_expansion(seed, trials or 50, kmax or 5)
     if name == "eq9":

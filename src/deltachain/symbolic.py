@@ -31,7 +31,7 @@ from itertools import accumulate, compress, count
 from typing import Callable, Union, get_args
 
 from .asets import _json_array, _json_object, _ones_families
-from .combinatorics import MultiIndex
+from .combinatorics import MultiIndex, check_alpha
 
 # Every live node, keyed by its class and field values.  The table is weak:
 # a node no expression or caller holds any more drops out of it.
@@ -337,8 +337,7 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
 def _check_request(alpha: MultiIndex, *names: str) -> None:
-    if type(alpha) is not MultiIndex:
-        raise ValueError(f"alpha must be a MultiIndex, not {type(alpha).__name__}")
+    check_alpha(alpha)
     for name in names:
         if type(name) is not str or not _NAME_RE.fullmatch(name):
             raise ValueError(f"a name must be a str matching {_NAME_RE.pattern}, not {name!r}")
@@ -929,10 +928,13 @@ def parse(
     to rebuild subscripts like ``u_{1,3}``; when omitted it is inferred as
     the largest position appearing in any component subscript, which may
     not exceed 2**16, and text whose only components are ``u_0`` raises
-    ``ValueError``.  Input nested deeper than the interpreter can recurse
-    raises ``ValueError``.  Each distinct subexpression is built once, and
-    the result is the interned node.
+    ``ValueError``, as does a ``dim`` that is not ``None`` or an int >= 0.
+    Input nested deeper than the interpreter can recurse raises
+    ``ValueError``.  Each distinct subexpression is built once, and the
+    result is the interned node.
     """
+    if dim is not None and (type(dim) is not int or dim < 0):
+        raise ValueError(f"dim must be None or an int >= 0, not {dim!r}")
     if fmt == "json":
         try:
             obj = json.loads(s, object_hook=_node_hook({}))

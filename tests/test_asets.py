@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltachain import asets, combinatorics
 from deltachain.asets import (
     ASetFamily,
     ConditionReport,
@@ -89,6 +90,8 @@ def test_the_index_with_no_digits_has_one_family():
     assert fam.keys() == (e,)
     assert fam.base_set == (e,)
     assert validate(fam).ok
+    unanchored = validate(ASetFamily(fam.partition, {e: ()}))
+    assert [c.offenders for c in unanchored.conditions if not c.ok] == [(" missing from its own set",)]
     rows = json.loads(asets_to_json(e, include_validation=True))
     assert [(r["partition"], r["sets"], r["valid"]) for r in rows] == [([], {"": [""]}, True)]
 
@@ -349,6 +352,7 @@ def reference_json(alpha: MultiIndex) -> dict[bool, str]:
 # every target of dimension 1 to 7, and the all-ones target of dimension 8
 WRITER_TARGETS = {f"dim {d}": [MultiIndex(d, m) for m in range(1 << d)] for d in range(1, 8)}
 WRITER_TARGETS["11111111"] = [MultiIndex.ones(8)]
+WRITER_TARGETS["empty"] = [MultiIndex.empty()]
 
 
 @pytest.mark.parametrize("alphas", WRITER_TARGETS.values(), ids=WRITER_TARGETS.keys())
@@ -357,3 +361,21 @@ def test_json_writer_matches_json_dumps(alphas):
         want = reference_json(alpha)
         for include_validation in (False, True):
             assert asets_to_json(alpha, include_validation) == want[include_validation]
+
+
+def test_the_writer_reads_only_the_cached_families(monkeypatch):
+    alphas = [mi("1111"), mi("1101110"), mi("000"), MultiIndex.empty()]
+    want = {alpha: reference_json(alpha) for alpha in alphas}
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("asets_to_json built a partition table, an ASetFamily or a report")
+
+    monkeypatch.setattr(asets, "build_asets", no_table)
+    monkeypatch.setattr(asets, "validate", no_table)
+    monkeypatch.setattr(asets, "enumerate_partitions", no_table)
+    monkeypatch.setattr(combinatorics, "enumerate_partitions", no_table)
+    monkeypatch.setattr(MultiIndex, "down_set", no_table)
+    _ones_families.cache_clear()
+    for alpha in alphas:
+        for include_validation in (False, True):
+            assert asets_to_json(alpha, include_validation) == want[alpha][include_validation]

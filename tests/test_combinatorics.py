@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from deltachain.asets import asets_to_json, build_asets, validate
 from deltachain.combinatorics import (
     MultiIndex,
     Partition,
@@ -9,6 +10,8 @@ from deltachain.combinatorics import (
     mask_rank,
     refine,
 )
+from deltachain.numeric import run_suite, verify_scaling, verify_smooth_chain
+from deltachain.symbolic import parse
 
 bits_lists = st.lists(st.integers(0, 1), min_size=1, max_size=8)
 
@@ -155,11 +158,30 @@ def test_restrict_embed_round_trip():
     assert a.restrict(positions).embed(positions, 5) == a
     with pytest.raises(ValueError):
         mi("10011").restrict(positions)  # support not contained
-    for bad in [(1, 5), (-1, 3)]:
+    for bad in [(1, 5), (-1, 3), (1, 1)]:
         with pytest.raises(ValueError):
             mi("01010").restrict(bad)
         with pytest.raises(ValueError):
             mi("10").embed(bad, 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_asets("11"),
+        lambda: asets_to_json("11"),
+        lambda: verify_scaling(1, "11"),
+        lambda: verify_smooth_chain("11", 1),
+        lambda: run_suite("scaling", 1, alpha="11"),
+        lambda: validate("x"),
+        lambda: parse("u_1", dim="3"),
+        lambda: parse("f(x)", dim="3"),
+    ],
+    ids=["build-asets", "asets-to-json", "scaling", "smooth-chain", "run-suite", "validate", "parse-u1", "parse-fx"],
+)
+def test_entry_points_reject_a_stray_argument_with_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 @given(bits_lists)
