@@ -175,12 +175,18 @@ def validate(family: ASetFamily) -> FamilyValidation:
     order-increase  members of a key's set other than the key itself have
                     order strictly greater than the key
 
-    Anything but an ``ASetFamily``, a key without a set, or a member that is
-    not a ``MultiIndex`` of the target's dimension raises ``ValueError``.
+    Anything but an ``ASetFamily``, a partition that is not a ``Partition``,
+    sets that are not a ``dict``, a key without a set, a set that is not a
+    tuple or list, or a member that is not a ``MultiIndex`` of the target's
+    dimension raises ``ValueError``.
     """
     if not isinstance(family, ASetFamily):
         raise ValueError(f"expected an ASetFamily, not {type(family).__name__}")
     p = family.partition
+    if not isinstance(p, Partition):
+        raise ValueError(f"the family's partition is {p!r}, not a Partition")
+    if not isinstance(family.sets, dict):
+        raise ValueError(f"the family's sets are {family.sets!r}, not a dict")
     dim, target, mo = p.target.dim, p.target.mask, p.maxord
     keys = family.keys()
     sets = []
@@ -189,6 +195,8 @@ def validate(family: ASetFamily) -> FamilyValidation:
             s = family.sets[k]
         except KeyError:
             raise ValueError(f"the family has no set for key {k}") from None
+        if not isinstance(s, (tuple, list)):
+            raise ValueError(f"the set of key {k} is {s!r}, not a tuple or list")
         masks = [m.mask for m in s if isinstance(m, MultiIndex) and m.dim == dim]
         if len(masks) != len(s):
             for m in s:

@@ -183,6 +183,8 @@ class Partition:
     blocks: tuple[MultiIndex, ...]
 
     def __post_init__(self) -> None:
+        if type(self.target) is not MultiIndex or not isinstance(self.blocks, (tuple, list)):
+            raise ValueError(f"a Partition takes a MultiIndex and a tuple, not {self.target!r}, {self.blocks!r}")
         blocks = tuple(self.blocks)
         if self.target.order == 0:
             if blocks:
@@ -191,6 +193,8 @@ class Partition:
             return
         seen = 0
         for b in blocks:
+            if type(b) is not MultiIndex:
+                raise ValueError(f"a block must be a MultiIndex, not {b!r}")
             if b.dim != self.target.dim:
                 raise ValueError("block dimension mismatch")
             if not b.mask:
@@ -249,8 +253,10 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
 def enumerate_partitions(alpha: MultiIndex) -> tuple[Partition, ...]:
     """All partitions of ``alpha``, sorted by (size, block digit strings).
 
-    The zero multi-index has exactly one partition: the empty one.
+    The zero multi-index has exactly one partition: the empty one.  An
+    alpha that is not a ``MultiIndex`` raises ``ValueError``.
     """
+    check_alpha(alpha)
     if alpha.order == 0:
         return (Partition(alpha, ()),)
     parts = [
@@ -267,8 +273,11 @@ def refine(p: Partition) -> tuple[Partition, ...]:
     The first child appends 0 to every block and adds the new singleton
     block; child i (1-based) appends 1 to block i and 0 to the others.
     Across all partitions of the target these children disjointly exhaust
-    the partitions of target⋄1.
+    the partitions of target⋄1.  Anything but a ``Partition`` raises
+    ``ValueError``.
     """
+    if not isinstance(p, Partition):
+        raise ValueError(f"expected a Partition, not {type(p).__name__}")
     new_target = p.target.diamond(1)
     new_block = MultiIndex(p.target.dim + 1, 1 << p.target.dim)
     children = [Partition(new_target, tuple(b.diamond(0) for b in p.blocks) + (new_block,))]

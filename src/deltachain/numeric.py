@@ -374,6 +374,11 @@ def _run_trials(
 # ---------------------------------------------------------------------------
 # oracle suites
 
+def _chain_bindings(f: Any, g: Any, x: Value, vs: Sequence[Value]) -> dict[str, Any]:
+    """The names a chain expansion reads: ``f``, ``g``, ``x`` and ``v_1`` on."""
+    return {"f": f, "g": g, "x": x, **{f"v_{i + 1}": v for i, v in enumerate(vs)}}
+
+
 def verify_chain_expansion(
     seed: int,
     trials: int = 50,
@@ -398,10 +403,7 @@ def verify_chain_expansion(
             f = RandomRationalMap(derive_seed(s, "f"), mid, out)
             x = random_rational_vector(rng, zdim)
             vs = [random_rational_vector(rng, zdim) for _ in range(k)]
-            bindings = {"f": f, "g": g, "x": x}
-            for i, v in enumerate(vs):
-                bindings[f"v_{i + 1}"] = v
-            if eval_expr(expr, bindings) != evaluate_delta(lambda p: f(g(p)), x, vs):
+            if eval_expr(expr, _chain_bindings(f, g, x, vs)) != evaluate_delta(lambda p: f(g(p)), x, vs):
                 return Failure(s, str(alpha), "expansion differs from direct difference")
             return None
 
@@ -582,10 +584,8 @@ def _main_term_split(
     f: PolynomialMap, g: PolynomialMap, x: Value, dirs: Sequence[Value], alpha: MultiIndex
 ) -> tuple[Value, Value]:
     """The direct difference of f∘g at x along ``dirs``, and its main part."""
-    bindings: dict[str, Any] = {"f": f, "g": g, "x": x}
-    for i, d in enumerate(dirs):
-        bindings[f"v_{i + 1}"] = d
-    return evaluate_delta(lambda p: f(g(p)), x, dirs, alpha), eval_expr(main_part(alpha), bindings)
+    direct = evaluate_delta(lambda p: f(g(p)), x, dirs, alpha)
+    return direct, eval_expr(main_part(alpha), _chain_bindings(f, g, x, dirs))
 
 
 def scaling_slope(

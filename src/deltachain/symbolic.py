@@ -13,10 +13,12 @@ stored once.  Each pass over an expression is one loop over its distinct
 nodes, children first; only ``parse``, ``expr_from_obj`` and ``expr_to_obj``
 recurse, and they report ``nesting too deep``.
 
-The expansion generators take one pass over the cached mask families and
-place each leaf below alpha; each node is built once, its operands already
-in canonical order, so nothing is canonicalized or substituted afterwards;
-``expand_chain`` does not build (or fill the cache of) ``expand_tangent``.
+The expansion generators take only alpha and write fixed names (``f``,
+``g``, ``x``, ``v_i``, ``u``) that the text reader reads back.  They take
+one pass over the cached mask families and place each leaf below alpha;
+each node is built once, its operands already in canonical order, so
+nothing is canonicalized or substituted afterwards; ``expand_chain`` does
+not build (or fill the cache of) ``expand_tangent``.
 """
 
 from __future__ import annotations
@@ -283,8 +285,8 @@ def substitute_components(e: Expr, repl: Callable[[ComponentSym], Expr]) -> Expr
     return out[e]
 
 
-def _build_expansion(alpha: MultiIndex, families, func: str, leaf: Callable[[MultiIndex], Expr]) -> Expr:
-    """The sum over ``families`` of one difference of ``func`` each, built
+def _build_expansion(alpha: MultiIndex, families, leaf: Callable[[MultiIndex], Expr]) -> Expr:
+    """The sum over ``families`` of one difference of ``f`` each, built
     canonical: the node ``canonicalize`` returns for it, in one pass.
 
     Each family is a tuple of mask sets, the base set first and then one
@@ -321,9 +323,9 @@ def _build_expansion(alpha: MultiIndex, families, func: str, leaf: Callable[[Mul
     for base, *blocks in families:
         dirs = sorted(map(summed, blocks), key=keys.__getitem__)
         if dirs:
-            t = DeltaTerm((1,) * len(dirs), tuple(dirs), func, summed(base))
+            t = DeltaTerm((1,) * len(dirs), tuple(dirs), "f", summed(base))
         else:
-            t = App(func, summed(base))
+            t = App("f", summed(base))
         keys[t] = _key_of(t, keys)
         terms.append(t)
     if len(terms) == 1:
@@ -332,71 +334,48 @@ def _build_expansion(alpha: MultiIndex, families, func: str, leaf: Callable[[Mul
     return Sum(tuple(terms))
 
 
-# A name as the text grammar reads it; the generators take no other.
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-
-
-def _check_request(alpha: MultiIndex, *names: str) -> None:
-    check_alpha(alpha)
-    for name in names:
-        if type(name) is not str or not _NAME_RE.fullmatch(name):
-            raise ValueError(f"a name must be a str matching {_NAME_RE.pattern}, not {name!r}")
-
-
 @lru_cache(maxsize=None)
-def expand_tangent(alpha: MultiIndex, func: str = "f", cuboid: str = "u") -> Expr:
-    """Component ``alpha`` of the conjugated pointwise map, as one difference
-    term per partition of ``alpha`` with directions and base point given by
-    the per-partition index-set families.  Built canonical in one pass over
-    the cached families; an alpha that is not a ``MultiIndex`` or a name
-    that is not a ``str`` the text grammar reads raises ``ValueError``."""
-    _check_request(alpha, func, cuboid)
+def expand_tangent(alpha: MultiIndex) -> Expr:
+    """Component ``alpha`` of the conjugated pointwise map ``f`` over the
+    cuboid ``u``, as one difference term per partition of ``alpha`` with
+    directions and base point given by the per-partition index-set
+    families.  Built canonical in one pass over the cached families; an
+    alpha that is not a ``MultiIndex`` raises ``ValueError``."""
+    check_alpha(alpha)
     families = (sets for _, sets in _ones_families(alpha.order))
-    return _build_expansion(alpha, families, func, lambda m: ComponentSym(cuboid, m))
+    return _build_expansion(alpha, families, lambda m: ComponentSym("u", m))
 
 
-def _inner_difference(gamma: MultiIndex, inner: str, point: str, vec: str) -> Expr:
-    """``inner`` differenced at ``point`` along one vector per position of
+def _inner_difference(gamma: MultiIndex) -> Expr:
+    """``g`` differenced at ``x`` along ``v_i`` for each position i of
     ``gamma``, canonical: the vectors in name order, so ``v_10`` comes
     before ``v_2``."""
     if gamma.order == 0:
-        return App(inner, PointSym(point))
-    dirs = tuple(map(VecSym, sorted([f"{vec}_{i + 1}" for i in gamma.support])))
-    return DeltaTerm((1,) * len(dirs), dirs, inner, PointSym(point))
+        return App("g", PointSym("x"))
+    dirs = tuple(map(VecSym, sorted([f"v_{i + 1}" for i in gamma.support])))
+    return DeltaTerm((1,) * len(dirs), dirs, "g", PointSym("x"))
 
 
 @lru_cache(maxsize=None)
-def expand_chain(
-    alpha: MultiIndex,
-    outer: str = "f",
-    inner: str = "g",
-    point: str = "x",
-    vec: str = "v",
-) -> Expr:
-    """Iterated difference of the composite ``outer(inner(point))`` along the
-    vectors: ``expand_tangent(alpha)`` with the inner difference of each
+def expand_chain(alpha: MultiIndex) -> Expr:
+    """Iterated difference of the composite ``f(g(x))`` along the vectors
+    ``v_i``: ``expand_tangent(alpha)`` with the inner difference of each
     component's index in place of the component.  Built canonical in one
     pass over the families, without building (or caching) the tangent
-    expansion; bad arguments raise ``ValueError`` as there."""
-    _check_request(alpha, outer, inner, point, vec)
+    expansion; an alpha that is not a ``MultiIndex`` raises ``ValueError``."""
+    check_alpha(alpha)
     families = (sets for _, sets in _ones_families(alpha.order))
-    return _build_expansion(alpha, families, outer, lambda m: _inner_difference(m, inner, point, vec))
+    return _build_expansion(alpha, families, _inner_difference)
 
 
 @lru_cache(maxsize=None)
-def main_part(
-    alpha: MultiIndex,
-    outer: str = "f",
-    inner: str = "g",
-    point: str = "x",
-    vec: str = "v",
-) -> Expr:
+def main_part(alpha: MultiIndex) -> Expr:
     """The leading-order truncation of ``expand_chain(alpha)``: per partition,
     every direction keeps only its lowest-order summand and the base point
-    collapses to ``inner(point)``.  Every term has order exactly |alpha|."""
-    _check_request(alpha, outer, inner, point, vec)
+    collapses to ``g(x)``.  Every term has order exactly |alpha|."""
+    check_alpha(alpha)
     families = (((0,), *((b.mask,) for b in p.blocks)) for p, _ in _ones_families(alpha.order))
-    return _build_expansion(alpha, families, outer, lambda m: _inner_difference(m, inner, point, vec))
+    return _build_expansion(alpha, families, _inner_difference)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +636,12 @@ def _node_hook(memo: dict) -> Callable[[dict], object]:
     return hook
 
 
+# The names text reads as a cuboid and as points; any other name is a vector.
+_CUBOIDS = frozenset({"u"})
+_POINTS = frozenset({"x", "y", "z"})
+
 # A name, a natural number, or any other one non-space character.
-_TOKEN_RE = re.compile(rf"\s*(?:{_NAME_RE.pattern}|\d+|\S)")
+_TOKEN_RE = re.compile(r"\s*(?:[A-Za-z][A-Za-z0-9]*|\d+|\S)")
 _KIND_OF_CHAR = {
     "Δ": "delta",
     "^": "caret",
@@ -725,25 +708,23 @@ class _Parser:
 
     The text format does not record the cube dimension of component
     subscripts, so it is supplied (or inferred as the largest position
-    mentioned; ``None`` when no position is).  Names listed in ``cuboids``
-    parse as components, names in ``points`` as points, anything else as a
-    vector.
+    mentioned; ``None`` when no position is).  The name ``u`` parses as a
+    cuboid component, ``x``, ``y`` and ``z`` as points, and any other name
+    as a vector.
 
-    The grammar is context free and the settings are fixed for the call,
+    The grammar is context free and the dimension is fixed for the call,
     so equal source text parses to the equal node: a difference term, an
     application or a symbol whose text was parsed before is looked up and
     skipped.  Without balanced brackets nothing is looked up, and the
     parse, with its error, is the plain one.
     """
 
-    def __init__(self, s, dim, cuboids, points):
+    def __init__(self, s, dim):
         self.s = s
         self.kinds, self.texts, self.ends, self.close = _tokenize(s)
         self.n = len(self.ends)
         self.i = 0
         self.dim = dim
-        self.cuboids = cuboids
-        self.points = points
         self.memo: dict[str, Expr] = {}
 
     def peek(self, offset: int = 0):
@@ -865,7 +846,7 @@ class _Parser:
     def parse_symbol(self) -> Expr:
         name = self.take("name")
         if self.peek()[0] != "under":
-            if name in self.points:
+            if name in _POINTS:
                 return PointSym(name)
             return VecSym(name)
         self.take("under")
@@ -880,7 +861,7 @@ class _Parser:
         else:
             positions = [int(self.take("nat"))]
             subtext = str(positions[0])
-        if name in self.cuboids:
+        if name in _CUBOIDS:
             if self.dim is None:
                 raise ValueError(
                     f"cannot infer the dimension of {name}_{subtext}: no component"
@@ -895,16 +876,16 @@ class _Parser:
                 mask |= 1 << (p - 1)
             return ComponentSym(name, MultiIndex(self.dim, mask))
         full = f"{name}_{subtext}"
-        if name in self.points:
+        if name in _POINTS:
             return PointSym(full)
         return VecSym(full)
 
 
-def _infer_dim(kinds: list, texts: list, cuboids) -> int:
+def _infer_dim(kinds: list, texts: list) -> int:
     # The largest number in a subscript of a cuboid name; ``kinds`` ends
     # with ``None`` markers, which stop the scan.
     best = 0
-    for i in [i for i, text in enumerate(texts) if text in cuboids]:
+    for i in [i for i, text in enumerate(texts) if text in _CUBOIDS]:
         if kinds[i] == "name" and kinds[i + 1] == "under":
             j = i + 2
             while kinds[j] in ("lbrace", "nat", "comma"):
@@ -915,23 +896,18 @@ def _infer_dim(kinds: list, texts: list, cuboids) -> int:
     return best
 
 
-def parse(
-    s: str,
-    fmt: str = "text",
-    dim: int | None = None,
-    cuboids: frozenset[str] = frozenset({"u"}),
-    points: frozenset[str] = frozenset({"x", "y", "z"}),
-) -> Expr:
+def parse(s: str, fmt: str = "text", dim: int | None = None) -> Expr:
     """Parse an expression from ``text`` or ``json``.
 
-    JSON is faithful.  The text form needs the component dimension ``dim``
-    to rebuild subscripts like ``u_{1,3}``; when omitted it is inferred as
-    the largest position appearing in any component subscript, which may
-    not exceed 2**16, and text whose only components are ``u_0`` raises
-    ``ValueError``, as does a ``dim`` that is not ``None`` or an int >= 0.
-    Input nested deeper than the interpreter can recurse raises
-    ``ValueError``.  Each distinct subexpression is built once, and the
-    result is the interned node.
+    JSON is faithful.  In text, ``u`` names the cuboid, ``x``, ``y`` and
+    ``z`` points, and any other name a vector.  The text form needs the
+    component dimension ``dim`` to rebuild subscripts like ``u_{1,3}``;
+    when omitted it is inferred as the largest position appearing in any
+    component subscript, which may not exceed 2**16, and text whose only
+    components are ``u_0`` raises ``ValueError``, as does a ``dim`` that is
+    not ``None`` or an int >= 0.  Input nested deeper than the interpreter
+    can recurse raises ``ValueError``.  Each distinct subexpression is
+    built once, and the result is the interned node.
     """
     if dim is not None and (type(dim) is not int or dim < 0):
         raise ValueError(f"dim must be None or an int >= 0, not {dim!r}")
@@ -950,9 +926,9 @@ def parse(
         return expr_from_obj(json.loads(s)["root"])
     if fmt != "text":
         raise ValueError(f"unknown format: {fmt!r}")
-    parser = _Parser(s, dim, cuboids, points)
+    parser = _Parser(s, dim)
     if dim is None:
-        dim = _infer_dim(parser.kinds, parser.texts, cuboids)
+        dim = _infer_dim(parser.kinds, parser.texts)
         if dim > _MAX_INFERRED_DIM:
             raise ValueError(f"component position {dim} is above {_MAX_INFERRED_DIM}")
         parser.dim = dim or None  # no position to infer it from

@@ -164,10 +164,15 @@ def test_validation_catches_an_order_decrease():
         ({}, "no set for key 00"),
         ({mi("00"): (mi("00"),), mi("11"): (mi("11"), "00")}, "holds '00', which is not a MultiIndex"),
         ({mi("00"): (mi("00"),), mi("11"): (mi("11"), mi("011"))}, "dimension mismatch: 3 vs 2"),
+        ([], r"sets are \[\], not a dict"),
+        ({mi("00"): 5, mi("11"): (mi("11"),)}, "set of key 00 is 5, not a tuple or list"),
+        ({mi("00"): None, mi("11"): (mi("11"),)}, "set of key 00 is None, not a tuple or list"),
+        (ASetFamily("x", {}), "partition is 'x', not a Partition"),
     ],
 )
 def test_validation_rejects_malformed_families(sets, message):
-    fam = ASetFamily(family_for("11", ("11",)).partition, sets)
+    # A whole family stands in for one whose partition is malformed.
+    fam = sets if isinstance(sets, ASetFamily) else ASetFamily(family_for("11", ("11",)).partition, sets)
     with pytest.raises(ValueError, match=message):
         validate(fam)
 

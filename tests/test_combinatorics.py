@@ -176,8 +176,19 @@ def test_restrict_embed_round_trip():
         lambda: validate("x"),
         lambda: parse("u_1", dim="3"),
         lambda: parse("f(x)", dim="3"),
+        lambda: enumerate_partitions("11"),
+        lambda: enumerate_partitions(None),
+        lambda: refine("x"),
+        lambda: refine(MultiIndex.ones(2)),
+        lambda: Partition("11", ()),
+        lambda: Partition(MultiIndex.ones(2), ["11"]),
+        lambda: Partition(MultiIndex.ones(2), 5),
     ],
-    ids=["build-asets", "asets-to-json", "scaling", "smooth-chain", "run-suite", "validate", "parse-u1", "parse-fx"],
+    ids=[
+        "build-asets", "asets-to-json", "scaling", "smooth-chain", "run-suite", "validate", "parse-u1", "parse-fx",
+        "partitions-str", "partitions-none", "refine-str", "refine-index", "partition-str-target",
+        "partition-str-block", "partition-int-blocks",
+    ],
 )
 def test_entry_points_reject_a_stray_argument_with_value_error(call):
     with pytest.raises(ValueError):
