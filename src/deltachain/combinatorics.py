@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,6 +54,8 @@ class MultiIndex:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "MultiIndex":
         """The multi-index with the given digits, first digit first."""
+        if not isinstance(bits, Iterable):
+            raise ValueError(f"digits must be an iterable of 0s and 1s, not {bits!r}")
         bits = tuple(bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"digits must be 0 or 1: {bits!r}")
@@ -61,7 +63,7 @@ class MultiIndex:
 
     @classmethod
     def from_string(cls, s: str) -> "MultiIndex":
-        if any(c not in "01" for c in s):
+        if type(s) is not str or any(c not in "01" for c in s):
             raise ValueError(f"not a bitstring: {s!r}")
         return cls(len(s), int(s[::-1] or "0", 2))
 
@@ -72,12 +74,14 @@ class MultiIndex:
     @classmethod
     def unit(cls, dim: int, position: int) -> "MultiIndex":
         """The multi-index with a single 1-digit at ``position`` (0-based)."""
-        if not 0 <= position < dim:
-            raise ValueError(f"position {position} out of range for dim {dim}")
+        _check_dim(dim)
+        if type(position) is not int or not 0 <= position < dim:
+            raise ValueError(f"position {position!r} out of range for dim {dim}")
         return cls(dim, 1 << position)
 
     @classmethod
     def ones(cls, dim: int) -> "MultiIndex":
+        _check_dim(dim)
         return cls(dim, (1 << dim) - 1)
 
     @property
@@ -157,6 +161,14 @@ class MultiIndex:
         return MultiIndex(dim, mask)
 
 
+def _check_dim(n: Any, name: str = "dim") -> None:
+    """Raise ``ValueError`` unless ``n`` is an ``int`` >= 0; a ``bool`` is not one."""
+    if type(n) is not int:
+        raise ValueError(f"{name} must be an int, not {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative")
+
+
 def check_alpha(alpha: MultiIndex) -> None:
     """Raise ``ValueError`` unless ``alpha`` is a ``MultiIndex``."""
     if type(alpha) is not MultiIndex:
@@ -219,7 +231,7 @@ class Partition:
         return (self.size, tuple(str(b) for b in self.blocks))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mask_rank(dim: int) -> tuple[int, ...]:
     """``rank[m]`` is the position of ``MultiIndex(dim, m)`` among the
     indices of dimension ``dim`` sorted by ``sort_key``.
@@ -227,6 +239,7 @@ def mask_rank(dim: int) -> tuple[int, ...]:
     >>> mask_rank(2)  # masks 0, 1, 2, 3 are 00, 10, 01, 11
     (0, 2, 1, 3)
     """
+    _check_dim(dim)
     if dim == 0:
         return (0,)
     ordered = sorted(range(1 << dim), key=lambda m: MultiIndex(dim, m).sort_key)
@@ -289,15 +302,14 @@ def refine(p: Partition) -> tuple[Partition, ...]:
     return tuple(children)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-element set, via the Bell triangle.
 
     >>> [bell_number(n) for n in range(6)]
     [1, 1, 2, 5, 15, 52]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_dim(n, "n")
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]

@@ -150,36 +150,19 @@ def _difference(F: Callable[[Value], Value], base: Any, dirs: Sequence[Any]) -> 
     return _Exact(_SCALE, tuple([sum(map(mul, col, signs)) for col in zip(*outs)]), F._mask)
 
 
-def evaluate_delta(
-    F: Callable[[Value], Value],
-    base: Value,
-    directions: Sequence[Value],
-    alpha: MultiIndex | Sequence[int] | None = None,
-) -> Value:
+def evaluate_delta(F: Callable[[Value], Value], base: Value, directions: Sequence[Value]) -> Value:
     """Iterated difference of F at ``base``: the alternating sum of F over
     all corners base + sum of a subset of directions.
 
-    ``alpha`` repeats direction i ``alpha[i]`` times; omitted means once
-    each, and an entry that is not a nonnegative ``int`` raises
-    ``ValueError``.  With no directions this is just F(base).  For a
+    Each direction is taken once as listed, so a direction listed twice is
+    differenced twice.  With no directions this is just F(base).  For a
     ``RandomRationalMap`` and exact rational vectors, the corners are
     integer subset sums over one common denominator, read through the map's
     integer-keyed memo, and its values are summed as integers; any other map
     is called at corners added by + and -.  ``eval_expr`` runs the same kernel,
     ``_difference``, at each difference node.
     """
-    if alpha is None:
-        reps = (1,) * len(directions)
-    elif isinstance(alpha, MultiIndex):
-        reps = alpha.bits
-    else:
-        reps = tuple(alpha)
-        if any(not isinstance(r, int) or isinstance(r, bool) or r < 0 for r in reps):
-            raise ValueError("alpha entries must be nonnegative integers")
-    if len(reps) != len(directions):
-        raise ValueError("alpha length differs from direction count")
-    dirs = [_record(tuple(d)) for d, r in zip(directions, reps) for _ in range(r)]
-    return _vector(_difference(F, _record(tuple(base)), dirs))
+    return _vector(_difference(F, _record(tuple(base)), [_record(tuple(d)) for d in directions]))
 
 
 def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
@@ -348,11 +331,6 @@ def _require_count(name: str, n: Any) -> None:
         raise ValueError(f"{name} must be an int >= 1, got {n!r}")
 
 
-def _require_dims(dims: Any, n: int) -> None:
-    if not isinstance(dims, (tuple, list)) or len(dims) != n or any(type(d) is not int or d < 1 for d in dims):
-        raise ValueError(f"dims must be {n} ints >= 1, got {dims!r}")
-
-
 def _run_trials(
     identity: str,
     seed: int,
@@ -379,19 +357,11 @@ def _chain_bindings(f: Any, g: Any, x: Value, vs: Sequence[Value]) -> dict[str, 
     return {"f": f, "g": g, "x": x, **{f"v_{i + 1}": v for i, v in enumerate(vs)}}
 
 
-def verify_chain_expansion(
-    seed: int,
-    trials: int = 50,
-    kmax: int = 5,
-    dims: tuple[int, int, int] = (2, 2, 2),
-) -> list[VerificationReport]:
+def verify_chain_expansion(seed: int, trials: int = 50, kmax: int = 5) -> list[VerificationReport]:
     """Evaluate the symbolic expansion of an iterated difference of f(g(x))
-    against direct evaluation, with fresh pseudorandom maps per trial.
-    ``dims`` are the dimensions of the spaces of x, g(x) and f(g(x)); each
-    must be an ``int`` >= 1, or ``ValueError`` is raised."""
+    against direct evaluation, with fresh pseudorandom maps per trial: x,
+    g(x) and f(g(x)) all lie in the plane."""
     _require_count("kmax", kmax)
-    _require_dims(dims, 3)
-    zdim, mid, out = dims
 
     def report(k: int) -> VerificationReport:
         alpha = MultiIndex.ones(k)
@@ -399,10 +369,10 @@ def verify_chain_expansion(
 
         def check(s: int) -> Failure | None:
             rng = random.Random(s)
-            g = RandomRationalMap(derive_seed(s, "g"), zdim, mid)
-            f = RandomRationalMap(derive_seed(s, "f"), mid, out)
-            x = random_rational_vector(rng, zdim)
-            vs = [random_rational_vector(rng, zdim) for _ in range(k)]
+            g = RandomRationalMap(derive_seed(s, "g"), 2, 2)
+            f = RandomRationalMap(derive_seed(s, "f"), 2, 2)
+            x = random_rational_vector(rng, 2)
+            vs = [random_rational_vector(rng, 2) for _ in range(k)]
             if eval_expr(expr, _chain_bindings(f, g, x, vs)) != evaluate_delta(lambda p: f(g(p)), x, vs):
                 return Failure(s, str(alpha), "expansion differs from direct difference")
             return None
@@ -412,19 +382,11 @@ def verify_chain_expansion(
     return [report(k) for k in range(1, kmax + 1)]
 
 
-def verify_tangent_expansion(
-    seed: int,
-    trials: int = 50,
-    kmax: int = 5,
-    dims: tuple[int, int] = (2, 2),
-) -> list[VerificationReport]:
+def verify_tangent_expansion(seed: int, trials: int = 50, kmax: int = 5) -> list[VerificationReport]:
     """Evaluate the symbolic top component of the conjugated pointwise map
-    against the cuboid-level computation on random cuboids.  ``dims`` are
-    the dimensions of the spaces of the cuboid and of f's values; each must
-    be an ``int`` >= 1, or ``ValueError`` is raised."""
+    against the cuboid-level computation on random cuboids: the cuboid's
+    vectors and f's values lie in the plane."""
     _require_count("kmax", kmax)
-    _require_dims(dims, 2)
-    space, out = dims
 
     def report(k: int) -> VerificationReport:
         alpha = MultiIndex.ones(k)
@@ -432,8 +394,8 @@ def verify_tangent_expansion(
 
         def check(s: int) -> Failure | None:
             rng = random.Random(s)
-            f = RandomRationalMap(derive_seed(s, "f"), space, out)
-            cub = random_cuboid(rng, k, space)
+            f = RandomRationalMap(derive_seed(s, "f"), 2, 2)
+            cub = random_cuboid(rng, k, 2)
             if eval_expr(expr, {"f": f, "u": cub}) != discrete_tangent(f, cub).component(alpha):
                 return Failure(s, str(alpha), "expansion differs from cuboid computation")
             return None
@@ -583,8 +545,9 @@ class ScalingResult:
 def _main_term_split(
     f: PolynomialMap, g: PolynomialMap, x: Value, dirs: Sequence[Value], alpha: MultiIndex
 ) -> tuple[Value, Value]:
-    """The direct difference of f∘g at x along ``dirs``, and its main part."""
-    direct = evaluate_delta(lambda p: f(g(p)), x, dirs, alpha)
+    """The direct difference of f∘g at x along the ``dirs`` on alpha's
+    support, and its main part."""
+    direct = evaluate_delta(lambda p: f(g(p)), x, [dirs[i] for i in alpha.support])
     return direct, eval_expr(main_part(alpha), _chain_bindings(f, g, x, dirs))
 
 

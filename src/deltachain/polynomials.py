@@ -404,10 +404,9 @@ def random_polynomial_map(
     domain_dim: int,
     codomain_dim: int,
     degree: int,
-    coeff_bound: int = 3,
     dense: bool = False,
 ) -> PolynomialMap:
-    """A random polynomial map with small integer coefficients.
+    """A random polynomial map with integer coefficients in [-3, 3].
 
     With ``dense=True`` every monomial up to the degree carries a nonzero
     coefficient, which keeps remainder terms generically nonzero.
@@ -421,9 +420,9 @@ def random_polynomial_map(
         coeffs = {}
         for e in exponents:
             if dense:
-                c = rng.choice([i for i in range(-coeff_bound, coeff_bound + 1) if i])
+                c = rng.choice([-3, -2, -1, 1, 2, 3])
             else:
-                c = rng.randint(-coeff_bound, coeff_bound)
+                c = rng.randint(-3, 3)
             if c:
                 coeffs[e] = Fraction(c)
         comps.append(Poly.make(domain_dim, coeffs))

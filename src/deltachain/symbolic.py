@@ -905,10 +905,12 @@ def parse(s: str, fmt: str = "text", dim: int | None = None) -> Expr:
     when omitted it is inferred as the largest position appearing in any
     component subscript, which may not exceed 2**16, and text whose only
     components are ``u_0`` raises ``ValueError``, as does a ``dim`` that is
-    not ``None`` or an int >= 0.  Input nested deeper than the interpreter
-    can recurse raises ``ValueError``.  Each distinct subexpression is
-    built once, and the result is the interned node.
+    not ``None`` or an int >= 0.  Input that is not a ``str``, or nested
+    deeper than the interpreter can recurse, raises ``ValueError``.  Each
+    distinct subexpression is built once, and the result is the interned node.
     """
+    if not isinstance(s, str):
+        raise ValueError(f"expected a str to parse, not {type(s).__name__}")
     if dim is not None and (type(dim) is not int or dim < 0):
         raise ValueError(f"dim must be None or an int >= 0, not {dim!r}")
     if fmt == "json":

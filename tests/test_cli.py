@@ -77,6 +77,7 @@ def test_output_flag_writes_the_same_bytes(tmp_path, capsys):
         (["verify", "--suite", "smooth-chain", "--alpha", "101", "--trials", "4", "--seed", "11"], "5efa1bdf4a2f06633e2c0ded0c97e4dd520ca3d86745b3c2d71c82c9d4789c8e"),
         (["verify", "--suite", "theorem-b", "--kmax", "6", "--trials", "2", "--seed", "11"], "e7c53187cccff71001a085cdbb3d89a5b46752594ef28571436b5d62de8a47ca"),
         (["verify", "--suite", "eq9", "--kmax", "6", "--trials", "3", "--seed", "11"], "c5c2989a14362014be6af967b966850474c99c01db63174c3f803b147bd4c8d5"),
+        (["verify", "--suite", "scaling", "--alpha", "1011", "--seed", "8", "--trials", "2"], "865c2fac647e1c7f6cdce86a1775ca77001d78ca774838dce2510fcc18aa1caa"),
     ],
 )
 def test_outputs_match_recorded_digests(argv, digest, capsys):

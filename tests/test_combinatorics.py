@@ -183,11 +183,26 @@ def test_restrict_embed_round_trip():
         lambda: Partition("11", ()),
         lambda: Partition(MultiIndex.ones(2), ["11"]),
         lambda: Partition(MultiIndex.ones(2), 5),
+        lambda: parse(5),
+        lambda: parse(None),
+        lambda: parse(b"x"),
+        lambda: parse(5, "json"),
+        lambda: MultiIndex.ones("3"),
+        lambda: MultiIndex.ones(-1),
+        lambda: MultiIndex.unit("2", 0),
+        lambda: MultiIndex.from_string(5),
+        lambda: MultiIndex.from_bits(5),
+        lambda: mask_rank("3"),
+        lambda: mask_rank(-1),
+        lambda: bell_number("3"),
+        lambda: bell_number(True),
     ],
     ids=[
         "build-asets", "asets-to-json", "scaling", "smooth-chain", "run-suite", "validate", "parse-u1", "parse-fx",
         "partitions-str", "partitions-none", "refine-str", "refine-index", "partition-str-target",
-        "partition-str-block", "partition-int-blocks",
+        "partition-str-block", "partition-int-blocks", "parse-int", "parse-none", "parse-bytes", "parse-json-int",
+        "ones-str", "ones-negative", "unit-str", "from-string-int", "from-bits-int", "mask-rank-str",
+        "mask-rank-negative", "bell-str", "bell-bool",
     ],
 )
 def test_entry_points_reject_a_stray_argument_with_value_error(call):

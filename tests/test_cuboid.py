@@ -274,7 +274,7 @@ def test_evaluate_delta_with_repeated_directions_matches_the_definition(alpha, s
                     pt = vector_add(pt, d)
             v = f(pt) if (len(dirs) - sum(subset)) % 2 == 0 else vector_neg(f(pt))
             want = v if want is None else vector_add(want, v)
-        got = evaluate_delta(f, base, directions, alpha=alpha)
+        got = evaluate_delta(f, base, dirs)
         assert got == want
         assert types(got) == types(want)
 

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -68,28 +67,11 @@ def test_evaluate_delta_third_difference_of_a_quadratic_vanishes():
 
 def test_evaluate_delta_repeats_directions_per_alpha():
     u, v = (Fraction(1),), (Fraction(2),)
-    direct = evaluate_delta(square, (Fraction(0),), [u, v], alpha=(1, 1))
-    assert direct == evaluate_delta(square, (Fraction(0),), [u, v])
-    # alpha entry 0 switches a direction off
-    assert evaluate_delta(square, (Fraction(3),), [u, v], alpha=(0, 1)) == (
-        evaluate_delta(square, (Fraction(3),), [v])
-    )
-    with pytest.raises(ValueError):
-        evaluate_delta(square, (Fraction(0),), [u], alpha=(1, 1))
-
-
-@pytest.mark.parametrize("alpha", [(-1, 1), (1.5, 1), ("1", 1), (True, 1)])
-def test_evaluate_delta_rejects_malformed_alpha(alpha):
-    u, v = (Fraction(1),), (Fraction(2),)
-    with pytest.raises(ValueError, match="^alpha entries must be nonnegative integers$"):
-        evaluate_delta(square, (Fraction(3),), [u, v], alpha=alpha)
-
-
-def test_evaluate_delta_accepts_multi_index_alpha():
-    u, v = (Fraction(1),), (Fraction(2),)
-    assert evaluate_delta(square, (Fraction(3),), [u, v], alpha=mi("01")) == (
-        evaluate_delta(square, (Fraction(3),), [v])
-    )
+    # a direction listed twice is differenced twice: Δ_u Δ_u x² = 2u²
+    assert evaluate_delta(square, (Fraction(3),), [u, u]) == (2,)
+    assert evaluate_delta(square, (Fraction(3),), [u, u, v]) == (0,)
+    # a direction left out is skipped: Δ_v x² at 3 is 5² - 3²
+    assert evaluate_delta(square, (Fraction(3),), [v]) == (16,)
 
 
 # -- expression evaluation -----------------------------------------------------------
@@ -366,8 +348,15 @@ def test_tangent_expansion_oracle_small():
 
 
 def test_chain_expansion_with_unequal_space_dimensions():
-    reports = verify_chain_expansion(seed=2, trials=2, kmax=3, dims=(1, 3, 2))
-    assert all(r.passed for r in reports)
+    # x in a line, g(x) in 3-space, f(g(x)) in the plane
+    for seed, k in itertools.product((2, 3), range(1, 4)):
+        rng = random.Random(derive_seed(seed, k))
+        g = RandomRationalMap(derive_seed(seed, "g", k), 1, 3)
+        f = RandomRationalMap(derive_seed(seed, "f", k), 3, 2)
+        x = random_rational_vector(rng, 1)
+        vs = [random_rational_vector(rng, 1) for _ in range(k)]
+        got = eval_expr(expand_chain(MultiIndex.ones(k)), numeric._chain_bindings(f, g, x, vs))
+        assert got == evaluate_delta(lambda p: f(g(p)), x, vs)
 
 
 def test_identity_suite_names_and_exactness():
@@ -565,26 +554,6 @@ def test_suites_reject_a_count_that_checks_nothing(call, name, count):
     # Each of these once returned a passing report that checked nothing.
     with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
         call(count)
-
-
-@pytest.mark.parametrize(
-    "suite, n, dims",
-    [
-        (verify_tangent_expansion, 2, (2, 0)),
-        (verify_tangent_expansion, 2, (0, 0)),
-        (verify_tangent_expansion, 2, (True, 2)),
-        (verify_tangent_expansion, 2, (2, 2, 2)),
-        (verify_chain_expansion, 3, (2, 0, 2)),
-        (verify_chain_expansion, 3, (-1, 2, 2)),
-        (verify_chain_expansion, 3, (2, 2)),
-        (verify_chain_expansion, 3, (2, 1.5, 2)),
-    ],
-    ids=["eq9-empty-output", "eq9-empty", "eq9-bool", "eq9-three", "theorem-b-empty-middle", "theorem-b-negative", "theorem-b-two", "theorem-b-float"],
-)
-def test_oracle_suites_reject_dimensions_that_are_not_positive_ints(suite, n, dims):
-    # Empty spaces once passed by comparing empty tuples.
-    with pytest.raises(ValueError, match=f"^{re.escape(f'dims must be {n} ints >= 1, got {dims!r}')}$"):
-        suite(1, trials=1, kmax=2, dims=dims)
 
 
 @pytest.mark.parametrize(
