@@ -9,6 +9,7 @@ and every value type is added by its own + and -.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg, sub
@@ -17,6 +18,9 @@ from typing import Any, Callable, Iterator, Sequence
 from .combinatorics import MultiIndex
 
 Value = tuple[Any, ...]
+
+# An entry string as ``to_json`` writes it; Fraction("1e100000000") would build 10**100000000.
+_ENTRY_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def vector_add(a: Value, b: Value) -> Value:
@@ -143,8 +147,14 @@ class Cuboid:
 
     @classmethod
     def from_json(cls, text: str) -> "Cuboid":
-        """Inverse of ``to_json``; malformed input raises ``ValueError``."""
-        obj = json.loads(text)
+        """Inverse of ``to_json``; malformed input, such as a non-``str``, nesting
+        too deep or an entry string ``to_json`` does not write, raises ``ValueError``."""
+        if not isinstance(text, str):
+            raise ValueError(f"expected a str of JSON, not {type(text).__name__}")
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("nesting too deep") from None
         dim, space = (obj.get("dim"), obj.get("space")) if isinstance(obj, dict) else (None, None)
         if not (type(dim) is int and dim >= 0 and type(space) is int and space > 0):
             raise ValueError("need a nonnegative integer dim and a positive integer space")
@@ -155,7 +165,9 @@ class Cuboid:
         comps = []
         for m in _indices(dim):
             vec = raw.get(str(m))
-            if not isinstance(vec, list) or len(vec) != space or not all(type(x) in (str, int) for x in vec):
+            if not isinstance(vec, list) or len(vec) != space or not all(
+                type(x) is int or type(x) is str and _ENTRY_RE.fullmatch(x) for x in vec
+            ):
                 raise ValueError(f"component {m} must list {space} integers or fraction strings")
             try:
                 comps.append(tuple(Fraction(x) for x in vec))

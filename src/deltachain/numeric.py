@@ -211,8 +211,7 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
                 value = _sum([values[t] for t in n.terms])
             else:  # a difference term
                 F = bound(n.func, callable, "a map")
-                dirs = [values[d] for d, r in zip(n.directions, n.alpha) for _ in range(r)]
-                value = _difference(F, values[n.base], dirs)
+                value = _difference(F, values[n.base], [values[d] for d in n.directions])
             values[n] = value
     except ValueError as exc:
         raise EvaluationError(str(exc)) from None

@@ -117,25 +117,17 @@ class App(_Node):
 
 @dataclass(frozen=True, eq=False)
 class DeltaTerm(_Node):
-    """An iterated difference of ``func`` at ``base`` along ``directions``.
+    """An iterated difference of ``func`` at ``base``, taken once along each
+    of ``directions``: a direction applied twice is listed twice."""
 
-    ``alpha[i]`` counts how many times direction i is applied; generated
-    expressions always carry all-ones exponents, but canonicalization
-    accepts arbitrary nonnegative entries and expands them by repetition.
-    """
-
-    alpha: tuple[int, ...]
     directions: tuple["Expr", ...]
     func: str
     base: "Expr"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(self.alpha))
+        if not isinstance(self.directions, (tuple, list)):
+            raise ValueError(f"DeltaTerm.directions must be a tuple or list, not {self.directions!r}")
         object.__setattr__(self, "directions", tuple(self.directions))
-        if len(self.alpha) != len(self.directions):
-            raise ValueError("alpha and directions must have equal length")
-        if any(not isinstance(a, int) or isinstance(a, bool) or a < 0 for a in self.alpha):
-            raise ValueError("alpha entries must be nonnegative integers")
         if type(self.func) is not str:
             raise ValueError("a function name must be a str")
 
@@ -148,6 +140,8 @@ class Sum(_Node):
     terms: tuple["Expr", ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.terms, (tuple, list)):
+            raise ValueError(f"Sum.terms must be a tuple or list, not {self.terms!r}")
         object.__setattr__(self, "terms", tuple(self.terms))
 
     def _children(self) -> tuple:
@@ -189,7 +183,7 @@ def order_of(e: Expr) -> int:
 
     Points and applications have order 0, vectors order 1, components the
     order of their index; a sum takes the minimum of its terms and a
-    difference term adds ``alpha[i]`` copies of each direction's order.
+    difference term the sum of its directions' orders.
     """
     orders: dict[Expr, int] = {}
     for n in _postorder(e):
@@ -198,7 +192,7 @@ def order_of(e: Expr) -> int:
         elif isinstance(n, ComponentSym):
             orders[n] = n.index.order
         elif isinstance(n, DeltaTerm):
-            orders[n] = sum(a * orders[d] for a, d in zip(n.alpha, n.directions))
+            orders[n] = sum(orders[d] for d in n.directions)
         elif isinstance(n, Sum):
             orders[n] = min((orders[t] for t in n.terms), default=0)
         else:  # a point or an application
@@ -217,7 +211,7 @@ def _key_of(n: Expr, keys: dict) -> tuple:
     if isinstance(n, App):
         return (3, n.func, keys[n.arg])
     if isinstance(n, DeltaTerm):
-        return (4, sum(n.alpha), tuple(keys[d] for d in n.directions), n.func, keys[n.base], n.alpha)
+        return (4, len(n.directions), tuple(keys[d] for d in n.directions), n.func, keys[n.base])
     return (5, len(n.terms), tuple(keys[t] for t in n.terms))
 
 
@@ -230,8 +224,8 @@ def sort_key(e: Expr) -> tuple:
 
 
 def canonicalize(e: Expr) -> Expr:
-    """Flatten sums, sort operands, expand repeated directions, and collapse
-    zero-fold differences into plain applications.  Idempotent."""
+    """Flatten sums, sort operands, and collapse differences with no
+    directions into plain applications.  Idempotent."""
     out: dict[Expr, Expr] = {}
     # The sort key of each canonical node, computed from its children's as it is built.
     keys: dict[Expr, tuple] = {}
@@ -254,10 +248,9 @@ def canonicalize(e: Expr) -> Expr:
                 flat.sort(key=keys.__getitem__)
                 c = Sum(tuple(flat))
         else:  # a difference term
-            dirs = [out[d] for a, d in zip(n.alpha, n.directions) for _ in range(a)]
-            if dirs:
-                dirs.sort(key=keys.__getitem__)
-                c = DeltaTerm((1,) * len(dirs), tuple(dirs), n.func, out[n.base])
+            if n.directions:
+                dirs = sorted((out[d] for d in n.directions), key=keys.__getitem__)
+                c = DeltaTerm(tuple(dirs), n.func, out[n.base])
             else:
                 c = App(n.func, out[n.base])
         if c not in keys:
@@ -277,7 +270,7 @@ def substitute_components(e: Expr, repl: Callable[[ComponentSym], Expr]) -> Expr
         elif isinstance(n, App):
             out[n] = App(n.func, out[n.arg])
         elif isinstance(n, DeltaTerm):
-            out[n] = DeltaTerm(n.alpha, tuple(out[d] for d in n.directions), n.func, out[n.base])
+            out[n] = DeltaTerm(tuple(out[d] for d in n.directions), n.func, out[n.base])
         elif isinstance(n, Sum):
             out[n] = Sum(tuple(out[t] for t in n.terms))
         else:
@@ -323,7 +316,7 @@ def _build_expansion(alpha: MultiIndex, families, leaf: Callable[[MultiIndex], E
     for base, *blocks in families:
         dirs = sorted(map(summed, blocks), key=keys.__getitem__)
         if dirs:
-            t = DeltaTerm((1,) * len(dirs), tuple(dirs), "f", summed(base))
+            t = DeltaTerm(tuple(dirs), "f", summed(base))
         else:
             t = App("f", summed(base))
         keys[t] = _key_of(t, keys)
@@ -353,7 +346,7 @@ def _inner_difference(gamma: MultiIndex) -> Expr:
     if gamma.order == 0:
         return App("g", PointSym("x"))
     dirs = tuple(map(VecSym, sorted([f"v_{i + 1}" for i in gamma.support])))
-    return DeltaTerm((1,) * len(dirs), dirs, "g", PointSym("x"))
+    return DeltaTerm(dirs, "g", PointSym("x"))
 
 
 @lru_cache(maxsize=None)
@@ -432,7 +425,7 @@ def _json(e: Expr) -> str:
                 fields = (("arg", out[n.arg][depth + 1]), ("func", json.dumps(n.func)), ("node", '"apply"'))
             elif isinstance(n, DeltaTerm):
                 fields = (
-                    ("alpha", _json_array([str(int(a)) for a in n.alpha], depth + 1)),
+                    ("alpha", _json_array(["1"] * len(n.directions), depth + 1)),
                     ("base", out[n.base][depth + 1]),
                     ("directions", _json_array([out[d][depth + 2] for d in n.directions], depth + 1)),
                     ("func", json.dumps(n.func)),
@@ -460,7 +453,7 @@ def expr_to_obj(e: Expr) -> dict:
         if isinstance(e, DeltaTerm):
             return {
                 "node": "delta",
-                "alpha": list(e.alpha),
+                "alpha": [1] * len(e.directions),
                 "directions": [expr_to_obj(d) for d in e.directions],
                 "func": e.func,
                 "base": expr_to_obj(e.base),
@@ -475,9 +468,9 @@ def expr_to_obj(e: Expr) -> dict:
 def render(e: Expr, fmt: str = "text") -> str:
     """Serialize an expression.
 
-    ``text`` and ``latex`` print difference terms with repeated directions
-    expanded, so the exponent always equals the number of listed directions.
-    ``json`` is a faithful serialization and round-trips through ``parse``.
+    ``text`` and ``latex`` print a difference term's exponent as the number
+    of its listed directions.  ``json`` is a faithful serialization and
+    round-trips through ``parse``.
     """
     if fmt == "json":
         # Byte-identical to json.dumps({"version": 1, "root": expr_to_obj(e)},
@@ -497,7 +490,7 @@ def render(e: Expr, fmt: str = "text") -> str:
         elif isinstance(n, Sum):
             out[n] = " + ".join(out[t] for t in n.terms) if n.terms else "0"
         else:  # a difference term
-            dirs = [out[d] for a, d in zip(n.alpha, n.directions) for _ in range(a)]
+            dirs = [out[d] for d in n.directions]
             if not dirs:
                 out[n] = f"{n.func}({out[n.base]})"
                 continue
@@ -525,13 +518,20 @@ _TOO_DEEP = "nesting too deep"
 # before a multi-index of that dimension is allocated.
 _MAX_INFERRED_DIM = 1 << 16
 
+# The most directions ``expr_from_obj`` lists for one difference term, so
+# that a few ``alpha`` digits cannot ask for a tuple too large to build.
+_MAX_DIRECTIONS = 1 << 16
+
 
 def expr_from_obj(obj: dict) -> Expr:
     """Rebuild an expression from its JSON object form.
 
-    Missing fields, fields of the wrong type, booleans where integers
-    belong and nesting deeper than the interpreter can recurse raise
-    ``ValueError``.  A node in place of an object form is taken as it is.
+    A difference node's ``alpha`` gives each direction's multiplicity:
+    direction i is listed ``alpha[i]`` times, so a 0 drops it.  Missing
+    fields, fields of the wrong type, booleans where integers belong,
+    multiplicities summing above 2**16 and nesting deeper than the
+    interpreter can recurse raise ``ValueError``.  A node in place of an
+    object form is taken as it is.
     """
     if type(obj) in _NODE_TYPES:
         return obj
@@ -559,9 +559,15 @@ def expr_from_obj(obj: dict) -> Expr:
                 and type(func) is str
                 and bool not in map(type, alpha)
             ):
-                return DeltaTerm(
-                    tuple(alpha), tuple(expr_from_obj(d) for d in dirs), func, expr_from_obj(obj["base"])
-                )
+                dirs = [expr_from_obj(d) for d in dirs]
+                base = expr_from_obj(obj["base"])
+                if len(alpha) != len(dirs):
+                    raise ValueError("alpha and directions must have equal length")
+                if any(not isinstance(a, int) or a < 0 for a in alpha):
+                    raise ValueError("alpha entries must be nonnegative integers")
+                if sum(alpha) > _MAX_DIRECTIONS:
+                    raise ValueError(f"a difference along more than {_MAX_DIRECTIONS} directions")
+                return DeltaTerm(tuple(d for a, d in zip(alpha, dirs) for _ in range(a)), func, base)
         elif kind == "sum":
             terms = obj["terms"]
             if isinstance(terms, (list, tuple)):
@@ -841,7 +847,7 @@ class _Parser:
             raise ValueError(
                 f"exponent {exponent} disagrees with {len(dirs)} listed directions"
             )
-        return DeltaTerm((1,) * len(dirs), tuple(dirs), func, base)
+        return DeltaTerm(tuple(dirs), func, base)
 
     def parse_symbol(self) -> Expr:
         name = self.take("name")

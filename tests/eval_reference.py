@@ -70,8 +70,7 @@ def eval_expr_reference(e: Expr, bindings: Mapping[str, Any]) -> Value:
                 value = vector_sum([values[t] for t in n.terms])
             else:  # a difference term
                 F = bound(n.func, callable, "a map")
-                dirs = [values[d] for d, r in zip(n.directions, n.alpha) for _ in range(r)]
-                value = evaluate_delta_reference(F, values[n.base], dirs)
+                value = evaluate_delta_reference(F, values[n.base], [values[d] for d in n.directions])
             values[n] = value
     except ValueError as exc:
         raise EvaluationError(str(exc)) from None

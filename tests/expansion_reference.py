@@ -55,7 +55,7 @@ def expand_tangent_reference(alpha: MultiIndex, func: str = "f", cuboid: str = "
     for partition, fam in build_asets(alpha).items():
         base = _set_sum(fam.base_set, cuboid)
         dirs = tuple(_set_sum(fam.block_set(b), cuboid) for b in partition.blocks)
-        terms.append(DeltaTerm((1,) * len(dirs), dirs, func, base))
+        terms.append(DeltaTerm(dirs, func, base))
     return canonicalize(Sum(tuple(terms)))
 
 
@@ -63,7 +63,7 @@ def inner_difference_reference(gamma: MultiIndex, inner: str, point: str, vec: s
     if gamma.order == 0:
         return App(inner, PointSym(point))
     dirs = tuple(VecSym(f"{vec}_{i + 1}") for i in gamma.support)
-    return DeltaTerm((1,) * len(dirs), dirs, inner, PointSym(point))
+    return DeltaTerm(dirs, inner, PointSym(point))
 
 
 def expand_chain_reference(
@@ -81,7 +81,7 @@ def main_part_reference(
     terms = []
     for p in enumerate_partitions(alpha):
         dirs = tuple(inner_difference_reference(b, inner, point, vec) for b in p.blocks)
-        terms.append(DeltaTerm((1,) * len(dirs), dirs, outer, App(inner, PointSym(point))))
+        terms.append(DeltaTerm(dirs, outer, App(inner, PointSym(point))))
     return canonicalize(Sum(tuple(terms)))
 
 

@@ -26,8 +26,7 @@ def comp_sum(*bits: str):
 
 
 def dt(directions, func, base) -> DeltaTerm:
-    directions = tuple(directions)
-    return DeltaTerm((1,) * len(directions), directions, func, base)
+    return DeltaTerm(tuple(directions), func, base)
 
 
 GX = App("g", PointSym("x"))
@@ -36,7 +35,7 @@ GX = App("g", PointSym("x"))
 def dg(*positions: int):
     """Iterated difference of g at x along the numbered vectors v_i."""
     dirs = tuple(VecSym(f"v_{p}") for p in positions)
-    return DeltaTerm((1,) * len(dirs), dirs, "g", PointSym("x"))
+    return DeltaTerm(dirs, "g", PointSym("x"))
 
 
 def gx_plus(*terms):

@@ -78,6 +78,7 @@ def test_output_flag_writes_the_same_bytes(tmp_path, capsys):
         (["verify", "--suite", "theorem-b", "--kmax", "6", "--trials", "2", "--seed", "11"], "e7c53187cccff71001a085cdbb3d89a5b46752594ef28571436b5d62de8a47ca"),
         (["verify", "--suite", "eq9", "--kmax", "6", "--trials", "3", "--seed", "11"], "c5c2989a14362014be6af967b966850474c99c01db63174c3f803b147bd4c8d5"),
         (["verify", "--suite", "scaling", "--alpha", "1011", "--seed", "8", "--trials", "2"], "865c2fac647e1c7f6cdce86a1775ca77001d78ca774838dce2510fcc18aa1caa"),
+        (["expand", "--order", "6", "--format", "json"], "137137b2aeed93aa94997330c48c50bfb4c879284224f58098890c2f88642573"),
     ],
 )
 def test_outputs_match_recorded_digests(argv, digest, capsys):

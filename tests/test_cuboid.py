@@ -153,6 +153,9 @@ def _cuboid_obj(**changes):
         _cuboid_obj(components={"0": ["1", "2"], "1": [True, "4"]}),
         _cuboid_obj(components={"0": ["1", "2"], "1": [0.5, "4"]}),
         _cuboid_obj(components={"0": ["1", "2"], "1": ["x", "4"]}),
+        _cuboid_obj(components={"0": ["1", "2"], "1": ["1e100000000", "4"]}),
+        _cuboid_obj(components={"0": ["1", "2"], "1": ["0.5", "4"]}),
+        _cuboid_obj(components={"0": ["1", "2"], "1": [" 1", "4"]}),
         _cuboid_obj(components={"0": ["1", "2"], "1": ["1/0", "4"]}),
     ],
     ids=[
@@ -171,12 +174,25 @@ def _cuboid_obj(**changes):
         "boolean-entry",
         "float-entry",
         "non-numeric-entry",
+        "exponent-entry",
+        "decimal-entry",
+        "padded-entry",
         "zero-denominator",
     ],
 )
 def test_from_json_rejects_malformed_input(obj):
     with pytest.raises(ValueError):
         Cuboid.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [5, None, b'{"dim": 0, "space": 1, "components": {"": ["1"]}}', "[" * 100000 + "]" * 100000],
+    ids=["int", "none", "bytes", "deep-nesting"],
+)
+def test_from_json_rejects_non_str_and_too_deep_input(text):
+    with pytest.raises(ValueError):
+        Cuboid.from_json(text)
 
 
 def test_from_json_accepts_integer_entries():

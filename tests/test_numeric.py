@@ -106,7 +106,7 @@ def test_eval_expr_sums_exact_vectors_like_pairwise_addition(vectors):
 @pytest.mark.parametrize("node", ["sum", "delta"])
 def test_eval_expr_reports_a_dimension_mismatch_as_vector_add_does(node):
     x, w = PointSym("x"), VecSym("w")
-    expr = Sum((x, w)) if node == "sum" else DeltaTerm((1,), (w,), "f", x)
+    expr = Sum((x, w)) if node == "sum" else DeltaTerm((w,), "f", x)
     bindings = {"f": lambda p: p, "x": (Fraction(1, 2), 2), "w": (Fraction(1, 3),)}
     with pytest.raises(EvaluationError, match="^space dimension mismatch: 2 vs 1$"):
         eval_expr(expr, bindings)
@@ -229,8 +229,8 @@ def test_eval_expr_matches_the_tuple_reference_in_value_and_type(case):
 
 
 def test_eval_expr_reports_an_unbound_name_in_a_shared_subtree():
-    shared = DeltaTerm((1,), (VecSym("w"),), "g", PointSym("x"))
-    expr = Sum((App("f", shared), DeltaTerm((1,), (shared,), "f", shared)))
+    shared = DeltaTerm((VecSym("w"),), "g", PointSym("x"))
+    expr = Sum((App("f", shared), DeltaTerm((shared,), "f", shared)))
     bindings = {"f": square, "g": square, "x": (Fraction(1),)}
     with pytest.raises(EvaluationError, match="unbound symbol 'w'"):
         eval_expr(expr, bindings)
@@ -251,7 +251,7 @@ def test_eval_expr_rejects_non_expressions_inside_a_tree():
 def test_eval_expr_reports_a_map_value_error_alike_under_every_node(node):
     f = RandomRationalMap(1, 2, 2)
     x = PointSym("x")
-    expr = App("f", x) if node == "app" else DeltaTerm((1,), (VecSym("v"),), "f", x)
+    expr = App("f", x) if node == "app" else DeltaTerm((VecSym("v"),), "f", x)
     with pytest.raises(EvaluationError, match="^need 2 coordinates, got 1$"):
         eval_expr(expr, {"f": f, "x": (Fraction(1),), "v": (Fraction(1),)})
 
