@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .combinatorics import MultiIndex, Partition, bell_number, check_alpha, enumerate_partitions, mask_rank, refine
+from .combinatorics import MultiIndex, Partition, _partition_rows, check_alpha, enumerate_partitions, mask_rank
 
 #: condition names used in validation reports, in check order
 CONDITIONS = ("disjoint", "anchored", "base-extras", "block-extras", "order-increase")
@@ -40,9 +40,6 @@ class ASetFamily:
     @property
     def base_set(self) -> tuple[MultiIndex, ...]:
         return self.sets[self.zero]
-
-    def block_set(self, block: MultiIndex) -> tuple[MultiIndex, ...]:
-        return self.sets[block]
 
     def keys(self) -> tuple[MultiIndex, ...]:
         return (self.zero,) + self.partition.blocks
@@ -74,15 +71,13 @@ class FamilyValidation:
 
 
 @lru_cache(maxsize=None)
-def _ones_families(dim: int) -> tuple[tuple[Partition, tuple[tuple[int, ...], ...]], ...]:
-    """Families for the all-ones target of the given dimension, grown by
-    ``refine`` from the empty index, in ``enumerate_partitions`` order.
-
-    Each family is its partition and one sorted tuple of masks per key, the
-    zero index first and then the blocks.
-    """
+def _ones_families(dim: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """Families for the all-ones target of the given dimension, one per row
+    of ``combinatorics._partition_rows(dim)``, each grown from its parent
+    row's family: the row's block masks and one sorted tuple of masks per
+    key, the zero index first and then the blocks."""
     if dim == 0:
-        return ((Partition(MultiIndex.empty(), ()), ((0,),)),)
+        return (((), ((0,),)),)
 
     # Appending a digit to every member keeps a sorted set sorted, so the
     # 0-lift of a set is the set itself and its 1-lift sets the top bit.  A
@@ -96,39 +91,36 @@ def _ones_families(dim: int) -> tuple[tuple[Partition, tuple[tuple[int, ...], ..
     def union(*groups: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted(set().union(*groups), key=rank))
 
+    parents = _ones_families(dim - 1)
     out = []
-    for parent, (base, *block_sets) in _ones_families(dim - 1):
-        first, *rest = refine(parent)
-        # Child 0: every block gains a 0 digit, and the new singleton block
-        # takes the 1-lift of the base.
-        out.append((first, (base, *block_sets, lift(base))))
-        # Child i: block i gains a 1 digit; blocks before it keep only their
-        # 0-lift, blocks after it also absorb their 1-lift, and the base
-        # absorbs both of its lifts plus the 0-lift of block i.
-        for i, child in enumerate(rest):
+    for blocks, parent, child in _partition_rows(dim):
+        base, *block_sets = parents[parent][1]
+        if child:
+            # Block i gains a 1 digit; blocks before it keep only their
+            # 0-lift, blocks after it also absorb their 1-lift, and the base
+            # absorbs both of its lifts plus the 0-lift of block i.
+            i = child - 1
             sets = [union(base, lift(base), block_sets[i])]
-            for j, s in enumerate(block_sets):
-                sets.append(s if j < i else lift(s) if j == i else union(s, lift(s)))
-            out.append((child, tuple(sets)))
-    out.sort(key=lambda family: family[0].sort_key)
-    # Bell(dim) distinct partitions of the target are all of them.
-    if len({p for p, _ in out}) != bell_number(dim):
-        raise AssertionError("refinement lineage disagrees with partition enumeration")
+            sets += [s if j < i else lift(s) if j == i else union(s, lift(s)) for j, s in enumerate(block_sets)]
+        else:
+            # Every block gains a 0 digit, and the new singleton block takes
+            # the 1-lift of the base.
+            sets = [base, *block_sets, lift(base)]
+        out.append((blocks, tuple(sets)))
     return tuple(out)
 
 
 def build_asets(alpha: MultiIndex) -> dict[Partition, ASetFamily]:
     """One family per partition of ``alpha``, keyed and ordered like
     ``enumerate_partitions(alpha)``: the all-ones families of alpha's
-    order placed on its support, which keeps their order.  An alpha that is
-    not a ``MultiIndex`` raises ``ValueError``.
+    order placed on its support.  Both follow the rows of
+    ``combinatorics._partition_rows``, so family r belongs to partition r.
+    An alpha that is not a ``MultiIndex`` raises ``ValueError``.
     """
     check_alpha(alpha)
     placed = alpha.placements()
     built: dict[Partition, ASetFamily] = {}
-    for partition, (small, mask_sets) in zip(enumerate_partitions(alpha), _ones_families(alpha.order)):
-        if partition.blocks != tuple(placed[b.mask] for b in small.blocks):
-            raise AssertionError("refinement lineage disagrees with partition enumeration")
+    for partition, (_, mask_sets) in zip(enumerate_partitions(alpha), _ones_families(alpha.order)):
         keys = (placed[0],) + partition.blocks
         sets = {k: tuple(map(placed.__getitem__, ms)) for k, ms in zip(keys, mask_sets)}
         built[partition] = ASetFamily(partition, sets)
@@ -248,9 +240,10 @@ def asets_to_json(alpha: MultiIndex, include_validation: bool = False) -> str:
     quoted = [f'"{n}"' for n in names]
     boolean = {True: "true", False: "false"}
     rows = []
-    for small, mask_sets in _ones_families(alpha.order):
-        keys = (0, *(b.mask for b in small.blocks))
-        offenders = _offenders(names.__getitem__, small.target.mask, small.maxord, keys, mask_sets)
+    for blocks, mask_sets in _ones_families(alpha.order):
+        keys = (0, *blocks)
+        maxord = max((b.bit_count() for b in blocks), default=0)
+        offenders = _offenders(names.__getitem__, (1 << alpha.order) - 1, maxord, keys, mask_sets)
         fields = []
         if include_validation:
             conditions = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +109,8 @@ class MultiIndex:
         return bin(self.mask | 1 << self.dim)[:2:-1]
 
     def __le__(self, other: "MultiIndex") -> bool:
+        if type(other) is not MultiIndex:
+            raise ValueError(f"a MultiIndex compares only with a MultiIndex, not {other!r}")
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return not self.mask & ~other.mask
@@ -152,9 +154,10 @@ class MultiIndex:
 
     def embed(self, positions: Sequence[int], dim: int) -> "MultiIndex":
         """Place the digits of self at ``positions`` inside a zero index of ``dim``."""
+        _check_dim(dim)
+        _check_positions(positions, dim)
         if len(positions) != self.dim:
             raise ValueError("positions must match dimension")
-        _check_positions(positions, dim)
         mask = 0
         for i, p in enumerate(positions):
             mask |= ((self.mask >> i) & 1) << p
@@ -176,6 +179,8 @@ def check_alpha(alpha: MultiIndex) -> None:
 
 
 def _check_positions(positions: Sequence[int], dim: int) -> None:
+    if not isinstance(positions, (tuple, list)) or any(type(p) is not int for p in positions):
+        raise ValueError(f"positions must be a tuple or list of ints, not {positions!r}")
     if not all(0 <= p < dim for p in positions):
         raise ValueError(f"positions {positions} outside dimension {dim}")
     if len(set(positions)) != len(positions):
@@ -226,10 +231,6 @@ class Partition:
     def maxord(self) -> int:
         return max((b.order for b in self.blocks), default=0)
 
-    @property
-    def sort_key(self):
-        return (self.size, tuple(str(b) for b in self.blocks))
-
 
 @lru_cache(maxsize=None, typed=True)
 def mask_rank(dim: int) -> tuple[int, ...]:
@@ -249,35 +250,45 @@ def mask_rank(dim: int) -> tuple[int, ...]:
     return tuple(rank)
 
 
-def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
-    # Plain recursive enumeration: insert the first item into each block of
-    # every partition of the rest, or open a new block.
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield part + [[first]]
+def _refine_masks(blocks: tuple[int, ...], dim: int) -> tuple[tuple[int, ...], ...]:
+    # ``refine`` on block masks: the new digit, bit ``dim``, is the highest, so
+    # the blocks stay ordered by their least 1-digit.
+    top = 1 << dim
+    return (blocks + (top,), *(blocks[:i] + (b | top,) + blocks[i + 1 :] for i, b in enumerate(blocks)))
+
+
+@lru_cache(maxsize=None)
+def _partition_rows(dim: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The partitions of ``MultiIndex.ones(dim)``, grown by ``_refine_masks``
+    and sorted by (size, block digit strings).  A row is (block masks, the
+    row of its parent in ``_partition_rows(dim - 1)``, its child number)."""
+    if dim == 0:
+        return (((), 0, 0),)
+    rows = [
+        (blocks, parent, child)
+        for parent, (parent_blocks, _, _) in enumerate(_partition_rows(dim - 1))
+        for child, blocks in enumerate(_refine_masks(parent_blocks, dim - 1))
+    ]
+    # Equal-length digit strings compare as their masks with the bits reversed.
+    reverse = [int(f"{m:0{dim}b}"[::-1], 2) for m in range(1 << dim)]
+    rows.sort(key=lambda row: (len(row[0]), [reverse[b] for b in row[0]]))
+    if len({blocks for blocks, _, _ in rows}) != bell_number(dim):
+        raise AssertionError("the refinement step missed or repeated a partition")
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def enumerate_partitions(alpha: MultiIndex) -> tuple[Partition, ...]:
-    """All partitions of ``alpha``, sorted by (size, block digit strings).
+    """All partitions of ``alpha``, sorted by (size, block digit strings):
+    the rows of ``_partition_rows(alpha.order)`` placed on alpha's support,
+    which keeps their order.
 
     The zero multi-index has exactly one partition: the empty one.  An
     alpha that is not a ``MultiIndex`` raises ``ValueError``.
     """
     check_alpha(alpha)
-    if alpha.order == 0:
-        return (Partition(alpha, ()),)
-    parts = [
-        Partition(alpha, tuple(MultiIndex(alpha.dim, sum(1 << p for p in group)) for group in groups))
-        for groups in _set_partitions(alpha.support)
-    ]
-    parts.sort(key=lambda p: p.sort_key)
-    return tuple(parts)
+    placed = alpha.placements()
+    return tuple(Partition(alpha, tuple(map(placed.__getitem__, b))) for b, _, _ in _partition_rows(alpha.order))
 
 
 def refine(p: Partition) -> tuple[Partition, ...]:
@@ -291,15 +302,9 @@ def refine(p: Partition) -> tuple[Partition, ...]:
     """
     if not isinstance(p, Partition):
         raise ValueError(f"expected a Partition, not {type(p).__name__}")
-    new_target = p.target.diamond(1)
-    new_block = MultiIndex(p.target.dim + 1, 1 << p.target.dim)
-    children = [Partition(new_target, tuple(b.diamond(0) for b in p.blocks) + (new_block,))]
-    for i in range(p.size):
-        blocks = tuple(
-            b.diamond(1 if j == i else 0) for j, b in enumerate(p.blocks)
-        )
-        children.append(Partition(new_target, blocks))
-    return tuple(children)
+    target = p.target.diamond(1)
+    children = _refine_masks(tuple(b.mask for b in p.blocks), p.target.dim)
+    return tuple(Partition(target, tuple(MultiIndex(target.dim, b) for b in blocks)) for blocks in children)
 
 
 @lru_cache(maxsize=None, typed=True)

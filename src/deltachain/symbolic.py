@@ -367,7 +367,7 @@ def main_part(alpha: MultiIndex) -> Expr:
     every direction keeps only its lowest-order summand and the base point
     collapses to ``g(x)``.  Every term has order exactly |alpha|."""
     check_alpha(alpha)
-    families = (((0,), *((b.mask,) for b in p.blocks)) for p, _ in _ones_families(alpha.order))
+    families = (((0,), *((b,) for b in blocks)) for blocks, _ in _ones_families(alpha.order))
     return _build_expansion(alpha, families, _inner_difference)
 
 

@@ -9,9 +9,12 @@ builds each node once, already in canonical order.  Nodes are interned, so
 the two agree exactly when they return the same object; both must, and
 the library's result must be its own canonical form.
 
-The reference reads the families through ``build_asets``; the library
-reads the cached mask families of ``asets._ones_families`` and places
-their leaves itself, so the two share only that cache.
+The reference reads the families through ``build_asets`` and the
+partitions through ``enumerate_partitions``; the library reads the cached
+mask families of ``asets._ones_families`` and places their leaves itself,
+so the two share only that cache and the table of partition rows it grows
+along, ``combinatorics._partition_rows``.  ``tests/partition_reference.py``
+checks that table against an enumeration of its own.
 
 Run the sweep (the index with no digits, every alpha of dimension 1..7,
 ``11111111``, and every bitstring of length 10..13 with at most three
@@ -54,7 +57,7 @@ def expand_tangent_reference(alpha: MultiIndex, func: str = "f", cuboid: str = "
     terms = []
     for partition, fam in build_asets(alpha).items():
         base = _set_sum(fam.base_set, cuboid)
-        dirs = tuple(_set_sum(fam.block_set(b), cuboid) for b in partition.blocks)
+        dirs = tuple(_set_sum(fam.sets[b], cuboid) for b in partition.blocks)
         terms.append(DeltaTerm(dirs, func, base))
     return canonicalize(Sum(tuple(terms)))
 

@@ -20,6 +20,7 @@ from deltachain import cli
 from deltachain.asets import _ones_families, build_asets, validate
 from deltachain.combinatorics import (
     MultiIndex,
+    _partition_rows,
     bell_number,
     enumerate_partitions,
 )
@@ -61,6 +62,7 @@ def clear_formula_caches() -> None:
     enumerate_partitions.cache_clear()
     bell_number.cache_clear()
     _ones_families.cache_clear()
+    _partition_rows.cache_clear()
 
 
 # -- 1. tangent-side formulas ---------------------------------------------------
@@ -161,7 +163,7 @@ def test_criterion_5_family_validation():
             for g in fam.base_set:
                 assert g == zero or (zero < g < alpha)
             for b in part.blocks:
-                for g in fam.block_set(b):
+                for g in fam.sets[b]:
                     assert g == b or (b < g < alpha)
     elapsed = time.perf_counter() - t0
 

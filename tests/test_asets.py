@@ -17,9 +17,11 @@ from deltachain.asets import (
 from deltachain.combinatorics import (
     MultiIndex,
     Partition,
+    _partition_rows,
     bell_number,
     enumerate_partitions,
 )
+from deltachain.symbolic import expand_chain, expand_tangent, main_part
 
 
 def mi(s: str) -> MultiIndex:
@@ -40,12 +42,12 @@ def test_families_for_the_square():
 
     whole = family_for("11", ("11",))
     assert whole.base_set == (mi("00"), mi("01"), mi("10"))
-    assert whole.block_set(mi("11")) == (mi("11"),)
+    assert whole.sets[mi("11")] == (mi("11"),)
 
     pairs = family_for("11", ("10", "01"))
     assert pairs.base_set == (mi("00"),)
-    assert pairs.block_set(mi("10")) == (mi("10"),)
-    assert pairs.block_set(mi("01")) == (mi("01"),)
+    assert pairs.sets[mi("10")] == (mi("10"),)
+    assert pairs.sets[mi("01")] == (mi("01"),)
 
 
 def test_family_keys_follow_the_partition_table():
@@ -57,8 +59,8 @@ def test_family_keys_follow_the_partition_table():
 def test_known_family_of_the_cube():
     fam = family_for("111", ("100", "011"))
     assert fam.base_set == (mi("000"), mi("001"), mi("010"))
-    assert fam.block_set(mi("100")) == (mi("100"),)
-    assert fam.block_set(mi("011")) == (mi("011"),)
+    assert fam.sets[mi("100")] == (mi("100"),)
+    assert fam.sets[mi("011")] == (mi("011"),)
 
 
 def test_family_counts_match_bell_numbers():
@@ -76,10 +78,10 @@ def test_zero_target_family():
 
 
 def test_cached_families_follow_the_partition_table():
-    assert _ones_families(0) == ((Partition(MultiIndex.empty(), ()), ((0,),)),)
+    assert _ones_families(0) == (((), ((0,),)),)
     for d in range(1, 9):
-        partitions = [p for p, _ in _ones_families(d)]
-        assert partitions == list(enumerate_partitions(MultiIndex.ones(d)))
+        blocks = [b for b, _ in _ones_families(d)]
+        assert blocks == [tuple(b.mask for b in p.blocks) for p in enumerate_partitions(MultiIndex.ones(d))]
 
 
 def test_the_index_with_no_digits_has_one_family():
@@ -211,7 +213,7 @@ def reference_validate(family: ASetFamily) -> FamilyValidation:
 
     bad_block = []
     for b in p.blocks:
-        for m in family.block_set(b):
+        for m in family.sets[b]:
             if m == b:
                 continue
             if not (b < m < alpha) or m.order > mo:
@@ -303,7 +305,7 @@ def test_the_order_bound_conditions_fail_from_order_four():
         mi("0011"),
         mi("0101"),
     )
-    assert fam.block_set(mi("0110")) == (mi("0110"), mi("0111"))
+    assert fam.sets[mi("0110")] == (mi("0110"), mi("0111"))
 
     by_name = {c.name: c for c in validate(fam).conditions}
     assert by_name["disjoint"].ok
@@ -384,3 +386,19 @@ def test_the_writer_reads_only_the_cached_families(monkeypatch):
     for alpha in alphas:
         for include_validation in (False, True):
             assert asets_to_json(alpha, include_validation) == want[alpha][include_validation]
+
+
+def test_the_families_and_their_readers_build_no_partition(monkeypatch):
+    alpha = MultiIndex.ones(6)
+    want = (expand_chain(alpha), expand_tangent(alpha), main_part(alpha), asets_to_json(alpha, True))
+
+    def no_partition(self):
+        raise AssertionError("a Partition was built")
+
+    monkeypatch.setattr(Partition, "__post_init__", no_partition)
+    for cache in (expand_chain, expand_tangent, main_part, _ones_families, _partition_rows, enumerate_partitions):
+        cache.cache_clear()
+    assert expand_chain(alpha) is want[0]
+    assert expand_tangent(alpha) is want[1]
+    assert main_part(alpha) is want[2]
+    assert asets_to_json(alpha, True) == want[3]

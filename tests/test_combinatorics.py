@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import partition_reference
 from deltachain.asets import asets_to_json, build_asets, validate
 from deltachain.combinatorics import (
     MultiIndex,
@@ -163,6 +164,8 @@ def test_restrict_embed_round_trip():
             mi("01010").restrict(bad)
         with pytest.raises(ValueError):
             mi("10").embed(bad, 5)
+    with pytest.raises(ValueError, match="tuple or list of ints"):
+        mi("111").restrict((True, 1, 2))
 
 
 @pytest.mark.parametrize(
@@ -196,13 +199,22 @@ def test_restrict_embed_round_trip():
         lambda: mask_rank(-1),
         lambda: bell_number("3"),
         lambda: bell_number(True),
+        lambda: mi("111").restrict(("x",)),
+        lambda: mi("101").restrict((0.0, 2)),
+        lambda: mi("111").restrict(5),
+        lambda: mi("111").restrict((True, 1, 2)),
+        lambda: mi("101").embed((0, "a", 2), 4),
+        lambda: mi("101").embed((0, 1, 2), "x"),
+        lambda: mi("11") <= 3,
+        lambda: mi("11") < "x",
     ],
     ids=[
         "build-asets", "asets-to-json", "scaling", "smooth-chain", "run-suite", "validate", "parse-u1", "parse-fx",
         "partitions-str", "partitions-none", "refine-str", "refine-index", "partition-str-target",
         "partition-str-block", "partition-int-blocks", "parse-int", "parse-none", "parse-bytes", "parse-json-int",
         "ones-str", "ones-negative", "unit-str", "from-string-int", "from-bits-int", "mask-rank-str",
-        "mask-rank-negative", "bell-str", "bell-bool",
+        "mask-rank-negative", "bell-str", "bell-bool", "restrict-str", "restrict-float", "restrict-int",
+        "restrict-bool", "embed-str-position", "embed-str-dim", "le-int", "lt-str",
     ],
 )
 def test_entry_points_reject_a_stray_argument_with_value_error(call):
@@ -338,3 +350,17 @@ def test_refinements_exhaust_the_next_level_disjointly(k):
     }
     assert len(got) == len(expected)
     assert {c.blocks for c in got} == expected
+
+
+# -- the reference enumeration --------------------------------------------------
+
+@pytest.mark.parametrize("dim", range(0, 8))
+def test_partition_table_matches_the_reference_enumeration(dim):
+    alphas = [MultiIndex(dim, m) for m in range(1 << dim)] if dim else [MultiIndex.empty()]
+    for alpha in alphas:
+        assert partition_reference.table_differences(alpha) == []
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_refine_covers_the_reference_partitions_once(k):
+    assert partition_reference.cover_differences(k) == []
