@@ -33,9 +33,7 @@ class ASetFamily:
 
     @property
     def zero(self) -> MultiIndex:
-        # a target with no ones (000, or the empty index) is its own zero
-        target = self.partition.target
-        return target if not target.mask else MultiIndex.zero(target.dim)
+        return MultiIndex.zero(self.partition.target.dim)
 
     @property
     def base_set(self) -> tuple[MultiIndex, ...]:
@@ -197,10 +195,7 @@ def validate(family: ASetFamily) -> FamilyValidation:
                 if m.dim != dim:
                     raise ValueError(f"dimension mismatch: {m.dim} vs {dim}")
         sets.append(masks)
-    # the index with no digits, which MultiIndex(0, 0) rejects, is the target
-    offenders = _offenders(
-        lambda m: str(MultiIndex(dim, m) if dim else p.target), target, mo, [k.mask for k in keys], sets
-    )
+    offenders = _offenders(lambda m: str(MultiIndex(dim, m)), target, mo, [k.mask for k in keys], sets)
     conditions = tuple(ConditionReport(name, not bad, tuple(bad)) for name, bad in zip(CONDITIONS, offenders))
     return FamilyValidation(all(c.ok for c in conditions), conditions)
 

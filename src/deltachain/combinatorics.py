@@ -33,23 +33,17 @@ class MultiIndex:
     def __post_init__(self) -> None:
         if type(self.dim) is not int or type(self.mask) is not int:
             raise ValueError(f"dim and mask must be integers: {self.dim!r}, {self.mask!r}")
-        if self.dim < 1:
-            raise ValueError("a multi-index needs at least one digit")
+        if self.dim < 0:
+            raise ValueError(f"a multi-index has no negative dimension: {self.dim}")
         # bit_length, not 1 << dim: a huge dim must not build a huge integer
         if self.mask < 0 or self.mask.bit_length() > self.dim:
             raise ValueError(f"mask {self.mask} out of range for dim {self.dim}")
 
     @classmethod
     def empty(cls) -> "MultiIndex":
-        """The index with no digits, the one index of a 0-dimensional cuboid.
-
-        The constructor rejects it: an expansion, a component subscript and
-        a bitstring all need at least one digit.
-        """
-        index = object.__new__(cls)
-        object.__setattr__(index, "dim", 0)
-        object.__setattr__(index, "mask", 0)
-        return index
+        """The index with no digits, ``MultiIndex(0, 0)``: the one index of a
+        0-dimensional cuboid, written as the empty bitstring."""
+        return cls(0, 0)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "MultiIndex":
@@ -131,8 +125,6 @@ class MultiIndex:
         >>> [str(m) for m in MultiIndex.from_string("101").placements()]
         ['000', '100', '001', '101']
         """
-        if not self.dim:
-            return (self,)
         placed = [0]
         for p in self.support:
             placed += [m | 1 << p for m in placed]
@@ -241,8 +233,6 @@ def mask_rank(dim: int) -> tuple[int, ...]:
     (0, 2, 1, 3)
     """
     _check_dim(dim)
-    if dim == 0:
-        return (0,)
     ordered = sorted(range(1 << dim), key=lambda m: MultiIndex(dim, m).sort_key)
     rank = [0] * len(ordered)
     for position, m in enumerate(ordered):

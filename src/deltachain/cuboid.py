@@ -85,10 +85,18 @@ class Cuboid:
     components: tuple[Value, ...]
 
     def __post_init__(self) -> None:
+        if type(self.dim) is not int or self.dim < 0:
+            raise ValueError(f"dim must be an int >= 0, not {self.dim!r}")
+        if not isinstance(self.components, (tuple, list)):
+            raise ValueError(f"components must be a tuple or list, not {self.components!r}")
         object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
-        if len(self.components) != 1 << self.dim:
-            raise ValueError(f"need {1 << self.dim} components, got {len(self.components)}")
+        n = len(self.components)
+        # bit_length first: a huge dim must not build the integer 1 << dim
+        if n.bit_length() != self.dim + 1 or n != 1 << self.dim:
+            raise ValueError(f"need 2^{self.dim} components, got {n}")
         space = len(self.components[0])
+        if space < 1:
+            raise ValueError("a cuboid's space dimension must be at least 1")
         if any(len(c) != space for c in self.components):
             raise ValueError("components must share one space dimension")
 
@@ -177,8 +185,6 @@ class Cuboid:
 
 
 def _indices(dim: int) -> tuple[MultiIndex, ...]:
-    if dim == 0:
-        return (MultiIndex.empty(),)
     return tuple(MultiIndex(dim, i) for i in range(1 << dim))
 
 

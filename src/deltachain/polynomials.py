@@ -74,22 +74,10 @@ class Poly:
         expts = tuple(int(j == i) for j in range(nvars))
         return cls._of(nvars, [(expts, 1)])
 
-    def as_dict(self) -> dict[tuple[int, ...], int | Fraction]:
-        return dict(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e, _ in self.terms), default=-1)
-
-    @property
-    def min_degree(self) -> int | None:
-        """Smallest total degree carrying a nonzero coefficient; None if zero."""
-        return min((sum(e) for e, _ in self.terms), default=None)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -207,12 +195,12 @@ class Poly:
                     coeffs[lowered] = coeffs.get(lowered, 0) + c * e[j] * uj
         return Poly._of(self.nvars, coeffs.items())
 
-    def embed(self, nvars: int, offset: int = 0) -> "Poly":
-        """Reinterpret in a larger variable set, shifting variables by offset."""
-        if offset + self.nvars > nvars:
+    def embed(self, nvars: int) -> "Poly":
+        """Reinterpret in a larger variable set: the new variables come last."""
+        if self.nvars > nvars:
             raise ValueError("embedding does not fit")
-        before, after = (0,) * offset, (0,) * (nvars - offset - self.nvars)
-        return Poly._of(nvars, ((before + e + after, c) for e, c in self.terms))
+        after = (0,) * (nvars - self.nvars)
+        return Poly._of(nvars, ((e + after, c) for e, c in self.terms))
 
 
 class _Series:
@@ -379,7 +367,7 @@ def tangent_lift(f: PolynomialMap) -> PolynomialMap:
     """The map (x, u) -> (f(x), derivative of f at x along u) on doubled
     variables; base variables come first, fiber variables second."""
     n = f.domain_dim
-    base = [p.embed(2 * n, 0) for p in f.components]
+    base = [p.embed(2 * n) for p in f.components]
     # The fiber component is sum_j u_j * d_j p.  Its monomials are distinct:
     # the fiber exponents name j, and lowering e_j is injective in e.
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]

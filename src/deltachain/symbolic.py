@@ -9,9 +9,11 @@ Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): constructing a node returns the one live node with
 equal fields, so structurally equal expressions are one object, ``==`` and
 ``hash`` are identity, and the inner differences an expansion shares are
-stored once.  Each pass over an expression is one loop over its distinct
-nodes, children first; only ``parse``, ``expr_from_obj`` and ``expr_to_obj``
-recurse, and they report ``nesting too deep``.
+stored once.  A node is interned when its children are, and carries the sort
+key made there from theirs, which ``canonicalize`` and the generators sort
+by.  Each other pass over an expression is one loop over its distinct nodes,
+children first; only ``parse`` and ``expr_from_obj`` recurse, and they
+report ``nesting too deep``.
 
 The expansion generators take only alpha and write fixed names (``f``,
 ``g``, ``x``, ``v_i``, ``u``) that the text reader reads back.  They take
@@ -27,9 +29,10 @@ import json
 import re
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, compress, count
+from operator import attrgetter
 from typing import Callable, Union, get_args
 
 from .asets import _json_array, _json_object, _ones_families
@@ -46,13 +49,20 @@ class _HashConsed(type):
 
     def __call__(cls, *args, **kwargs):
         node = type.__call__(cls, *args, **kwargs)
-        if not _NODE_TYPES.issuperset(map(type, node._children())):
-            # Not an expression, so not interned: no value that is ``==`` but
+        table_key = (cls, *node.__dict__.values())
+        try:
+            found = _NODES.get(table_key)
+            if found is not None:
+                return found
+            # Set before the node is stored, so no thread gets it without its key.
+            object.__setattr__(node, "_key", _key_of(node))
+        except (TypeError, AttributeError):
+            # A child is unhashable or carries no key, so it is no interned node
+            # and this node is not interned either: no value that is ``==`` but
             # of another type (1 and True, say) is ever merged into it.
             return node
-        key = (cls, *node.__dict__.values())
         with _NODES_LOCK:
-            return _NODES.setdefault(key, node)
+            return _NODES.setdefault(table_key, node)
 
 
 class _Node(metaclass=_HashConsed):
@@ -61,7 +71,7 @@ class _Node(metaclass=_HashConsed):
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the interning point.
-        return type(self), tuple(self.__dict__.values())
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +210,8 @@ def order_of(e: Expr) -> int:
     return orders[e]
 
 
-def _key_of(n: Expr, keys: dict) -> tuple:
-    """The sort key of ``n``, given the keys of its children in ``keys``."""
+def _key_of(n: Expr) -> tuple:
+    """The sort key of ``n``, built from the keys its children carry."""
     if isinstance(n, PointSym):
         return (0, n.name)
     if isinstance(n, VecSym):
@@ -209,26 +219,27 @@ def _key_of(n: Expr, keys: dict) -> tuple:
     if isinstance(n, ComponentSym):
         return (2, n.index.order, str(n.index), n.cuboid)
     if isinstance(n, App):
-        return (3, n.func, keys[n.arg])
+        return (3, n.func, n.arg._key)
     if isinstance(n, DeltaTerm):
-        return (4, len(n.directions), tuple(keys[d] for d in n.directions), n.func, keys[n.base])
-    return (5, len(n.terms), tuple(keys[t] for t in n.terms))
+        return (4, len(n.directions), tuple(d._key for d in n.directions), n.func, n.base._key)
+    return (5, len(n.terms), tuple(t._key for t in n.terms))
+
+
+_stored_key = attrgetter("_key")
 
 
 def sort_key(e: Expr) -> tuple:
-    """Total order on expressions used everywhere a canonical order is needed."""
-    keys: dict[Expr, tuple] = {}
-    for n in _postorder(e):
-        keys[n] = _key_of(n, keys)
-    return keys[e]
+    """Total order on expressions used everywhere a canonical order is needed:
+    the key ``e`` was given when it was interned."""
+    if not hasattr(e, "_key"):
+        _postorder(e)  # raises TypeError: only a node over a non-expression has none
+    return e._key
 
 
 def canonicalize(e: Expr) -> Expr:
     """Flatten sums, sort operands, and collapse differences with no
     directions into plain applications.  Idempotent."""
     out: dict[Expr, Expr] = {}
-    # The sort key of each canonical node, computed from its children's as it is built.
-    keys: dict[Expr, tuple] = {}
     for n in _postorder(e):
         if isinstance(n, (PointSym, VecSym, ComponentSym)):
             c = n
@@ -245,16 +256,14 @@ def canonicalize(e: Expr) -> Expr:
             if len(flat) == 1:
                 c = flat[0]
             else:
-                flat.sort(key=keys.__getitem__)
+                flat.sort(key=_stored_key)
                 c = Sum(tuple(flat))
         else:  # a difference term
             if n.directions:
-                dirs = sorted((out[d] for d in n.directions), key=keys.__getitem__)
+                dirs = sorted((out[d] for d in n.directions), key=_stored_key)
                 c = DeltaTerm(tuple(dirs), n.func, out[n.base])
             else:
                 c = App(n.func, out[n.base])
-        if c not in keys:
-            keys[c] = _key_of(c, keys)
         out[n] = c
     return out[e]
 
@@ -286,44 +295,31 @@ def _build_expansion(alpha: MultiIndex, families, leaf: Callable[[MultiIndex], E
     per direction; mask c stands for ``alpha.placements()[c]``, a set for
     the sum of ``leaf`` over its indices, and ``leaf`` must return canonical
     nodes that are not sums.  Each leaf and each distinct set is built once,
-    and every operand list is sorted by one memo of sort keys as it is built.
+    and every operand list is sorted by the keys its nodes carry as it is built.
     """
     placed = alpha.placements()
-    keys: dict[Expr, tuple] = {}
     leaves: dict[int, Expr] = {}
     sums: dict[tuple[int, ...], Expr] = {}
-
-    def new_leaf(c: int) -> Expr:
-        p = leaves[c] = leaf(placed[c])
-        for n in _postorder(p):
-            keys[n] = _key_of(n, keys)
-        return p
 
     def summed(masks: tuple[int, ...]) -> Expr:
         e = sums.get(masks)
         if e is None:
-            parts = [leaves.get(c) or new_leaf(c) for c in masks]
+            parts = [leaves.get(c) or leaves.setdefault(c, leaf(placed[c])) for c in masks]
             if len(parts) == 1:
                 e = parts[0]
             else:
-                parts.sort(key=keys.__getitem__)
+                parts.sort(key=_stored_key)
                 e = Sum(tuple(parts))
-                keys[e] = _key_of(e, keys)
             sums[masks] = e
         return e
 
     terms = []
     for base, *blocks in families:
-        dirs = sorted(map(summed, blocks), key=keys.__getitem__)
-        if dirs:
-            t = DeltaTerm(tuple(dirs), "f", summed(base))
-        else:
-            t = App("f", summed(base))
-        keys[t] = _key_of(t, keys)
-        terms.append(t)
+        dirs = sorted(map(summed, blocks), key=_stored_key)
+        terms.append(DeltaTerm(tuple(dirs), "f", summed(base)) if dirs else App("f", summed(base)))
     if len(terms) == 1:
         return terms[0]
-    terms.sort(key=keys.__getitem__)
+    terms.sort(key=_stored_key)
     return Sum(tuple(terms))
 
 
@@ -384,8 +380,9 @@ def _component_subscript(index: MultiIndex) -> str:
 
 
 def _json(e: Expr) -> str:
-    """``expr_to_obj(e)`` as json.dumps(..., indent=2, sort_keys=True) prints
-    it as the root of the envelope, built once per (node, depth)."""
+    """The JSON object form of ``e`` as json.dumps(..., indent=2,
+    sort_keys=True) prints it as the root of the envelope, built once per
+    (node, depth)."""
     nodes = _postorder(e)
     # The depths each node is printed at, found parents first.  A node's
     # strings are dropped after its last reader, the parent that meets it
@@ -439,32 +436,6 @@ def _json(e: Expr) -> str:
     return out[e][1]
 
 
-def expr_to_obj(e: Expr) -> dict:
-    """The JSON object form of ``e``; nesting too deep to recurse raises ``ValueError``."""
-    try:
-        if isinstance(e, PointSym):
-            return {"node": "point", "name": e.name}
-        if isinstance(e, VecSym):
-            return {"node": "vector", "name": e.name}
-        if isinstance(e, ComponentSym):
-            return {"node": "component", "cuboid": e.cuboid, "index": str(e.index)}
-        if isinstance(e, App):
-            return {"node": "apply", "func": e.func, "arg": expr_to_obj(e.arg)}
-        if isinstance(e, DeltaTerm):
-            return {
-                "node": "delta",
-                "alpha": [1] * len(e.directions),
-                "directions": [expr_to_obj(d) for d in e.directions],
-                "func": e.func,
-                "base": expr_to_obj(e.base),
-            }
-        if isinstance(e, Sum):
-            return {"node": "sum", "terms": [expr_to_obj(t) for t in e.terms]}
-    except RecursionError:
-        raise ValueError(_TOO_DEEP) from None
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def render(e: Expr, fmt: str = "text") -> str:
     """Serialize an expression.
 
@@ -473,8 +444,8 @@ def render(e: Expr, fmt: str = "text") -> str:
     round-trips through ``parse``.
     """
     if fmt == "json":
-        # Byte-identical to json.dumps({"version": 1, "root": expr_to_obj(e)},
-        # indent=2, sort_keys=True), without building the tree of dicts.
+        # Byte-identical to json.dumps({"version": 1, "root": <the object
+        # form>}, indent=2, sort_keys=True), without building the tree of dicts.
         return _json_object((("root", _json(e)), ("version", "1")), 0)
     if fmt != "text" and fmt != "latex":
         raise ValueError(f"unknown format: {fmt!r}")

@@ -1,5 +1,6 @@
-"""The expansion pipeline that ``symbolic._build_expansion`` replaced, kept
-as a reference, and a sweep that compares the two.
+"""The expansion pipeline that ``symbolic._build_expansion`` replaced, and
+the sort key as it was computed before nodes carried it, kept as references,
+and a sweep that compares them with the library.
 
 The reference builds one difference term per partition over plain sums of
 the family's components, calls ``canonicalize``, substitutes the inner
@@ -16,13 +17,19 @@ so the two share only that cache and the table of partition rows it grows
 along, ``combinatorics._partition_rows``.  ``tests/partition_reference.py``
 checks that table against an enumeration of its own.
 
+Both pipelines sort by the key each node carries, set where the node is
+interned, so the sweep also checks the order itself: for every node of every
+expansion, ``sort_key`` equals ``reference_sort_key``, which walks the node's
+children and builds the key from theirs in a table of its own, and every
+sum's terms and every difference's directions are sorted by that key.
+
 Run the sweep (the index with no digits, every alpha of dimension 1..7,
 ``11111111``, and every bitstring of length 10..13 with at most three
 ones; the tangent and chain expansions and the main part of each):
 
     PYTHONPATH=src python tests/expansion_reference.py
 
-It prints the counts and exits 1 on any difference.
+It prints the counts and exits 1 on any difference or key mismatch.
 """
 
 from __future__ import annotations
@@ -44,8 +51,59 @@ from deltachain.symbolic import (
     expand_chain,
     expand_tangent,
     main_part,
+    render,
+    sort_key,
     substitute_components,
 )
+
+
+def _children(n: Expr) -> tuple:
+    if isinstance(n, App):
+        return (n.arg,)
+    if isinstance(n, DeltaTerm):
+        return (*n.directions, n.base)
+    if isinstance(n, Sum):
+        return n.terms
+    return ()
+
+
+def _key_of(n: Expr, keys: dict) -> tuple:
+    # The sort key of ``n``, given the keys of its children in ``keys``.
+    if isinstance(n, PointSym):
+        return (0, n.name)
+    if isinstance(n, VecSym):
+        return (1, n.name)
+    if isinstance(n, ComponentSym):
+        return (2, n.index.order, str(n.index), n.cuboid)
+    if isinstance(n, App):
+        return (3, n.func, keys[n.arg])
+    if isinstance(n, DeltaTerm):
+        return (4, len(n.directions), tuple(keys[d] for d in n.directions), n.func, keys[n.base])
+    return (5, len(n.terms), tuple(keys[t] for t in n.terms))
+
+
+def reference_keys(root: Expr) -> dict:
+    """The sort key of every node of ``root``, children first, each built
+    from its children's keys in this table; an explicit stack, so nesting
+    has no limit."""
+    keys: dict = {}
+    stack = [root]
+    while stack:
+        n = stack[-1]
+        if n in keys:
+            stack.pop()
+            continue
+        pending = [c for c in _children(n) if c not in keys]
+        if pending:
+            stack += pending
+        else:
+            keys[n] = _key_of(n, keys)
+            stack.pop()
+    return keys
+
+
+def reference_sort_key(e: Expr) -> tuple:
+    return reference_keys(e)[e]
 
 
 def _set_sum(indices, cuboid: str) -> Expr:
@@ -103,6 +161,21 @@ def differences(alpha: MultiIndex) -> list[str]:
     return out
 
 
+def key_mismatches(e: Expr) -> list[str]:
+    """The nodes of ``e`` whose stored key is not the reference key, and the
+    sums and differences whose operands are not sorted by it."""
+    keys = reference_keys(e)
+    out = []
+    for n, key in keys.items():
+        if sort_key(n) != key:
+            out.append(f"sort_key differs from the reference at {render(n)[:80]!r}")
+        operands = n.terms if isinstance(n, Sum) else n.directions if isinstance(n, DeltaTerm) else ()
+        ranks = [keys[o] for o in operands]
+        if ranks != sorted(ranks):
+            out.append(f"operands not in reference key order at {render(n)[:80]!r}")
+    return out
+
+
 def sweep_alphas() -> list[MultiIndex]:
     alphas = [MultiIndex.empty()]
     alphas += [MultiIndex.from_bits(bits) for dim in range(1, 8) for bits in product((0, 1), repeat=dim)]
@@ -116,13 +189,18 @@ def sweep_alphas() -> list[MultiIndex]:
 
 def main() -> int:
     alphas = sweep_alphas()
-    bad = []
+    bad, mismatched = [], []
     for alpha in alphas:
         bad += differences(alpha)
-    for line in bad:
+        for build in (expand_tangent, expand_chain, main_part):
+            mismatched += key_mismatches(build(alpha))
+    for line in bad + mismatched:
         print(line)
-    print(f"{len(alphas)} alphas, {3 * len(alphas)} expansions, {len(bad)} differences")
-    return 1 if bad else 0
+    print(
+        f"{len(alphas)} alphas, {3 * len(alphas)} expansions, {len(bad)} differences, "
+        f"{len(mismatched)} key mismatches"
+    )
+    return 1 if bad or mismatched else 0
 
 
 if __name__ == "__main__":

@@ -49,8 +49,8 @@ def poly_valuation(rem) -> int | None:
     vals = []
     for c in rem:
         if isinstance(c, Poly):
-            if not c.is_zero:
-                vals.append(c.min_degree)
+            if c.terms:
+                vals.append(min(sum(e) for e, _ in c.terms))
         elif c != 0:
             vals.append(0)
     return min(vals, default=None)

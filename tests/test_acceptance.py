@@ -241,7 +241,7 @@ def lifted_derivative_term(f, partition, nvars: int):
     """One summand of the derivative expansion: the iterated derivative of f
     in the base variables, along the fiber variables of each block."""
     n = f.domain_dim
-    comps = [p.embed(nvars, 0) for p in f.components]
+    comps = [p.embed(nvars) for p in f.components]
     for block in partition.blocks:
         offset = n * block.mask
         comps = [
@@ -295,7 +295,7 @@ def test_criterion_8_derivative_expansion():
             assert total == top[coord]
         for p, s in zip(table, summands):
             for coord in range(n):
-                for exps in s[coord].as_dict():
+                for exps, _ in s[coord].terms:
                     assert fiber_weight(exps, n) == k, (p, exps)
 
     elapsed = time.perf_counter() - t0

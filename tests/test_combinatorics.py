@@ -38,10 +38,19 @@ def test_rejects_non_binary_digits():
     with pytest.raises(ValueError):
         MultiIndex.from_bits((0, 2, 1))
     with pytest.raises(ValueError):
-        MultiIndex.from_bits(())
-    with pytest.raises(ValueError):
         MultiIndex.from_string("10x1")
-    for dim, mask in [(0, 0), (2, 4), (2, -1), (True, 1), (2, True), (2.0, 1), (2, "1")]:
+    for dim, mask in [(2, 4), (2, -1), (True, 1), (2, True), (2.0, 1), (2, "1")]:
+        with pytest.raises(ValueError):
+            MultiIndex(dim, mask)
+
+
+def test_the_index_with_no_digits_goes_through_the_constructor():
+    e = MultiIndex(0, 0)
+    assert MultiIndex.empty() == MultiIndex.from_string("") == MultiIndex.from_bits(()) == e
+    assert MultiIndex.ones(0) == MultiIndex.zero(0) == e
+    assert (str(e), e.bits, e.order, e.support) == ("", (), 0, ())
+    assert mi("000").restrict(()) == e and e.embed((), 3) == mi("000")
+    for dim, mask in [(-1, 0), (0, 1)]:
         with pytest.raises(ValueError):
             MultiIndex(dim, mask)
 

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -91,6 +92,25 @@ def test_build_and_component_addressing():
 def test_component_count_is_validated():
     with pytest.raises(ValueError):
         Cuboid(2, ((0,), (1,), (2,)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Cuboid(-1, ()), "dim must be an int >= 0, not -1"),
+        (lambda: Cuboid("1", ((1,), (2,))), "dim must be an int >= 0, not '1'"),
+        (lambda: Cuboid(True, ((1,), (2,))), "dim must be an int >= 0, not True"),
+        (lambda: Cuboid(1.0, ((1,), (2,))), "dim must be an int >= 0, not 1.0"),
+        (lambda: Cuboid(1, 5), "components must be a tuple or list, not 5"),
+        (lambda: Cuboid(10**9, ()), "need 2^1000000000 components, got 0"),
+        (lambda: Cuboid(0, ((),)), "a cuboid's space dimension must be at least 1"),
+        (lambda: inject(PointedDirections((), ())), "a cuboid's space dimension must be at least 1"),
+    ],
+    ids=["negative-dim", "str-dim", "bool-dim", "float-dim", "int-components", "huge-dim", "space-zero", "inject-empty"],
+)
+def test_constructor_rejects_malformed_fields(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_addition_needs_matching_shape():

@@ -39,17 +39,16 @@ def pts(nvars: int):
 
 def test_make_normalizes_zero_coefficients():
     p = Poly.make(2, {(1, 0): 1, (0, 1): 0})
-    assert p.as_dict() == {(1, 0): Fraction(1)}
-    assert not p.is_zero
-    assert Poly.make(2, {}).is_zero
+    assert p.terms == (((1, 0), 1),)
+    assert Poly.make(2, {}).terms == ()
 
 
 def test_degrees():
     p = Poly.make(2, {(2, 1): 1, (0, 1): 3})
     assert p.degree == 3
-    assert p.min_degree == 1
-    assert Poly.constant(2, 5).min_degree == 0
-    assert Poly.make(2, {}).min_degree is None
+    assert min(sum(e) for e, _ in p.terms) == 1
+    assert Poly.constant(2, 5).terms == (((0, 0), 5),)
+    assert Poly.make(2, {}).degree == -1
 
 
 def test_variable_and_constant():
@@ -164,7 +163,7 @@ def ref_compose(a, inner, nvars):
 
 
 def assert_matches(p, ref):
-    assert p.as_dict() == ref
+    assert dict(p.terms) == ref
     assert all(c and (type(c) is int or c.denominator > 1) for _, c in p.terms)
     same = Poly.make(p.nvars, ref)
     assert p == same and p.terms == same.terms and repr(p) == repr(same)
@@ -194,15 +193,15 @@ def test_arithmetic_matches_the_reference(a, b, s, n):
     assert_matches(p ** n, ref_pow(ra, n, 2))
 
 
-@given(raw_polys(2), st.tuples(mixed, mixed), st.integers(0, 2))
-def test_derivatives_and_embedding_match_the_reference(a, u, offset):
+@given(raw_polys(2), st.tuples(mixed, mixed))
+def test_derivatives_and_embedding_match_the_reference(a, u):
     p, ra = Poly.make(2, a), ref_of(a)
     assert_matches(p.partial(0), ref_partial(ra, 0))
     assert_matches(p.partial(1), ref_partial(ra, 1))
     along = ref_add(ref_scale(ref_partial(ra, 0), u[0]), ref_scale(ref_partial(ra, 1), u[1]))
     assert_matches(p.directional(u), along)
-    padded = {(0,) * offset + e + (0,) * (2 - offset): c for e, c in ra.items()}
-    assert_matches(p.embed(4, offset), padded)
+    padded = {e + (0, 0): c for e, c in ra.items()}
+    assert_matches(p.embed(4), padded)
 
 
 @given(raw_polys(2), st.tuples(mixed, mixed), raw_polys(1, 2), raw_polys(1, 2))
@@ -253,7 +252,7 @@ def series_and_poly(n):
 
 
 def truncated(p, n):
-    return tuple(Fraction(p.as_dict().get((i,), 0)) for i in range(n))
+    return tuple(Fraction(dict(p.terms).get((i,), 0)) for i in range(n))
 
 
 def assert_series_matches(series, p, n):
@@ -301,7 +300,7 @@ def test_series_evaluation_and_valuation_match_truncated_polynomials(a, b, c, n)
     want = (Poly.constant(1, 0) + p((u, t * 2)), Poly.constant(1, 0) + p((w, u)))
     for g, q in zip(got, want):
         assert (g.coeffs if isinstance(g, _Series) else (g,) + (0,) * (n - 1)) == truncated(q, n)
-    lows = [None if q.is_zero or q.min_degree >= n else q.min_degree for q in want]
+    lows = [min((sum(e) for e, _ in q.terms if sum(e) < n), default=None) for q in want]
     assert series_valuation(got, (0, 0)) == min((v for v in lows if v is not None), default=None)
     assert series_valuation(got, (got[0], 0)) == lows[1]
     assert series_valuation(got, got) is None
@@ -334,9 +333,9 @@ def tangent_lift_by_products(f):
     for p in f.components:
         acc = Poly.constant(2 * n, 0)
         for j in range(n):
-            acc = acc + Poly.variable(2 * n, n + j) * p.partial(j).embed(2 * n, 0)
+            acc = acc + Poly.variable(2 * n, n + j) * p.partial(j).embed(2 * n)
         fiber.append(acc)
-    return PolynomialMap(2 * n, tuple(p.embed(2 * n, 0) for p in f.components) + tuple(fiber))
+    return PolynomialMap(2 * n, tuple(p.embed(2 * n) for p in f.components) + tuple(fiber))
 
 
 @given(raw_polys(3), st.tuples(*[st.one_of(mixed, whole_fractions)] * 3))
@@ -359,8 +358,8 @@ def test_tangent_lift_matches_products_of_partials(two, three):
 
 def test_partial_of_a_monomial():
     p = Poly.make(2, {(3, 2): 4})
-    assert p.partial(0).as_dict() == {(2, 2): Fraction(12)}
-    assert p.partial(1).as_dict() == {(3, 1): Fraction(8)}
+    assert p.partial(0).terms == (((2, 2), 12),)
+    assert p.partial(1).terms == (((3, 1), 8),)
 
 
 @given(polys(2), pts(2), pts(2))
@@ -483,7 +482,7 @@ def test_random_map_respects_degree_and_shape():
 def test_dense_random_map_has_every_monomial():
     f = random_polynomial_map(random.Random(1), 2, 1, 3, dense=True)
     (p,) = f.components
-    assert len(p.as_dict()) == 10  # all monomials with total degree <= 3
+    assert len(p.terms) == 10  # all monomials with total degree <= 3
 
 
 def test_scaling_substitution_gives_valuations():
@@ -492,5 +491,5 @@ def test_scaling_substitution_gives_valuations():
     t = Poly.variable(1, 0)
     p = Poly.make(2, {(1, 1): 1, (0, 3): 2})
     q = p((t * 1, t * 2))
-    assert q.min_degree == 2
+    assert min(sum(e) for e, _ in q.terms) == 2
     assert q.degree == 3

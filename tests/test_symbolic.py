@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import json
 import pickle
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import expansion_reference as expref
 import reference_formulas as ref
+from json_reference import expr_to_obj
 from deltachain import asets, combinatorics, symbolic
 from deltachain.combinatorics import MultiIndex, bell_number
 from deltachain.cuboid import Cuboid, discrete_tangent
@@ -31,7 +33,6 @@ from deltachain.symbolic import (
     expand_chain,
     expand_tangent,
     expr_from_obj,
-    expr_to_obj,
     main_part,
     order_of,
     parse,
@@ -232,6 +233,15 @@ def test_main_part_of_the_index_with_no_digits_is_the_reference_node():
     assert eval_expr(main_part(e), {"f": f, "g": g, "x": x}) == want
     c = Cuboid(0, (x,))
     assert eval_expr(tangent, {"f": f, "u": c}) == discrete_tangent(f, c).component(e)
+
+
+def test_a_json_component_with_the_empty_index_round_trips():
+    root = {"node": "component", "cuboid": "u", "index": ""}
+    u_0 = parse(json.dumps({"version": 1, "root": root}), "json")
+    assert u_0 is ComponentSym("u", MultiIndex.empty())
+    tangent = expand_tangent(MultiIndex.empty())
+    assert parse(render(tangent, "json"), "json") is tangent
+    assert parse(render(tangent), dim=0) is tangent
 
 
 def test_expansions_are_built_without_canonicalize_or_substitution(monkeypatch):
@@ -536,7 +546,6 @@ _POINT = {"node": "point", "name": "x"}
         ({"node": "vector", "name": 3}, "vector node has a field of the wrong type"),
         ({"node": "component", "cuboid": "u"}, "component node lacks the field 'index'"),
         ({"node": "component", "cuboid": "u", "index": 101}, "component node has a field of the wrong type"),
-        ({"node": "component", "cuboid": "u", "index": ""}, "a multi-index needs at least one digit"),
         ({"node": "apply", "func": "f"}, "apply node lacks the field 'arg'"),
         ({"node": "apply", "func": "f", "arg": "x"}, "malformed expression node: 'x'"),
         ({"node": "apply", "func": "f", "arg": [_POINT]}, "malformed expression node: [{'node': 'point', 'name': 'x'}]"),
@@ -580,7 +589,6 @@ _POINT = {"node": "point", "name": "x"}
         "integer-name",
         "component-without-index",
         "integer-index",
-        "empty-index",
         "apply-without-arg",
         "string-arg",
         "list-arg",
@@ -863,6 +871,65 @@ def test_nodes_with_a_non_expression_child_are_not_merged():
     assert type(App("f", True).arg) is bool
     assert type(Sum((PointSym("x"), 1.0)).terms[1]) is float
     assert keep[0].arg == keep[1].terms[1] == 1
+
+
+# -- the sort key, set at the interning point -------------------------------------
+
+def test_an_interned_node_carries_its_sort_key(monkeypatch):
+    e = expand_chain(MultiIndex.ones(5))
+    want = expref.reference_sort_key(e)
+
+    def walk(root):
+        raise AssertionError("sort_key walked the expression")
+
+    monkeypatch.setattr(symbolic, "_postorder", walk)
+    assert sort_key(e) == want
+
+
+def test_a_key_is_made_once_per_newly_interned_node(monkeypatch):
+    calls = []
+    key_of = symbolic._key_of
+
+    def counted(n):
+        calls.append(n)
+        return key_of(n)
+
+    for cached in (expand_chain, expand_tangent, main_part):
+        cached.cache_clear()
+    gc.collect()
+    before = set(symbolic._NODES.keys())
+    monkeypatch.setattr(symbolic, "_key_of", counted)
+    e = expand_chain(MultiIndex.ones(5))
+    new = set(symbolic._NODES.keys()) - before
+    assert new and len(calls) == len(new)
+    assert {(type(n), *(getattr(n, f.name) for f in dataclasses.fields(n))) for n in calls} == new
+    calls.clear()
+    assert canonicalize(e) is e
+    assert calls == []
+
+
+def test_a_node_over_a_non_expression_is_neither_interned_nor_keyed():
+    bad = App("f", App("g", 3))
+    assert all(node is not bad for node in list(symbolic._NODES.values()))
+    for run in (sort_key, canonicalize, order_of, render):
+        with pytest.raises(TypeError, match="^not an expression: 3$"):
+            run(bad)
+
+
+def test_a_node_reduces_to_its_field_values_only():
+    e = expand_chain(mi("11"))
+    x = PointSym("x")
+    assert e.__reduce__() == (Sum, (e.terms,))
+    assert e.terms[0].__reduce__() == (DeltaTerm, (e.terms[0].directions, "f", e.terms[0].base))
+    assert App("g", x).__reduce__() == (App, ("g", x))
+    assert x.__reduce__() == (PointSym, ("x",))
+    assert ComponentSym("u", mi("10")).__reduce__() == (ComponentSym, ("u", mi("10")))
+
+
+@settings(max_examples=300)
+@given(exprs())
+def test_sort_key_equals_the_reference_key(e):
+    assert sort_key(e) == expref.reference_sort_key(e)
 
 
 def _interned_with(name: str) -> int:
