@@ -23,6 +23,11 @@ Value = tuple[Any, ...]
 _ENTRY_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
+def _check_sequence(what: str, value: Any) -> None:
+    if not isinstance(value, (tuple, list)):
+        raise ValueError(f"{what} must be a tuple or list, not {value!r}")
+
+
 def vector_add(a: Value, b: Value) -> Value:
     if len(a) != len(b):
         raise ValueError(f"space dimension mismatch: {len(a)} vs {len(b)}")
@@ -65,11 +70,14 @@ class PointedDirections:
     vectors: tuple[Value, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", tuple(self.base))
-        object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
+        _check_sequence("base", self.base)
+        _check_sequence("vectors", self.vectors)
         for v in self.vectors:
+            _check_sequence("each direction vector", v)
             if len(v) != len(self.base):
                 raise ValueError("direction dimension differs from base point")
+        object.__setattr__(self, "base", tuple(self.base))
+        object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
 
 
 @dataclass(frozen=True)
@@ -87,8 +95,9 @@ class Cuboid:
     def __post_init__(self) -> None:
         if type(self.dim) is not int or self.dim < 0:
             raise ValueError(f"dim must be an int >= 0, not {self.dim!r}")
-        if not isinstance(self.components, (tuple, list)):
-            raise ValueError(f"components must be a tuple or list, not {self.components!r}")
+        _check_sequence("components", self.components)
+        for c in self.components:
+            _check_sequence("each component", c)
         object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
         n = len(self.components)
         # bit_length first: a huge dim must not build the integer 1 << dim
@@ -136,6 +145,7 @@ class Cuboid:
 
     @classmethod
     def from_flat(cls, dim: int, space: int, values: Sequence[Any]) -> "Cuboid":
+        _check_sequence("values", values)
         if len(values) != (1 << dim) * space:
             raise ValueError("flat length does not match dim and space")
         comps = tuple(

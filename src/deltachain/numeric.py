@@ -7,7 +7,11 @@ norms, and their slope fit is the only float step.  The main-term identity
 check truncates mod ε^(|α|+1), which is exact below that order.
 Every suite runs through one trial runner: each trial is one ``check(seed)``
 call on a seed derived from the suite's labels, so a failure replays from its
-recorded seed alone, and a trial count below 1 raises ``ValueError``.
+recorded seed alone, and a trial count below 1 raises ``ValueError``.  Since
+a trial is a pure function of its seed, the trials of one suite call run in
+one pool: the caller and up to min(CPUs, 8) - 1 workers forked after every
+expansion is built.  Outcomes come back in trial order, so every report is
+byte-identical with any CPU count, and no worker outlives the call.
 The evaluators hold each exact vector as one integer record (``_Exact``):
 numerators over one denominator and a bit per ``Fraction`` coordinate.  A
 ``RandomRationalMap`` is read at such a record through its integer-keyed
@@ -21,6 +25,8 @@ import functools
 import hashlib
 import json
 import math
+import os
+import pickle
 import random
 import statistics
 from dataclasses import dataclass
@@ -330,22 +336,118 @@ def _require_count(name: str, n: Any) -> None:
         raise ValueError(f"{name} must be an int >= 1, got {n!r}")
 
 
-def _run_trials(
-    identity: str,
-    seed: int,
-    labels: tuple[Any, ...],
-    trials: int,
-    check: Callable[[int], Failure | None],
-    exact: bool = True,
-    detail: Callable[[], str] | None = None,
-) -> VerificationReport:
-    """Trial t calls ``check(derive_seed(seed, *labels, t))``; ``detail`` is
-    read after the last trial.  A ``trials`` that is not an ``int`` >= 1 (a
-    ``bool`` included) raises ``ValueError``."""
-    _require_count("trials", trials)
-    outcomes = [check(derive_seed(seed, *labels, t)) for t in range(trials)]
-    failures = tuple(f for f in outcomes if f is not None)
-    return VerificationReport(identity, trials, failures, exact, detail() if detail else None)
+_MAX_PROCESSES = 8  # the caller and at most seven forked workers
+_MAX_CHUNKS = 1024  # 4-byte chunk numbers: the whole queue fits one 4 KB pipe write
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _take(tasks: Sequence[tuple[Callable[[int], Any], int]], chunk: int, queue: int, parent: int, done: dict) -> Any:
+    """Run the chunks read from ``queue`` into ``done`` (index -> outcome)
+    until the queue is empty or this process's parent is no longer
+    ``parent``.  The first exception stops the taking, empties the queue so
+    that every process stops, and is returned as ``(index, exception)``."""
+    while os.getppid() == parent and (record := os.read(queue, 4)):
+        start = int.from_bytes(record, "little") * chunk
+        for i in range(start, min(start + chunk, len(tasks))):
+            check, s = tasks[i]
+            try:
+                done[i] = check(s)
+            except Exception as exc:
+                while os.read(queue, 4096):
+                    pass
+                return i, exc
+    return None
+
+
+def _run_tasks(tasks: Sequence[tuple[Callable[[int], Any], int]]) -> list[Any]:
+    """``[check(s) for check, s in tasks]``, run by the caller and up to
+    min(CPUs, tasks, 8) - 1 forked workers that share every built object
+    copy-on-write.  Workers take chunks of consecutive tasks from one pipe
+    and send their outcomes back pickled when the queue is empty.  Each task
+    a worker did not send (it raised, died or could not pickle its outcomes)
+    is run again by the caller in task order, so the first exception raised
+    is the one the serial loop would meet.  Every worker is killed and
+    reaped before this returns or raises."""
+    chunk = -(-len(tasks) // _MAX_CHUNKS) or 1
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(c.to_bytes(4, "little") for c in range(-(-len(tasks) // chunk))))
+    os.close(feed)
+    done: dict[int, Any] = {}
+    workers: dict[int, Any] = {}  # pid -> read end of its outcome pipe
+    caller = os.getpid()
+    try:
+        for _ in range(min(_cpu_count(), len(tasks), _MAX_PROCESSES) - 1 if hasattr(os, "fork") else 0):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(out)
+                os.close(into)
+                break
+            if pid == 0:  # a worker: it leaves by os._exit, flushing nothing it inherited
+                try:
+                    os.close(out)
+                    _take(tasks, chunk, queue, caller, done)
+                    with os.fdopen(into, "wb") as fh:
+                        fh.write(pickle.dumps(done))
+                finally:
+                    os._exit(0)
+            os.close(into)
+            workers[pid] = os.fdopen(out, "rb")
+        raised = _take(tasks, chunk, queue, os.getppid(), done)
+        for fh in workers.values():
+            try:
+                done.update(pickle.loads(fh.read()))
+            except Exception:
+                pass  # its tasks are run again below
+    finally:
+        os.close(queue)
+        for pid, fh in workers.items():
+            fh.close()
+            os.kill(pid, 9)  # SIGKILL: a worker that already sent its outcomes has no work left
+            os.waitpid(pid, 0)
+    outcomes = []
+    for i, (check, s) in enumerate(tasks):
+        if i in done:
+            outcomes.append(done[i])
+        elif raised and raised[0] == i:
+            raise raised[1]
+        else:
+            outcomes.append(check(s))
+    return outcomes
+
+
+# (identity, labels, trials, check, exact, detail): one report's trials
+_Spec = tuple[str, tuple[Any, ...], int, Callable[[int], Any], bool, Callable[[list[str]], str] | None]
+
+
+def _run_trials(seed: int, specs: Sequence[_Spec]) -> list[VerificationReport]:
+    """One report per spec ``(identity, labels, trials, check, exact, detail)``.
+    Trial t calls ``check(derive_seed(seed, *labels, t))``, and every trial
+    of every spec runs in one call of the trial pool, ``_run_tasks``.  A
+    check returns a ``Failure`` or ``None``; with a ``detail``, it returns
+    ``(failure, note)``, and the report's detail is ``detail(notes)`` in
+    trial order.  A ``trials`` that is not an ``int`` >= 1 (a ``bool``
+    included) raises ``ValueError`` before any trial runs."""
+    for spec in specs:
+        _require_count("trials", spec[2])
+    tasks = [(check, derive_seed(seed, *labels, t)) for _, labels, n, check, _, _ in specs for t in range(n)]
+    outcomes = iter(_run_tasks(tasks))
+    reports = []
+    for identity, _, trials, _, exact, detail in specs:
+        got, text = [next(outcomes) for _ in range(trials)], None
+        if detail is not None:
+            text = detail([note for _, note in got])
+            got = [f for f, _ in got]
+        reports.append(VerificationReport(identity, trials, tuple(f for f in got if f is not None), exact, text))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +462,14 @@ def verify_chain_expansion(seed: int, trials: int = 50, kmax: int = 5) -> list[V
     """Evaluate the symbolic expansion of an iterated difference of f(g(x))
     against direct evaluation, with fresh pseudorandom maps per trial: x,
     g(x) and f(g(x)) all lie in the plane."""
-    _require_count("kmax", kmax)
+    return _run_trials(seed, _chain_specs(trials, kmax))
 
-    def report(k: int) -> VerificationReport:
+
+def _chain_specs(trials: int, kmax: int) -> list[_Spec]:
+    _require_count("kmax", kmax)
+    _require_count("trials", trials)  # before any expansion is built
+
+    def spec(k: int) -> _Spec:
         alpha = MultiIndex.ones(k)
         expr = expand_chain(alpha)
 
@@ -376,18 +483,23 @@ def verify_chain_expansion(seed: int, trials: int = 50, kmax: int = 5) -> list[V
                 return Failure(s, str(alpha), "expansion differs from direct difference")
             return None
 
-        return _run_trials(f"chain-expansion-k{k}", seed, ("chain", k), trials, check)
+        return f"chain-expansion-k{k}", ("chain", k), trials, check, True, None
 
-    return [report(k) for k in range(1, kmax + 1)]
+    return [spec(k) for k in range(1, kmax + 1)]
 
 
 def verify_tangent_expansion(seed: int, trials: int = 50, kmax: int = 5) -> list[VerificationReport]:
     """Evaluate the symbolic top component of the conjugated pointwise map
     against the cuboid-level computation on random cuboids: the cuboid's
     vectors and f's values lie in the plane."""
-    _require_count("kmax", kmax)
+    return _run_trials(seed, _tangent_specs(trials, kmax))
 
-    def report(k: int) -> VerificationReport:
+
+def _tangent_specs(trials: int, kmax: int) -> list[_Spec]:
+    _require_count("kmax", kmax)
+    _require_count("trials", trials)  # before any expansion is built
+
+    def spec(k: int) -> _Spec:
         alpha = MultiIndex.ones(k)
         expr = expand_tangent(alpha)
 
@@ -399,9 +511,9 @@ def verify_tangent_expansion(seed: int, trials: int = 50, kmax: int = 5) -> list
                 return Failure(s, str(alpha), "expansion differs from cuboid computation")
             return None
 
-        return _run_trials(f"tangent-expansion-k{k}", seed, ("tangent", k), trials, check)
+        return f"tangent-expansion-k{k}", ("tangent", k), trials, check, True, None
 
-    return [report(k) for k in range(1, kmax + 1)]
+    return [spec(k) for k in range(1, kmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +633,12 @@ _IDENTITY_CHECKS = (
 
 def identity_suite(seed: int, trials: int = 1000) -> list[VerificationReport]:
     """Run every exact structural identity check ``trials`` times each."""
+    return _run_trials(seed, _identity_specs(trials))
+
+
+def _identity_specs(trials: int) -> list[_Spec]:
     return [
-        _run_trials(name, seed, (name,), trials, lambda s, c=check: None if (d := c(s)) is None else Failure(s, "", d))
+        (name, (name,), trials, lambda s, c=check: None if (d := c(s)) is None else Failure(s, "", d), True, None)
         for name, check in _IDENTITY_CHECKS
     ]
 
@@ -618,10 +734,14 @@ def verify_scaling(
     single point as having no slope.  A bad grid, or an alpha that is not a
     ``MultiIndex``, raises ``ValueError``.
     """
-    check_alpha(alpha)
-    notes = []
+    (report,) = _run_trials(seed, [_scaling_spec(alpha, trials, eps_exponents)])
+    return report
 
-    def check(s: int) -> Failure | None:
+
+def _scaling_spec(alpha: MultiIndex, trials: int, eps_exponents: Sequence[int]) -> _Spec:
+    check_alpha(alpha)
+
+    def check(s: int) -> tuple[Failure | None, str]:
         result = scaling_slope(*scaling_trial(s, alpha), alpha, eps_exponents)
         if result.degenerate:
             note = "degenerate (remainder identically zero)"
@@ -629,15 +749,14 @@ def verify_scaling(
             note = "no slope"
         else:
             note = f"slope {result.slope:.3f}"
-        notes.append(f"trial {len(notes)}: {note}")
         if result.valuation is not None:
-            return Failure(s, str(alpha), f"remainder valuation {result.valuation} below {alpha.order + 1}")
-        return None
+            return Failure(s, str(alpha), f"remainder valuation {result.valuation} below {alpha.order + 1}"), note
+        return None, note
 
-    def detail() -> str:
-        return f"threshold {alpha.order + 1 - 0.2:.3f}; " + "; ".join(notes)
+    def detail(notes: list[str]) -> str:
+        return f"threshold {alpha.order + 1 - 0.2:.3f}; " + "; ".join(f"trial {t}: {n}" for t, n in enumerate(notes))
 
-    return _run_trials(f"remainder-scaling-{alpha}", seed, ("scaling", str(alpha)), trials, check, False, detail)
+    return f"remainder-scaling-{alpha}", ("scaling", str(alpha)), trials, check, False, detail
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +767,11 @@ def verify_smooth_chain(alpha: MultiIndex, seed: int, trials: int = 25) -> Verif
     the lifted tangent map on injected and general cuboids, and (for small
     dimensions) functoriality of the lift.  An alpha that is not a
     ``MultiIndex`` raises ``ValueError``."""
+    (report,) = _run_trials(seed, [_smooth_spec(alpha, trials)])
+    return report
+
+
+def _smooth_spec(alpha: MultiIndex, trials: int) -> _Spec:
     check_alpha(alpha)
     k = alpha.dim
     table = enumerate_partitions(alpha)
@@ -664,7 +788,8 @@ def verify_smooth_chain(alpha: MultiIndex, seed: int, trials: int = 25) -> Verif
 
         gx = g(x)
         terms = [iterated_directional(f, [d_alpha(g, us, b)(x) for b in p.blocks])(gx) for p in table]
-        if d_alpha(compose(f, g), us, alpha)(x) != vector_sum(terms):
+        fg = compose(f, g)
+        if d_alpha(fg, us, alpha)(x) != vector_sum(terms):
             return Failure(s, str(alpha), "composition derivative expansion")
 
         lift = iterated_tangent_lift(f, k)
@@ -683,11 +808,11 @@ def verify_smooth_chain(alpha: MultiIndex, seed: int, trials: int = 25) -> Verif
 
         if k <= 2:
             flat = random_cuboid(rng, k, 2, bound=3).flatten()
-            if iterated_tangent_lift(compose(f, g), k)(flat) != lift(iterated_tangent_lift(g, k)(flat)):
+            if iterated_tangent_lift(fg, k)(flat) != lift(iterated_tangent_lift(g, k)(flat)):
                 return Failure(s, str(alpha), "lift is not functorial")
         return None
 
-    return _run_trials(f"smooth-composition-{alpha}", seed, ("smooth", str(alpha)), trials, check)
+    return f"smooth-composition-{alpha}", ("smooth", str(alpha)), trials, check, True, None
 
 
 # ---------------------------------------------------------------------------
@@ -704,28 +829,30 @@ def run_suite(
     alpha: MultiIndex | None = None,
     eps_exponents: Sequence[int] = DEFAULT_EPS_EXPONENTS,
 ) -> list[VerificationReport]:
-    """Run one named verification suite (or all of them) and return reports."""
+    """Run one named verification suite (or all of them) and return reports.
+    Every trial of the call runs in one trial pool."""
     if any(n is not None and (type(n) is not int or n < 1) for n in (trials, kmax)):
         raise ValueError(f"trials and kmax must be None or an int >= 1, got {trials!r} and {kmax!r}")
     if alpha is not None:
         check_alpha(alpha)
+    return _run_trials(seed, _suite_specs(name, trials, kmax, alpha, eps_exponents))
+
+
+def _suite_specs(
+    name: str, trials: int | None, kmax: int | None, alpha: MultiIndex | None, eps_exponents: Sequence[int]
+) -> list[_Spec]:
     if name == "theorem-b":
-        return verify_chain_expansion(seed, trials or 50, kmax or 5)
+        return _chain_specs(trials or 50, kmax or 5)
     if name == "eq9":
-        return verify_tangent_expansion(seed, trials or 50, kmax or 5)
+        return _tangent_specs(trials or 50, kmax or 5)
     if name == "identities":
-        return identity_suite(seed, trials or 1000)
+        return _identity_specs(trials or 1000)
     if name == "scaling":
         alphas = [alpha] if alpha is not None else [MultiIndex.ones(2), MultiIndex.ones(3)]
-        return [verify_scaling(seed, a, trials or 3, eps_exponents) for a in alphas]
+        return [_scaling_spec(a, trials or 3, eps_exponents) for a in alphas]
     if name == "smooth-chain":
-        ks = range(1, (kmax or 3) + 1)
-        if alpha is not None:
-            return [verify_smooth_chain(alpha, seed, trials or 25)]
-        return [verify_smooth_chain(MultiIndex.ones(k), seed, trials or 25) for k in ks]
+        alphas = [alpha] if alpha is not None else [MultiIndex.ones(k) for k in range(1, (kmax or 3) + 1)]
+        return [_smooth_spec(a, trials or 25) for a in alphas]
     if name == "all":
-        out = []
-        for n in SUITE_NAMES[:-1]:
-            out.extend(run_suite(n, seed, trials=trials, kmax=kmax, alpha=alpha, eps_exponents=eps_exponents))
-        return out
+        return [s for n in SUITE_NAMES[:-1] for s in _suite_specs(n, trials, kmax, alpha, eps_exponents)]
     raise ValueError(f"unknown suite: {name!r}")

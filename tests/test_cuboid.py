@@ -105,8 +105,15 @@ def test_component_count_is_validated():
         (lambda: Cuboid(10**9, ()), "need 2^1000000000 components, got 0"),
         (lambda: Cuboid(0, ((),)), "a cuboid's space dimension must be at least 1"),
         (lambda: inject(PointedDirections((), ())), "a cuboid's space dimension must be at least 1"),
+        (lambda: Cuboid(0, (5,)), "each component must be a tuple or list, not 5"),
+        (lambda: PointedDirections(5, ()), "base must be a tuple or list, not 5"),
+        (lambda: PointedDirections((1,), (5,)), "each direction vector must be a tuple or list, not 5"),
+        (lambda: Cuboid.from_flat(1, 1, 5), "values must be a tuple or list, not 5"),
     ],
-    ids=["negative-dim", "str-dim", "bool-dim", "float-dim", "int-components", "huge-dim", "space-zero", "inject-empty"],
+    ids=[
+        "negative-dim", "str-dim", "bool-dim", "float-dim", "int-components", "huge-dim", "space-zero", "inject-empty",
+        "int-component", "int-base", "int-vector", "int-flat-values",
+    ],
 )
 def test_constructor_rejects_malformed_fields(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

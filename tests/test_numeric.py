@@ -1,7 +1,10 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -603,3 +606,138 @@ def test_forced_failures_are_recorded_byte_for_byte(monkeypatch, name, fake, sui
 def test_run_suite_rejects_unknown_names():
     with pytest.raises(ValueError):
         run_suite("nope", seed=1)
+
+
+# -- the trial pool ---------------------------------------------------------------
+
+def counted_forks(monkeypatch) -> list[int]:
+    """Count the caller's calls of ``os.fork``; each child returns at once."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", numeric.SUITE_NAMES)
+def test_reports_are_identical_with_any_cpu_count(monkeypatch, name):
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(numeric, "_cpu_count", lambda: cpus)
+        forks = counted_forks(monkeypatch)
+        outputs.append(reports_to_json(run_suite(name, seed=11, trials=3, kmax=3)))
+        assert len(forks) == cpus - 1  # one pool for every trial of the call
+        assert_no_child_left()
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def failing_at(seed: int, *trials: int, flag=None):
+    """A check on labels ("x",) that raises at the given trial numbers.
+    With a ``flag`` file, the caller is slow on trials 0-2, and a worker
+    waits at trial 3 until trial 5 has raised: then the caller meets trial 5
+    before any process raises at trial 3."""
+    index, caller = {derive_seed(seed, "x", t): t for t in range(8)}, os.getpid()
+
+    def check(s):
+        t = index[s]
+        if flag is not None and os.getpid() == caller and t < 3:
+            time.sleep(0.05)
+        if flag is not None and os.getpid() != caller and t == 3:
+            deadline = time.monotonic() + 5
+            while not flag.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        if t in trials:
+            if t == 5 and flag is not None:
+                flag.touch()
+            raise ArithmeticError(f"trial {t}")
+        return None
+
+    return check
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_first_trial_to_raise_is_re_raised(monkeypatch, tmp_path, cpus):
+    monkeypatch.setattr(numeric, "_cpu_count", lambda: cpus)
+    for check in (failing_at(7, 3, 5), failing_at(7, 3, 5, flag=tmp_path / f"raised-{cpus}")):
+        with pytest.raises(ArithmeticError, match="^trial 3$"):
+            numeric._run_trials(7, [("x", ("x",), 8, check, True, None)])
+        assert_no_child_left()
+    (report,) = numeric._run_trials(7, [("x", ("x",), 8, failing_at(7), True, None)])
+    assert report.passed and report.trials == 8
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_leaves_its_trials_to_the_caller(monkeypatch):
+    caller = os.getpid()
+
+    def check(s):
+        if os.getpid() != caller:
+            os._exit(3)
+        return Failure(s, "", "odd") if s % 2 else None
+
+    spec = [("x", ("x",), 40, check, True, None)]
+    monkeypatch.setattr(numeric, "_cpu_count", lambda: 1)
+    serial = numeric._run_trials(5, spec)
+    monkeypatch.setattr(numeric, "_cpu_count", lambda: 3)
+    forks = counted_forks(monkeypatch)
+    assert numeric._run_trials(5, spec) == serial
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_an_interrupted_caller_reaps_its_workers(monkeypatch):
+    caller = os.getpid()
+
+    def check(s):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(0.005)
+
+    monkeypatch.setattr(numeric, "_cpu_count", lambda: 3)
+    with pytest.raises(KeyboardInterrupt):
+        numeric._run_tasks([(check, t) for t in range(200)])
+    assert_no_child_left()
+
+
+def test_many_tasks_do_not_fill_a_pipe(monkeypatch):
+    # 20,000 outcomes pickle to far more than a pipe holds, and the queue
+    # holds at most 1,024 chunk numbers.  A pool that blocks on a full pipe
+    # fails here after 60 s instead of hanging.
+    def hung(*_):
+        raise TimeoutError("the trial pool blocked")
+
+    monkeypatch.setattr(numeric, "_cpu_count", lambda: 3)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        assert numeric._run_tasks([(lambda s: s, t) for t in range(20000)]) == list(range(20000))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+
+
+def test_one_cpu_or_one_task_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(numeric, "_cpu_count", lambda: 1)
+    assert run_suite("identities", seed=1, trials=2)[0].trials == 2
+    monkeypatch.setattr(numeric, "_cpu_count", lambda: 3)
+    assert verify_scaling(seed=1729, alpha=mi("11"), trials=1).passed
+
+
+def test_a_process_whose_parent_changed_takes_no_task():
+    queue, feed = os.pipe()
+    os.write(feed, (0).to_bytes(4, "little"))
+    os.close(feed)
+    done = {}
+    try:
+        assert numeric._take([(lambda s: s, 0)], 1, queue, os.getppid() + 1, done) is None
+    finally:
+        os.close(queue)
+    assert done == {}
