@@ -78,33 +78,32 @@ def _ones_families(dim: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ..
         return (((), ((0,),)),)
 
     # Appending a digit to every member keeps a sorted set sorted, so the
-    # 0-lift of a set is the set itself and its 1-lift sets the top bit.  A
-    # union is sorted again by the MultiIndex order (order, digit string).
+    # 0-lift of a set is the set itself and its 1-lift sets the top bit.  The
+    # sets of a family are disjoint, so a union is the merge of sorted runs
+    # by the MultiIndex order (order, digit string), which one sort of their
+    # concatenation does in linear time.
     top = 1 << (dim - 1)
     rank = mask_rank(dim).__getitem__
-
-    def lift(s: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(m | top for m in s)
-
-    def union(*groups: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted(set().union(*groups), key=rank))
-
-    parents = _ones_families(dim - 1)
-    out = []
-    for blocks, parent, child in _partition_rows(dim):
-        base, *block_sets = parents[parent][1]
-        if child:
-            # Block i gains a 1 digit; blocks before it keep only their
-            # 0-lift, blocks after it also absorb their 1-lift, and the base
-            # absorbs both of its lifts plus the 0-lift of block i.
-            i = child - 1
-            sets = [union(base, lift(base), block_sets[i])]
-            sets += [s if j < i else lift(s) if j == i else union(s, lift(s)) for j, s in enumerate(block_sets)]
-        else:
-            # Every block gains a 0 digit, and the new singleton block takes
-            # the 1-lift of the base.
-            sets = [base, *block_sets, lift(base)]
-        out.append((blocks, tuple(sets)))
+    rows = _partition_rows(dim)
+    out: list = [None] * len(rows)
+    position = {(parent, child): r for r, (_, parent, child) in enumerate(rows)}
+    for parent, (_, (base, *block_sets)) in enumerate(_ones_families(dim - 1)):
+        # Each set's 1-lift, and its union with it, once for all children.
+        lifted = [tuple([m | top for m in s]) for s in (base, *block_sets)]
+        both = [tuple(sorted(s + t, key=rank)) for s, t in zip((base, *block_sets), lifted)]
+        # Child 0: every block gains a 0 digit, and the new singleton block
+        # takes the 1-lift of the base.
+        children = [(base, *block_sets, lifted[0])]
+        # Child i + 1: block i gains a 1 digit; blocks before it keep only
+        # their 0-lift, blocks after it also absorb their 1-lift, and the
+        # base absorbs both of its lifts plus the 0-lift of block i.
+        children += [
+            (tuple(sorted(both[0] + s, key=rank)), *block_sets[:i], lifted[i + 1], *both[i + 2 :])
+            for i, s in enumerate(block_sets)
+        ]
+        for child, sets in enumerate(children):
+            r = position[parent, child]
+            out[r] = (rows[r][0], sets)
     return tuple(out)
 
 

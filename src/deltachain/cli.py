@@ -68,14 +68,17 @@ def _alpha_arg(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Mul
 
 
 def _emit(text: str, output: str | None) -> None:
-    """Write ``text`` and a newline to ``output`` or stdout; exit 2 if that fails."""
+    """Write ``text`` and a newline to ``output`` or stdout; exit 2 if that fails.
+    The newline is written on its own: ``text + "\\n"`` would copy the text."""
     try:
         if output is None:
-            sys.stdout.write(text + "\n")
+            sys.stdout.write(text)
+            sys.stdout.write("\n")
             sys.stdout.flush()
         else:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
+                fh.write("\n")
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # The reader is gone; send the unflushed rest to /dev/null so the

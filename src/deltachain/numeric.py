@@ -16,7 +16,11 @@ The evaluators hold each exact vector as one integer record (``_Exact``):
 numerators over one denominator and a bit per ``Fraction`` coordinate.  A
 ``RandomRationalMap`` is read at such a record through its integer-keyed
 memo, so sums and differences of exact trees run on ``int``s, and
-``Fraction``s are built only for the caller.
+``Fraction``s are built only for the caller.  What is fixed before the
+trials start is made once: the oracle suites build each expansion's node
+table (``_NodeTable``) before the pool forks, and every trial evaluates
+that table; a map hashes its per-coordinate prefix once and copies the
+hash state at each new point.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import random
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, or_
+from itertools import repeat
+from operator import mul, or_
 from typing import Any, Callable, Mapping, Sequence
 
 from .combinatorics import MultiIndex, check_alpha, enumerate_partitions, refine
@@ -118,7 +123,7 @@ def _common(vectors: Sequence[_Exact]) -> tuple[int, list[Sequence[int]]]:
     for v in vectors:
         if len(v.nums) != size:
             raise ValueError(f"space dimension mismatch: {size} vs {len(v.nums)}")
-    den = math.lcm(*[v.den for v in vectors])
+    den = math.lcm(*{v.den for v in vectors})
     return den, [v.nums if v.den == den else [n * (den // v.den) for n in v.nums] for v in vectors]
 
 
@@ -128,7 +133,7 @@ def _sum(values: Sequence[Any]) -> Any:
     if any(type(v) is not _Exact for v in values):
         return _record(vector_sum([_vector(v) for v in values]))
     den, rows = _common(values)
-    return _Exact(den, tuple(map(sum, zip(*rows))), functools.reduce(or_, [v.mask for v in values]))
+    return _Exact(den, tuple(map(sum, zip(*rows))), functools.reduce(or_, {v.mask for v in values}))
 
 
 def _difference(F: Callable[[Value], Value], base: Any, dirs: Sequence[Any]) -> Any:
@@ -148,11 +153,15 @@ def _difference(F: Callable[[Value], Value], base: Any, dirs: Sequence[Any]) -> 
         values = [tuple(F(c)) for c in corners(_vector(base), [_vector(d) for d in dirs])]
         return _record(vector_sum(values, signs))
     den, (first, *steps) = _common([base, *dirs])
-    points = [(den, *first)]
-    for step in steps:
-        step = (0, *step)
-        points += [tuple(map(add, p, step)) for p in points]
-    outs = [F._at(p).nums for p in points]
+    # The corners' coordinates, one list per coordinate, and then the points.
+    columns = []
+    for j, x in enumerate(first):
+        column = [x]
+        for step in steps:
+            column += [c + step[j] for c in column]
+        columns.append(column)
+    hit, at = F._memo.get, F._at  # a point met before is read from the memo without a call
+    outs = [(hit(p) or at(p)).nums for p in zip(repeat(den, len(signs)), *columns)]
     return _Exact(_SCALE, tuple([sum(map(mul, col, signs)) for col in zip(*outs)]), F._mask)
 
 
@@ -171,7 +180,42 @@ def evaluate_delta(F: Callable[[Value], Value], base: Value, directions: Sequenc
     return _vector(_difference(F, _record(tuple(base)), [_record(tuple(d)) for d in directions]))
 
 
-def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
+_VECTOR, _COMPONENT, _APP, _SUM, _DELTA = range(5)  # the kinds of a node table's rows
+
+
+class _NodeTable:
+    """The distinct nodes of an expression in the order ``eval_expr`` runs
+    them: children before their parent, the root last.  Row i is ``(kind,
+    name, args)``: a vector's name; a component's cuboid name and index; a
+    map's name and the row of its argument; a sum's rows; or a difference's
+    map name and the rows of its base and its directions.  A suite that
+    evaluates one expression in many trials builds its table once."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, e: Expr):
+        try:
+            nodes = _postorder(e)
+        except TypeError as exc:
+            raise EvaluationError(str(exc)) from None
+        row = {n: i for i, n in enumerate(nodes)}
+        rows = []
+        for n in nodes:
+            kind = type(n)
+            if kind is PointSym or kind is VecSym:
+                rows.append((_VECTOR, n.name, None))
+            elif kind is ComponentSym:
+                rows.append((_COMPONENT, n.cuboid, n.index))
+            elif kind is App:
+                rows.append((_APP, n.func, row[n.arg]))
+            elif kind is Sum:
+                rows.append((_SUM, None, [row[t] for t in n.terms]))
+            else:  # a difference term
+                rows.append((_DELTA, n.func, (row[n.base], [row[d] for d in n.directions])))
+        self.rows = tuple(rows)
+
+
+def eval_expr(e: Expr | _NodeTable, bindings: Mapping[str, Any]) -> Value:
     """Evaluate an expression with names bound to points (tuples), cuboids,
     and callables for function symbols.
 
@@ -180,12 +224,12 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
     differences shared by many terms of an expansion are computed once.  A
     node's value is kept as an integer record (``_Exact``) while its entries
     are exact rationals, and becomes a tuple only at the root.  Of several
-    faults, the one met first in that order is reported.
+    faults, the one met first in that order is reported.  The walk over the
+    nodes is the expression's ``_NodeTable``; the oracle suites build each
+    expansion's table once and pass it for ``e``.  No value is kept between
+    calls.
     """
-    try:
-        nodes = _postorder(e)
-    except TypeError as exc:
-        raise EvaluationError(str(exc)) from None
+    rows = (e if type(e) is _NodeTable else _NodeTable(e)).rows
 
     def bound(name: str, ok: Callable[[Any], bool], what: str) -> Any:
         try:
@@ -196,32 +240,32 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Value:
             raise EvaluationError(f"symbol {name!r} must be bound to {what}")
         return value
 
-    values: dict[Expr, Any] = {}
+    values: list[Any] = []
+    push = values.append
     # A ValueError from a cuboid lookup, a vector sum or a bound map becomes
     # an EvaluationError with the same text, whichever node raised it.
     try:
-        for n in nodes:
-            if isinstance(n, (PointSym, VecSym)):
-                value = _record(tuple(bound(n.name, lambda v: isinstance(v, (tuple, list)), "a vector")))
-            elif isinstance(n, ComponentSym):
-                value = _record(bound(n.cuboid, lambda c: isinstance(c, Cuboid), "a cuboid").component(n.index))
-            elif isinstance(n, App):
-                F, arg = bound(n.func, callable, "a map"), values[n.arg]
-                if type(F) is RandomRationalMap and type(arg) is _Exact:
-                    value = F._at((arg.den, *arg.nums))
-                else:
-                    value = _record(tuple(F(_vector(arg))))
-            elif isinstance(n, Sum):
-                if not n.terms:
+        for kind, name, args in rows:
+            if kind == _DELTA:
+                base, dirs = args
+                push(_difference(bound(name, callable, "a map"), values[base], [values[d] for d in dirs]))
+            elif kind == _SUM:
+                if not args:
                     raise EvaluationError("cannot evaluate an empty sum")
-                value = _sum([values[t] for t in n.terms])
-            else:  # a difference term
-                F = bound(n.func, callable, "a map")
-                value = _difference(F, values[n.base], [values[d] for d in n.directions])
-            values[n] = value
+                push(_sum([values[t] for t in args]))
+            elif kind == _APP:
+                F, arg = bound(name, callable, "a map"), values[args]
+                if type(F) is RandomRationalMap and type(arg) is _Exact:
+                    push(F._at((arg.den, *arg.nums)))
+                else:
+                    push(_record(tuple(F(_vector(arg)))))
+            elif kind == _VECTOR:
+                push(_record(tuple(bound(name, lambda v: isinstance(v, (tuple, list)), "a vector"))))
+            else:
+                push(_record(bound(name, lambda c: isinstance(c, Cuboid), "a cuboid").component(args)))
     except ValueError as exc:
         raise EvaluationError(str(exc)) from None
-    return _vector(values[e])
+    return _vector(values[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +285,9 @@ class RandomRationalMap:
     memoized.  Numerators lie in [-100, 100], denominators in [1, 16].  The
     memo is keyed by integers: a point's key is ``(den, *nums)``, with
     ``den`` the lcm of its reduced denominators, so no ``Fraction`` is
-    hashed on a hit.
+    hashed on a hit.  Coordinate j hashes ``f"{seed};{j};"`` and then the
+    point's text; that prefix is hashed once per map, and each new point
+    copies its hash state.
     """
 
     def __init__(self, seed: int, domain_dim: int, codomain_dim: int):
@@ -249,8 +295,13 @@ class RandomRationalMap:
         self.domain_dim = domain_dim
         self.codomain_dim = codomain_dim
         self._mask = (1 << codomain_dim) - 1
-        self._memo: dict[tuple[int, ...], _Exact] = {}  # key -> value, over _SCALE
+        self._memo: dict[tuple[int, ...], _Exact] = {}  # point -> value, over _SCALE
         self._values: dict[tuple[int, ...], Value] = {}  # key -> value, as Fractions
+        self._prefixes = [hashlib.blake2b(f"{seed};{j};".encode(), digest_size=16) for j in range(codomain_dim)]
+
+    def __reduce__(self):
+        # A hash state does not pickle: a copy is built anew, with an empty memo.
+        return type(self), (self.seed, self.domain_dim, self.codomain_dim)
 
     def __call__(self, point: Value) -> Value:
         exact = _record(tuple(c if type(c) is Fraction else Fraction(c) for c in point))
@@ -261,24 +312,31 @@ class RandomRationalMap:
         return value
 
     def _at(self, point: tuple[int, ...]) -> _Exact:
-        """The value at ``point[1:] / point[0]``, as a record over ``_SCALE``."""
+        """The value at ``point[1:] / point[0]``, as a record over ``_SCALE``.
+        The memo holds each point as given, next to its reduced key."""
+        value = self._memo.get(point)
+        if value is not None:
+            return value
         if len(point) != self.domain_dim + 1:
             raise ValueError(f"need {self.domain_dim} coordinates, got {len(point) - 1}")
         g = math.gcd(*point)
         key = point if g == 1 else tuple([x // g for x in point])
-        value = self._memo.get(key)
+        value = None if key is point else self._memo.get(key)
         if value is None:
             # the text of each reduced coordinate, as str(Fraction) writes it
             den, text = key[0], []
             for n in key[1:]:
                 g = math.gcd(n, den)
                 text.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-            text, nums = "|".join(text), []
-            for j in range(self.codomain_dim):
-                digest = hashlib.blake2b(f"{self.seed};{j};{text}".encode(), digest_size=16).digest()
-                num = int.from_bytes(digest[:8], "big") % 201 - 100
-                nums.append(num * (_SCALE // (int.from_bytes(digest[8:], "big") % 16 + 1)))
+            text, nums = "|".join(text).encode(), []
+            for prefix in self._prefixes:
+                h = prefix.copy()
+                h.update(text)
+                # the first 8 digest bytes pick the numerator, the last 8 the denominator
+                digest = int.from_bytes(h.digest(), "big")
+                nums.append(((digest >> 64) % 201 - 100) * (_SCALE // (digest % 16 + 1)))
             value = self._memo[key] = _Exact(_SCALE, tuple(nums), self._mask)
+        self._memo[point] = value
         return value
 
 
@@ -471,7 +529,7 @@ def _chain_specs(trials: int, kmax: int) -> list[_Spec]:
 
     def spec(k: int) -> _Spec:
         alpha = MultiIndex.ones(k)
-        expr = expand_chain(alpha)
+        table = _NodeTable(expand_chain(alpha))
 
         def check(s: int) -> Failure | None:
             rng = random.Random(s)
@@ -479,7 +537,7 @@ def _chain_specs(trials: int, kmax: int) -> list[_Spec]:
             f = RandomRationalMap(derive_seed(s, "f"), 2, 2)
             x = random_rational_vector(rng, 2)
             vs = [random_rational_vector(rng, 2) for _ in range(k)]
-            if eval_expr(expr, _chain_bindings(f, g, x, vs)) != evaluate_delta(lambda p: f(g(p)), x, vs):
+            if eval_expr(table, _chain_bindings(f, g, x, vs)) != evaluate_delta(lambda p: f(g(p)), x, vs):
                 return Failure(s, str(alpha), "expansion differs from direct difference")
             return None
 
@@ -501,13 +559,13 @@ def _tangent_specs(trials: int, kmax: int) -> list[_Spec]:
 
     def spec(k: int) -> _Spec:
         alpha = MultiIndex.ones(k)
-        expr = expand_tangent(alpha)
+        table = _NodeTable(expand_tangent(alpha))
 
         def check(s: int) -> Failure | None:
             rng = random.Random(s)
             f = RandomRationalMap(derive_seed(s, "f"), 2, 2)
             cub = random_cuboid(rng, k, 2)
-            if eval_expr(expr, {"f": f, "u": cub}) != discrete_tangent(f, cub).component(alpha):
+            if eval_expr(table, {"f": f, "u": cub}) != discrete_tangent(f, cub).component(alpha):
                 return Failure(s, str(alpha), "expansion differs from cuboid computation")
             return None
 

@@ -15,7 +15,8 @@ partitions through ``enumerate_partitions``; the library reads the cached
 mask families of ``asets._ones_families`` and places their leaves itself,
 so the two share only that cache and the table of partition rows it grows
 along, ``combinatorics._partition_rows``.  ``tests/partition_reference.py``
-checks that table against an enumeration of its own.
+checks that table against an enumeration of its own, and the families
+against the recursion they replaced.
 
 Both pipelines sort by the key each node carries, set where the node is
 interned, so the sweep also checks the order itself: for every node of every

@@ -23,6 +23,8 @@ from deltachain.combinatorics import (
 )
 from deltachain.symbolic import expand_chain, expand_tangent, main_part
 
+import partition_reference
+
 
 def mi(s: str) -> MultiIndex:
     return MultiIndex.from_string(s)
@@ -82,6 +84,11 @@ def test_cached_families_follow_the_partition_table():
     for d in range(1, 9):
         blocks = [b for b, _ in _ones_families(d)]
         assert blocks == [tuple(b.mask for b in p.blocks) for p in enumerate_partitions(MultiIndex.ones(d))]
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_cached_families_equal_the_reference_recursion(d):
+    assert partition_reference.family_differences(d) == []
 
 
 def test_the_index_with_no_digits_has_one_family():

@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import itertools
 import json
 import os
+import pickle
 import random
 import signal
 import time
@@ -66,6 +68,12 @@ def test_evaluate_delta_second_order_of_a_quadratic():
 def test_evaluate_delta_third_difference_of_a_quadratic_vanishes():
     dirs = [(Fraction(1),), (Fraction(2),), (Fraction(3),)]
     assert evaluate_delta(square, (Fraction(-4),), dirs) == (0,)
+
+
+def test_evaluate_delta_on_a_space_with_no_coordinates():
+    f = RandomRationalMap(3, 0, 2)
+    assert evaluate_delta(f, (), []) == f(())
+    assert evaluate_delta(f, (), [(), ()]) == (0, 0)
 
 
 def test_evaluate_delta_repeats_directions_per_alpha():
@@ -301,6 +309,27 @@ def test_random_rational_map_checks_dimension():
     f = RandomRationalMap(7, 2, 1)
     with pytest.raises(ValueError):
         f((Fraction(1),))
+
+
+def test_random_rational_map_reads_a_point_and_its_reduced_key_alike():
+    f = RandomRationalMap(7, 2, 2)
+    reduced = f._at((3, 1, 6))
+    assert f._at((6, 2, 12)) is reduced
+    assert f._at((6, 2, 12)) is reduced  # now memoized as given
+    assert f((Fraction(1, 3), 2)) == (Fraction(reduced.nums[0], 720720), Fraction(reduced.nums[1], 720720))
+    with pytest.raises(ValueError, match="^need 2 coordinates, got 3$"):
+        f._at((6, 2, 12, 1))
+
+
+def test_a_copied_random_rational_map_gives_the_same_values():
+    f = RandomRationalMap(99, 2, 3)
+    points = [(Fraction(1, 3), 2), (0, Fraction(-7, 4)), (5, 5)]
+    want = [f(p) for p in points]
+    for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert type(twin) is RandomRationalMap
+        assert (twin.seed, twin.domain_dim, twin.codomain_dim) == (99, 2, 3)
+        assert [twin(p) for p in reversed(points)] == want[::-1]
+        assert twin._at((4, 1, -2)).nums == f._at((4, 1, -2)).nums
 
 
 def test_random_vector_and_cuboid_shapes():
@@ -632,6 +661,23 @@ def test_reports_are_identical_with_any_cpu_count(monkeypatch, name):
         assert len(forks) == cpus - 1  # one pool for every trial of the call
         assert_no_child_left()
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("suite", ["theorem-b", "eq9"])
+def test_oracle_trials_do_not_walk_the_expansion_again(monkeypatch, suite, cpus):
+    specs = numeric._chain_specs if suite == "theorem-b" else numeric._tangent_specs
+    monkeypatch.setattr(numeric, "_cpu_count", lambda: cpus)
+    want = run_suite(suite, seed=13, trials=3, kmax=4)
+    built = specs(3, 4)
+
+    def no_walk(e):
+        raise AssertionError("a trial walked its expansion again")
+
+    monkeypatch.setattr(numeric, "_postorder", no_walk)
+    assert numeric._run_trials(13, built) == want
+    assert all(r.passed for r in want) and len(want) == 4
+    assert_no_child_left()
 
 
 def failing_at(seed: int, *trials: int, flag=None):
