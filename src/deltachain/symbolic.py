@@ -9,11 +9,14 @@ Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): constructing a node returns the one live node with
 equal fields, so structurally equal expressions are one object, ``==`` and
 ``hash`` are identity, and the inner differences an expansion shares are
-stored once.  A node is interned when its children are, and carries the sort
-key made there from theirs, which ``canonicalize`` and the generators sort
-by.  Each other pass over an expression is one loop over its distinct nodes,
-children first; only ``parse`` and ``expr_from_obj`` recurse, and they
-report ``nesting too deep``.
+stored once.  A node's children must be nodes, so every node is interned,
+and carries the sort key made there from its children's, which
+``canonicalize`` and the generators sort by.  Each other pass over an
+expression is one loop over its distinct nodes, children first; only
+``parse`` and ``expr_from_obj`` recurse, and they report ``nesting too
+deep``.  The text reader reads each token at the offset it has reached and
+skips a repeated term by its source text, so it reads only a fraction of a
+rendered expansion's tokens.
 
 The expansion generators take only alpha and write fixed names (``f``,
 ``g``, ``x``, ``v_i``, ``u``) that the text reader reads back.  They take
@@ -31,7 +34,6 @@ import threading
 import weakref
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import accumulate, compress, count
 from operator import attrgetter
 from typing import Callable, Union, get_args
 
@@ -49,18 +51,17 @@ class _HashConsed(type):
 
     def __call__(cls, *args, **kwargs):
         node = type.__call__(cls, *args, **kwargs)
+        # Only interned nodes are children, so every node is interned and keyed.
+        children = node._children()
+        if not _NODE_TYPES.issuperset(map(type, children)):
+            bad = next(c for c in children if type(c) not in _NODE_TYPES)
+            raise ValueError(f"not an expression: {bad!r}")
         table_key = (cls, *node.__dict__.values())
-        try:
-            found = _NODES.get(table_key)
-            if found is not None:
-                return found
-            # Set before the node is stored, so no thread gets it without its key.
-            object.__setattr__(node, "_key", _key_of(node))
-        except (TypeError, AttributeError):
-            # A child is unhashable or carries no key, so it is no interned node
-            # and this node is not interned either: no value that is ``==`` but
-            # of another type (1 and True, say) is ever merged into it.
-            return node
+        found = _NODES.get(table_key)
+        if found is not None:
+            return found
+        # Set before the node is stored, so no thread gets it without its key.
+        object.__setattr__(node, "_key", _key_of(node))
         with _NODES_LOCK:
             return _NODES.setdefault(table_key, node)
 
@@ -165,7 +166,7 @@ _NODE_TYPES = frozenset(get_args(Expr))
 def _postorder(root: Expr) -> list[Expr]:
     """The distinct nodes of ``root`` in the order a recursive left-to-right
     postorder finishes them, found with an explicit stack so that nesting
-    has no limit.  A child that is not a node raises ``TypeError``."""
+    has no limit.  A root that is not a node raises ``TypeError``."""
     if type(root) not in _NODE_TYPES:
         raise TypeError(f"not an expression: {root!r}")
     # A node is marked when it is pushed: the graph has no cycles, so no
@@ -176,8 +177,6 @@ def _postorder(root: Expr) -> list[Expr]:
     while stack:
         node, children = stack[-1]
         for child in children:
-            if type(child) not in _NODE_TYPES:
-                raise TypeError(f"not an expression: {child!r}")
             if child not in seen:
                 seen.add(child)
                 stack.append((child, iter(child._children())))
@@ -231,8 +230,8 @@ _stored_key = attrgetter("_key")
 def sort_key(e: Expr) -> tuple:
     """Total order on expressions used everywhere a canonical order is needed:
     the key ``e`` was given when it was interned."""
-    if not hasattr(e, "_key"):
-        _postorder(e)  # raises TypeError: only a node over a non-expression has none
+    if type(e) not in _NODE_TYPES:
+        raise TypeError(f"not an expression: {e!r}")
     return e._key
 
 
@@ -613,12 +612,13 @@ def _node_hook(memo: dict) -> Callable[[dict], object]:
     return hook
 
 
-# The names text reads as a cuboid and as points; any other name is a vector.
-_CUBOIDS = frozenset({"u"})
+# The name text reads as the cuboid, and the names it reads as points; any
+# other name is a vector.
+_CUBOID = "u"
 _POINTS = frozenset({"x", "y", "z"})
 
 # A name, a natural number, or any other one non-space character.
-_TOKEN_RE = re.compile(r"\s*(?:[A-Za-z][A-Za-z0-9]*|\d+|\S)")
+_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\d+|\S)")
 _KIND_OF_CHAR = {
     "Δ": "delta",
     "^": "caret",
@@ -629,145 +629,151 @@ _KIND_OF_CHAR = {
     ")": "rparen",
     "+": "plus",
     ",": "comma",
-    **dict.fromkeys("0123456789", "nat"),
     **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "name"),
 }
-_OPENER = {"rparen": "lparen", "rbrace": "lbrace"}
-_BRACKETS = frozenset(_OPENER) | frozenset(_OPENER.values())
+# A character that starts no token: not a space, not a decimal digit (\d
+# matches every one, not only 0-9), and of no kind above.
+_UNREADABLE_RE = re.compile(r"[^\s\d" + re.escape("".join(_KIND_OF_CHAR)) + "]")
+_BRACKET_RE = re.compile(r"[(){}]")
+
+# What follows the first token of a term, up to the bracket that closes
+# the term or up to its end.  After a name: an application's "(", a
+# subscript's "{", a subscript number, or a "_" with no subscript after it
+# (group 2).  After a "Δ": its exponent, braced (group 1) or not; then its
+# directions' "{", then its map's "(".
+_AFTER_NAME_RE = re.compile(r"(?:\s*(\(|_\s*\{)|\s*_\s*\d+|\s*(_))?")
+_EXPONENT_RE = re.compile(r"(?:\s*\^\s*(?:(\{)|\d+))?")
+_DIRECTIONS_RE = re.compile(r"\s*_\s*\{")
+_CALL_RE = re.compile(r"\s*[A-Za-z][A-Za-z0-9]*\s*\(")
+
+# The cuboid name as a whole token, followed by "_", with the subscript
+# tokens after it that the dimension is inferred from (group 1): braces,
+# commas and numbers.  The digits before the name are part of the match,
+# so that a name after a number ("1u") is found and the end of a longer
+# name ("a1u") is not.
+_CUBOID_SUBSCRIPT_RE = re.compile(
+    rf"(?<![A-Za-z0-9])[0-9]*{_CUBOID}(?![A-Za-z0-9])(?=\s*_((?:\s*(?:[{{,]|\d+))*))"
+)
+_NUMBER_RE = re.compile(r"\d+")
+
+# CPython's default limit on the digits ``int`` converts from a string.  A
+# longer numeral names no position or exponent a formula can have, and is
+# rejected by its length before any conversion, which is quadratic.
+_MAX_DIGITS = 4300
 
 
-class _TokenKinds(dict):
-    """Token text to kind, classified by its first character on first sight;
-    ``None`` for a character that starts no token."""
-
-    def __missing__(self, text: str) -> str | None:
-        first = text[0]
-        # \d matches every decimal digit, not only 0-9
-        kind = self[text] = _KIND_OF_CHAR.get(first) or ("nat" if first.isdecimal() else None)
-        return kind
+def _natural(digits: str) -> int:
+    if len(digits) > _MAX_DIGITS:
+        raise ValueError(f"number too long: {len(digits)} digits")
+    return int(digits)
 
 
-def _tokenize(s: str) -> tuple[list, list, list, dict | None]:
-    """The kinds, texts and end offsets of the tokens of ``s``, and the
-    index of the closing bracket of each opening one.
-
-    The kind and text lists end with two ``None`` markers, so lookahead
-    past the last token reads ``None``.  The bracket map is ``None`` when
-    the brackets do not balance.
-    """
-    raw = _TOKEN_RE.findall(s)
-    ends = list(accumulate(map(len, raw)))
-    texts = [t.lstrip() for t in raw]
-    kinds = list(map(_TokenKinds(_KIND_OF_CHAR).__getitem__, texts))
-    if None in kinds:
-        i = kinds.index(None)
-        raise ValueError(f"cannot tokenize at: {s[ends[i] - 1:].strip()[:20]!r}")
-    close: dict | None = {}
+def _bracket_map(s: str) -> dict[int, int] | None:
+    """The offset of the bracket that closes each opening one in ``s``, by
+    the opener's offset; ``None`` when the brackets do not balance."""
+    close = {}
     stack = []
-    for i in compress(count(), map(_BRACKETS.__contains__, kinds)):
-        kind = kinds[i]
-        if kind == "lparen" or kind == "lbrace":
+    for m in _BRACKET_RE.finditer(s):
+        i = m.start()
+        if s[i] in "({":
             stack.append(i)
-        elif stack and kinds[stack[-1]] == _OPENER[kind]:
+        elif stack and s[stack[-1]] + s[i] in ("()", "{}"):
             close[stack.pop()] = i
         else:
-            close = None
-            break
-    if stack:
-        close = None
-    kinds += (None, None)
-    texts += (None, None)
-    return kinds, texts, ends, close
+            return None
+    return None if stack else close
 
 
-class _Parser:
-    """Recursive-descent parser for the documented text grammar.
+def _infer_dim(s: str) -> int:
+    """The largest number in a subscript of the cuboid name; 0 when there is none."""
+    subscripts = " ".join(m.group(1) for m in _CUBOID_SUBSCRIPT_RE.finditer(s))
+    return max(map(_natural, _NUMBER_RE.findall(subscripts)), default=0)
+
+
+class _Reader:
+    """Recursive-descent reader of the documented text grammar, which reads
+    each token at the offset it has reached.
 
     The text format does not record the cube dimension of component
     subscripts, so it is supplied (or inferred as the largest position
-    mentioned; ``None`` when no position is).  The name ``u`` parses as a
-    cuboid component, ``x``, ``y`` and ``z`` as points, and any other name
-    as a vector.
+    mentioned; ``None`` when no position is).
 
     The grammar is context free and the dimension is fixed for the call,
-    so equal source text parses to the equal node: a difference term, an
-    application or a symbol whose text was parsed before is looked up and
-    skipped.  Without balanced brackets nothing is looked up, and the
-    parse, with its error, is the plain one.
+    so equal source text reads as the equal node: a difference term, an
+    application or a symbol whose text was read before is looked up by
+    that text and skipped.  Without balanced brackets nothing is looked
+    up, and the parse, with its error, is the plain one.
     """
 
-    def __init__(self, s, dim):
-        self.s = s
-        self.kinds, self.texts, self.ends, self.close = _tokenize(s)
-        self.n = len(self.ends)
-        self.i = 0
-        self.dim = dim
-        self.memo: dict[str, Expr] = {}
+    __slots__ = ("s", "dim", "close", "memo", "kind", "text", "start", "end")
 
-    def peek(self, offset: int = 0):
-        # Never past the end markers: the position stops at the first.
-        j = self.i + offset
-        return self.kinds[j], self.texts[j]
+    def __init__(self, s: str, dim: int | None):
+        self.s = s
+        self.dim = dim
+        self.close = _bracket_map(s)
+        self.memo: dict[str, Expr] = {}
+        self.read(0)
+
+    def read(self, pos: int) -> None:
+        """Make the token after offset ``pos`` the current one: its kind,
+        its text and where that text starts and ends.  Past the last token
+        the kind and text are ``None``."""
+        m = _TOKEN_RE.match(self.s, pos)
+        if m is None:
+            self.kind = self.text = None
+            self.start = self.end = pos
+            return
+        self.text = text = m.group(1)
+        # Every character that starts no token was rejected before reading,
+        # so one of no kind here is a decimal digit.
+        self.kind = _KIND_OF_CHAR.get(text[0], "nat")
+        self.end = end = m.end()
+        self.start = end - len(text)
+
+    def token_index(self) -> int:
+        # Counted only for an error message.
+        return len(_TOKEN_RE.findall(self.s, 0, self.start))
 
     def take(self, kind: str) -> str:
-        got, text = self.peek()
-        if got != kind:
-            raise ValueError(f"expected {kind}, got {got} ({text!r}) at token {self.i}")
-        self.i += 1
+        text = self.text
+        if self.kind != kind:
+            raise ValueError(f"expected {kind}, got {self.kind} ({text!r}) at token {self.token_index()}")
+        self.read(self.end)
         return text
 
-    def span_end(self, i: int) -> int | None:
-        """The last token of the term at token ``i`` when it is a difference
-        term, an application or a symbol and the brackets balance."""
-        kinds, close = self.kinds, self.close
+    def span_end(self) -> int | None:
+        """The end offset of the term at the current token when it is a
+        difference term, an application or a symbol and the brackets balance."""
+        s, close = self.s, self.close
         if close is None:
             return None
-        kind = kinds[i]
-        if kind == "name":
-            after = kinds[i + 1]
-            if after == "lparen":
-                return close[i + 1]
-            if after != "under":
-                return i
-            after = kinds[i + 2]
-            if after == "lbrace":
-                return close[i + 2]
-            return i + 2 if after == "nat" else None
-        if kind != "delta":
-            return None
-        j = i + 1
-        if kinds[j] == "caret":
-            if kinds[j + 1] == "lbrace":
-                j = close[j + 1] + 1
-            elif kinds[j + 1] == "nat":
-                j += 2
-            else:
+        if self.kind == "name":
+            m = _AFTER_NAME_RE.match(s, self.end)
+            if m.lastindex == 2:
                 return None
-        if kinds[j] != "under" or kinds[j + 1] != "lbrace":
+            return close[m.end() - 1] + 1 if m.lastindex else m.end()
+        if self.kind != "delta":
             return None
-        j = close[j + 1] + 1
-        if kinds[j] != "name" or kinds[j + 1] != "lparen":
+        m = _EXPONENT_RE.match(s, self.end)
+        m = _DIRECTIONS_RE.match(s, close[m.end() - 1] + 1 if m.lastindex else m.end())
+        if m is None:
             return None
-        return close[j + 1]
-
-    def source(self, i: int, j: int) -> str:
-        """The source text of tokens ``i`` to ``j``."""
-        return self.s[self.ends[i] - len(self.texts[i]) : self.ends[j]]
+        m = _CALL_RE.match(s, close[m.end() - 1] + 1)
+        return None if m is None else close[m.end() - 1] + 1
 
     def parse_expr(self) -> Expr:
         # Terms are parsed inline, so that each level of nested parentheses
         # costs one frame of recursion.  The key of a term is sliced again
         # to store it, rather than held across the recursion.
-        memo = self.memo
+        s, memo = self.s, self.memo
         terms = []
         while True:
-            i = self.i
-            end = self.span_end(i)
-            term = None if end is None else memo.get(self.source(i, end))
+            start, end = self.start, self.span_end()
+            term = None if end is None else memo.get(s[start:end])
             if term is not None:
-                self.i = end + 1
+                self.read(end)
             else:
-                kind, text = self.peek()
+                kind, text = self.kind, self.text
                 if kind == "delta":
                     term = self.parse_delta()
                 elif kind == "nat":
@@ -775,38 +781,39 @@ class _Parser:
                         raise ValueError(f"unexpected number {text!r}")
                     self.take("nat")
                     term = Sum(())
-                elif kind == "name" and self.peek(1)[0] == "lparen":
-                    func = self.take("name")
-                    self.take("lparen")
-                    arg = self.parse_expr()
-                    self.take("rparen")
-                    term = App(func, arg)
                 elif kind == "name":
-                    term = self.parse_symbol()
+                    self.take("name")
+                    if self.kind == "lparen":
+                        self.take("lparen")
+                        arg = self.parse_expr()
+                        self.take("rparen")
+                        term = App(text, arg)
+                    else:
+                        term = self.parse_symbol(text)
                 else:
                     raise ValueError(f"unexpected token {kind} ({text!r})")
                 if end is not None:
-                    memo[self.source(i, end)] = term
+                    memo[s[start:end]] = term
             terms.append(term)
-            if self.peek()[0] != "plus":
+            if self.kind != "plus":
                 return terms[0] if len(terms) == 1 else Sum(tuple(terms))
             self.take("plus")
 
     def parse_delta(self) -> Expr:
         self.take("delta")
         exponent = None
-        if self.peek()[0] == "caret":
+        if self.kind == "caret":
             self.take("caret")
-            if self.peek()[0] == "lbrace":
+            if self.kind == "lbrace":
                 self.take("lbrace")
-                exponent = int(self.take("nat"))
+                exponent = _natural(self.take("nat"))
                 self.take("rbrace")
             else:
-                exponent = int(self.take("nat"))
+                exponent = _natural(self.take("nat"))
         self.take("under")
         self.take("lbrace")
         dirs = [self.parse_expr()]
-        while self.peek()[0] == "comma":
+        while self.kind == "comma":
             self.take("comma")
             dirs.append(self.parse_expr())
         self.take("rbrace")
@@ -820,25 +827,24 @@ class _Parser:
             )
         return DeltaTerm(tuple(dirs), func, base)
 
-    def parse_symbol(self) -> Expr:
-        name = self.take("name")
-        if self.peek()[0] != "under":
-            if name in _POINTS:
-                return PointSym(name)
-            return VecSym(name)
+    def parse_symbol(self, name: str) -> Expr:
+        """The symbol whose name was just taken."""
+        symbol = PointSym if name in _POINTS else VecSym
+        if self.kind != "under":
+            return symbol(name)
         self.take("under")
-        if self.peek()[0] == "lbrace":
+        if self.kind == "lbrace":
             self.take("lbrace")
-            positions = [int(self.take("nat"))]
-            while self.peek()[0] == "comma":
+            positions = [_natural(self.take("nat"))]
+            while self.kind == "comma":
                 self.take("comma")
-                positions.append(int(self.take("nat")))
+                positions.append(_natural(self.take("nat")))
             self.take("rbrace")
             subtext = "{" + ",".join(str(p) for p in positions) + "}"
         else:
-            positions = [int(self.take("nat"))]
+            positions = [_natural(self.take("nat"))]
             subtext = str(positions[0])
-        if name in _CUBOIDS:
+        if name == _CUBOID:
             if self.dim is None:
                 raise ValueError(
                     f"cannot infer the dimension of {name}_{subtext}: no component"
@@ -852,25 +858,7 @@ class _Parser:
                     raise ValueError(f"component position {p} outside dimension {self.dim}")
                 mask |= 1 << (p - 1)
             return ComponentSym(name, MultiIndex(self.dim, mask))
-        full = f"{name}_{subtext}"
-        if name in _POINTS:
-            return PointSym(full)
-        return VecSym(full)
-
-
-def _infer_dim(kinds: list, texts: list) -> int:
-    # The largest number in a subscript of a cuboid name; ``kinds`` ends
-    # with ``None`` markers, which stop the scan.
-    best = 0
-    for i in [i for i, text in enumerate(texts) if text in _CUBOIDS]:
-        if kinds[i] == "name" and kinds[i + 1] == "under":
-            j = i + 2
-            while kinds[j] in ("lbrace", "nat", "comma"):
-                if kinds[j] == "nat":
-                    best = max(best, int(texts[j]))
-                j += 1
-            # closing brace (if any) ends the subscript
-    return best
+        return symbol(f"{name}_{subtext}")
 
 
 def parse(s: str, fmt: str = "text", dim: int | None = None) -> Expr:
@@ -882,9 +870,10 @@ def parse(s: str, fmt: str = "text", dim: int | None = None) -> Expr:
     when omitted it is inferred as the largest position appearing in any
     component subscript, which may not exceed 2**16, and text whose only
     components are ``u_0`` raises ``ValueError``, as does a ``dim`` that is
-    not ``None`` or an int >= 0.  Input that is not a ``str``, or nested
-    deeper than the interpreter can recurse, raises ``ValueError``.  Each
-    distinct subexpression is built once, and the result is the interned node.
+    not ``None`` or an int >= 0.  Input that is not a ``str``, a numeral of
+    more than 4,300 digits, and input nested deeper than the interpreter can
+    recurse raise ``ValueError``.  Each distinct subexpression is built once,
+    and the result is the interned node.
     """
     if not isinstance(s, str):
         raise ValueError(f"expected a str to parse, not {type(s).__name__}")
@@ -905,16 +894,19 @@ def parse(s: str, fmt: str = "text", dim: int | None = None) -> Expr:
         return expr_from_obj(json.loads(s)["root"])
     if fmt != "text":
         raise ValueError(f"unknown format: {fmt!r}")
-    parser = _Parser(s, dim)
+    unreadable = _UNREADABLE_RE.search(s)
+    if unreadable:
+        raise ValueError(f"cannot tokenize at: {s[unreadable.start():].strip()[:20]!r}")
     if dim is None:
-        dim = _infer_dim(parser.kinds, parser.texts)
+        dim = _infer_dim(s)
         if dim > _MAX_INFERRED_DIM:
             raise ValueError(f"component position {dim} is above {_MAX_INFERRED_DIM}")
-        parser.dim = dim or None  # no position to infer it from
+        dim = dim or None  # no position to infer it from
+    reader = _Reader(s, dim)
     try:
-        expr = parser.parse_expr()
+        expr = reader.parse_expr()
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
-    if parser.i != parser.n:
-        raise ValueError(f"trailing input from token {parser.i}")
+    if reader.kind is not None:
+        raise ValueError(f"trailing input from token {reader.token_index()}")
     return expr

@@ -252,10 +252,16 @@ def test_eval_expr_reports_an_unbound_name_in_a_shared_subtree():
 
 
 def test_eval_expr_rejects_non_expressions_inside_a_tree():
+    # A tree over a non-expression is rejected where it is built; eval_expr
+    # meets one only as the root it is given.
+    with pytest.raises(ValueError, match="^not an expression: "):
+        Sum(([1],))
+    with pytest.raises(ValueError, match="^not an expression: "):
+        App("f", 3)
     with pytest.raises(EvaluationError, match="not an expression"):
-        eval_expr(Sum(([1],)), {})
+        eval_expr([1], {})
     with pytest.raises(EvaluationError, match="not an expression"):
-        eval_expr(App("f", 3), {"f": square})
+        eval_expr(3, {"f": square})
 
 
 @pytest.mark.parametrize("node", ["app", "delta"])

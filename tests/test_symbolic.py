@@ -13,9 +13,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import expansion_reference as expref
+import parse_reference
 import reference_formulas as ref
 from json_reference import expr_to_obj
 from deltachain import asets, combinatorics, symbolic
@@ -480,6 +481,87 @@ def test_json_parse_of_shared_subtrees_returns_the_expression_itself(e):
     assert parse(render(e, "json"), "json") is e
 
 
+# Text that repeats a span, so that the readers' lookups of repeated terms run.
+shared_texts = shared_exprs().map(render)
+reader_inputs = st.one_of(
+    st.text(),
+    grammar_texts(),
+    edited(grammar_texts()),
+    edited(edited(grammar_texts())),
+    shared_texts,
+    edited(shared_texts),
+)
+reader_dims = (None, 0, 1, 2, 3, 5)
+
+
+@settings(max_examples=500)
+@given(reader_inputs, st.sampled_from(reader_dims))
+def test_the_text_reader_matches_the_reference_reader(text, dim):
+    # Only a numeral over 4,300 digits reads differently: the library
+    # rejects it by its length, the reference passes it to int.
+    assume(not re.search(r"\d{4301}", text))
+    assert parse_reference.reader_difference(text, dim) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Δ^100000_{u_{1u_{65537})",
+        "1u_70000",
+        "0u_70000",
+        "a1u_3",
+        "u_٣",
+        "٣u_2",
+        "Δ ^ { 2 } _ { v_1 , v_2 } f ( x )",
+        "f(x) + f(x",
+        "f(x) + f(x))",
+        "Δ_{f(x)} g(f(x)",
+        "f(x}",
+    ],
+    ids=[
+        "cuboid-after-a-number-in-an-open-subscript",
+        "cuboid-after-a-number",
+        "cuboid-after-zero",
+        "cuboid-letter-inside-a-name",
+        "non-ascii-digit-subscript",
+        "non-ascii-digit-before-the-cuboid",
+        "spaces-between-all-tokens",
+        "unclosed-application",
+        "extra-closing-parenthesis",
+        "unclosed-difference-base",
+        "brace-closing-a-parenthesis",
+    ],
+)
+def test_the_text_reader_matches_the_reference_reader_on(text):
+    for dim in reader_dims:
+        assert parse_reference.reader_difference(text, dim) is None
+
+
+@pytest.mark.parametrize("digits", [4301, 10**6], ids=["4301", "1e6"])
+@pytest.mark.parametrize("int_limit", [None, 0], ids=["default-limit", "no-limit"])
+def test_a_numeral_over_4300_digits_is_rejected_by_its_length(digits, int_limit):
+    n = "1" * digits
+    texts = [
+        (f"u_{n}", None),
+        (f"u_{n}", 3),
+        (f"u_{{1,{n}}}", 3),
+        (f"Δ^{n}_{{v}} f(x)", None),
+        (f"Δ^{{{n}}}_{{v}} f(x)", None),
+    ]
+    limit = sys.get_int_max_str_digits()
+    if int_limit is not None:
+        sys.set_int_max_str_digits(int_limit)
+    try:
+        for text, dim in texts:
+            with pytest.raises(ValueError, match=f"^number too long: {digits} digits$"):
+                parse(text, dim=dim)
+        # One digit fewer keeps the message a number of that size gets.
+        with pytest.raises(ValueError, match=f"^component position 1{{4300}} outside dimension 3$"):
+            parse("u_" + "1" * 4300, dim=3)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_equal_text_in_different_positions_parses_to_one_node():
     e = parse("f(g(x)) + Δ^2_{f(g(x)), f( g (x) )} h(f(g(x)) + v_1) + Δ^2_{f(g(x)), f( g (x) )} h(f(g(x)) + v_1)")
     inner = e.terms[0]
@@ -767,8 +849,16 @@ def test_every_pass_walks_nesting_far_beyond_the_recursion_limit(build, depth, o
     assert peak < 8 * len(got)
 
 
-@pytest.mark.parametrize("bad", [App("f", 3), Sum(([1],))], ids=["int-arg", "list-term"])
-def test_every_pass_rejects_a_child_that_is_not_an_expression(bad):
+@pytest.mark.parametrize(
+    "build, bad",
+    [(lambda: App("f", 3), 3), (lambda: Sum(([1],)), [1])],
+    ids=["int-arg", "list-term"],
+)
+def test_every_pass_rejects_a_child_that_is_not_an_expression(build, bad):
+    # A node over a non-expression is never built, so a pass meets one only
+    # as the root it is given.
+    with pytest.raises(ValueError, match=f"^not an expression: {re.escape(repr(bad))}$"):
+        build()
     passes = [
         order_of,
         sort_key,
@@ -843,6 +933,8 @@ def test_copies_and_pickles_return_the_interned_node():
         lambda: ComponentSym(b"u", mi("1")),
         lambda: ComponentSym("u", "1"),
         lambda: App(("f",), PointSym("x")),
+        lambda: DeltaTerm((3,), "f", PointSym("x")),
+        lambda: DeltaTerm((VecSym("v_1"),), "f", "x"),
     ],
     ids=[
         "int-func",
@@ -855,6 +947,8 @@ def test_copies_and_pickles_return_the_interned_node():
         "bytes-cuboid",
         "str-index",
         "tuple-func",
+        "int-direction",
+        "str-base",
     ],
 )
 def test_fields_of_the_wrong_type_raise_value_error(build):
@@ -866,11 +960,13 @@ def test_fields_of_the_wrong_type_raise_value_error(build):
 
 
 def test_nodes_with_a_non_expression_child_are_not_merged():
-    # 1 == True == 1.0, but only expression children make a node interned.
-    keep = (App("f", 1), Sum((PointSym("x"), 1)))
-    assert type(App("f", True).arg) is bool
-    assert type(Sum((PointSym("x"), 1.0)).terms[1]) is float
-    assert keep[0].arg == keep[1].terms[1] == 1
+    # 1 == True == 1.0, but none of them is a node: each is rejected where
+    # its parent is built, so none is ever merged into another.
+    for child in (1, True, 1.0):
+        with pytest.raises(ValueError, match=f"^not an expression: {child!r}$"):
+            App("f", child)
+        with pytest.raises(ValueError, match=f"^not an expression: {child!r}$"):
+            Sum((PointSym("x"), child))
 
 
 # -- the sort key, set at the interning point -------------------------------------
@@ -908,12 +1004,17 @@ def test_a_key_is_made_once_per_newly_interned_node(monkeypatch):
     assert calls == []
 
 
-def test_a_node_over_a_non_expression_is_neither_interned_nor_keyed():
-    bad = App("f", App("g", 3))
-    assert all(node is not bad for node in list(symbolic._NODES.values()))
+def test_a_node_over_a_non_expression_is_neither_interned_nor_keyed(monkeypatch):
+    keyed = []
+    key_of = symbolic._key_of
+    monkeypatch.setattr(symbolic, "_key_of", lambda n: keyed.append(n) or key_of(n))
+    with pytest.raises(ValueError, match="^not an expression: 3$"):
+        App("f", App("g", 3))
+    assert keyed == []
+    assert not any(3 in table_key for table_key in list(symbolic._NODES.keys()))
     for run in (sort_key, canonicalize, order_of, render):
         with pytest.raises(TypeError, match="^not an expression: 3$"):
-            run(bad)
+            run(3)
 
 
 def test_a_node_reduces_to_its_field_values_only():
