@@ -341,7 +341,7 @@ class RandomRationalMap:
 
 
 def random_rational_vector(rng: random.Random, dim: int, bound: int = 5) -> Value:
-    return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
+    return tuple(rng.randint(-bound, bound) for _ in range(dim))
 
 
 def random_cuboid(rng: random.Random, dim: int, space: int, bound: int = 5) -> Cuboid:

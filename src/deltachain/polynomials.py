@@ -3,25 +3,42 @@
 Coefficients are exact rationals: integral ones are stored as ``int`` and
 the rest as ``Fraction``, so integer data never pays for ``Fraction``.
 
+A monomial is one ``int`` with a 16-bit field per variable, variable 0 in
+the highest field, so integer order is the order of exponent tuples.  A
+product of monomials adds their keys, a derivative subtracts a unit, and
+embedding into more variables is one shift.  Every monomial's total degree
+stays below 2^15, so adding keys never carries from one field into the
+next: ``make``, a product or a power that would reach that limit raises
+``ValueError`` before any work is done.
+
 Evaluation is ring-generic: arguments may be rationals, floats, other
 polynomials or truncated series, since only +, * and ** are used.  That one
 method yields both composition of maps and valuation in a formal scale
 parameter ε; the truncated series answer the valuation question to a fixed
-order without computing the degrees above it.
+order without computing the degrees above it.  A series is packed too
+(Kronecker substitution): its coefficients are numerators over one
+denominator, held as signed digits of one integer, so a product of series
+is one integer multiply and a mask, and a polynomial with integral
+coefficients is evaluated at a point of integral series in packed integers.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import add, sub
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .combinatorics import MultiIndex
 from .cuboid import Value
+
+_BITS = 16  # the width of one exponent field
+_FIELD = (1 << _BITS) - 1
+_LIMIT = 1 << (_BITS - 1)  # every monomial's total degree stays below this
 
 
 def _rational(c: int | Fraction) -> int | Fraction:
@@ -29,13 +46,27 @@ def _rational(c: int | Fraction) -> int | Fraction:
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
-@dataclass(frozen=True)
-class Poly:
-    """A polynomial as a sorted tuple of (exponent tuple, coefficient) pairs.
+def _clean(coeffs: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
+    """``coeffs`` without its zero values, with integral ``Fraction``s as ``int``."""
+    if Fraction in map(type, coeffs.values()):
+        return {k: _rational(c) for k, c in coeffs.items() if c}
+    if 0 in coeffs.values():
+        return {k: c for k, c in coeffs.items() if c}
+    return coeffs
 
-    Zero coefficients are dropped and integral coefficients are stored as
-    ``int`` (the rest as ``Fraction``), so the zero polynomial has no terms
-    and equality of values is equality of representations.
+
+def _check_index(what: str, i: Any, n: int) -> None:
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"{what} must be an int in [0, {n}), got {i!r}")
+
+
+class Poly:
+    """A polynomial as a dict from packed monomials to nonzero coefficients.
+
+    Integral coefficients are stored as ``int`` (the rest as ``Fraction``),
+    so equal polynomials hold equal dicts.  ``terms``, the sorted tuple of
+    (exponent tuple, coefficient) pairs, is made once, when first read;
+    equality, hashing and ``repr`` are those of (nvars, terms).
 
     >>> p = Poly.make(1, {(1,): Fraction(4, 2), (0,): Fraction(1, 3)})
     >>> p.terms
@@ -44,57 +75,92 @@ class Poly:
     Fraction(0, 1)
     """
 
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], int | Fraction], ...]
+    __slots__ = ("nvars", "_coeffs", "_terms", "_degree")
+
+    def __init__(self, nvars: int, coeffs: dict[int, int | Fraction], degree: int | None = None):
+        """Internal: ``coeffs`` maps packed monomials to nonzero rationals,
+        integral ones as ``int``; ``degree``, when known, is the total degree."""
+        self.nvars = nvars
+        self._coeffs = coeffs
+        self._terms = None
+        self._degree = degree
 
     @classmethod
     def make(cls, nvars: int, coeffs: dict[tuple[int, ...], Fraction | int]) -> "Poly":
-        cleaned = {}
+        if type(nvars) is not int or nvars < 0:
+            raise ValueError(f"nvars must be an int >= 0, got {nvars!r}")
+        packed: dict[int, int | Fraction] = {}
         for expts, c in coeffs.items():
             expts = tuple(expts)
             if len(expts) != nvars:
                 raise ValueError(f"exponent tuple {expts} does not have {nvars} entries")
-            c = Fraction(c)
+            key = 0
+            for e in expts:
+                if type(e) is not int or e < 0:
+                    raise ValueError(f"exponents must be nonnegative ints, got {expts}")
+                key = key << _BITS | e
+            if sum(expts) >= _LIMIT:
+                raise ValueError(f"exponent tuple {expts} reaches the degree limit {_LIMIT}")
+            if type(c) is not int:
+                c = Fraction(c)
             if c:
-                cleaned[expts] = cleaned.get(expts, 0) + c
-        return cls._of(nvars, cleaned.items())
-
-    @classmethod
-    def _of(cls, nvars: int, pairs: Iterable[tuple[tuple[int, ...], int | Fraction]]) -> "Poly":
-        """Internal constructor from (exponents, rational) pairs with distinct
-        exponents: drops zeros, normalizes integral values to ``int``, sorts."""
-        return cls(nvars, tuple(sorted((e, _rational(c)) for e, c in pairs if c)))
+                packed[key] = packed.get(key, 0) + c
+        return cls(nvars, _clean(packed))
 
     @classmethod
     def constant(cls, nvars: int, value: Fraction | int) -> "Poly":
-        return cls._of(nvars, [((0,) * nvars, Fraction(value))])
+        return cls(nvars, _clean({0: value if type(value) is int else _rational(Fraction(value))}))
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
-        expts = tuple(int(j == i) for j in range(nvars))
-        return cls._of(nvars, [(expts, 1)])
+        _check_index("variable index", i, nvars)
+        return cls(nvars, {1 << _BITS * (nvars - 1 - i): 1}, 1)
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], int | Fraction], ...]:
+        if self._terms is None:
+            shifts = range(_BITS * (self.nvars - 1), -1, -_BITS)
+            self._terms = tuple(
+                (tuple(k >> s & _FIELD for s in shifts), c) for k, c in sorted(self._coeffs.items())
+            )
+        return self._terms
 
     @property
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e, _ in self.terms), default=-1)
+        """Total degree; -1 for the zero polynomial.  A key is the sum of
+        its fields modulo 2^16 - 1, and that sum is below the limit."""
+        if self._degree is None:
+            self._degree = max((k % _FIELD for k in self._coeffs), default=-1)
+        return self._degree
+
+    def __eq__(self, other):
+        if type(other) is not Poly:
+            return NotImplemented
+        return self.nvars == other.nvars and self._coeffs == other._coeffs
+
+    def __hash__(self):
+        return hash((self.nvars, self.terms))
+
+    def __repr__(self):
+        return f"Poly(nvars={self.nvars!r}, terms={self.terms!r})"
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly._of(self.nvars, [((0,) * self.nvars, other)])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if other.nvars != self.nvars:
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly(self.nvars, {0: other})
+        elif other.nvars != self.nvars:
             raise ValueError("variable count mismatch")
-        coeffs = dict(self.terms)
-        for e, c in other.terms:
-            coeffs[e] = coeffs.get(e, 0) + c
-        return Poly._of(self.nvars, coeffs.items())
+        coeffs = dict(self._coeffs)
+        get = coeffs.get
+        for k, c in other._coeffs.items():
+            coeffs[k] = get(k, 0) + c
+        return Poly(self.nvars, _clean(coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, tuple((e, -c) for e, c in self.terms))
+        return Poly(self.nvars, {k: -c for k, c in self._coeffs.items()}, self._degree)
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, Poly)):
@@ -105,190 +171,318 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly._of(self.nvars, ((e, c * other) for e, c in self.terms))
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return Poly(self.nvars, _clean({k: c * other for k, c in self._coeffs.items()}))
         if other.nvars != self.nvars:
             raise ValueError("variable count mismatch")
-        coeffs: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(map(add, e1, e2))
-                coeffs[e] = coeffs.get(e, 0) + c1 * c2
-        return Poly._of(self.nvars, coeffs.items())
+        degree = self.degree + other.degree
+        if degree >= _LIMIT:
+            raise ValueError(f"a product of degree {degree} reaches the degree limit {_LIMIT}")
+        coeffs: dict[int, int | Fraction] = {}
+        get = coeffs.get
+        right = other._coeffs.items()
+        for k1, c1 in self._coeffs.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                coeffs[k] = get(k, 0) + c1 * c2
+        # over Q a product of nonzero polynomials has the sum of their degrees
+        return Poly(self.nvars, _clean(coeffs), degree if coeffs else -1)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         """Power by repeated squaring."""
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = Poly.constant(self.nvars, 1)
-        square = self
+        if n * self.degree >= _LIMIT:
+            raise ValueError(f"a power of degree {n * self.degree} reaches the degree limit {_LIMIT}")
+        out, square = None, self
         while n:
             if n & 1:
-                out = out * square
+                out = square if out is None else out * square
             n >>= 1
             if n:
                 square = square * square
-        return out
+        return Poly.constant(self.nvars, 1) if out is None else out
 
     def __call__(self, args: Sequence[Any]):
         """Evaluate at arguments from any commutative ring containing Q.
 
-        Each power ``args[i] ** e`` is computed once per call, and terms that
-        are polynomials are summed in one coefficient dict.  Integral
-        ``Fraction`` arguments are evaluated as ``int``, and a rational value
-        that used one is returned as a ``Fraction``, as ``Fraction``
-        arithmetic would have returned it."""
-        if len(args) != self.nvars:
-            raise ValueError(f"need {self.nvars} arguments, got {len(args)}")
-        integral = [type(a) is Fraction and a.denominator == 1 for a in args]
-        if any(integral):
-            args = [a.numerator if whole else a for a, whole in zip(args, integral)]
-        used_integral = False
-        powers: dict[tuple[int, int], Any] = {}
+        Terms are taken in monomial order and each term's nonzero fields
+        from variable 0 on.  Each power ``args[i] ** e`` is computed once per
+        call, and terms that are polynomials are summed in one coefficient
+        dict.  A rational value is a ``Fraction`` exactly when a ``Fraction``
+        takes part in it, and the zero polynomial's value is ``Fraction(0)``."""
+        nvars = self.nvars
+        if len(args) != nvars:
+            raise ValueError(f"need {nvars} arguments, got {len(args)}")
+        if nvars and type(args[0]) is _Series and self.degree > 0:
+            value = self._at_series(args)
+            if value is not None:
+                return value
+        low = args[::-1]  # variable i sits in field nvars-1-i from the lowest
+        powers: dict[int, Any] = {}  # args[i] ** e for e > 1, by that monomial's key
         acc = None
         poly_nvars, coeffs = None, {}
-        for expts, coeff in self.terms:
-            term: Any = coeff
-            for i, e in enumerate(expts):
-                if e:
-                    power = powers.get((i, e))
+        own = self._coeffs
+        for key in sorted(own):
+            term: Any = own[key]
+            while key:
+                field = (key.bit_length() - 1) // _BITS
+                shift = field * _BITS
+                e = key >> shift
+                part = e << shift
+                key -= part
+                if e == 1:
+                    term = term * low[field]
+                else:
+                    power = powers.get(part)
                     if power is None:
-                        power = powers[i, e] = args[i] if e == 1 else args[i] ** e
-                        used_integral = used_integral or integral[i]
+                        power = powers[part] = low[field] ** e
                     term = term * power
-            if isinstance(term, Poly):
+            if type(term) is Poly:
                 if poly_nvars is None:
                     poly_nvars = term.nvars
                 elif term.nvars != poly_nvars:
                     raise ValueError("variable count mismatch")
-                for e, c in term.terms:
-                    coeffs[e] = coeffs.get(e, 0) + c
+                get = coeffs.get
+                for k, c in term._coeffs.items():
+                    coeffs[k] = get(k, 0) + c
             else:
                 acc = term if acc is None else acc + term
         if poly_nvars is not None:
-            total = Poly._of(poly_nvars, coeffs.items())
+            total = Poly(poly_nvars, _clean(coeffs))
             return total if acc is None else total + acc
-        if acc is None or (used_integral and type(acc) is int):
-            return Fraction(0 if acc is None else acc)
-        return acc
+        return Fraction(0) if acc is None else acc
+
+    def _at_series(self, args: Sequence[Any]) -> "_Series | None":
+        """The value at a point of series with denominator 1, for integral
+        coefficients and a positive degree (else ``None``): every power and
+        term is an integer modulo 2^(width·n), at one width whose fields hold
+        a bound on the value's digits, the sum of |coefficient| times the
+        largest argument bound to the degree."""
+        if Fraction in map(type, self._coeffs.values()):
+            return None
+        n = args[0].n
+        base, width = 1, _SERIES_BITS
+        for a in args:
+            if type(a) is not _Series or a.den != 1:
+                return None
+            if a.n != n:
+                raise ValueError("truncation order mismatch")
+            base, width = max(base, a.bound), max(width, a.width)
+        bound = sum(map(abs, self._coeffs.values())) * base**self.degree
+        width = _width(bound, width)
+        low = [a._at(width) for a in reversed(args)]
+        modulus = 1 << width * n
+        mask = modulus - 1
+        powers: dict[int, int] = {}
+        acc = 0
+        for key, term in self._coeffs.items():
+            while key:
+                field = (key.bit_length() - 1) // _BITS
+                shift = field * _BITS
+                e = key >> shift
+                part = e << shift
+                key -= part
+                if e == 1:
+                    power = low[field]
+                else:
+                    power = powers.get(part)
+                    if power is None:
+                        power = powers[part] = pow(low[field], e, modulus)
+                term = (term * power) & mask
+            acc += term
+        return _series(n, 1, acc & mask, width, bound)
 
     def partial(self, i: int) -> "Poly":
-        return Poly._of(
+        _check_index("variable index", i, self.nvars)
+        shift = _BITS * (self.nvars - 1 - i)
+        unit = 1 << shift
+        return Poly(
             self.nvars,
-            ((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in self.terms if e[i]),
+            _clean({k - unit: c * e for k, c in self._coeffs.items() if (e := k >> shift & _FIELD)}),
         )
 
     def directional(self, u: Sequence[Fraction | int]) -> "Poly":
         """Derivative along the constant vector u, summed in one dict."""
         if len(u) != self.nvars:
             raise ValueError("direction dimension mismatch")
-        u = [_rational(Fraction(uj)) for uj in u]
-        coeffs: dict[tuple[int, ...], int | Fraction] = {}
-        for e, c in self.terms:
-            for j, uj in enumerate(u):
-                if uj and e[j]:
-                    lowered = e[:j] + (e[j] - 1,) + e[j + 1 :]
-                    coeffs[lowered] = coeffs.get(lowered, 0) + c * e[j] * uj
-        return Poly._of(self.nvars, coeffs.items())
+        low = [uj if type(uj) is int else _rational(Fraction(uj)) for uj in reversed(u)]
+        coeffs: dict[int, int | Fraction] = {}
+        get = coeffs.get
+        for k, c in self._coeffs.items():
+            rest = k
+            while rest:
+                field = (rest.bit_length() - 1) // _BITS
+                shift = field * _BITS
+                e = rest >> shift
+                rest -= e << shift
+                if low[field]:
+                    lowered = k - (1 << shift)
+                    coeffs[lowered] = get(lowered, 0) + c * e * low[field]
+        return Poly(self.nvars, _clean(coeffs))
 
     def embed(self, nvars: int) -> "Poly":
         """Reinterpret in a larger variable set: the new variables come last."""
         if self.nvars > nvars:
             raise ValueError("embedding does not fit")
-        after = (0,) * (nvars - self.nvars)
-        return Poly._of(nvars, ((e + after, c) for e, c in self.terms))
+        shift = _BITS * (nvars - self.nvars)
+        return Poly(nvars, {k << shift: c for k, c in self._coeffs.items()}, self._degree)
+
+
+_SERIES_BITS = 64  # a series field's least width
+
+
+def _width(bound: int, width: int = _SERIES_BITS) -> int:
+    """The least of width, 2·width, 4·width, ... whose signed fields hold
+    every integer of absolute value up to ``bound``."""
+    while bound >> (width - 1):
+        width *= 2
+    return width
+
+
+def _pack(digits: Sequence[int], width: int) -> int:
+    """The signed digits in fields of ``width`` bits, modulo 2^(width·len)."""
+    num = 0
+    for d in reversed(digits):
+        num = (num << width) + d
+    return num & ((1 << width * len(digits)) - 1)
+
+
+def _series(n: int, den: int, num: int, width: int, bound: int) -> "_Series":
+    """The series of order n with these packed parts, its denominator made
+    the least one when above 1."""
+    out = object.__new__(_Series)
+    out.n, out.den, out.num, out.width, out.bound = n, den, num, width, bound
+    return out if den == 1 else _Series(out.coeffs)
 
 
 class _Series:
     """A power series in one scale parameter ε, truncated mod ε^n.
 
-    ``coeffs[i]`` is the coefficient of ε^i for i < n, and every degree from
-    n up is dropped, so a product costs at most n(n+1)/2 coefficient
-    products whatever the degrees of its factors.  Integral coefficients are
-    stored as ``int``.  The operations are +, -, unary -, * by a rational or
-    a series, and ** by a nonnegative int: what ``Poly.__call__`` and the
-    difference operators use.  Equality and hashing are by value, so a
-    point of series can key a cache.
+    Coefficient i is ``digit_i / den``, with ``den`` the least common
+    denominator, and the digits are packed into one integer: ``num`` is
+    sum(digit_i · 2^(width·i)) mod 2^(width·n), so a product of series is
+    one integer product and a mask that drops every degree from n up, and
+    a sum is one integer sum.  ``bound`` bounds the sum of the digits'
+    absolute values, which a product multiplies and a sum adds; every field
+    holds a signed digit while ``bound`` < 2^(width-1), and an operation
+    whose result would not fit repacks its operands at a doubled width
+    first.  Integral coefficients are read as ``int``.  The operations are
+    +, -, unary -, * by a rational or a series, and ** by a nonnegative
+    int: what ``Poly.__call__`` and the difference operators use.  Equality
+    and hashing are by value, so a point of series can key a cache.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("n", "den", "num", "width", "bound")
 
     def __init__(self, coeffs: Iterable[int | Fraction]):
-        coeffs = tuple(coeffs)
-        if Fraction in map(type, coeffs):
-            coeffs = tuple(map(_rational, coeffs))
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        return type(other) is _Series and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        coeffs = list(coeffs)
+        den = math.lcm(*[c.denominator for c in coeffs])
+        digits = [c.numerator * (den // c.denominator) for c in coeffs]
+        self.n, self.den, self.bound = len(digits), den, sum(map(abs, digits))
+        self.width = _width(self.bound)
+        self.num = _pack(digits, self.width)
 
     @classmethod
     def epsilon(cls, n: int) -> "_Series":
         """The scale parameter ε itself, mod ε^n."""
         return cls(int(i == 1) for i in range(n))
 
-    def _other(self, other: "_Series") -> tuple[int | Fraction, ...]:
-        if len(other.coeffs) != len(self.coeffs):
-            raise ValueError("truncation order mismatch")
-        return other.coeffs
+    def _digits(self) -> list[int]:
+        width, num, out = self.width, self.num, []
+        half, field = 1 << (width - 1), (1 << width) - 1
+        for _ in range(self.n):
+            d = ((num + half) & field) - half
+            out.append(d)
+            num = (num - d) >> width
+        return out
+
+    @property
+    def coeffs(self) -> tuple[int | Fraction, ...]:
+        den = self.den
+        if den == 1:
+            return tuple(self._digits())
+        return tuple(Fraction(d, den) if d % den else d // den for d in self._digits())
+
+    def __eq__(self, other):
+        if type(other) is not _Series:
+            return False
+        if self.width == other.width:
+            return self.n == other.n and self.den == other.den and self.num == other.num
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def _at(self, width: int) -> int:
+        """The numerator packed at ``width``."""
+        return self.num if width == self.width else _pack(self._digits(), width)
+
+    def _operands(self, other: "_Series", bound: int) -> tuple[int, int, int]:
+        """Both numerators at one width whose fields hold ``bound``, and that width."""
+        width = self.width
+        if other.width != width or bound >> (width - 1):
+            width = _width(bound, max(width, other.width))
+            return self._at(width), other._at(width), width
+        return self.num, other.num, width
+
+    def _coerce(self, other: Any) -> "_Series | None":
+        """``other`` as a series of this order; ``None`` when it is neither
+        a series nor a rational."""
+        if type(other) is _Series:
+            if other.n != self.n:
+                raise ValueError("truncation order mismatch")
+            return other
+        if not isinstance(other, (int, Fraction)):
+            return None
+        bound = abs(other.numerator)
+        width = _width(bound, self.width)
+        return _series(self.n, other.denominator, other.numerator & ((1 << width * self.n) - 1), width, bound)
+
+    def _combine(self, other: "_Series", op: Callable[[int, int], int]) -> "_Series":
+        """``op(self, other)`` for ``op`` add or sub."""
+        if other.den != self.den:
+            return _Series(map(op, self.coeffs, other.coeffs))
+        bound = self.bound + other.bound
+        a, b, width = self._operands(other, bound)
+        return _series(self.n, self.den, op(a, b) & ((1 << width * self.n) - 1), width, bound)
 
     def __add__(self, other):
-        if type(other) is _Series:
-            return _Series(map(add, self.coeffs, self._other(other)))
-        if isinstance(other, (int, Fraction)):
-            return _Series((self.coeffs[0] + _rational(other),) + self.coeffs[1:])
-        return NotImplemented
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _Series([-c for c in self.coeffs])
+        return _series(self.n, self.den, -self.num & ((1 << self.width * self.n) - 1), self.width, self.bound)
 
     def __sub__(self, other):
-        if type(other) is _Series:
-            return _Series(map(sub, self.coeffs, self._other(other)))
-        if isinstance(other, (int, Fraction)):
-            return _Series((self.coeffs[0] - _rational(other),) + self.coeffs[1:])
-        return NotImplemented
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._combine(other, sub)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        a = self.coeffs
-        if type(other) is _Series:
-            b = self._other(other)
-            n = len(a)
-            out: list[int | Fraction] = [0] * n
-            for i, x in enumerate(a):
-                if x:
-                    for j in range(n - i):
-                        if b[j]:
-                            out[i + j] += x * b[j]
-            return _Series(out)
-        if isinstance(other, (int, Fraction)):
-            other = _rational(other)
-            return _Series([c * other for c in a])
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        bound = self.bound * other.bound
+        a, b, width = self._operands(other, bound)
+        return _series(self.n, self.den * other.den, (a * b) & ((1 << width * self.n) - 1), width, bound)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if k == 0:
-            return _Series(int(i == 0) for i in range(len(self.coeffs)))
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        bound = self.bound**k
+        width = _width(bound, self.width)
+        return _series(self.n, self.den**k, pow(self._at(width), k, 1 << width * self.n), width, bound)
 
 
 def series_valuation(lhs: Sequence[Any], rhs: Sequence[Any]) -> int | None:
@@ -319,6 +513,8 @@ class PolynomialMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
         for p in self.components:
+            if not isinstance(p, Poly):
+                raise ValueError(f"a component must be a Poly, got {type(p).__name__}")
             if p.nvars != self.domain_dim:
                 raise ValueError("component variable count differs from domain")
 
@@ -368,16 +564,22 @@ def tangent_lift(f: PolynomialMap) -> PolynomialMap:
     variables; base variables come first, fiber variables second."""
     n = f.domain_dim
     base = [p.embed(2 * n) for p in f.components]
-    # The fiber component is sum_j u_j * d_j p.  Its monomials are distinct:
+    # The fiber component is sum_j u_j * d_j p.  Lowering e_j and shifting
+    # the key into the base fields leaves fiber field j, which is where x_j
+    # sat in f's own layout, for u_j's unit.  Its monomials are distinct:
     # the fiber exponents name j, and lowering e_j is injective in e.
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    fiber = [
-        Poly._of(
-            2 * n,
-            ((e[:j] + (e[j] - 1,) + e[j + 1 :] + units[j], c * e[j]) for e, c in p.terms for j in range(n) if e[j]),
-        )
-        for p in f.components
-    ]
+    shift = _BITS * n
+    fiber = []
+    for p in f.components:
+        coeffs: dict[int, int | Fraction] = {}
+        for k, c in p._coeffs.items():
+            rest = k
+            while rest:
+                s = (rest.bit_length() - 1) // _BITS * _BITS
+                e = rest >> s
+                rest -= e << s
+                coeffs[(k - (1 << s)) << shift | 1 << s] = c * e
+        fiber.append(Poly(2 * n, _clean(coeffs)))
     return PolynomialMap(2 * n, tuple(base + fiber))
 
 
@@ -412,6 +614,6 @@ def random_polynomial_map(
             else:
                 c = rng.randint(-3, 3)
             if c:
-                coeffs[e] = Fraction(c)
+                coeffs[e] = c
         comps.append(Poly.make(domain_dim, coeffs))
     return PolynomialMap(domain_dim, tuple(comps))

@@ -778,6 +778,7 @@ class _Reader:
                     term = self.parse_delta()
                 elif kind == "nat":
                     if text != "0":
+                        _natural(text)  # a numeral past the digit limit is reported by its length
                         raise ValueError(f"unexpected number {text!r}")
                     self.take("nat")
                     term = Sum(())

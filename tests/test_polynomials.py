@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import poly_reference
 from deltachain.combinatorics import MultiIndex
 from deltachain.polynomials import (
+    _LIMIT,
     Poly,
     PolynomialMap,
     _Series,
@@ -493,3 +495,137 @@ def test_scaling_substitution_gives_valuations():
     q = p((t * 1, t * 2))
     assert min(sum(e) for e, _ in q.terms) == 2
     assert q.degree == 3
+
+
+# -- packed monomials and series against the representations they replaced -----------
+#
+# poly_reference keeps the exponent-tuple Poly and the coefficient-tuple
+# _Series unchanged; every result must agree with theirs in value, in each
+# coefficient's and value's type, and in terms, ==, hash and repr.
+
+any_rational = st.one_of(mixed, whole_fractions)
+
+
+def raw_in(nvars: int, coeffs=any_rational, degree: int = 4, size: int = 6):
+    return st.dictionaries(st.tuples(*([st.integers(0, degree)] * nvars)), coeffs, max_size=size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.just(n), raw_in(n), raw_in(n), any_rational, st.integers(0, 4), st.tuples(*[any_rational] * n)
+        )
+    )
+)
+def test_packed_polynomials_match_the_reference(case):
+    assert poly_reference.differences(poly_reference.arithmetic_cases(*case)) == []
+
+
+def evaluation_case(integral: bool):
+    coeffs = st.integers(-6, 6) if integral else any_rational
+    return st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 5)).flatmap(
+        lambda nmo: st.tuples(
+            st.just(nmo[0]),
+            raw_in(nmo[0], coeffs, 3),
+            raw_in(nmo[0], coeffs, 3),
+            st.lists(raw_in(nmo[1], coeffs, 2, 4), min_size=nmo[0], max_size=nmo[0]),
+            st.just(nmo[1]),
+            st.lists(st.lists(coeffs, min_size=nmo[2], max_size=nmo[2]), min_size=nmo[0], max_size=nmo[0]),
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(evaluation_case(True), evaluation_case(False)))
+def test_packed_evaluation_composition_and_lift_match_the_reference(case):
+    # Integral data is evaluated at a point of series in packed integers.
+    assert poly_reference.differences(poly_reference.evaluation_cases(*case)) == []
+
+
+def big_coefficients():
+    # up to 2^200: products and powers of these widen the packed fields
+    return st.one_of(st.integers(-(2**200), 2**200), st.integers(-3, 3), st.fractions(max_denominator=2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.one_of(any_rational, big_coefficients()), min_size=n, max_size=n),
+            st.lists(st.one_of(any_rational, big_coefficients()), min_size=n, max_size=n),
+            st.one_of(any_rational, big_coefficients()),
+            st.integers(0, 5),
+        )
+    )
+)
+def test_packed_series_match_the_reference(case):
+    assert poly_reference.differences(poly_reference.series_cases(*case)) == []
+
+
+def test_series_fields_widen_instead_of_overflowing():
+    a, b = 2**40, -(2**40) + 1
+    big = _Series([a, b, 3])
+    assert big.width == 64
+    square = big * big
+    assert square.width == 128 and square.coeffs == (a * a, 2 * a * b, 6 * a + b * b)
+    assert square == _Series(square.coeffs) and hash(square) == hash(_Series(square.coeffs))
+    assert (big**3).coeffs == (a**3, 3 * a * a * b, 3 * a * b * b + 9 * a * a)
+
+
+def test_the_degree_limit():
+    below = Poly.make(1, {(_LIMIT - 1,): 1})
+    assert below.degree == _LIMIT - 1 and below.terms == (((_LIMIT - 1,), 1),)
+    assert (Poly.variable(1, 0) ** (_LIMIT - 1)) == below
+    with pytest.raises(ValueError, match="degree limit"):
+        Poly.make(1, {(_LIMIT,): 1})
+    with pytest.raises(ValueError, match="degree limit"):
+        Poly.make(2, {(_LIMIT - 1, 1): 1})
+    with pytest.raises(ValueError, match="degree limit"):
+        below * Poly.variable(1, 0)
+    with pytest.raises(ValueError, match="degree limit"):
+        Poly.variable(1, 0) ** _LIMIT
+    # the limit is met before any product is formed, however large the power
+    with pytest.raises(ValueError, match="degree limit"):
+        (Poly.variable(2, 0) + 1) ** (1 << 60)
+    assert Poly.constant(2, 3) ** 5 == Poly.constant(2, 243)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Poly.variable(2, 5),
+        lambda: Poly.variable(2, -1),
+        lambda: Poly.variable(2, True),
+        lambda: Poly.variable(2, 1).partial(5),
+        lambda: Poly.variable(2, 1).partial(-1),
+        lambda: Poly.variable(2, 1).partial(True),
+        lambda: Poly.make(2, {(1, -1): 1}),
+        lambda: Poly.make(2, {(1.5, 0): 1}),
+        lambda: Poly.make(2, {(True, 0): 1}),
+        lambda: Poly.make(-1, {}),
+        lambda: Poly.make(True, {(1,): 1}),
+        lambda: PolynomialMap(2, [1]),
+        lambda: Poly.variable(2, 0) ** True,
+        lambda: _Series.epsilon(3) ** True,
+    ],
+    ids=[
+        "variable-past-the-end",
+        "variable-negative",
+        "variable-bool",
+        "partial-past-the-end",
+        "partial-negative",
+        "partial-bool",
+        "make-negative-exponent",
+        "make-float-exponent",
+        "make-bool-exponent",
+        "make-negative-nvars",
+        "make-bool-nvars",
+        "map-of-an-int",
+        "poly-power-bool",
+        "series-power-bool",
+    ],
+)
+def test_what_packing_cannot_hold_raises_value_error(build):
+    with pytest.raises(ValueError):
+        build()

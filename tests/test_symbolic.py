@@ -562,6 +562,14 @@ def test_a_numeral_over_4300_digits_is_rejected_by_its_length(digits, int_limit)
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("wrap", ["{}", "f({})"], ids=["bare", "argument"])
+def test_a_numeral_where_a_term_starts_is_named_by_its_length_past_4300_digits(wrap):
+    with pytest.raises(ValueError, match="^number too long: 100000 digits$"):
+        parse(wrap.format("1" * 100000))
+    with pytest.raises(ValueError, match="^unexpected number '1{4300}'$"):
+        parse(wrap.format("1" * 4300))
+
+
 def test_equal_text_in_different_positions_parses_to_one_node():
     e = parse("f(g(x)) + Δ^2_{f(g(x)), f( g (x) )} h(f(g(x)) + v_1) + Δ^2_{f(g(x)), f( g (x) )} h(f(g(x)) + v_1)")
     inner = e.terms[0]
