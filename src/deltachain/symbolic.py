@@ -14,9 +14,10 @@ and carries the sort key made there from its children's, which
 ``canonicalize`` and the generators sort by.  Each other pass over an
 expression is one loop over its distinct nodes, children first; only
 ``parse`` and ``expr_from_obj`` recurse, and they report ``nesting too
-deep``.  The text reader reads each token at the offset it has reached and
-skips a repeated term by its source text, so it reads only a fraction of a
-rendered expansion's tokens.
+deep``.  The text reader reads each token at the offset it has reached.  A
+term whose brackets hold no other bracket is matched whole by one regex and
+skipped when its source text was read before, so the reader reads only a
+fraction of a rendered expansion's tokens.
 
 The expansion generators take only alpha and write fixed names (``f``,
 ``g``, ``x``, ``v_i``, ``u``) that the text reader reads back.  They take
@@ -476,15 +477,15 @@ def render(e: Expr, fmt: str = "text") -> str:
 # parsing
 #
 # Both readers build each distinct subexpression once per call.  The text
-# reader keys each difference term, application and symbol by its source
-# text and skips a repeat; the JSON reader builds nodes inside json.loads,
-# children first, keyed by their fields.  A hit returns the node a build
-# would have returned, since nodes are interned.
+# reader keys each flat difference term, application and symbol by its
+# source text and skips a repeat; the JSON reader builds nodes inside
+# json.loads, children first, keyed by their fields.  A hit returns the node
+# a build would have returned, since nodes are interned.
 
 _TOO_DEEP = "nesting too deep"
 
-# The largest component dimension ``parse`` infers from text.  A larger
-# position comes from no formula this library can build, and is rejected
+# The largest component dimension ``parse`` takes or infers from text.  A
+# larger one comes from no formula this library can build, and is rejected
 # before a multi-index of that dimension is allocated.
 _MAX_INFERRED_DIM = 1 << 16
 
@@ -634,17 +635,14 @@ _KIND_OF_CHAR = {
 # A character that starts no token: not a space, not a decimal digit (\d
 # matches every one, not only 0-9), and of no kind above.
 _UNREADABLE_RE = re.compile(r"[^\s\d" + re.escape("".join(_KIND_OF_CHAR)) + "]")
-_BRACKET_RE = re.compile(r"[(){}]")
 
-# What follows the first token of a term, up to the bracket that closes
-# the term or up to its end.  After a name: an application's "(", a
-# subscript's "{", a subscript number, or a "_" with no subscript after it
-# (group 2).  After a "Δ": its exponent, braced (group 1) or not; then its
-# directions' "{", then its map's "(".
-_AFTER_NAME_RE = re.compile(r"(?:\s*(\(|_\s*\{)|\s*_\s*\d+|\s*(_))?")
-_EXPONENT_RE = re.compile(r"(?:\s*\^\s*(?:(\{)|\d+))?")
-_DIRECTIONS_RE = re.compile(r"\s*_\s*\{")
-_CALL_RE = re.compile(r"\s*[A-Za-z][A-Za-z0-9]*\s*\(")
+# A flat term: a difference term, an application or a symbol whose brackets
+# hold no other bracket.  A name is matched whole, and alone only when no
+# "(" or "_" follows it, so the match ends where the reader ends the term.
+_FLAT_TERM_RE = re.compile(
+    r"Δ(?:\s*\^\s*(?:\{\s*\d+\s*\}|\d+))?\s*_\s*\{[^(){}]*\}\s*[A-Za-z][A-Za-z0-9]*\s*\([^(){}]*\)"
+    r"|[A-Za-z][A-Za-z0-9]*(?![A-Za-z0-9])(?:\s*\([^(){}]*\)|\s*_\s*(?:\d+|\{[^(){}]*\})|(?!\s*[_(]))"
+)
 
 # The cuboid name as a whole token, followed by "_", with the subscript
 # tokens after it that the dimension is inferred from (group 1): braces,
@@ -668,22 +666,6 @@ def _natural(digits: str) -> int:
     return int(digits)
 
 
-def _bracket_map(s: str) -> dict[int, int] | None:
-    """The offset of the bracket that closes each opening one in ``s``, by
-    the opener's offset; ``None`` when the brackets do not balance."""
-    close = {}
-    stack = []
-    for m in _BRACKET_RE.finditer(s):
-        i = m.start()
-        if s[i] in "({":
-            stack.append(i)
-        elif stack and s[stack[-1]] + s[i] in ("()", "{}"):
-            close[stack.pop()] = i
-        else:
-            return None
-    return None if stack else close
-
-
 def _infer_dim(s: str) -> int:
     """The largest number in a subscript of the cuboid name; 0 when there is none."""
     subscripts = " ".join(m.group(1) for m in _CUBOID_SUBSCRIPT_RE.finditer(s))
@@ -701,16 +683,16 @@ class _Reader:
     The grammar is context free and the dimension is fixed for the call,
     so equal source text reads as the equal node: a difference term, an
     application or a symbol whose text was read before is looked up by
-    that text and skipped.  Without balanced brackets nothing is looked
-    up, and the parse, with its error, is the plain one.
+    that text and skipped.  Only a flat term, whose brackets hold no other
+    bracket, is looked up: its end is found by one regex match.  A nested
+    term is read in full, and its flat parts are looked up.
     """
 
-    __slots__ = ("s", "dim", "close", "memo", "kind", "text", "start", "end")
+    __slots__ = ("s", "dim", "memo", "kind", "text", "start", "end")
 
     def __init__(self, s: str, dim: int | None):
         self.s = s
         self.dim = dim
-        self.close = _bracket_map(s)
         self.memo: dict[str, Expr] = {}
         self.read(0)
 
@@ -742,24 +724,10 @@ class _Reader:
         return text
 
     def span_end(self) -> int | None:
-        """The end offset of the term at the current token when it is a
-        difference term, an application or a symbol and the brackets balance."""
-        s, close = self.s, self.close
-        if close is None:
-            return None
-        if self.kind == "name":
-            m = _AFTER_NAME_RE.match(s, self.end)
-            if m.lastindex == 2:
-                return None
-            return close[m.end() - 1] + 1 if m.lastindex else m.end()
-        if self.kind != "delta":
-            return None
-        m = _EXPONENT_RE.match(s, self.end)
-        m = _DIRECTIONS_RE.match(s, close[m.end() - 1] + 1 if m.lastindex else m.end())
-        if m is None:
-            return None
-        m = _CALL_RE.match(s, close[m.end() - 1] + 1)
-        return None if m is None else close[m.end() - 1] + 1
+        """The end offset of the term at the current token when it is a flat
+        difference term, application or symbol."""
+        m = _FLAT_TERM_RE.match(self.s, self.start)
+        return None if m is None else m.end()
 
     def parse_expr(self) -> Expr:
         # Terms are parsed inline, so that each level of nested parentheses
@@ -870,16 +838,19 @@ def parse(s: str, fmt: str = "text", dim: int | None = None) -> Expr:
     component dimension ``dim`` to rebuild subscripts like ``u_{1,3}``;
     when omitted it is inferred as the largest position appearing in any
     component subscript, which may not exceed 2**16, and text whose only
-    components are ``u_0`` raises ``ValueError``, as does a ``dim`` that is
-    not ``None`` or an int >= 0.  Input that is not a ``str``, a numeral of
-    more than 4,300 digits, and input nested deeper than the interpreter can
-    recurse raise ``ValueError``.  Each distinct subexpression is built once,
+    components are ``u_0`` raises ``ValueError``.  A ``dim`` that is not
+    ``None`` or an int from 0 to 2**16 raises ``ValueError`` before any text
+    is read.  Input that is not a ``str``, a numeral of more than 4,300
+    digits, and input nested deeper than the interpreter can recurse raise
+    ``ValueError``.  Each distinct subexpression is built once,
     and the result is the interned node.
     """
     if not isinstance(s, str):
         raise ValueError(f"expected a str to parse, not {type(s).__name__}")
     if dim is not None and (type(dim) is not int or dim < 0):
         raise ValueError(f"dim must be None or an int >= 0, not {dim!r}")
+    if dim is not None and dim > _MAX_INFERRED_DIM:
+        raise ValueError(f"dim is above {_MAX_INFERRED_DIM}")
     if fmt == "json":
         try:
             obj = json.loads(s, object_hook=_node_hook({}))

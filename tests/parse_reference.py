@@ -3,9 +3,10 @@ a sweep that compares the two.
 
 The reference splits the whole input into tokens first, builds lists of
 their kinds, texts and end offsets and a bracket map by token index, and
-then parses those lists.  The library reads each token at the character
-offset it has reached, and finds a repeated span's end from its head and a
-bracket map by character offset.  Both build the library's interned nodes,
+then parses those lists; it looks a repeated term up only when the brackets
+balance.  The library reads each token at the character offset it has
+reached, and looks up only a flat term, whose brackets hold no other
+bracket, matched whole by one regex.  Both build the library's interned nodes,
 so the two agree exactly when they return the same object or raise a
 ``ValueError`` with the same message.  The only intended difference is a
 numeral of more than 4,300 digits: the library rejects it by its length,
@@ -20,12 +21,16 @@ index with no digits, of every alpha of dimension 1..7 and of
 Each rendered text must parse back to the expansion itself with
 ``dim=k``, and with the dimension inferred wherever the text prints
 position k or no component at all.  Up to dimension 6 the reference must
-give the same outcome, for both.  It prints the counts and exits 1 on any
-difference.
+give the same outcome, for both.  Up to dimension 5 each text also gets 50
+seeded single-character edits (a character deleted, one duplicated, or one
+of ``( ) { } _ , +`` or a digit inserted), and the reference must give the
+same outcome on each, with ``dim=k`` and with the dimension inferred.  It
+prints the counts and exits 1 on any difference.
 """
 
 from __future__ import annotations
 
+import random
 import re
 import sys
 from itertools import accumulate, compress, count
@@ -359,15 +364,47 @@ def text_differences(alpha: MultiIndex, compare: bool) -> list[str]:
     return bad
 
 
+# Seeded single-character edits the sweep reads per rendered text of
+# dimension 5 or less.
+_EDITS_PER_TEXT = 50
+
+
+def edits(text: str, rng: random.Random) -> list[str]:
+    """Seeded single-character edits of ``text``: a character deleted, one
+    duplicated, or one of ``( ) { } _ , +`` or a digit inserted."""
+    out = []
+    for _ in range(_EDITS_PER_TEXT):
+        i = rng.randrange(len(text))
+        edit = rng.randrange(3)
+        if edit == 0:
+            out.append(text[:i] + text[i + 1 :])
+        elif edit == 1:
+            out.append(text[:i] + text[i] + text[i:])
+        else:
+            inserted = rng.choice(["(", ")", "{", "}", "_", ",", "+", str(rng.randrange(10))])
+            out.append(text[:i] + inserted + text[i:])
+    return out
+
+
 def main() -> int:
     alphas = [MultiIndex(dim, mask) for dim in range(8) for mask in range(1 << dim)]
     alphas.append(MultiIndex.ones(8))
     bad = []
     for alpha in alphas:
         bad += text_differences(alpha, compare=alpha.dim <= 6)
+    rng = random.Random(0)
+    edited = [
+        (text, alpha.dim)
+        for alpha in alphas
+        if alpha.dim <= 5
+        for build in (expand_tangent, expand_chain, main_part)
+        for text in edits(render(build(alpha)), rng)
+    ]
+    for text, k in edited:
+        bad += filter(None, (reader_difference(text, dim) for dim in (k, None)))
     for line in bad:
         print(line)
-    print(f"{len(alphas)} alphas, {3 * len(alphas)} texts, {len(bad)} differences")
+    print(f"{len(alphas)} alphas, {3 * len(alphas)} texts, {len(edited)} edited texts, {len(bad)} differences")
     return 1 if bad else 0
 
 

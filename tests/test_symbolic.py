@@ -517,6 +517,16 @@ def test_the_text_reader_matches_the_reference_reader(text, dim):
         "f(x) + f(x))",
         "Δ_{f(x)} g(f(x)",
         "f(x}",
+        "v + v_",
+        "v + vv_",
+        "v + v (x)",
+        "a + ab(f(x))",
+        "g(x) + g(x)(y)",
+        "v_1 + v_12",
+        "u_{1,2} + u_{1,2",
+        "Δ_{v} f(x) + Δ_{v} f(x",
+        "Δ^2_{v, w} f(x) + Δ^{2}_{v, w} f(x)",
+        "f(g(x)) + f(g(x)",
     ],
     ids=[
         "cuboid-after-a-number-in-an-open-subscript",
@@ -530,11 +540,33 @@ def test_the_text_reader_matches_the_reference_reader(text, dim):
         "extra-closing-parenthesis",
         "unclosed-difference-base",
         "brace-closing-a-parenthesis",
+        "symbol-again-before-an-open-subscript",
+        "symbol-as-the-head-of-a-longer-name",
+        "symbol-again-before-a-parenthesis",
+        "symbol-as-the-head-of-a-nested-application",
+        "application-again-before-a-parenthesis",
+        "subscript-again-with-more-digits",
+        "component-again-unclosed",
+        "difference-again-unclosed",
+        "difference-again-with-a-braced-exponent",
+        "nested-application-again-unclosed",
     ],
 )
 def test_the_text_reader_matches_the_reference_reader_on(text):
     for dim in reader_dims:
         assert parse_reference.reader_difference(text, dim) is None
+
+
+@pytest.mark.parametrize(
+    "text, dim",
+    [("u_0", 10**20), ("u_1", 2**40), ("x", symbolic._MAX_INFERRED_DIM + 1)],
+    ids=["u_0-at-1e20", "u_1-at-2^40", "x-one-past-the-limit"],
+)
+def test_a_dim_above_the_limit_is_rejected_before_any_text_is_read(text, dim):
+    limit = symbolic._MAX_INFERRED_DIM
+    with pytest.raises(ValueError, match=f"^dim is above {limit}$"):
+        parse(text, dim=dim)
+    assert parse("u_1", dim=limit) is ComponentSym("u", MultiIndex(limit, 1))
 
 
 @pytest.mark.parametrize("digits", [4301, 10**6], ids=["4301", "1e6"])
