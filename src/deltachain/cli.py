@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
-2 on usage errors (a cube dimension above ``MAX_ORDER`` is one) and when
+2 on usage errors (a cube dimension above ``MAX_ORDER`` is one, and so is
+a scale exponent above ``MAX_EPS_EXPONENT``) and when
 the output cannot be written (an unwritable ``--output`` path, or a closed
 stdout pipe), which prints one ``deltachain: ...`` line to stderr.  Output for a fixed command line and
 seed is byte-identical across runs.
@@ -17,7 +18,7 @@ import sys
 from . import __version__
 from .asets import asets_to_json
 from .combinatorics import MultiIndex, bell_number
-from .numeric import SUITE_NAMES, run_suite
+from .numeric import MAX_EPS_EXPONENT, SUITE_NAMES, run_suite
 from .symbolic import expand_chain, expand_tangent, render
 
 DEFAULT_SEED = 1729
@@ -133,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--kmax", type=int, help="largest cube dimension where the suite sweeps dimensions")
     p_verify.add_argument("--alpha", help="restrict scaling or smooth-chain checks to this bitstring")
     p_verify.add_argument("--eps-pow-min", type=int, default=3, help="smallest j in the scale grid 2**-j")
-    p_verify.add_argument("--eps-pow-max", type=int, default=10, help="largest j in the scale grid 2**-j")
+    p_verify.add_argument(
+        "--eps-pow-max", type=int, default=10, help=f"largest j in the scale grid 2**-j, at most {MAX_EPS_EXPONENT}"
+    )
     p_verify.add_argument("--output", help="write the JSON report to this file instead of stdout")
     # usage errors found after parsing are reported with the subcommand's usage line
     for p in (p_expand, p_chain, p_asets, p_verify):
@@ -173,6 +176,8 @@ def main(argv: list[str] | None = None) -> int:
         alpha = None if args.alpha is None else _bitstring_arg(parser, args.alpha)
         if args.eps_pow_min < 1 or args.eps_pow_max <= args.eps_pow_min:
             parser.error("need 1 <= eps-pow-min < eps-pow-max: a slope needs two grid points")
+        if args.eps_pow_max > MAX_EPS_EXPONENT:
+            parser.error(f"--eps-pow-max {args.eps_pow_max} is above the limit {MAX_EPS_EXPONENT}")
         eps_exponents = tuple(range(args.eps_pow_min, args.eps_pow_max + 1))
 
         reports = run_suite(args.suite, seed, trials=trials, kmax=args.kmax, alpha=alpha, eps_exponents=eps_exponents)

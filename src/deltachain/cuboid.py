@@ -253,11 +253,7 @@ def inject(p: PointedDirections) -> Cuboid:
 
 def pointwise(f: Callable[[Value], Value], c: Cuboid) -> Cuboid:
     """Apply a map to every component."""
-    comps = tuple(tuple(f(v)) for v in c.components)
-    out = len(comps[0])
-    if any(len(v) != out for v in comps):
-        raise ValueError("map produced components of unequal dimension")
-    return Cuboid(c.dim, comps)
+    return Cuboid(c.dim, tuple(tuple(f(v)) for v in c.components))
 
 
 def discrete_tangent(f: Callable[[Value], Value], c: Cuboid) -> Cuboid:

@@ -223,7 +223,8 @@ def eval_expr(e: Expr | _NodeTable, bindings: Mapping[str, Any]) -> Value:
     equal expressions are one node (the nodes are hash-consed), so the inner
     differences shared by many terms of an expansion are computed once.  A
     node's value is kept as an integer record (``_Exact``) while its entries
-    are exact rationals, and becomes a tuple only at the root.  Of several
+    are exact rationals, and becomes a tuple only at the root and where a
+    bound map is applied, which is called on the tuple.  Of several
     faults, the one met first in that order is reported.  The walk over the
     nodes is the expression's ``_NodeTable``; the oracle suites build each
     expansion's table once and pass it for ``e``.  No value is kept between
@@ -254,11 +255,7 @@ def eval_expr(e: Expr | _NodeTable, bindings: Mapping[str, Any]) -> Value:
                     raise EvaluationError("cannot evaluate an empty sum")
                 push(_sum([values[t] for t in args]))
             elif kind == _APP:
-                F, arg = bound(name, callable, "a map"), values[args]
-                if type(F) is RandomRationalMap and type(arg) is _Exact:
-                    push(F._at((arg.den, *arg.nums)))
-                else:
-                    push(_record(tuple(F(_vector(arg)))))
+                push(_record(tuple(bound(name, callable, "a map")(_vector(values[args])))))
             elif kind == _VECTOR:
                 push(_record(tuple(bound(name, lambda v: isinstance(v, (tuple, list)), "a vector"))))
             else:
@@ -705,6 +702,10 @@ def _identity_specs(trials: int) -> list[_Spec]:
 # remainder scaling
 
 DEFAULT_EPS_EXPONENTS = tuple(range(3, 11))
+# The largest grid exponent j: a norm at 2**-j is an exact Horner sum whose
+# Fraction gcds grow with j (`verify --suite scaling --trials 1` takes 0.9 s
+# at 1,000 and 17 s at 4,000 on one CPU).
+MAX_EPS_EXPONENT = 1000
 
 
 @dataclass(frozen=True)
@@ -739,12 +740,14 @@ def scaling_slope(
     are max_i |R_i(2**-j)| over the grid, by Horner's rule, and ``slope``
     their log-log fit on the finest three points (coarse scales still carry
     next-order corrections).  A grid of fewer than two points, or an
-    exponent not a nonnegative ``int``, raises ``ValueError``.  The result
-    is degenerate when every norm is zero; ``slope`` is ``None`` then or
-    when fewer than two norms are nonzero.
+    exponent not a nonnegative ``int`` or above ``MAX_EPS_EXPONENT``, raises
+    ``ValueError``.  The result is degenerate when every norm is zero;
+    ``slope`` is ``None`` then or when fewer than two norms are nonzero.
     """
     if any(not isinstance(j, int) or isinstance(j, bool) or j < 0 for j in eps_exponents):
         raise ValueError(f"grid exponents must be nonnegative integers, got {list(eps_exponents)}")
+    if any(j > MAX_EPS_EXPONENT for j in eps_exponents):
+        raise ValueError(f"grid exponents must be at most {MAX_EPS_EXPONENT}, got {max(eps_exponents)}")
     if len(set(eps_exponents)) < 2:
         raise ValueError(f"a slope needs at least two grid points, got {sorted(set(eps_exponents))}")
     df, dg = (max(0, max((p.degree for p in m.components), default=0)) for m in (f, g))

@@ -46,6 +46,15 @@ def _rational(c: int | Fraction) -> int | Fraction:
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
+def _coefficient(what: str, c: Any) -> int | Fraction:
+    """``c`` as an exact rational, integral ones as ``int``; ``ValueError``
+    naming ``what`` when ``Fraction`` cannot read it."""
+    try:
+        return _rational(Fraction(c))
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValueError(f"{what} must be a rational, got {c!r}") from None
+
+
 def _clean(coeffs: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
     """``coeffs`` without its zero values, with integral ``Fraction``s as ``int``."""
     if Fraction in map(type, coeffs.values()):
@@ -91,7 +100,10 @@ class Poly:
             raise ValueError(f"nvars must be an int >= 0, got {nvars!r}")
         packed: dict[int, int | Fraction] = {}
         for expts, c in coeffs.items():
-            expts = tuple(expts)
+            try:
+                expts = tuple(expts)
+            except TypeError:
+                raise ValueError(f"a monomial key must be a sequence of exponents, got {expts!r}") from None
             if len(expts) != nvars:
                 raise ValueError(f"exponent tuple {expts} does not have {nvars} entries")
             key = 0
@@ -102,14 +114,14 @@ class Poly:
             if sum(expts) >= _LIMIT:
                 raise ValueError(f"exponent tuple {expts} reaches the degree limit {_LIMIT}")
             if type(c) is not int:
-                c = Fraction(c)
+                c = _coefficient("a coefficient", c)
             if c:
                 packed[key] = packed.get(key, 0) + c
         return cls(nvars, _clean(packed))
 
     @classmethod
     def constant(cls, nvars: int, value: Fraction | int) -> "Poly":
-        return cls(nvars, _clean({0: value if type(value) is int else _rational(Fraction(value))}))
+        return cls(nvars, _clean({0: value if type(value) is int else _coefficient("a constant", value)}))
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
@@ -212,20 +224,24 @@ class Poly:
 
         Terms are taken in monomial order and each term's nonzero fields
         from variable 0 on.  Each power ``args[i] ** e`` is computed once per
-        call, and terms that are polynomials are summed in one coefficient
-        dict.  A rational value is a ``Fraction`` exactly when a ``Fraction``
-        takes part in it, and the zero polynomial's value is ``Fraction(0)``."""
+        call, and the terms are summed with +, so polynomial terms of unequal
+        variable counts raise ``Poly.__add__``'s ``ValueError``.  A rational
+        value is a ``Fraction`` exactly when a ``Fraction`` takes part in it,
+        and the zero polynomial's value is ``Fraction(0)``.  Arguments that
+        are not a sequence raise ``ValueError``."""
         nvars = self.nvars
-        if len(args) != nvars:
-            raise ValueError(f"need {nvars} arguments, got {len(args)}")
+        try:
+            low = args[::-1]  # variable i sits in field nvars-1-i from the lowest
+        except (TypeError, KeyError):  # KeyError: a dict, where slices are hashable (3.12 on)
+            raise ValueError(f"arguments must be a sequence, got {args!r}") from None
+        if len(low) != nvars:
+            raise ValueError(f"need {nvars} arguments, got {len(low)}")
         if nvars and type(args[0]) is _Series and self.degree > 0:
             value = self._at_series(args)
             if value is not None:
                 return value
-        low = args[::-1]  # variable i sits in field nvars-1-i from the lowest
         powers: dict[int, Any] = {}  # args[i] ** e for e > 1, by that monomial's key
         acc = None
-        poly_nvars, coeffs = None, {}
         own = self._coeffs
         for key in sorted(own):
             term: Any = own[key]
@@ -242,19 +258,7 @@ class Poly:
                     if power is None:
                         power = powers[part] = low[field] ** e
                     term = term * power
-            if type(term) is Poly:
-                if poly_nvars is None:
-                    poly_nvars = term.nvars
-                elif term.nvars != poly_nvars:
-                    raise ValueError("variable count mismatch")
-                get = coeffs.get
-                for k, c in term._coeffs.items():
-                    coeffs[k] = get(k, 0) + c
-            else:
-                acc = term if acc is None else acc + term
-        if poly_nvars is not None:
-            total = Poly(poly_nvars, _clean(coeffs))
-            return total if acc is None else total + acc
+            acc = term if acc is None else acc + term
         return Fraction(0) if acc is None else acc
 
     def _at_series(self, args: Sequence[Any]) -> "_Series | None":
@@ -298,19 +302,18 @@ class Poly:
         return _series(n, 1, acc & mask, width, bound)
 
     def partial(self, i: int) -> "Poly":
+        """Derivative in variable i: ``directional`` along the unit vector e_i."""
         _check_index("variable index", i, self.nvars)
-        shift = _BITS * (self.nvars - 1 - i)
-        unit = 1 << shift
-        return Poly(
-            self.nvars,
-            _clean({k - unit: c * e for k, c in self._coeffs.items() if (e := k >> shift & _FIELD)}),
-        )
+        return self.directional([int(j == i) for j in range(self.nvars)])
 
     def directional(self, u: Sequence[Fraction | int]) -> "Poly":
         """Derivative along the constant vector u, summed in one dict."""
-        if len(u) != self.nvars:
+        try:
+            low = [uj if type(uj) is int else _coefficient("a direction entry", uj) for uj in reversed(u)]
+        except TypeError:
+            raise ValueError(f"a direction must be a sequence, got {u!r}") from None
+        if len(low) != self.nvars:
             raise ValueError("direction dimension mismatch")
-        low = [uj if type(uj) is int else _rational(Fraction(uj)) for uj in reversed(u)]
         coeffs: dict[int, int | Fraction] = {}
         get = coeffs.get
         for k, c in self._coeffs.items():
@@ -604,7 +607,6 @@ def random_polynomial_map(
     exponents = [
         e for e in product(range(degree + 1), repeat=domain_dim) if sum(e) <= degree
     ]
-    exponents.sort()
     comps = []
     for _ in range(codomain_dim):
         coeffs = {}

@@ -13,9 +13,9 @@ coefficient and value, and on ``terms``, ``==``, ``hash`` and ``repr``.
 Run the sweep (seeds 0..N-1; polynomials in 1-4 variables of degree up to
 6 with ``int``, ``Fraction`` and integral ``Fraction`` coefficients, their
 arithmetic, derivatives, embeddings, evaluation at ``int``, ``Fraction``,
-series and ``Poly`` arguments, composition and tangent lifts; series
-truncated at orders 1-17 with coefficients of up to 300 bits, so that
-products and powers widen their fields):
+series and ``Poly`` arguments, alone and mixed with rationals, composition
+and tangent lifts; series truncated at orders 1-17 with coefficients of up
+to 300 bits, so that products and powers widen their fields):
 
     PYTHONPATH=src python tests/poly_reference.py [N]
 
@@ -395,11 +395,13 @@ def arithmetic_cases(nvars: int, a: dict, b: dict, scalar: int | Fraction, k: in
 
 def evaluation_cases(nvars: int, a: dict, b: dict, inner: Sequence[dict], m: int, series: Sequence[Sequence[Any]]):
     """(name, library result, reference result) for evaluation at series and
-    ``Poly`` arguments, composition of maps and the tangent lift."""
+    ``Poly`` arguments, alone and with a rational last one, composition of
+    maps and the tangent lift."""
     (p, rp), (q, rq) = polys(nvars, a), polys(nvars, b)
     pairs = [polys(m, raw) for raw in inner]
     args, rargs = [g for g, _ in pairs], [r for _, r in pairs]
     yield "call at Poly", p(args), rp(rargs)
+    yield "call at Poly and rationals", p(args[:-1] + [series[-1][0]]), rp(rargs[:-1] + [series[-1][0]])
     outer = polynomials.PolynomialMap(nvars, (p, q))
     composed = polynomials.compose(outer, polynomials.PolynomialMap(m, tuple(args)))
     yield "compose", composed.components, compose_reference((rp, rq), rargs, m)

@@ -252,10 +252,10 @@ def test_verify_rejects_malformed_env(capsys, monkeypatch):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("eps_pow_max", ["400", "1100"])
+@pytest.mark.parametrize("eps_pow_max", ["400", "1000"])
 def test_verify_scaling_passes_on_a_grid_past_float_underflow(eps_pow_max, capsys):
-    # The finest norms, and at 1100 the scales 2**-j too, are below the
-    # smallest float: a verification that passes exits 0 with its report.
+    # The finest norms are below the smallest float, and 1000 is the largest
+    # exponent: a verification that passes exits 0 with its report.
     code, out = run_cli(capsys, "verify", "--suite", "scaling", "--trials", "1", "--eps-pow-max", eps_pow_max)
     assert code == 0
     payload = json.loads(out)
@@ -264,6 +264,18 @@ def test_verify_scaling_passes_on_a_grid_past_float_underflow(eps_pow_max, capsy
         "threshold 2.800; trial 0: slope 3.000",
         "threshold 3.800; trial 0: slope 4.000",
     ]
+
+
+def test_a_scale_exponent_above_the_limit_exits_2(capsys):
+    # The grid norms' exact cost grows faster than linearly in the exponent.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "scaling", "--trials", "1", "--eps-pow-max", "1001"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--eps-pow-max 1001 is above the limit 1000" in captured.err
+    help_text = " ".join(cli.build_parser().parse_args(["verify"]).parser.format_help().split())
+    assert "largest j in the scale grid 2**-j, at most 1000" in help_text
 
 
 @pytest.mark.parametrize(

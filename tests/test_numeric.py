@@ -439,10 +439,11 @@ def test_scaling_slope_flags_degenerate_remainders():
     assert result.slope is None
 
 
-@pytest.mark.parametrize("grid", [(3, 400), (3, 1100), (398, 399, 400)])
+@pytest.mark.parametrize("grid", [(3, 400), (3, 1000), (398, 399, 400)])
 def test_scaling_slope_fits_grids_past_float_underflow(grid):
     # At j = 400 the norm is near 2**-1200, below the smallest float; at
-    # j = 1100 so is 2**-j.  The fit takes both logs from the exact values.
+    # j = 1000, the largest exponent, near 2**-3000.  The fit takes both
+    # logs from the exact values.
     alpha = mi("11")
     result = scaling_slope(*numeric.scaling_trial(5, alpha), alpha, grid)
     assert all(result.norms)
@@ -461,6 +462,12 @@ def test_scaling_rejects_a_short_grid_or_a_bad_exponent(grid):
         scaling_slope(f, g, x, ws, mi("11"), grid)
     with pytest.raises(ValueError, match=match):
         verify_scaling(seed=1729, alpha=mi("11"), trials=1, eps_exponents=grid)
+
+
+def test_scaling_rejects_an_exponent_above_the_limit():
+    alpha = mi("11")
+    with pytest.raises(ValueError, match="grid exponents must be at most 1000, got 1001"):
+        scaling_slope(*numeric.scaling_trial(5, alpha), alpha, (3, 1001))
 
 
 def test_verify_scaling_fails_a_low_remainder_valuation(monkeypatch):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import poly_reference
 from deltachain.combinatorics import MultiIndex
@@ -204,6 +204,15 @@ def test_derivatives_and_embedding_match_the_reference(a, u):
     assert_matches(p.directional(u), along)
     padded = {e + (0, 0): c for e, c in ra.items()}
     assert_matches(p.embed(4), padded)
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+@given(data=st.data())
+def test_every_partial_matches_the_reference(nvars, data):
+    a = data.draw(raw_polys(nvars))
+    p, ra = Poly.make(nvars, a), ref_of(a)
+    for i in range(nvars):
+        assert_matches(p.partial(i), ref_partial(ra, i))
 
 
 @given(raw_polys(2), st.tuples(mixed, mixed), raw_polys(1, 2), raw_polys(1, 2))
@@ -538,9 +547,28 @@ def evaluation_case(integral: bool):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(evaluation_case(True), evaluation_case(False)))
+# at Poly points: scalar and Poly terms mixed, Poly terms that cancel to
+# zero, and a constant polynomial, whose value is a rational
+@example((2, {(0, 0): 3, (1, 0): Fraction(1, 2), (1, 1): -2}, {(0, 0): 1, (0, 2): 4},
+          [{(1,): 1, (0,): 2}, {(2,): Fraction(1, 3)}], 1, [[1, 2], [3, 4]]))
+@example((2, {(1, 0): 1, (0, 1): -1}, {(2, 0): 2, (0, 2): -2}, [{(1, 1): 2}, {(1, 1): 2}], 2, [[1], [2]]))
+@example((2, {(0, 0): 7}, {(0, 0): Fraction(2, 3)}, [{(1,): 1}, {(0,): 5}], 1, [[1, 1], [0, 1]]))
 def test_packed_evaluation_composition_and_lift_match_the_reference(case):
     # Integral data is evaluated at a point of series in packed integers.
     assert poly_reference.differences(poly_reference.evaluation_cases(*case)) == []
+
+
+@pytest.mark.parametrize(
+    "raw", [{(1, 1): 1}, {(0, 0): 1, (1, 0): 2, (0, 1): 3}], ids=["one-product", "separate-terms"]
+)
+def test_poly_points_of_unequal_variable_counts_raise(raw):
+    # in one product, or in terms summed after a scalar one
+    p, rp = poly_reference.polys(2, raw)
+    x, rx = poly_reference.polys(1, {(1,): 1})
+    y, ry = poly_reference.polys(2, {(0, 1): 1})
+    for poly, args in ((p, [x, y]), (rp, [rx, ry])):
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            poly(args)
 
 
 def big_coefficients():
@@ -628,4 +656,30 @@ def test_the_degree_limit():
 )
 def test_what_packing_cannot_hold_raises_value_error(build):
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: Poly.make(2, {(1, 1): None}), "a coefficient must be a rational, got None"),
+        (lambda: Poly.constant(1, None), "a constant must be a rational, got None"),
+        (lambda: Poly.make(1, {5: 1}), "a monomial key must be a sequence of exponents, got 5"),
+        (lambda: Poly.variable(1, 0)(5), "arguments must be a sequence, got 5"),
+        (lambda: PolynomialMap(1, (Poly.variable(1, 0),))(5), "arguments must be a sequence, got 5"),
+        (lambda: Poly.variable(1, 0).directional([None]), "a direction entry must be a rational, got None"),
+        (lambda: Poly.variable(1, 0).directional(5), "a direction must be a sequence, got 5"),
+    ],
+    ids=[
+        "make-none-coefficient",
+        "constant-none",
+        "make-int-key",
+        "call-on-an-int",
+        "map-call-on-an-int",
+        "directional-none-entry",
+        "directional-of-an-int",
+    ],
+)
+def test_malformed_poly_arguments_raise_value_error_naming_them(build, named):
+    with pytest.raises(ValueError, match=named):
         build()
