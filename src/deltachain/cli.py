@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
-2 on usage errors (a cube dimension above ``MAX_ORDER`` is one, and so is
-a scale exponent above ``MAX_EPS_EXPONENT``) and when
+2 on usage errors (a cube dimension above ``MAX_ORDER`` is one, and so are
+a scale exponent above ``MAX_EPS_EXPONENT`` and a scaling ``--alpha`` of
+order above ``MAX_SCALING_ORDER``) and when
 the output cannot be written (an unwritable ``--output`` path, or a closed
 stdout pipe), which prints one ``deltachain: ...`` line to stderr.  Output for a fixed command line and
 seed is byte-identical across runs.
@@ -18,7 +19,7 @@ import sys
 from . import __version__
 from .asets import asets_to_json
 from .combinatorics import MultiIndex, bell_number
-from .numeric import MAX_EPS_EXPONENT, SUITE_NAMES, run_suite
+from .numeric import MAX_EPS_EXPONENT, MAX_SCALING_ORDER, SUITE_NAMES, run_suite
 from .symbolic import expand_chain, expand_tangent, render
 
 DEFAULT_SEED = 1729
@@ -132,7 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, help=f"root seed (default {DEFAULT_SEED}, or DELTACHAIN_SEED)")
     p_verify.add_argument("--trials", type=int, help="trial count per check (default per suite, or DELTACHAIN_TRIALS)")
     p_verify.add_argument("--kmax", type=int, help="largest cube dimension where the suite sweeps dimensions")
-    p_verify.add_argument("--alpha", help="restrict scaling or smooth-chain checks to this bitstring")
+    p_verify.add_argument(
+        "--alpha",
+        help="restrict scaling or smooth-chain checks to this bitstring;"
+        f" scaling takes at most {MAX_SCALING_ORDER} ones",
+    )
     p_verify.add_argument("--eps-pow-min", type=int, default=3, help="smallest j in the scale grid 2**-j")
     p_verify.add_argument(
         "--eps-pow-max", type=int, default=10, help=f"largest j in the scale grid 2**-j, at most {MAX_EPS_EXPONENT}"
@@ -174,6 +179,11 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("--kmax must be at least 1")
             _check_size(parser, "--kmax", args.kmax)
         alpha = None if args.alpha is None else _bitstring_arg(parser, args.alpha)
+        if alpha is not None and args.suite in ("scaling", "all") and alpha.order > MAX_SCALING_ORDER:
+            parser.error(
+                f"--alpha {args.alpha} has order {alpha.order}, above the scaling limit {MAX_SCALING_ORDER}:"
+                " a scaling trial's cost grows steeply with the order"
+            )
         if args.eps_pow_min < 1 or args.eps_pow_max <= args.eps_pow_min:
             parser.error("need 1 <= eps-pow-min < eps-pow-max: a slope needs two grid points")
         if args.eps_pow_max > MAX_EPS_EXPONENT:

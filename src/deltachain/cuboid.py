@@ -28,6 +28,12 @@ def _check_sequence(what: str, value: Any) -> None:
         raise ValueError(f"{what} must be a tuple or list, not {value!r}")
 
 
+def _check_instance(name: str, value: Any, cls: type) -> None:
+    """Raise ``ValueError`` naming the argument when ``value`` is not a ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, not {value!r}")
+
+
 def vector_add(a: Value, b: Value) -> Value:
     if len(a) != len(b):
         raise ValueError(f"space dimension mismatch: {len(a)} vs {len(b)}")
@@ -126,10 +132,14 @@ class Cuboid:
         return iter(_indices(self.dim))
 
     def __add__(self, other: "Cuboid") -> "Cuboid":
+        if not isinstance(other, Cuboid):
+            return NotImplemented
         self._check_shape(other)
         return Cuboid(self.dim, tuple(vector_add(a, b) for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other: "Cuboid") -> "Cuboid":
+        if not isinstance(other, Cuboid):
+            return NotImplemented
         self._check_shape(other)
         return Cuboid(self.dim, tuple(vector_sub(a, b) for a, b in zip(self.components, other.components)))
 
@@ -213,22 +223,27 @@ def _butterfly(values: list, dim: int, combine: Callable[[Any, Any], Any]) -> li
 def delta(c: Cuboid) -> Cuboid:
     """Alternating down-set sums: component alpha becomes
     sum over beta <= alpha of (-1)^(|alpha|-|beta|) c_beta."""
+    _check_instance("c", c, Cuboid)
     return Cuboid(c.dim, tuple(_butterfly(list(c.components), c.dim, vector_sub)))
 
 
 def delta_inv(c: Cuboid) -> Cuboid:
     """Down-set sums: component alpha becomes sum over beta <= alpha of c_beta."""
+    _check_instance("c", c, Cuboid)
     return Cuboid(c.dim, tuple(_butterfly(list(c.components), c.dim, vector_add)))
 
 
 def pair(u: Cuboid, v: Cuboid) -> Cuboid:
     """Join two k-cuboids into a (k+1)-cuboid along a new last axis."""
+    _check_instance("u", u, Cuboid)
+    _check_instance("v", v, Cuboid)
     u._check_shape(v)
     return Cuboid(u.dim + 1, u.components + v.components)
 
 
 def split(w: Cuboid) -> tuple[Cuboid, Cuboid]:
     """Inverse of ``pair``."""
+    _check_instance("w", w, Cuboid)
     if w.dim == 0:
         raise ValueError("cannot split a 0-dimensional cuboid")
     half = 1 << (w.dim - 1)
@@ -238,6 +253,7 @@ def split(w: Cuboid) -> tuple[Cuboid, Cuboid]:
 def inject(p: PointedDirections) -> Cuboid:
     """The cuboid with base p.base, the i-th vector at each unit index, and
     zero at every index of order two or more."""
+    _check_instance("p", p, PointedDirections)
     base, vectors = p.base, p.vectors
     zero = tuple(x - x for x in base)
 
@@ -253,9 +269,11 @@ def inject(p: PointedDirections) -> Cuboid:
 
 def pointwise(f: Callable[[Value], Value], c: Cuboid) -> Cuboid:
     """Apply a map to every component."""
+    _check_instance("c", c, Cuboid)
     return Cuboid(c.dim, tuple(tuple(f(v)) for v in c.components))
 
 
 def discrete_tangent(f: Callable[[Value], Value], c: Cuboid) -> Cuboid:
-    """Conjugate the pointwise map by the difference operator."""
+    """Conjugate the pointwise map by the difference operator; ``delta_inv``
+    checks ``c``."""
     return delta(pointwise(f, delta_inv(c)))

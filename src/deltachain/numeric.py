@@ -706,6 +706,11 @@ DEFAULT_EPS_EXPONENTS = tuple(range(3, 11))
 # Fraction gcds grow with j (`verify --suite scaling --trials 1` takes 0.9 s
 # at 1,000 and 17 s at 4,000 on one CPU).
 MAX_EPS_EXPONENT = 1000
+# The largest |alpha| the scaling suite takes.  A trial draws maps of degree
+# |alpha| + 1 and evaluates them in ε-series of order (|alpha| + 1)² + 1, so
+# its cost grows steeply: `verify --suite scaling --trials 1` with an
+# all-ones alpha takes about 1.8 s at |alpha| = 5 and 27 s at 6 on one CPU.
+MAX_SCALING_ORDER = 5
 
 
 @dataclass(frozen=True)
@@ -792,8 +797,9 @@ def verify_scaling(
     below |alpha| + 1.  The fitted slope is only reported, next to the
     threshold |alpha| + 1 - 0.2 it is expected to clear; a remainder zero
     at every grid point is reported as degenerate, and one nonzero at a
-    single point as having no slope.  A bad grid, or an alpha that is not a
-    ``MultiIndex``, raises ``ValueError``.
+    single point as having no slope.  A bad grid, an alpha that is not a
+    ``MultiIndex``, or one of order above ``MAX_SCALING_ORDER`` raises
+    ``ValueError`` before any trial runs.
     """
     (report,) = _run_trials(seed, [_scaling_spec(alpha, trials, eps_exponents)])
     return report
@@ -801,6 +807,8 @@ def verify_scaling(
 
 def _scaling_spec(alpha: MultiIndex, trials: int, eps_exponents: Sequence[int]) -> _Spec:
     check_alpha(alpha)
+    if alpha.order > MAX_SCALING_ORDER:
+        raise ValueError(f"the scaling suite takes |alpha| up to MAX_SCALING_ORDER = {MAX_SCALING_ORDER}, not {alpha.order}")
 
     def check(s: int) -> tuple[Failure | None, str]:
         result = scaling_slope(*scaling_trial(s, alpha), alpha, eps_exponents)

@@ -34,7 +34,7 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Callable, Union, get_args
 
@@ -478,9 +478,10 @@ def render(e: Expr, fmt: str = "text") -> str:
 #
 # Both readers build each distinct subexpression once per call.  The text
 # reader keys each flat difference term, application and symbol by its
-# source text and skips a repeat; the JSON reader builds nodes inside
-# json.loads, children first, keyed by their fields.  A hit returns the node
-# a build would have returned, since nodes are interned.
+# source text and skips a repeat.  ``_node_of`` reads every JSON object
+# form, keyed by its fields: json.loads calls it children first, and
+# ``expr_from_obj`` calls it top down.  A hit returns the node a build
+# would have returned, since nodes are interned.
 
 _TOO_DEEP = "nesting too deep"
 
@@ -504,45 +505,82 @@ def expr_from_obj(obj: dict) -> Expr:
     interpreter can recurse raise ``ValueError``.  A node in place of an
     object form is taken as it is.
     """
-    if type(obj) in _NODE_TYPES:
+    return _node_of({}, True, obj)
+
+
+def _left_as_object():
+    raise ValueError("a child left as an object")
+
+
+def _node_of(memo: dict, nested: bool, obj):
+    """The node of one JSON object form, its own fields checked in order.
+
+    A child that is a node is taken as it is.  Called top down (``nested``),
+    this builds a child that is still an object by calling itself, one frame
+    per level; as the ``object_hook`` of json.loads, which calls it
+    innermost first, it raises on one, and returns an object that carries
+    ``root`` (the envelope) unchanged.  ``memo`` maps each built node's
+    fields to the node and is looked up before anything is built; only
+    ``str`` names, exact ``int`` multiplicities and nodes go into a key, so
+    1, True and 1.0 are never merged.
+    """
+    if not nested and "root" in obj or nested and type(obj) in _NODE_TYPES:
         return obj
-    if not isinstance(obj, dict) or "node" not in obj:
+    if nested and not isinstance(obj, dict) or "node" not in obj:  # json.loads gives only dicts
         raise ValueError(f"malformed expression node: {obj!r}")
     kind = obj["node"]
     try:
         if kind == "point" or kind == "vector":
             name = obj["name"]
             if type(name) is str:
-                return PointSym(name) if kind == "point" else VecSym(name)
+                key = (kind, name)
+                return memo.get(key) or memo.setdefault(key, PointSym(name) if kind == "point" else VecSym(name))
         elif kind == "component":
             cuboid, index = obj["cuboid"], obj["index"]
             if type(cuboid) is str and type(index) is str:
-                return ComponentSym(cuboid, MultiIndex.from_string(index))
-        elif kind == "apply":
-            func = obj["func"]
-            if type(func) is str:
-                return App(func, expr_from_obj(obj["arg"]))
+                key = (kind, cuboid, index)
+                return memo.get(key) or memo.setdefault(key, ComponentSym(cuboid, MultiIndex.from_string(index)))
         elif kind == "delta":
             alpha, dirs, func = obj["alpha"], obj["directions"], obj["func"]
             if (
-                isinstance(alpha, (list, tuple))
-                and isinstance(dirs, (list, tuple))
+                (type(alpha) is list or isinstance(alpha, (list, tuple)))
+                and (type(dirs) is list or isinstance(dirs, (list, tuple)))
                 and type(func) is str
-                and bool not in map(type, alpha)
+                and ((exact := {int}.issuperset(map(type, alpha))) or bool not in map(type, alpha))
             ):
-                dirs = [expr_from_obj(d) for d in dirs]
-                base = expr_from_obj(obj["base"])
-                if len(alpha) != len(dirs):
-                    raise ValueError("alpha and directions must have equal length")
-                if any(not isinstance(a, int) or a < 0 for a in alpha):
-                    raise ValueError("alpha entries must be nonnegative integers")
-                if sum(alpha) > _MAX_DIRECTIONS:
-                    raise ValueError(f"a difference along more than {_MAX_DIRECTIONS} directions")
-                return DeltaTerm(tuple(d for a, d in zip(alpha, dirs) for _ in range(a)), func, base)
+                if not _NODE_TYPES.issuperset(map(type, dirs)):
+                    dirs = [_node_of(memo, True, d) for d in dirs] if nested else _left_as_object()
+                base = obj["base"]
+                if type(base) not in _NODE_TYPES:
+                    base = _node_of(memo, True, base) if nested else _left_as_object()
+                key = (kind, tuple(alpha), tuple(dirs), func, base) if exact else None
+                node = memo.get(key)
+                if node is None:  # checked on a miss only: a hit passed these checks
+                    if len(alpha) != len(dirs):
+                        raise ValueError("alpha and directions must have equal length")
+                    if any(not isinstance(a, int) or a < 0 for a in alpha):
+                        raise ValueError("alpha entries must be nonnegative integers")
+                    if sum(alpha) > _MAX_DIRECTIONS:
+                        raise ValueError(f"a difference along more than {_MAX_DIRECTIONS} directions")
+                    node = DeltaTerm(tuple(d for a, d in zip(alpha, dirs) for _ in range(a)), func, base)
+                    if exact:
+                        memo[key] = node
+                return node
         elif kind == "sum":
             terms = obj["terms"]
             if isinstance(terms, (list, tuple)):
-                return Sum(tuple(expr_from_obj(t) for t in terms))
+                if not _NODE_TYPES.issuperset(map(type, terms)):
+                    terms = [_node_of(memo, True, t) for t in terms] if nested else _left_as_object()
+                key = (kind, tuple(terms))
+                return memo.get(key) or memo.setdefault(key, Sum(key[1]))
+        elif kind == "apply":
+            func = obj["func"]
+            if type(func) is str:
+                arg = obj["arg"]
+                if type(arg) not in _NODE_TYPES:
+                    arg = _node_of(memo, True, arg) if nested else _left_as_object()
+                key = (kind, func, arg)
+                return memo.get(key) or memo.setdefault(key, App(func, arg))
         else:
             raise ValueError(f"unknown node kind: {kind!r}")
     except KeyError as exc:
@@ -550,67 +588,6 @@ def expr_from_obj(obj: dict) -> Expr:
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
     raise ValueError(f"{kind} node has a field of the wrong type")
-
-
-def _node_hook(memo: dict) -> Callable[[dict], object]:
-    """An ``object_hook`` for json.loads that turns a node object whose
-    children are already nodes into its node, through ``expr_from_obj``.
-
-    json.loads calls it innermost first, so a well-formed tree arrives
-    bottom-up.  ``memo`` maps the fields of each node built to the node,
-    so a repeat costs one lookup.  Only exact ``int`` multiplicities and
-    ``str`` names go into a key, so 1, True and 1.0 are never merged.  An
-    object that is malformed, has a child left as an object, or carries
-    ``root`` (the envelope) is returned unchanged.
-    """
-
-    def hook(obj: dict):
-        if "root" in obj:
-            return obj
-        kind = obj.get("node")
-        if kind == "apply":
-            func, arg = obj.get("func"), obj.get("arg")
-            if type(func) is not str or type(arg) not in _NODE_TYPES:
-                return obj
-            key = (kind, func, arg)
-        elif kind == "point" or kind == "vector":
-            name = obj.get("name")
-            if type(name) is not str:
-                return obj
-            key = (kind, name)
-        elif kind == "component":
-            cuboid, index = obj.get("cuboid"), obj.get("index")
-            if type(cuboid) is not str or type(index) is not str:
-                return obj
-            key = (kind, cuboid, index)
-        elif kind == "delta":
-            alpha, dirs, func, base = obj.get("alpha"), obj.get("directions"), obj.get("func"), obj.get("base")
-            if not (
-                type(alpha) is list
-                and type(dirs) is list
-                and type(func) is str
-                and type(base) in _NODE_TYPES
-                and {int}.issuperset(map(type, alpha))
-                and _NODE_TYPES.issuperset(map(type, dirs))
-            ):
-                return obj
-            key = (kind, tuple(alpha), tuple(dirs), func, base)
-        elif kind == "sum":
-            terms = obj.get("terms")
-            if type(terms) is not list or not _NODE_TYPES.issuperset(map(type, terms)):
-                return obj
-            key = (kind, tuple(terms))
-        else:
-            return obj
-        node = memo.get(key)
-        if node is None:
-            try:
-                node = memo[key] = expr_from_obj(obj)
-            except ValueError:
-                return obj
-        return node
-
-    return hook
 
 
 # The name text reads as the cuboid, and the names it reads as points; any
@@ -853,17 +830,19 @@ def parse(s: str, fmt: str = "text", dim: int | None = None) -> Expr:
         raise ValueError(f"dim is above {_MAX_INFERRED_DIM}")
     if fmt == "json":
         try:
-            obj = json.loads(s, object_hook=_node_hook({}))
+            try:
+                obj = json.loads(s, object_hook=partial(_node_of, {}, False))
+            except ValueError:
+                obj = None  # the load stopped at a malformed object
+            if type(obj) is dict and obj.get("version") == 1 and type(obj.get("root")) in _NODE_TYPES:
+                return obj["root"]
+            # Read again as plain objects, so that an error quotes the input as it reads.
+            obj = json.loads(s)
         except RecursionError:
             raise ValueError(_TOO_DEEP) from None
         if not isinstance(obj, dict) or obj.get("version") != 1 or "root" not in obj:
             raise ValueError("expected an envelope {'version': 1, 'root': ...}")
-        root = obj["root"]
-        if type(root) in _NODE_TYPES:
-            return root
-        # Left as an object while loading: rebuild it from the plain objects,
-        # so that an error quotes the input as it reads.
-        return expr_from_obj(json.loads(s)["root"])
+        return expr_from_obj(obj["root"])
     if fmt != "text":
         raise ValueError(f"unknown format: {fmt!r}")
     unreadable = _UNREADABLE_RE.search(s)

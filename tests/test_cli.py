@@ -278,6 +278,30 @@ def test_a_scale_exponent_above_the_limit_exits_2(capsys):
     assert "largest j in the scale grid 2**-j, at most 1000" in help_text
 
 
+@pytest.mark.parametrize("suite", ["scaling", "all"])
+@pytest.mark.parametrize("alpha", ["111111", "11111111", "1011111"])
+def test_a_scaling_alpha_above_the_order_limit_exits_2(suite, alpha, capsys, monkeypatch):
+    # A scaling trial at order 6 takes about 27 s; no suite runs at all.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", suite, "--alpha", alpha, "--trials", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    order = alpha.count("1")
+    assert f"--alpha {alpha} has order {order}, above the scaling limit 5" in captured.err
+    help_text = " ".join(cli.build_parser().parse_args(["verify"]).parser.format_help().split())
+    assert "scaling takes at most 5 ones" in help_text
+
+
+def test_a_smooth_chain_alpha_of_order_6_is_not_held_to_the_scaling_limit(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "smooth-chain", "--alpha", "111111", "--trials", "1")
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 @pytest.mark.parametrize(
     "seed, low_slope",
     [(280623061, "threshold 2.800; trial 0: slope 2.994; trial 1: slope 3.015; trial 2: slope 2.537"),

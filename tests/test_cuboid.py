@@ -120,6 +120,35 @@ def test_constructor_rejects_malformed_fields(build, message):
         build()
 
 
+_ONE = Cuboid(0, ((1,),))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: delta(None), ValueError, "c must be a Cuboid, not None"),
+        (lambda: delta_inv(None), ValueError, "c must be a Cuboid, not None"),
+        (lambda: split(None), ValueError, "w must be a Cuboid, not None"),
+        (lambda: pair(None, _ONE), ValueError, "u must be a Cuboid, not None"),
+        (lambda: pair(_ONE, None), ValueError, "v must be a Cuboid, not None"),
+        (lambda: pointwise(lambda v: v, None), ValueError, "c must be a Cuboid, not None"),
+        (lambda: discrete_tangent(lambda v: v, None), ValueError, "c must be a Cuboid, not None"),
+        (lambda: inject(None), ValueError, "p must be a PointedDirections, not None"),
+        (lambda: delta(((1,),)), ValueError, "c must be a Cuboid, not ((1,),)"),
+        # + and - return NotImplemented, so Python raises its own TypeError.
+        (lambda: _ONE + None, TypeError, "unsupported operand type(s) for +: 'Cuboid' and 'NoneType'"),
+        (lambda: _ONE - ((1,),), TypeError, "unsupported operand type(s) for -: 'Cuboid' and 'tuple'"),
+    ],
+    ids=[
+        "delta", "delta-inv", "split", "pair-first", "pair-second", "pointwise", "discrete-tangent", "inject",
+        "delta-of-a-tuple", "add-none", "sub-tuple",
+    ],
+)
+def test_cuboid_operations_reject_an_argument_that_is_not_a_cuboid(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_addition_needs_matching_shape():
     a = Cuboid.build(1, lambda m: (1,))
     b = Cuboid.build(2, lambda m: (1,))

@@ -495,6 +495,37 @@ def test_verify_scaling_reports_a_missing_slope_without_failing(monkeypatch):
     assert report.detail == "threshold 2.800; trial 0: no slope"
 
 
+class _TrialRan(Exception):
+    pass
+
+
+def _trial_raises(*args):
+    raise _TrialRan
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda alpha: verify_scaling(seed=1729, alpha=alpha, trials=1),
+        lambda alpha: run_suite("scaling", 1729, trials=1, alpha=alpha),
+        lambda alpha: run_suite("all", 1729, trials=1, alpha=alpha),
+    ],
+    ids=["verify-scaling", "run-suite-scaling", "run-suite-all"],
+)
+def test_scaling_rejects_an_order_above_the_limit_before_any_trial(run, monkeypatch):
+    # A trial at |alpha| = 6 takes about 27 s and one at 8 did not end in
+    # 100 s; the limit is checked before any trial runs.
+    monkeypatch.setattr(numeric, "scaling_trial", _trial_raises)
+    limit = numeric.MAX_SCALING_ORDER
+    assert limit == 5
+    for alpha in (MultiIndex.ones(limit + 1), mi("10111111"), MultiIndex.ones(8)):
+        with pytest.raises(ValueError, match=f"^the scaling suite takes \\|alpha\\| up to MAX_SCALING_ORDER = 5, not {alpha.order}$"):
+            run(alpha)
+    # The limit itself is taken: its trial runs.
+    with pytest.raises(_TrialRan):
+        verify_scaling(seed=1729, alpha=MultiIndex.ones(limit), trials=1)
+
+
 def test_main_term_check_matches_the_untruncated_reference(monkeypatch):
     # Criterion 6's first 200 trials; the script sweeps all 1000.
     seeds = [derive_seed(1729, "main-term-remainder-order", t) for t in range(200)]

@@ -661,7 +661,7 @@ def test_json_parse_rejects_bad_envelope():
 _POINT = {"node": "point", "name": "x"}
 
 
-@pytest.mark.parametrize(
+_MALFORMED_NODES = pytest.mark.parametrize(
     "root, message",
     [
         ({"node": "point"}, "point node lacks the field 'name'"),
@@ -729,9 +729,30 @@ _POINT = {"node": "point", "name": "x"}
         "list-func",
     ],
 )
+
+
+@_MALFORMED_NODES
 def test_json_parse_rejects_malformed_nodes(root, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse(json.dumps({"version": 1, "root": root}), "json")
+
+
+@_MALFORMED_NODES
+def test_expr_from_obj_rejects_malformed_nodes_as_parse_does(root, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        expr_from_obj(root)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"a": 1}, {"node": "bogus"}, {"version": 1, "root": 0}, [{"b": None}]],
+    ids=["object", "node-shaped-object", "envelope-shaped-object", "list-of-objects"],
+)
+def test_a_node_with_an_extra_field_holding_an_object_parses_to_its_node(extra):
+    node = dict(_POINT, meta=extra)
+    for root, want in ((node, PointSym("x")), ({"node": "apply", "func": "f", "arg": node}, App("f", PointSym("x")))):
+        assert parse(json.dumps({"version": 1, "root": root}), "json") is want
+        assert expr_from_obj(root) is want
 
 
 def test_json_alpha_lists_each_direction_that_many_times():
@@ -794,6 +815,15 @@ def test_expr_from_obj_rejects_too_deep_nesting_with_value_error():
         root = {"node": "apply", "func": "f", "arg": root}
     with pytest.raises(ValueError, match="^nesting too deep$"):
         expr_from_obj(root)
+
+
+def test_a_field_error_900_levels_down_is_reported_by_both_readers():
+    # One frame per level: a helper between levels would say "nesting too deep".
+    text = _nested_apply_envelope(900).replace('{"node": "vector", "name": "v"}', '{"node": "point"}')
+    with pytest.raises(ValueError, match="^point node lacks the field 'name'$"):
+        parse(text, "json")
+    with pytest.raises(ValueError, match="^point node lacks the field 'name'$"):
+        expr_from_obj(json.loads(text)["root"])
 
 
 def test_json_nesting_within_the_recursion_limit_still_parses():
