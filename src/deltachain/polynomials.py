@@ -9,7 +9,10 @@ product of monomials adds their keys, a derivative subtracts a unit, and
 embedding into more variables is one shift.  Every monomial's total degree
 stays below 2^15, so adding keys never carries from one field into the
 next: ``make``, a product or a power that would reach that limit raises
-``ValueError`` before any work is done.
+``ValueError`` before any work is done.  One decoder, ``_fields``, lists a
+key's nonzero fields for evaluation, derivatives and tangent lifts; it keeps
+the last 4096 keys it decoded.  The degree is read from the keys alone.  A
+tangent lift has at most ``MAX_LIFT_VARIABLES`` = 2^11 variables.
 
 Evaluation is ring-generic: arguments may be rationals, floats, other
 polynomials or truncated series, since only +, * and ** are used.  That one
@@ -28,17 +31,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from operator import add, sub
 from typing import Any, Callable, Iterable, Sequence
 
-from .combinatorics import MultiIndex
-from .cuboid import Value
+from .combinatorics import MultiIndex, check_alpha
+from .cuboid import Value, _check_instance
 
 _BITS = 16  # the width of one exponent field
 _FIELD = (1 << _BITS) - 1
 _LIMIT = 1 << (_BITS - 1)  # every monomial's total degree stays below this
+MAX_LIFT_VARIABLES = 1 << 11  # the most variables a tangent lift may have
 
 
 def _rational(c: int | Fraction) -> int | Fraction:
@@ -64,6 +68,19 @@ def _clean(coeffs: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
     return coeffs
 
 
+@lru_cache(maxsize=4096)
+def _fields(key: int) -> tuple[tuple[int, int], ...]:
+    """A packed monomial's nonzero (field, exponent) pairs, highest field
+    first; field f holds the exponent of variable nvars-1-f."""
+    out = []
+    while key:
+        field = (key.bit_length() - 1) // _BITS
+        e = key >> field * _BITS
+        key -= e << field * _BITS
+        out.append((field, e))
+    return tuple(out)
+
+
 def _check_index(what: str, i: Any, n: int) -> None:
     if type(i) is not int or not 0 <= i < n:
         raise ValueError(f"{what} must be an int in [0, {n}), got {i!r}")
@@ -86,13 +103,13 @@ class Poly:
 
     __slots__ = ("nvars", "_coeffs", "_terms", "_degree")
 
-    def __init__(self, nvars: int, coeffs: dict[int, int | Fraction], degree: int | None = None):
+    def __init__(self, nvars: int, coeffs: dict[int, int | Fraction]):
         """Internal: ``coeffs`` maps packed monomials to nonzero rationals,
-        integral ones as ``int``; ``degree``, when known, is the total degree."""
+        integral ones as ``int``."""
         self.nvars = nvars
         self._coeffs = coeffs
         self._terms = None
-        self._degree = degree
+        self._degree = None
 
     @classmethod
     def make(cls, nvars: int, coeffs: dict[tuple[int, ...], Fraction | int]) -> "Poly":
@@ -126,7 +143,7 @@ class Poly:
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         _check_index("variable index", i, nvars)
-        return cls(nvars, {1 << _BITS * (nvars - 1 - i): 1}, 1)
+        return cls(nvars, {1 << _BITS * (nvars - 1 - i): 1})
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, ...], int | Fraction], ...]:
@@ -172,7 +189,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {k: -c for k, c in self._coeffs.items()}, self._degree)
+        return Poly(self.nvars, {k: -c for k, c in self._coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, Poly)):
@@ -199,8 +216,7 @@ class Poly:
             for k2, c2 in right:
                 k = k1 + k2
                 coeffs[k] = get(k, 0) + c1 * c2
-        # over Q a product of nonzero polynomials has the sum of their degrees
-        return Poly(self.nvars, _clean(coeffs), degree if coeffs else -1)
+        return Poly(self.nvars, _clean(coeffs))
 
     __rmul__ = __mul__
 
@@ -240,24 +256,16 @@ class Poly:
             value = self._at_series(args)
             if value is not None:
                 return value
-        powers: dict[int, Any] = {}  # args[i] ** e for e > 1, by that monomial's key
+        powers: dict[tuple[int, int], Any] = {}  # args[i] ** e for e > 1, by (field, e)
         acc = None
         own = self._coeffs
         for key in sorted(own):
             term: Any = own[key]
-            while key:
-                field = (key.bit_length() - 1) // _BITS
-                shift = field * _BITS
-                e = key >> shift
-                part = e << shift
-                key -= part
-                if e == 1:
-                    term = term * low[field]
-                else:
-                    power = powers.get(part)
-                    if power is None:
-                        power = powers[part] = low[field] ** e
-                    term = term * power
+            for field, e in _fields(key):
+                power = low[field] if e == 1 else powers.get((field, e))
+                if power is None:
+                    power = powers[field, e] = low[field] ** e
+                term = term * power
             acc = term if acc is None else acc + term
         return Fraction(0) if acc is None else acc
 
@@ -282,21 +290,13 @@ class Poly:
         low = [a._at(width) for a in reversed(args)]
         modulus = 1 << width * n
         mask = modulus - 1
-        powers: dict[int, int] = {}
+        powers: dict[tuple[int, int], int] = {}
         acc = 0
         for key, term in self._coeffs.items():
-            while key:
-                field = (key.bit_length() - 1) // _BITS
-                shift = field * _BITS
-                e = key >> shift
-                part = e << shift
-                key -= part
-                if e == 1:
-                    power = low[field]
-                else:
-                    power = powers.get(part)
-                    if power is None:
-                        power = powers[part] = pow(low[field], e, modulus)
+            for field, e in _fields(key):
+                power = low[field] if e == 1 else powers.get((field, e))
+                if power is None:
+                    power = powers[field, e] = pow(low[field], e, modulus)
                 term = (term * power) & mask
             acc += term
         return _series(n, 1, acc & mask, width, bound)
@@ -317,14 +317,9 @@ class Poly:
         coeffs: dict[int, int | Fraction] = {}
         get = coeffs.get
         for k, c in self._coeffs.items():
-            rest = k
-            while rest:
-                field = (rest.bit_length() - 1) // _BITS
-                shift = field * _BITS
-                e = rest >> shift
-                rest -= e << shift
+            for field, e in _fields(k):
                 if low[field]:
-                    lowered = k - (1 << shift)
+                    lowered = k - (1 << field * _BITS)
                     coeffs[lowered] = get(lowered, 0) + c * e * low[field]
         return Poly(self.nvars, _clean(coeffs))
 
@@ -333,7 +328,7 @@ class Poly:
         if self.nvars > nvars:
             raise ValueError("embedding does not fit")
         shift = _BITS * (nvars - self.nvars)
-        return Poly(nvars, {k << shift: c for k, c in self._coeffs.items()}, self._degree)
+        return Poly(nvars, {k << shift: c for k, c in self._coeffs.items()})
 
 
 _SERIES_BITS = 64  # a series field's least width
@@ -514,7 +509,12 @@ class PolynomialMap:
     components: tuple[Poly, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
+        if type(self.domain_dim) is not int or self.domain_dim < 0:
+            raise ValueError(f"domain_dim must be an int >= 0, got {self.domain_dim!r}")
+        try:
+            object.__setattr__(self, "components", tuple(self.components))
+        except TypeError:
+            raise ValueError(f"components must be iterable, not {self.components!r}") from None
         for p in self.components:
             if not isinstance(p, Poly):
                 raise ValueError(f"a component must be a Poly, got {type(p).__name__}")
@@ -531,6 +531,8 @@ class PolynomialMap:
 
 def compose(outer: PolynomialMap, inner: PolynomialMap) -> PolynomialMap:
     """The polynomial map ``outer after inner``."""
+    _check_instance("outer", outer, PolynomialMap)
+    _check_instance("inner", inner, PolynomialMap)
     if outer.domain_dim != inner.codomain_dim:
         raise ValueError("domain of outer differs from codomain of inner")
     comps = []
@@ -542,11 +544,19 @@ def compose(outer: PolynomialMap, inner: PolynomialMap) -> PolynomialMap:
     return PolynomialMap(inner.domain_dim, tuple(comps))
 
 
+def _check_vectors(vectors: Any) -> None:
+    if not isinstance(vectors, (tuple, list)):
+        raise ValueError(f"vectors must be a tuple or list, not {vectors!r}")
+
+
 def directional_derivative(f: PolynomialMap, u: Sequence[Fraction | int]) -> PolynomialMap:
+    _check_instance("f", f, PolynomialMap)
     return PolynomialMap(f.domain_dim, tuple(p.directional(u) for p in f.components))
 
 
 def iterated_directional(f: PolynomialMap, vectors: Sequence[Sequence[Fraction | int]]) -> PolynomialMap:
+    _check_instance("f", f, PolynomialMap)
+    _check_vectors(vectors)
     return reduce(directional_derivative, vectors, f)
 
 
@@ -556,6 +566,8 @@ def d_alpha(
     alpha: MultiIndex,
 ) -> PolynomialMap:
     """Mixed directional derivative: direction i applied alpha_i times."""
+    _check_vectors(vectors)
+    check_alpha(alpha)
     if alpha.dim != len(vectors):
         raise ValueError("one direction vector per digit is required")
     seq = [vectors[i] for i in alpha.support]
@@ -564,8 +576,12 @@ def d_alpha(
 
 def tangent_lift(f: PolynomialMap) -> PolynomialMap:
     """The map (x, u) -> (f(x), derivative of f at x along u) on doubled
-    variables; base variables come first, fiber variables second."""
+    variables; base variables come first, fiber variables second.  A lift
+    of more than ``MAX_LIFT_VARIABLES`` variables raises ``ValueError``."""
+    _check_instance("f", f, PolynomialMap)
     n = f.domain_dim
+    if 2 * n > MAX_LIFT_VARIABLES:
+        raise ValueError(f"a lift of {n} variables has {2 * n}, above the limit of {MAX_LIFT_VARIABLES}")
     base = [p.embed(2 * n) for p in f.components]
     # The fiber component is sum_j u_j * d_j p.  Lowering e_j and shifting
     # the key into the base fields leaves fiber field j, which is where x_j
@@ -576,17 +592,21 @@ def tangent_lift(f: PolynomialMap) -> PolynomialMap:
     for p in f.components:
         coeffs: dict[int, int | Fraction] = {}
         for k, c in p._coeffs.items():
-            rest = k
-            while rest:
-                s = (rest.bit_length() - 1) // _BITS * _BITS
-                e = rest >> s
-                rest -= e << s
+            for field, e in _fields(k):
+                s = field * _BITS
                 coeffs[(k - (1 << s)) << shift | 1 << s] = c * e
         fiber.append(Poly(2 * n, _clean(coeffs)))
     return PolynomialMap(2 * n, tuple(base + fiber))
 
 
 def iterated_tangent_lift(f: PolynomialMap, k: int) -> PolynomialMap:
+    """``tangent_lift`` applied k times, on f.domain_dim · 2^k variables;
+    ``ValueError`` before any lift when that passes ``MAX_LIFT_VARIABLES``."""
+    _check_instance("f", f, PolynomialMap)
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be an int >= 0, got {k!r}")
+    if k.bit_length() > MAX_LIFT_VARIABLES.bit_length() or f.domain_dim << k > MAX_LIFT_VARIABLES:
+        raise ValueError(f"{k} lifts of {f.domain_dim} variables pass the limit of {MAX_LIFT_VARIABLES} variables")
     for _ in range(k):
         f = tangent_lift(f)
     return f

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import poly_reference
+from deltachain import polynomials
 from deltachain.combinatorics import MultiIndex
 from deltachain.polynomials import (
     _LIMIT,
+    MAX_LIFT_VARIABLES,
     Poly,
     PolynomialMap,
     _Series,
+    _fields,
     compose,
     d_alpha,
     directional_derivative,
@@ -529,6 +532,12 @@ def raw_in(nvars: int, coeffs=any_rational, degree: int = 4, size: int = 6):
 )
 def test_packed_polynomials_match_the_reference(case):
     assert poly_reference.differences(poly_reference.arithmetic_cases(*case)) == []
+    # the decoder lists each nonzero exponent with its field, variable 0's
+    # field (nvars-1) first
+    n, raw = case[0], case[1]
+    p = Poly.make(n, raw)
+    for key, (expts, _) in zip(sorted(p._coeffs), p.terms):
+        assert _fields(key) == tuple((n - 1 - i, e) for i, e in enumerate(expts) if e)
 
 
 def evaluation_case(integral: bool):
@@ -659,6 +668,9 @@ def test_what_packing_cannot_hold_raises_value_error(build):
         build()
 
 
+_PLANE = random_polynomial_map(random.Random(1), 2, 2, 2)
+
+
 @pytest.mark.parametrize(
     "build, named",
     [
@@ -669,6 +681,18 @@ def test_what_packing_cannot_hold_raises_value_error(build):
         (lambda: PolynomialMap(1, (Poly.variable(1, 0),))(5), "arguments must be a sequence, got 5"),
         (lambda: Poly.variable(1, 0).directional([None]), "a direction entry must be a rational, got None"),
         (lambda: Poly.variable(1, 0).directional(5), "a direction must be a sequence, got 5"),
+        (lambda: compose(None, _PLANE), "outer must be a PolynomialMap, not None"),
+        (lambda: compose(_PLANE, None), "inner must be a PolynomialMap, not None"),
+        (lambda: directional_derivative(None, (1, 0)), "f must be a PolynomialMap, not None"),
+        (lambda: iterated_directional(None, [(1, 0)]), "f must be a PolynomialMap, not None"),
+        (lambda: iterated_directional(_PLANE, None), "vectors must be a tuple or list, not None"),
+        (lambda: tangent_lift(None), "f must be a PolynomialMap, not None"),
+        (lambda: iterated_tangent_lift(None, 1), "f must be a PolynomialMap, not None"),
+        (lambda: d_alpha(None, [(1, 0)], mi("1")), "f must be a PolynomialMap, not None"),
+        (lambda: d_alpha(_PLANE, None, mi("1")), "vectors must be a tuple or list, not None"),
+        (lambda: d_alpha(_PLANE, [(1, 0)], "1"), "alpha must be a MultiIndex, not str"),
+        (lambda: PolynomialMap(2, None), "components must be iterable, not None"),
+        (lambda: PolynomialMap(1.5, ()), "domain_dim must be an int >= 0, got 1.5"),
     ],
     ids=[
         "make-none-coefficient",
@@ -678,8 +702,39 @@ def test_what_packing_cannot_hold_raises_value_error(build):
         "map-call-on-an-int",
         "directional-none-entry",
         "directional-of-an-int",
+        "compose-outer-none",
+        "compose-inner-none",
+        "directional-derivative-of-none",
+        "iterated-directional-of-none",
+        "iterated-directional-vectors-none",
+        "tangent-lift-of-none",
+        "iterated-tangent-lift-of-none",
+        "d-alpha-of-none",
+        "d-alpha-vectors-none",
+        "d-alpha-of-a-str-alpha",
+        "map-components-none",
+        "map-float-domain",
     ],
 )
 def test_malformed_poly_arguments_raise_value_error_naming_them(build, named):
     with pytest.raises(ValueError, match=named):
         build()
+
+
+@pytest.mark.parametrize("k", [-1, True, 11, 10**9], ids=["negative", "bool", "past-the-limit", "huge"])
+def test_iterated_tangent_lift_rejects_k_before_any_lift(monkeypatch, k):
+    def no_lift(f):
+        raise AssertionError("a lift was built")
+
+    monkeypatch.setattr(polynomials, "tangent_lift", no_lift)
+    with pytest.raises(ValueError, match="k must be an int|pass the limit"):
+        iterated_tangent_lift(_PLANE, k)
+
+
+def test_the_lift_limit():
+    # a lift onto exactly the limit is built; one more base variable is refused
+    wide = PolynomialMap(MAX_LIFT_VARIABLES // 2, (Poly.variable(MAX_LIFT_VARIABLES // 2, 0),))
+    assert tangent_lift(wide).domain_dim == MAX_LIFT_VARIABLES
+    wider = PolynomialMap(MAX_LIFT_VARIABLES // 2 + 1, ())
+    with pytest.raises(ValueError, match="above the limit"):
+        tangent_lift(wider)
