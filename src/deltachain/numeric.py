@@ -12,15 +12,12 @@ a trial is a pure function of its seed, the trials of one suite call run in
 one pool: the caller and up to min(CPUs, 8) - 1 workers forked after every
 expansion is built.  Outcomes come back in trial order, so every report is
 byte-identical with any CPU count, and no worker outlives the call.
-The evaluators hold each exact vector as one integer record (``_Exact``):
-numerators over one denominator and a bit per ``Fraction`` coordinate.  A
-``RandomRationalMap`` is read at such a record through its integer-keyed
-memo, so sums and differences of exact trees run on ``int``s, and
-``Fraction``s are built only for the caller.  What is fixed before the
-trials start is made once: the oracle suites build each expansion's node
-table (``_NodeTable``) before the pool forks, and every trial evaluates
-that table; a map hashes its per-coordinate prefix once and copies the
-hash state at each new point.
+The evaluators pack each exact vector into one int, signed numerators in
+fields of one width proved wide enough (``_NodeTable.bounds``), so a sum is
+one int sum and a corner one int add and a map's memo key.  What is fixed
+before the trials start is made once: the oracle suites build each
+expansion's node table before the pool forks, and a map hashes its
+per-coordinate prefix once.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ import random
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import mul, or_
 from typing import Any, Callable, Mapping, Sequence
 
 from .combinatorics import MultiIndex, check_alpha, enumerate_partitions, refine
@@ -44,6 +39,7 @@ from .cuboid import (
     Cuboid,
     PointedDirections,
     Value,
+    _check_sequence,
     corners,
     delta,
     delta_inv,
@@ -57,6 +53,7 @@ from .cuboid import (
 from .polynomials import (
     PolynomialMap,
     _Series,
+    _width,
     compose,
     d_alpha,
     iterated_directional,
@@ -87,82 +84,54 @@ _SCALE = 720720  # lcm(1..16): a RandomRationalMap value's numerators over it ar
 _RATIONAL = frozenset((int, Fraction))
 
 
-class _Exact:
-    """An exact rational vector inside the evaluators: coordinate j is
-    ``nums[j] / den``, and a ``Fraction`` exactly when bit j of ``mask`` is
-    set.  Records are never changed once built, so nodes may share one."""
-
-    __slots__ = ("den", "nums", "mask")
-
-    def __init__(self, den: int, nums: tuple[int, ...], mask: int):
-        self.den, self.nums, self.mask = den, nums, mask
+def _packing(bound: int, vectors: Sequence[Value]) -> tuple[int, int]:
+    """The lcm of the exact ``vectors``' denominators and ``_SCALE``, and the
+    least width whose signed fields hold it times ``bound`` times the
+    largest of their coordinates and a map value's (100)."""
+    den = math.lcm(_SCALE, *[c.denominator for v in vectors for c in v])
+    return den, _width(bound * den * max([100, *[abs(c.numerator) for v in vectors for c in v]]))
 
 
-def _record(v: Value) -> Any:
-    """``v`` as an ``_Exact`` when every entry is exactly an ``int`` or a
-    ``Fraction``, over the lcm of their denominators; else ``v`` itself."""
-    if not set(map(type, v)) <= _RATIONAL:
-        return v
-    den = math.lcm(*[c.denominator for c in v])
-    mask = sum(1 << j for j, c in enumerate(v) if type(c) is Fraction)
-    return _Exact(den, tuple([c.numerator * (den // c.denominator) for c in v]), mask)
+def _pack(v: Value, den: int, width: int) -> int:
+    """``v``'s numerators over ``den`` as signed fields of ``width`` bits,
+    the first lowest, above a low part that ``_tag`` fills for a memo key:
+    ``den`` in ``width`` bits, then log2(width / 64) in 8."""
+    num = 0
+    for c in reversed(v):
+        num = (num << width) + c.numerator * (den // c.denominator)
+    return num << width + 8
 
 
-def _vector(v: Any) -> Value:
-    """The tuple of an evaluator value: the inverse of ``_record``."""
-    if type(v) is not _Exact:
-        return v
-    den, mask = v.den, v.mask
-    return tuple(Fraction(n, den) if mask >> j & 1 else n // den for j, n in enumerate(v.nums))
+def _tag(den: int, width: int) -> int:
+    return (den << 8) + (width >> 6).bit_length() - 1
 
 
-def _common(vectors: Sequence[_Exact]) -> tuple[int, list[Sequence[int]]]:
-    """The lcm of the records' denominators and each record's numerators
-    over it; records of unequal length raise ``vector_add``'s error."""
-    size = len(vectors[0].nums)
-    for v in vectors:
-        if len(v.nums) != size:
-            raise ValueError(f"space dimension mismatch: {size} vs {len(v.nums)}")
-    den = math.lcm(*{v.den for v in vectors})
-    return den, [v.nums if v.den == den else [n * (den // v.den) for n in v.nums] for v in vectors]
-
-
-def _sum(values: Sequence[Any]) -> Any:
-    """The sum of evaluator values: records add integer numerators over one
-    denominator and OR their masks; other values go through ``vector_sum``."""
-    if any(type(v) is not _Exact for v in values):
-        return _record(vector_sum([_vector(v) for v in values]))
-    den, rows = _common(values)
-    return _Exact(den, tuple(map(sum, zip(*rows))), functools.reduce(or_, {v.mask for v in values}))
+def _decode(num: int, den: int, width: int, n: int, mask: int) -> Value:
+    """The n coordinates packed in ``num`` over ``den``, coordinate j a
+    ``Fraction`` when bit j of ``mask`` is set."""
+    half, field, out = 1 << (width - 1), (1 << width) - 1, []
+    num >>= width + 8
+    for j in range(n):
+        x = ((num + half) & field) - half
+        num = (num - x) >> width
+        out.append(Fraction(x, den) if mask >> j & 1 else x // den)
+    return tuple(out)
 
 
 def _difference(F: Callable[[Value], Value], base: Any, dirs: Sequence[Any]) -> Any:
     """The alternating sum of F over the corners base + a subset of
-    ``dirs``, on evaluator values; corner m adds ``dirs[i]`` for each bit i.
-
-    For a ``RandomRationalMap`` and records, each corner is an integer
-    subset sum ``(den, *nums)``, read from the map's memo as its key, and
-    the integer values are summed with signs over ``_SCALE``.  Any other map
-    is called on the tuples ``cuboid.corners`` builds, and its values are
-    summed by ``vector_sum``.
-    """
-    signs = [-1 if len(dirs) % 2 else 1]
-    for _ in dirs:
-        signs += [-s for s in signs]
-    if type(F) is not RandomRationalMap or type(base) is not _Exact or any(type(d) is not _Exact for d in dirs):
-        values = [tuple(F(c)) for c in corners(_vector(base), [_vector(d) for d in dirs])]
-        return _record(vector_sum(values, signs))
-    den, (first, *steps) = _common([base, *dirs])
-    # The corners' coordinates, one list per coordinate, and then the points.
-    columns = []
-    for j, x in enumerate(first):
-        column = [x]
-        for step in steps:
-            column += [c + step[j] for c in column]
-        columns.append(column)
-    hit, at = F._memo.get, F._at  # a point met before is read from the memo without a call
-    outs = [(hit(p) or at(p)).nums for p in zip(repeat(den, len(signs)), *columns)]
-    return _Exact(_SCALE, tuple([sum(map(mul, col, signs)) for col in zip(*outs)]), F._mask)
+    ``dirs``.  Packed (``base`` a key of F's memo, ``dirs`` packed ints),
+    each corner's key is one int add from a smaller corner's, and the values
+    read by those keys are summed by sign.  Tuples are passed to F at the
+    corners ``cuboid.corners`` builds, and summed by ``vector_sum``."""
+    if type(base) is not int:
+        signs = [-1 if (len(dirs) - m.bit_count()) % 2 else 1 for m in range(1 << len(dirs))]
+        return vector_sum([tuple(F(c)) for c in corners(base, dirs)], signs)
+    plus, minus = [base], []
+    for step in dirs:
+        plus, minus = minus + [c + step for c in plus], plus + [c + step for c in minus]
+    at = F._memo.__getitem__
+    return sum(map(at, plus)) - sum(map(at, minus))
 
 
 def evaluate_delta(F: Callable[[Value], Value], base: Value, directions: Sequence[Value]) -> Value:
@@ -171,13 +140,25 @@ def evaluate_delta(F: Callable[[Value], Value], base: Value, directions: Sequenc
 
     Each direction is taken once as listed, so a direction listed twice is
     differenced twice.  With no directions this is just F(base).  For a
-    ``RandomRationalMap`` and exact rational vectors, the corners are
-    integer subset sums over one common denominator, read through the map's
-    integer-keyed memo, and its values are summed as integers; any other map
-    is called at corners added by + and -.  ``eval_expr`` runs the same kernel,
-    ``_difference``, at each difference node.
+    ``RandomRationalMap`` and exact vectors of its domain, the corners are
+    packed ints read through the map's memo, and its values are summed as
+    ints; any other map is called at corners added by + and -.  Both run
+    ``_difference``, as ``eval_expr`` does at each difference node.  An F
+    that is not callable, or a ``base``, ``directions`` or direction that is
+    not a tuple or list, raises ``ValueError``.
     """
-    return _vector(_difference(F, _record(tuple(base)), [_record(tuple(d)) for d in directions]))
+    if not callable(F):
+        raise ValueError(f"F must be callable, not {F!r}")
+    _check_sequence("base", base)
+    _check_sequence("directions", directions)
+    for d in directions:
+        _check_sequence("each direction", d)
+    vectors = [tuple(base), *map(tuple, directions)]
+    if type(F) is not RandomRationalMap or any(len(v) != F.domain_dim or set(map(type, v)) - _RATIONAL for v in vectors):
+        return _difference(F, vectors[0], vectors[1:])
+    den, width = _packing(1 << len(directions), vectors)  # a corner adds 1 + len(directions) vectors
+    first, *steps = [_pack(v, den, width) for v in vectors]
+    return _decode(_difference(F, first + _tag(den, width), steps), den, width, F.codomain_dim, -1)
 
 
 _VECTOR, _COMPONENT, _APP, _SUM, _DELTA = range(5)  # the kinds of a node table's rows
@@ -188,10 +169,16 @@ class _NodeTable:
     them: children before their parent, the root last.  Row i is ``(kind,
     name, args)``: a vector's name; a component's cuboid name and index; a
     map's name and the row of its argument; a sum's rows; or a difference's
-    map name and the rows of its base and its directions.  A suite that
-    evaluates one expression in many trials builds its table once."""
+    map name and the rows of its base and its directions.  ``bounds[i]``
+    bounds row i's coordinates in units of the largest leaf or map
+    coordinate, as ``_Series.bound`` bounds digits: 1 for a leaf or an
+    application, its terms' sum for a sum, 2^d for a difference along d
+    directions.  ``bound`` is the largest of them and of each difference's
+    corners (its base's and directions' bounds added), or 0 if a sum is
+    empty.  A suite that evaluates one expression in many trials builds its
+    table once."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "bounds", "bound", "leaves", "maps")
 
     def __init__(self, e: Expr):
         try:
@@ -199,7 +186,7 @@ class _NodeTable:
         except TypeError as exc:
             raise EvaluationError(str(exc)) from None
         row = {n: i for i, n in enumerate(nodes)}
-        rows = []
+        rows, bounds, top = [], [], 1
         for n in nodes:
             kind = type(n)
             if kind is PointSym or kind is VecSym:
@@ -210,27 +197,52 @@ class _NodeTable:
                 rows.append((_APP, n.func, row[n.arg]))
             elif kind is Sum:
                 rows.append((_SUM, None, [row[t] for t in n.terms]))
+                bounds.append(sum(map(bounds.__getitem__, rows[-1][2])))
+                continue
             else:  # a difference term
                 rows.append((_DELTA, n.func, (row[n.base], [row[d] for d in n.directions])))
-        self.rows = tuple(rows)
+                bounds.append(1 << len(n.directions))
+                top = max(top, bounds[row[n.base]] + sum(bounds[row[d]] for d in n.directions))
+                continue
+            bounds.append(1)
+        self.rows, self.bounds, self.bound = tuple(rows), tuple(bounds), max(top, *bounds) if min(bounds) else 0
+        self.leaves = tuple(i for i, r in enumerate(rows) if r[0] <= _COMPONENT)  # the vector and component rows
+        self.maps = frozenset(name for kind, name, _ in rows if kind in (_APP, _DELTA))
 
 
-def eval_expr(e: Expr | _NodeTable, bindings: Mapping[str, Any]) -> Value:
-    """Evaluate an expression with names bound to points (tuples), cuboids,
-    and callables for function symbols.
+class _Rows:
+    """Every row's value of one evaluation: ``rows[i]`` is row i's vector.
+    Packed ``values`` hold n coordinates over ``den`` at ``width``, each a
+    ``Fraction`` where a map or a ``Fraction`` of a leaf (``leaves``, by
+    row) reaches it; unpacked, ``leaves`` is None."""
 
-    Each distinct subexpression is evaluated once per call, children first:
-    equal expressions are one node (the nodes are hash-consed), so the inner
-    differences shared by many terms of an expansion are computed once.  A
-    node's value is kept as an integer record (``_Exact``) while its entries
-    are exact rationals, and becomes a tuple only at the root and where a
-    bound map is applied, which is called on the tuple.  Of several
-    faults, the one met first in that order is reported.  The walk over the
-    nodes is the expression's ``_NodeTable``; the oracle suites build each
-    expansion's table once and pass it for ``e``.  No value is kept between
-    calls.
-    """
-    rows = (e if type(e) is _NodeTable else _NodeTable(e)).rows
+    __slots__ = ("values", "rows", "leaves", "den", "width", "n")
+
+    def __init__(self, values: list[Any], rows: tuple, leaves: dict | None, den=1, width=0, n=0):
+        self.values, self.rows, self.leaves, self.den, self.width, self.n = values, rows, leaves, den, width, n
+
+    def __getitem__(self, i: int) -> Value:
+        if self.leaves is None:
+            return self.values[i]
+        mask, todo, seen = 0, [range(len(self.values))[i]], set()
+        while todo and mask != -1:
+            kind, _, args = self.rows[j := todo.pop()]
+            if kind == _SUM:
+                todo += set(args) - seen
+                seen.update(args)
+            elif kind <= _COMPONENT:
+                mask |= sum(1 << k for k, c in enumerate(self.leaves[j]) if type(c) is Fraction)
+            else:
+                mask = -1
+        return _decode(self.values[i], self.den, self.width, self.n, mask)
+
+
+def _eval_rows(table: _NodeTable, bindings: Mapping[str, Any]) -> _Rows:
+    """The value of every row of ``table``, children first, the root last.
+    When the leaves are exact vectors of one space and the maps
+    ``RandomRationalMap``s of it, rows are packed at ``_packing(table.bound,
+    leaves)`` and cannot fault; else they are tuples, and of several faults
+    the first met in row order is reported."""
 
     def bound(name: str, ok: Callable[[Any], bool], what: str) -> Any:
         try:
@@ -241,28 +253,64 @@ def eval_expr(e: Expr | _NodeTable, bindings: Mapping[str, Any]) -> Value:
             raise EvaluationError(f"symbol {name!r} must be bound to {what}")
         return value
 
-    values: list[Any] = []
+    def leaf(kind: int, name: str, index: Any) -> Value:
+        if kind == _VECTOR:
+            return tuple(bound(name, lambda v: isinstance(v, (tuple, list)), "a vector"))
+        return bound(name, lambda c: isinstance(c, Cuboid), "a cuboid").component(index)
+
+    rows, values = table.rows, []
     push = values.append
+    try:
+        vectors = [leaf(*rows[i]) for i in table.leaves]
+        n = len(vectors[0])
+        packed = table.bound and all(len(v) == n and set(map(type, v)) <= _RATIONAL for v in vectors)
+        for F in [bindings[name] for name in table.maps]:
+            packed = packed and type(F) is RandomRationalMap and F.domain_dim == F.codomain_dim == n
+    except (EvaluationError, IndexError, KeyError, ValueError):
+        packed = False  # the walk below meets the fault in row order
+    if packed:
+        den, width = _packing(table.bound, vectors)
+        tag, add, leaves = _tag(den, width), sum, iter([_pack(v, den, width) for v in vectors])
+        apply, leaf = (lambda F, v: F._memo[v + tag]), (lambda *_: next(leaves))  # leaves in row order
+    else:
+        tag, add, apply = (), vector_sum, (lambda F, v: tuple(F(v)))  # a tuple plus () is itself
     # A ValueError from a cuboid lookup, a vector sum or a bound map becomes
     # an EvaluationError with the same text, whichever node raised it.
     try:
         for kind, name, args in rows:
             if kind == _DELTA:
                 base, dirs = args
-                push(_difference(bound(name, callable, "a map"), values[base], [values[d] for d in dirs]))
+                push(_difference(bound(name, callable, "a map"), values[base] + tag, [values[d] for d in dirs]))
             elif kind == _SUM:
                 if not args:
                     raise EvaluationError("cannot evaluate an empty sum")
-                push(_sum([values[t] for t in args]))
+                push(add([values[t] for t in args]))
             elif kind == _APP:
-                push(_record(tuple(bound(name, callable, "a map")(_vector(values[args])))))
-            elif kind == _VECTOR:
-                push(_record(tuple(bound(name, lambda v: isinstance(v, (tuple, list)), "a vector"))))
+                push(apply(bound(name, callable, "a map"), values[args]))
             else:
-                push(_record(bound(name, lambda c: isinstance(c, Cuboid), "a cuboid").component(args)))
+                push(leaf(kind, name, args))
     except ValueError as exc:
         raise EvaluationError(str(exc)) from None
-    return _vector(values[-1])
+    if not packed:
+        return _Rows(values, rows, None)
+    return _Rows(values, rows, dict(zip(table.leaves, vectors)), den, width, n)
+
+
+def eval_expr(e: Expr | _NodeTable, bindings: Mapping[str, Any]) -> Value:
+    """Evaluate an expression with names bound to points (tuples), cuboids,
+    and callables for function symbols.
+
+    Each distinct subexpression is evaluated once per call, children first:
+    equal expressions are one node (the nodes are hash-consed), so the inner
+    differences shared by many terms of an expansion are computed once.  The
+    value is the last row of ``_eval_rows`` over the expression's
+    ``_NodeTable``: packed ints when every leaf is an exact vector of one
+    space and every map a ``RandomRationalMap`` of it, else tuples, with
+    each map called on a tuple.  Of several faults, the one met first in
+    that order is reported.  The oracle suites build each expansion's table
+    once and pass it for ``e``.  No value is kept between calls.
+    """
+    return _eval_rows(e if type(e) is _NodeTable else _NodeTable(e), bindings)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -274,66 +322,75 @@ def derive_seed(root: int, *labels: Any) -> int:
     return int.from_bytes(hashlib.blake2b(msg.encode(), digest_size=8).digest(), "big")
 
 
+class _Memo(dict):
+    """A map's memo: key -> value, packed as the key is.  A missing key is
+    decoded and its point hashed."""
+
+    __slots__ = ("n", "prefixes")
+
+    def __missing__(self, key: int) -> int:
+        width = 64 << (key & 255)
+        den = key >> 8 & ((1 << width) - 1)
+        half, field, num = 1 << (width - 1), (1 << width) - 1, key >> width + 8
+        text = []
+        for _ in range(self.n):  # as _decode reads the fields
+            n = ((num + half) & field) - half
+            num = (num - n) >> width
+            g = math.gcd(n, den)
+            text.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        text, value = "|".join(text).encode(), 0
+        for prefix in reversed(self.prefixes):
+            h = prefix.copy()
+            h.update(text)
+            # the first 8 digest bytes pick the numerator, the last 8 the denominator
+            digest = int.from_bytes(h.digest(), "big")
+            value = (value << width) + ((digest >> 64) % 201 - 100) * (den // (digest % 16 + 1))
+        value = self[key] = value << width + 8
+        return value
+
+
 class RandomRationalMap:
     """A deterministic pseudorandom map between rational vector spaces.
 
     Values are derived from a keyed hash of the exact input coordinates, so
     equal seeds give equal maps across runs and platforms, and every call is
     memoized.  Numerators lie in [-100, 100], denominators in [1, 16].  The
-    memo is keyed by integers: a point's key is ``(den, *nums)``, with
-    ``den`` the lcm of its reduced denominators, so no ``Fraction`` is
-    hashed on a hit.  Coordinate j hashes ``f"{seed};{j};"`` and then the
-    point's text; that prefix is hashed once per map, and each new point
-    copies its hash state.
+    memo is keyed by one int per point (``_pack`` and ``_tag``): an
+    evaluation keys a corner at its own denominator and width, and a call
+    its point as ``_packing`` packs it alone.  A key is decoded only on a
+    miss, to hash the text of each reduced coordinate, as str(Fraction)
+    writes it, joined by ``|``: coordinate j hashes ``f"{seed};{j};"`` and
+    then that text, from a copy of the prefix's hash state.  A ``seed`` that
+    is not an ``int``, a dimension that is not an ``int`` >= 0, or a point
+    that is not a tuple or list raises ``ValueError``.
     """
 
     def __init__(self, seed: int, domain_dim: int, codomain_dim: int):
-        self.seed = seed
-        self.domain_dim = domain_dim
-        self.codomain_dim = codomain_dim
-        self._mask = (1 << codomain_dim) - 1
-        self._memo: dict[tuple[int, ...], _Exact] = {}  # point -> value, over _SCALE
-        self._values: dict[tuple[int, ...], Value] = {}  # key -> value, as Fractions
-        self._prefixes = [hashlib.blake2b(f"{seed};{j};".encode(), digest_size=16) for j in range(codomain_dim)]
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, not {seed!r}")
+        for name, dim in (("domain_dim", domain_dim), ("codomain_dim", codomain_dim)):
+            if type(dim) is not int or dim < 0:
+                raise ValueError(f"{name} must be an int >= 0, not {dim!r}")
+        self.seed, self.domain_dim, self.codomain_dim = seed, domain_dim, codomain_dim
+        self._memo = _Memo()
+        self._memo.n = domain_dim
+        self._memo.prefixes = [hashlib.blake2b(f"{seed};{j};".encode(), digest_size=16) for j in range(codomain_dim)]
+        self._values: dict[int, Value] = {}  # a call's key -> value, as Fractions
 
     def __reduce__(self):
         # A hash state does not pickle: a copy is built anew, with an empty memo.
         return type(self), (self.seed, self.domain_dim, self.codomain_dim)
 
     def __call__(self, point: Value) -> Value:
-        exact = _record(tuple(c if type(c) is Fraction else Fraction(c) for c in point))
-        key = (exact.den, *exact.nums)
+        _check_sequence("point", point)
+        if len(point) != self.domain_dim:
+            raise ValueError(f"need {self.domain_dim} coordinates, got {len(point)}")
+        exact = [c if type(c) in _RATIONAL else Fraction(c) for c in point]
+        den, width = _packing(1, [exact])
+        key = _pack(exact, den, width) + _tag(den, width)
         value = self._values.get(key)
         if value is None:
-            value = self._values[key] = _vector(self._at(key))
-        return value
-
-    def _at(self, point: tuple[int, ...]) -> _Exact:
-        """The value at ``point[1:] / point[0]``, as a record over ``_SCALE``.
-        The memo holds each point as given, next to its reduced key."""
-        value = self._memo.get(point)
-        if value is not None:
-            return value
-        if len(point) != self.domain_dim + 1:
-            raise ValueError(f"need {self.domain_dim} coordinates, got {len(point) - 1}")
-        g = math.gcd(*point)
-        key = point if g == 1 else tuple([x // g for x in point])
-        value = None if key is point else self._memo.get(key)
-        if value is None:
-            # the text of each reduced coordinate, as str(Fraction) writes it
-            den, text = key[0], []
-            for n in key[1:]:
-                g = math.gcd(n, den)
-                text.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-            text, nums = "|".join(text).encode(), []
-            for prefix in self._prefixes:
-                h = prefix.copy()
-                h.update(text)
-                # the first 8 digest bytes pick the numerator, the last 8 the denominator
-                digest = int.from_bytes(h.digest(), "big")
-                nums.append(((digest >> 64) % 201 - 100) * (_SCALE // (digest % 16 + 1)))
-            value = self._memo[key] = _Exact(_SCALE, tuple(nums), self._mask)
-        self._memo[point] = value
+            value = self._values[key] = _decode(self._memo[key], den, width, self.codomain_dim, -1)
         return value
 
 

@@ -12,7 +12,8 @@ next: ``make``, a product or a power that would reach that limit raises
 ``ValueError`` before any work is done.  One decoder, ``_fields``, lists a
 key's nonzero fields for evaluation, derivatives and tangent lifts; it keeps
 the last 4096 keys it decoded.  The degree is read from the keys alone.  A
-tangent lift has at most ``MAX_LIFT_VARIABLES`` = 2^11 variables.
+tangent lift, ``Poly.variable`` and ``Poly.embed`` take at most
+``MAX_LIFT_VARIABLES`` = 2^11 variables.
 
 Evaluation is ring-generic: arguments may be rationals, floats, other
 polynomials or truncated series, since only +, * and ** are used.  That one
@@ -142,6 +143,7 @@ class Poly:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
+        _check_index("nvars", nvars, MAX_LIFT_VARIABLES + 1)  # before 1 << nvars fields is built
         _check_index("variable index", i, nvars)
         return cls(nvars, {1 << _BITS * (nvars - 1 - i): 1})
 
@@ -325,6 +327,7 @@ class Poly:
 
     def embed(self, nvars: int) -> "Poly":
         """Reinterpret in a larger variable set: the new variables come last."""
+        _check_index("nvars", nvars, MAX_LIFT_VARIABLES + 1)
         if self.nvars > nvars:
             raise ValueError("embedding does not fit")
         shift = _BITS * (nvars - self.nvars)

@@ -6,7 +6,7 @@ reference, and a sweep that compares the two.
 with ``cuboid.vector_sum`` and builds each difference from
 ``cuboid.corners``, one map call per corner; both add pairwise with plain +
 and -, so the reference shares no integer arithmetic with the library's
-evaluator, which holds exact vectors as integer records and reads a
+evaluator, which packs each exact vector into one integer and reads a
 ``RandomRationalMap``'s memo by integer keys.  Both must give equal values
 with equal coordinate types.
 
@@ -14,21 +14,29 @@ Run the sweep (seeds 0..N-1; chain and tangent expansions for k = 1..7, with
 pseudorandom maps and with a map whose coordinate types follow its argument;
 leaves mix ``int`` and ``Fraction`` entries):
 
-    PYTHONPATH=src python tests/eval_reference.py [N]
+    PYTHONPATH=src python tests/eval_reference.py [N] [--wide]
+
+With ``--wide`` the leaves are up to 10^e in size, e drawn from 0..30 per
+seed, with denominators up to 10^(e/2), so the packed evaluations take
+fields of 64 bits and up.  The sweep prints how many evaluations ran at each
+width, and on tuples (the type-following map).
 
 It prints the counts and exits 1 on any difference, in value or in type.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 from deltachain.combinatorics import MultiIndex
 from deltachain.cuboid import Cuboid, Value, corners, vector_sum
-from deltachain.numeric import EvaluationError, RandomRationalMap, derive_seed, eval_expr
+from deltachain.numeric import EvaluationError, RandomRationalMap, _eval_rows, _NodeTable, derive_seed
 from deltachain.symbolic import App, ComponentSym, Expr, PointSym, Sum, VecSym, _postorder, expand_chain, expand_tangent
 
 
@@ -90,16 +98,29 @@ def mixed_vector(rng: random.Random, dim: int) -> Value:
     )
 
 
-def sweep_bindings(seed: int, k: int, pseudorandom: bool) -> tuple[dict, dict]:
-    """Bindings for the chain and the tangent expansion at order k."""
-    rng = random.Random(derive_seed(seed, "eval-reference", k, pseudorandom))
+def wide_vector(rng: random.Random, dim: int, size: int) -> Value:
+    """``mixed_vector``'s kinds of entry, up to ``size`` in size, with
+    denominators up to its square root."""
+    out = []
+    for _ in range(dim):
+        n, d = rng.randint(-size, size), rng.randint(2, max(2, math.isqrt(size)))
+        out.append(rng.choice((n, Fraction(n), Fraction(n, d))))
+    return tuple(out)
+
+
+def sweep_bindings(seed: int, k: int, pseudorandom: bool, wide: bool = False) -> tuple[dict, dict]:
+    """Bindings for the chain and the tangent expansion at order k; wide
+    leaves are up to 10^e in size, e drawn from 0..30."""
+    labels = ("eval-reference", k, pseudorandom) + (("wide",) if wide else ())
+    rng = random.Random(derive_seed(seed, *labels))
+    vector = functools.partial(wide_vector, size=10 ** rng.randint(0, 30)) if wide else mixed_vector
     if pseudorandom:
         f, g = (RandomRationalMap(derive_seed(seed, name, k), 2, 2) for name in ("f", "g"))
     else:
         f = g = type_following_map
-    chain = {"f": f, "g": g, "x": mixed_vector(rng, 2)}
-    chain.update({f"v_{i + 1}": mixed_vector(rng, 2) for i in range(k)})
-    tangent = {"f": f, "u": Cuboid(k, tuple(mixed_vector(rng, 2) for _ in range(1 << k)))}
+    chain = {"f": f, "g": g, "x": vector(rng, 2)}
+    chain.update({f"v_{i + 1}": vector(rng, 2) for i in range(k)})
+    tangent = {"f": f, "u": Cuboid(k, tuple(vector(rng, 2) for _ in range(1 << k)))}
     return chain, tangent
 
 
@@ -109,19 +130,25 @@ def same(got: Value, want: Value) -> bool:
 
 
 def main(argv: list[str]) -> int:
+    wide = "--wide" in argv
+    argv = [a for a in argv if a != "--wide"]
     n_seeds = int(argv[0]) if argv else 20
     cases = differing = 0
+    widths: Counter = Counter()
     for pseudorandom in (True, False):
         for k in range(1, 8):
             alpha = MultiIndex.ones(k)
             exprs = (expand_chain(alpha), expand_tangent(alpha))
             for seed in range(n_seeds):
-                for name, expr, bindings in zip(("chain", "tangent"), exprs, sweep_bindings(seed, k, pseudorandom)):
+                for name, expr, bindings in zip(("chain", "tangent"), exprs, sweep_bindings(seed, k, pseudorandom, wide)):
                     cases += 1
-                    if not same(eval_expr(expr, bindings), eval_expr_reference(expr, bindings)):
+                    rows = _eval_rows(_NodeTable(expr), bindings)  # eval_expr's value is rows[-1]
+                    widths[rows.width if rows.leaves is not None else "tuples"] += 1
+                    if not same(rows[-1], eval_expr_reference(expr, bindings)):
                         differing += 1
                         print(f"  differs: {name}, seed {seed}, k {k}, pseudorandom maps {pseudorandom}")
     print(f"evaluator: {cases} evaluations, {differing} differ from the reference")
+    print("  evaluations by packed width: " + ", ".join(f"{w}: {c}" for w, c in sorted(widths.items(), key=str)))
     return 1 if differing else 0
 
 

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import random
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from deltachain import numeric
 from deltachain.combinatorics import MultiIndex, enumerate_partitions
-from deltachain.cuboid import Cuboid, vector_add
+from deltachain.cuboid import Cuboid, discrete_tangent, vector_add
 from deltachain.numeric import (
     DEFAULT_EPS_EXPONENTS,
     EvaluationError,
@@ -285,6 +286,117 @@ def test_eval_expr_keeps_no_state_between_calls():
     assert eval_expr(expr, first) == a
 
 
+# -- packed rows ---------------------------------------------------------------------
+
+TABLES = {
+    (name, k): numeric._NodeTable(expand(MultiIndex.ones(k)))
+    for name, expand in (("chain", expand_chain), ("tangent", expand_tangent))
+    for k in range(1, 5)
+}
+
+
+@st.composite
+def wide_bindings(draw):
+    """A chain or tangent table for k <= 4, pseudorandom maps, and leaves
+    mixing ints and Fractions of up to 10^e in size, for e up to 30, with
+    denominators up to 10^(e/2), so packed widths of 64 to 512 bits."""
+    name, k = draw(st.sampled_from(sorted(TABLES)))
+    seed = draw(st.integers(0, 10**6))
+    size = 10 ** draw(st.integers(0, 30))
+    entry = st.one_of(
+        st.integers(-size, size),
+        st.fractions(min_value=-size, max_value=size, max_denominator=max(2, math.isqrt(size))),
+    )
+    f, g = (RandomRationalMap(derive_seed(seed, m), 2, 2) for m in ("f", "g"))
+    if name == "chain":
+        leaves = draw(st.lists(st.tuples(entry, entry), min_size=k + 1, max_size=k + 1))
+        return name, k, numeric._chain_bindings(f, g, leaves[0], leaves[1:])
+    leaves = draw(st.lists(st.tuples(entry, entry), min_size=1 << k, max_size=1 << k))
+    return name, k, {"f": f, "u": Cuboid(k, tuple(leaves))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_bindings())
+def test_packed_rows_match_the_tuple_reference_at_every_width(case):
+    name, k, bindings = case
+    got = eval_expr(TABLES[name, k], bindings)
+    expand = expand_chain if name == "chain" else expand_tangent
+    want = eval_reference.eval_expr_reference(expand(MultiIndex.ones(k)), bindings)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_bindings())
+def test_every_row_stays_within_its_bound(case):
+    # The proof of the packing: row i's coordinates are at most bounds[i]
+    # times the largest leaf or map coordinate, and each difference's
+    # corners at most its base's and directions' bounds added.
+    name, k, bindings = case
+    table = TABLES[name, k]
+    rows = numeric._eval_rows(table, bindings)
+    leaves = [rows[i] for i in table.leaves]
+    size = max([100, *[abs(c.numerator) for v in leaves for c in v]])
+    for i, (kind, _, args) in enumerate(table.rows):
+        assert max(map(abs, rows[i])) <= table.bounds[i] * size <= table.bound * size
+        if kind == numeric._DELTA:
+            base, dirs = args
+            corner = table.bounds[base] + sum(table.bounds[d] for d in dirs)
+            assert max(abs(sum(rows[j][c] for j in (base, *dirs))) for c in range(2)) <= corner * size <= table.bound * size
+
+
+@pytest.mark.parametrize("size, width", [(1, 64), (10**12, 128), (10**40, 256)])
+def test_the_packed_width_grows_with_the_leaves(size, width):
+    table = TABLES["chain", 4]
+    leaves = [(size, -size), (Fraction(size, 7), 3), (1, 1), (0, Fraction(-size, 11)), (2, 5)]
+    assert numeric._packing(table.bound, leaves)[1] == width
+    f, g = RandomRationalMap(1, 2, 2), RandomRationalMap(2, 2, 2)
+    bindings = numeric._chain_bindings(f, g, leaves[0], leaves[1:])
+    got = eval_expr(table, bindings)
+    assert got == eval_reference.eval_expr_reference(expand_chain(MultiIndex.ones(4)), bindings)
+
+
+@pytest.mark.parametrize("width", [64, 128])
+def test_points_equal_modulo_a_field_width_get_their_own_map_values(width):
+    # Packed at one fixed width, each pair below would be one integer.
+    top = 1 << (width - 1)
+    pairs = [((top, 0), (-top, 1)), ((5, 7), (5 + 2 * top, 7)), ((0, 1), (0, 1 + 2 * top))]
+    points = [p for pair in pairs for p in pair]
+    f = RandomRationalMap(3, 2, 2)
+    got = [f(p) for p in points]
+    assert got == [RandomRationalMap(3, 2, 2)(p) for p in points]  # a fresh map per point
+    assert len(set(got)) == len(points)
+    for a, b in pairs:
+        step = tuple(y - x for x, y in zip(a, b))
+        fresh = RandomRationalMap(3, 2, 2)
+        assert evaluate_delta(f, a, [step]) == tuple(y - x for x, y in zip(fresh(a), fresh(b)))
+        bindings = {"f": f, "x": a, "v": step}
+        expr = DeltaTerm((VecSym("v"),), "f", PointSym("x"))
+        assert eval_expr(expr, bindings) == eval_reference.eval_expr_reference(expr, bindings)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["chain", "tangent"]), st.integers(1, 6), st.integers(0, 10**6))
+def test_eval_rows_keeps_every_root_term(name, k, seed):
+    expand = expand_chain if name == "chain" else expand_tangent
+    expr = expand(MultiIndex.ones(k))
+    table = numeric._NodeTable(expr)
+    rng = random.Random(seed)
+    f, g = RandomRationalMap(derive_seed(seed, "f"), 2, 2), RandomRationalMap(derive_seed(seed, "g"), 2, 2)
+    if name == "chain":
+        x, *vs = [random_rational_vector(rng, 2) for _ in range(k + 1)]
+        bindings, want = numeric._chain_bindings(f, g, x, vs), evaluate_delta(lambda p: f(g(p)), x, vs)
+    else:
+        cub = random_cuboid(rng, k, 2)
+        bindings, want = {"f": f, "u": cub}, discrete_tangent(f, cub).component(MultiIndex.ones(k))
+    rows = numeric._eval_rows(table, bindings)
+    assert rows[-1] == rows[len(table.rows) - 1] == eval_expr(expr, bindings) == want
+    terms = expr.terms if isinstance(expr, Sum) else (expr,)
+    root_rows = table.rows[-1][2] if isinstance(expr, Sum) else [len(table.rows) - 1]
+    for term, row in zip(terms, root_rows):
+        assert rows[row] == eval_expr(term, bindings)
+
+
 # -- seeds and random sources ----------------------------------------------------------
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -317,14 +429,27 @@ def test_random_rational_map_checks_dimension():
         f((Fraction(1),))
 
 
+def _key(point, den, width):
+    """The memo key an evaluation at this denominator and width gives ``point``."""
+    return numeric._pack(point, den, width) + numeric._tag(den, width)
+
+
 def test_random_rational_map_reads_a_point_and_its_reduced_key_alike():
     f = RandomRationalMap(7, 2, 2)
-    reduced = f._at((3, 1, 6))
-    assert f._at((6, 2, 12)) is reduced
-    assert f._at((6, 2, 12)) is reduced  # now memoized as given
-    assert f((Fraction(1, 3), 2)) == (Fraction(reduced.nums[0], 720720), Fraction(reduced.nums[1], 720720))
+    point = (Fraction(1, 3), 2)
+    want = f(point)  # keyed over 720720 at 64 bits, the least a call takes
+    assert len(f._memo) == 1
+    for den, width in ((720720, 64), (3 * 720720, 64), (720720, 128), (7 * 720720, 256)):
+        key = _key(point, den, width)
+        value = f._memo[key]
+        assert numeric._decode(value, den, width, 2, -1) == want
+        size = len(f._memo)
+        assert f._memo[key] == value and len(f._memo) == size  # now memoized as given
+    assert len(f._memo) == 4
     with pytest.raises(ValueError, match="^need 2 coordinates, got 3$"):
-        f._at((6, 2, 12, 1))
+        f((Fraction(1, 3), 2, 12))
+    with pytest.raises(ValueError, match="^need 2 coordinates, got 3$"):
+        evaluate_delta(f, (Fraction(1, 3), 2, 12), [(1, 1, 1)])
 
 
 def test_a_copied_random_rational_map_gives_the_same_values():
@@ -335,7 +460,44 @@ def test_a_copied_random_rational_map_gives_the_same_values():
         assert type(twin) is RandomRationalMap
         assert (twin.seed, twin.domain_dim, twin.codomain_dim) == (99, 2, 3)
         assert [twin(p) for p in reversed(points)] == want[::-1]
-        assert twin._at((4, 1, -2)).nums == f._at((4, 1, -2)).nums
+        key = _key((Fraction(1, 4), Fraction(-1, 2)), 720720, 64)
+        assert twin._memo[key] == f._memo[key]
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: RandomRationalMap(None, None, None), "^seed must be an int, not None$"),
+        (lambda: RandomRationalMap(1.0, 2, 2), "^seed must be an int, not 1.0$"),
+        (lambda: RandomRationalMap(1, -1, 2), "^domain_dim must be an int >= 0, not -1$"),
+        (lambda: RandomRationalMap(1, True, 2), "^domain_dim must be an int >= 0, not True$"),
+        (lambda: RandomRationalMap(1, 2, "2"), "^codomain_dim must be an int >= 0, not '2'$"),
+        (lambda: RandomRationalMap(1, 2, 2)(None), "^point must be a tuple or list, not None$"),
+        (lambda: RandomRationalMap(1, 1, 1)(5), "^point must be a tuple or list, not 5$"),
+        (lambda: evaluate_delta(None, (1,), []), "^F must be callable, not None$"),
+        (lambda: evaluate_delta(square, None, []), "^base must be a tuple or list, not None$"),
+        (lambda: evaluate_delta(square, (1,), None), "^directions must be a tuple or list, not None$"),
+        (lambda: evaluate_delta(square, (1,), [None]), "^each direction must be a tuple or list, not None$"),
+        (lambda: evaluate_delta(RandomRationalMap(1, 1, 1), (1,), 5), "^directions must be a tuple or list, not 5$"),
+    ],
+    ids=[
+        "map-all-none",
+        "map-float-seed",
+        "map-negative-domain",
+        "map-bool-domain",
+        "map-str-codomain",
+        "map-called-on-none",
+        "map-called-on-an-int",
+        "delta-of-none",
+        "delta-base-none",
+        "delta-directions-none",
+        "delta-direction-none",
+        "delta-directions-an-int",
+    ],
+)
+def test_malformed_map_and_difference_arguments_raise_value_error_naming_them(build, named):
+    with pytest.raises(ValueError, match=named):
+        build()
 
 
 def test_random_vector_and_cuboid_shapes():

@@ -738,3 +738,27 @@ def test_the_lift_limit():
     wider = PolynomialMap(MAX_LIFT_VARIABLES // 2 + 1, ())
     with pytest.raises(ValueError, match="above the limit"):
         tangent_lift(wider)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Poly.variable(10**9, 0),
+        lambda: Poly.variable(MAX_LIFT_VARIABLES + 1, 0),
+        lambda: Poly.variable(None, 0),
+        lambda: Poly.variable(1, 0).embed(10**9),
+        lambda: Poly.variable(1, 0).embed(MAX_LIFT_VARIABLES + 1),
+        lambda: Poly.variable(1, 0).embed(1.5),
+    ],
+    ids=["variable-huge", "variable-past-the-limit", "variable-none", "embed-huge", "embed-past-the-limit", "embed-float"],
+)
+def test_variable_and_embed_refuse_nvars_past_the_lift_limit_before_any_key(build):
+    # A key for 10**9 variables would be a 16-billion-bit integer.
+    with pytest.raises(ValueError, match=r"^nvars must be an int in \[0, 2049\), got "):
+        build()
+
+
+def test_variable_and_embed_take_nvars_up_to_the_limit():
+    top = Poly.variable(MAX_LIFT_VARIABLES, MAX_LIFT_VARIABLES - 1)
+    assert top.terms == (((0,) * (MAX_LIFT_VARIABLES - 1) + (1,), 1),)
+    assert Poly.variable(1, 0).embed(MAX_LIFT_VARIABLES).terms[0][0][0] == 1
