@@ -267,7 +267,6 @@ def _partition_rows(dim: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
 def enumerate_partitions(alpha: MultiIndex) -> tuple[Partition, ...]:
     """All partitions of ``alpha``, sorted by (size, block digit strings):
     the rows of ``_partition_rows(alpha.order)`` placed on alpha's support,
@@ -276,9 +275,18 @@ def enumerate_partitions(alpha: MultiIndex) -> tuple[Partition, ...]:
     The zero multi-index has exactly one partition: the empty one.  An
     alpha that is not a ``MultiIndex`` raises ``ValueError``.
     """
-    check_alpha(alpha)
+    check_alpha(alpha)  # before the cache, which cannot hash a list
+    return _partitions(alpha)
+
+
+@lru_cache(maxsize=None)
+def _partitions(alpha: MultiIndex) -> tuple[Partition, ...]:
     placed = alpha.placements()
     return tuple(Partition(alpha, tuple(map(placed.__getitem__, b))) for b, _, _ in _partition_rows(alpha.order))
+
+
+# The public name keeps the cache interface that callers read and clear.
+enumerate_partitions.cache_info, enumerate_partitions.cache_clear = _partitions.cache_info, _partitions.cache_clear
 
 
 def refine(p: Partition) -> tuple[Partition, ...]:
@@ -297,7 +305,6 @@ def refine(p: Partition) -> tuple[Partition, ...]:
     return tuple(Partition(target, tuple(MultiIndex(target.dim, b) for b in blocks)) for blocks in children)
 
 
-@lru_cache(maxsize=None, typed=True)
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-element set, via the Bell triangle.
 

@@ -13,11 +13,11 @@ one pool: the caller and up to min(CPUs, 8) - 1 workers forked after every
 expansion is built.  Outcomes come back in trial order, so every report is
 byte-identical with any CPU count, and no worker outlives the call.
 The evaluators pack each exact vector into one int, signed numerators in
-fields of one width proved wide enough (``_NodeTable.bounds``), so a sum is
-one int sum and a corner one int add and a map's memo key.  What is fixed
-before the trials start is made once: the oracle suites build each
-expansion's node table before the pool forks, and a map hashes its
-per-coordinate prefix once.
+fields of one width proved wide enough (``_NodeTable.bounds``) that
+``polynomials._unpack`` reads, so a sum is one int sum and a corner one int
+add and a map's memo key.  What is fixed before the trials start is made
+once: the oracle suites build each expansion's node table before the pool
+forks, and a map hashes its per-coordinate prefix once.
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ from .cuboid import (
 )
 from .polynomials import (
     PolynomialMap,
+    _coefficient,
     _Series,
+    _unpack,
     _width,
     compose,
     d_alpha,
@@ -95,7 +97,7 @@ def _packing(bound: int, vectors: Sequence[Value]) -> tuple[int, int]:
 def _pack(v: Value, den: int, width: int) -> int:
     """``v``'s numerators over ``den`` as signed fields of ``width`` bits,
     the first lowest, above a low part that ``_tag`` fills for a memo key:
-    ``den`` in ``width`` bits, then log2(width / 64) in 8."""
+    ``den`` in ``width`` bits, then log2(width / 64) in 8; ``_unpack`` inverts it."""
     num = 0
     for c in reversed(v):
         num = (num << width) + c.numerator * (den // c.denominator)
@@ -109,12 +111,9 @@ def _tag(den: int, width: int) -> int:
 def _decode(num: int, den: int, width: int, n: int, mask: int) -> Value:
     """The n coordinates packed in ``num`` over ``den``, coordinate j a
     ``Fraction`` when bit j of ``mask`` is set."""
-    half, field, out = 1 << (width - 1), (1 << width) - 1, []
-    num >>= width + 8
-    for j in range(n):
-        x = ((num + half) & field) - half
-        num = (num - x) >> width
-        out.append(Fraction(x, den) if mask >> j & 1 else x // den)
+    out = _unpack(num >> width + 8, width, n)
+    for j, x in enumerate(out):
+        out[j] = Fraction(x, den) if mask >> j & 1 else x // den
     return tuple(out)
 
 
@@ -323,19 +322,16 @@ def derive_seed(root: int, *labels: Any) -> int:
 
 
 class _Memo(dict):
-    """A map's memo: key -> value, packed as the key is.  A missing key is
-    decoded and its point hashed."""
+    """A map's memo: key -> value, packed as the key is.  A miss reads the
+    key by ``_unpack``, and folds the hashed value as ``_unpack`` reads it."""
 
     __slots__ = ("n", "prefixes")
 
     def __missing__(self, key: int) -> int:
         width = 64 << (key & 255)
         den = key >> 8 & ((1 << width) - 1)
-        half, field, num = 1 << (width - 1), (1 << width) - 1, key >> width + 8
         text = []
-        for _ in range(self.n):  # as _decode reads the fields
-            n = ((num + half) & field) - half
-            num = (num - n) >> width
+        for n in _unpack(key >> width + 8, width, self.n):
             g = math.gcd(n, den)
             text.append(str(n // g) if g == den else f"{n // g}/{den // g}")
         text, value = "|".join(text).encode(), 0
@@ -385,7 +381,7 @@ class RandomRationalMap:
         _check_sequence("point", point)
         if len(point) != self.domain_dim:
             raise ValueError(f"need {self.domain_dim} coordinates, got {len(point)}")
-        exact = [c if type(c) in _RATIONAL else Fraction(c) for c in point]
+        exact = [c if type(c) in _RATIONAL else _coefficient("a point coordinate", c) for c in point]
         den, width = _packing(1, [exact])
         key = _pack(exact, den, width) + _tag(den, width)
         value = self._values.get(key)

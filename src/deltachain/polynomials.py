@@ -21,9 +21,10 @@ method yields both composition of maps and valuation in a formal scale
 parameter ε; the truncated series answer the valuation question to a fixed
 order without computing the degrees above it.  A series is packed too
 (Kronecker substitution): its coefficients are numerators over one
-denominator, held as signed digits of one integer, so a product of series
-is one integer multiply and a mask, and a polynomial with integral
-coefficients is evaluated at a point of integral series in packed integers.
+denominator, signed digits of one integer masked where the series is made,
+so a product of series is one integer multiply, and a polynomial with
+integral coefficients is evaluated at a point of integral series in packed
+integers.  One reader, ``_unpack``, reads the fields of every packed layout.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from operator import add, sub
 from typing import Any, Callable, Iterable, Sequence
 
 from .combinatorics import MultiIndex, check_alpha
-from .cuboid import Value, _check_instance
+from .cuboid import Value, _check_instance, _check_sequence
 
 _BITS = 16  # the width of one exponent field
 _FIELD = (1 << _BITS) - 1
@@ -273,10 +274,10 @@ class Poly:
 
     def _at_series(self, args: Sequence[Any]) -> "_Series | None":
         """The value at a point of series with denominator 1, for integral
-        coefficients and a positive degree (else ``None``): every power and
-        term is an integer modulo 2^(width·n), at one width whose fields hold
-        a bound on the value's digits, the sum of |coefficient| times the
-        largest argument bound to the degree."""
+        coefficients and a positive degree (else ``None``): every power is
+        an integer modulo 2^(width·n), at one width whose fields hold a bound
+        on the value's digits, the sum of |coefficient| times the largest
+        argument bound to the degree, and ``_series`` reduces the sum."""
         if Fraction in map(type, self._coeffs.values()):
             return None
         n = args[0].n
@@ -290,18 +291,16 @@ class Poly:
         bound = sum(map(abs, self._coeffs.values())) * base**self.degree
         width = _width(bound, width)
         low = [a._at(width) for a in reversed(args)]
-        modulus = 1 << width * n
-        mask = modulus - 1
         powers: dict[tuple[int, int], int] = {}
         acc = 0
         for key, term in self._coeffs.items():
             for field, e in _fields(key):
                 power = low[field] if e == 1 else powers.get((field, e))
                 if power is None:
-                    power = powers[field, e] = pow(low[field], e, modulus)
-                term = (term * power) & mask
+                    power = powers[field, e] = pow(low[field], e, 1 << width * n)
+                term *= power
             acc += term
-        return _series(n, 1, acc & mask, width, bound)
+        return _series(n, 1, acc, width, bound)
 
     def partial(self, i: int) -> "Poly":
         """Derivative in variable i: ``directional`` along the unit vector e_i."""
@@ -346,18 +345,31 @@ def _width(bound: int, width: int = _SERIES_BITS) -> int:
 
 
 def _pack(digits: Sequence[int], width: int) -> int:
-    """The signed digits in fields of ``width`` bits, modulo 2^(width·len)."""
+    """The signed digits in fields of ``width`` bits, the first lowest:
+    sum(digit_i · 2^(width·i)).  ``_unpack`` is its inverse."""
     num = 0
     for d in reversed(digits):
         num = (num << width) + d
-    return num & ((1 << width * len(digits)) - 1)
+    return num
+
+
+def _unpack(num: int, width: int, n: int) -> list[int]:
+    """The n signed fields of ``width`` bits in ``num``, lowest first: the
+    one reader of every packed layout.  Adding half a field makes the field
+    unsigned and carries its borrow into the next."""
+    half, field, out = 1 << (width - 1), (1 << width) - 1, []
+    for _ in range(n):
+        num += half
+        out.append((num & field) - half)
+        num >>= width
+    return out
 
 
 def _series(n: int, den: int, num: int, width: int, bound: int) -> "_Series":
-    """The series of order n with these packed parts, its denominator made
-    the least one when above 1."""
+    """The series of order n with these packed parts, ``num`` taken modulo
+    2^(width·n), its denominator made the least one when above 1."""
     out = object.__new__(_Series)
-    out.n, out.den, out.num, out.width, out.bound = n, den, num, width, bound
+    out.n, out.den, out.num, out.width, out.bound = n, den, num & ((1 << width * n) - 1), width, bound
     return out if den == 1 else _Series(out.coeffs)
 
 
@@ -386,28 +398,17 @@ class _Series:
         digits = [c.numerator * (den // c.denominator) for c in coeffs]
         self.n, self.den, self.bound = len(digits), den, sum(map(abs, digits))
         self.width = _width(self.bound)
-        self.num = _pack(digits, self.width)
+        self.num = _pack(digits, self.width) & ((1 << self.width * self.n) - 1)
 
     @classmethod
     def epsilon(cls, n: int) -> "_Series":
         """The scale parameter ε itself, mod ε^n."""
         return cls(int(i == 1) for i in range(n))
 
-    def _digits(self) -> list[int]:
-        width, num, out = self.width, self.num, []
-        half, field = 1 << (width - 1), (1 << width) - 1
-        for _ in range(self.n):
-            d = ((num + half) & field) - half
-            out.append(d)
-            num = (num - d) >> width
-        return out
-
     @property
     def coeffs(self) -> tuple[int | Fraction, ...]:
-        den = self.den
-        if den == 1:
-            return tuple(self._digits())
-        return tuple(Fraction(d, den) if d % den else d // den for d in self._digits())
+        den, digits = self.den, _unpack(self.num, self.width, self.n)
+        return tuple(digits if den == 1 else (Fraction(d, den) if d % den else d // den for d in digits))
 
     def __eq__(self, other):
         if type(other) is not _Series:
@@ -420,8 +421,8 @@ class _Series:
         return hash(self.coeffs)
 
     def _at(self, width: int) -> int:
-        """The numerator packed at ``width``."""
-        return self.num if width == self.width else _pack(self._digits(), width)
+        """The numerator packed at ``width``, reduced only where a series is made."""
+        return self.num if width == self.width else _pack(_unpack(self.num, self.width, self.n), width)
 
     def _operands(self, other: "_Series", bound: int) -> tuple[int, int, int]:
         """Both numerators at one width whose fields hold ``bound``, and that width."""
@@ -442,7 +443,7 @@ class _Series:
             return None
         bound = abs(other.numerator)
         width = _width(bound, self.width)
-        return _series(self.n, other.denominator, other.numerator & ((1 << width * self.n) - 1), width, bound)
+        return _series(self.n, other.denominator, other.numerator, width, bound)
 
     def _combine(self, other: "_Series", op: Callable[[int, int], int]) -> "_Series":
         """``op(self, other)`` for ``op`` add or sub."""
@@ -450,7 +451,7 @@ class _Series:
             return _Series(map(op, self.coeffs, other.coeffs))
         bound = self.bound + other.bound
         a, b, width = self._operands(other, bound)
-        return _series(self.n, self.den, op(a, b) & ((1 << width * self.n) - 1), width, bound)
+        return _series(self.n, self.den, op(a, b), width, bound)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -459,7 +460,7 @@ class _Series:
     __radd__ = __add__
 
     def __neg__(self):
-        return _series(self.n, self.den, -self.num & ((1 << self.width * self.n) - 1), self.width, self.bound)
+        return _series(self.n, self.den, -self.num, self.width, self.bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -474,7 +475,7 @@ class _Series:
             return NotImplemented
         bound = self.bound * other.bound
         a, b, width = self._operands(other, bound)
-        return _series(self.n, self.den * other.den, (a * b) & ((1 << width * self.n) - 1), width, bound)
+        return _series(self.n, self.den * other.den, a * b, width, bound)
 
     __rmul__ = __mul__
 
@@ -547,11 +548,6 @@ def compose(outer: PolynomialMap, inner: PolynomialMap) -> PolynomialMap:
     return PolynomialMap(inner.domain_dim, tuple(comps))
 
 
-def _check_vectors(vectors: Any) -> None:
-    if not isinstance(vectors, (tuple, list)):
-        raise ValueError(f"vectors must be a tuple or list, not {vectors!r}")
-
-
 def directional_derivative(f: PolynomialMap, u: Sequence[Fraction | int]) -> PolynomialMap:
     _check_instance("f", f, PolynomialMap)
     return PolynomialMap(f.domain_dim, tuple(p.directional(u) for p in f.components))
@@ -559,7 +555,7 @@ def directional_derivative(f: PolynomialMap, u: Sequence[Fraction | int]) -> Pol
 
 def iterated_directional(f: PolynomialMap, vectors: Sequence[Sequence[Fraction | int]]) -> PolynomialMap:
     _check_instance("f", f, PolynomialMap)
-    _check_vectors(vectors)
+    _check_sequence("vectors", vectors)
     return reduce(directional_derivative, vectors, f)
 
 
@@ -569,7 +565,7 @@ def d_alpha(
     alpha: MultiIndex,
 ) -> PolynomialMap:
     """Mixed directional derivative: direction i applied alpha_i times."""
-    _check_vectors(vectors)
+    _check_sequence("vectors", vectors)
     check_alpha(alpha)
     if alpha.dim != len(vectors):
         raise ValueError("one direction vector per digit is required")

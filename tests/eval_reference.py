@@ -21,7 +21,9 @@ seed, with denominators up to 10^(e/2), so the packed evaluations take
 fields of 64 bits and up.  The sweep prints how many evaluations ran at each
 width, and on tuples (the type-following map).
 
-It prints the counts and exits 1 on any difference, in value or in type.
+It prints the counts and exits 1 on any difference, in value or in type,
+and, with ``--wide``, when any of the widths 64, 128, ..., 4096 ran no
+evaluation, so the shared field reader is compared at every field width.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from deltachain.combinatorics import MultiIndex
 from deltachain.cuboid import Cuboid, Value, corners, vector_sum
 from deltachain.numeric import EvaluationError, RandomRationalMap, _eval_rows, _NodeTable, derive_seed
 from deltachain.symbolic import App, ComponentSym, Expr, PointSym, Sum, VecSym, _postorder, expand_chain, expand_tangent
+
+
+WIDE_WIDTHS = tuple(64 << i for i in range(7))  # the field widths a --wide sweep must reach
 
 
 def evaluate_delta_reference(F: Callable[[Value], Value], base: Value, dirs: Sequence[Value]) -> Value:
@@ -149,7 +154,10 @@ def main(argv: list[str]) -> int:
                         print(f"  differs: {name}, seed {seed}, k {k}, pseudorandom maps {pseudorandom}")
     print(f"evaluator: {cases} evaluations, {differing} differ from the reference")
     print("  evaluations by packed width: " + ", ".join(f"{w}: {c}" for w, c in sorted(widths.items(), key=str)))
-    return 1 if differing else 0
+    missing = [w for w in WIDE_WIDTHS if not widths[w]] if wide else []
+    if missing:
+        print("  no evaluation at width " + ", ".join(map(str, missing)))
+    return 1 if differing or missing else 0
 
 
 if __name__ == "__main__":

@@ -60,7 +60,6 @@ def clear_formula_caches() -> None:
     expand_tangent.cache_clear()
     expand_chain.cache_clear()
     enumerate_partitions.cache_clear()
-    bell_number.cache_clear()
     _ones_families.cache_clear()
     _partition_rows.cache_clear()
 

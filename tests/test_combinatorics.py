@@ -190,6 +190,7 @@ def test_restrict_embed_round_trip():
         lambda: parse("f(x)", dim="3"),
         lambda: enumerate_partitions("11"),
         lambda: enumerate_partitions(None),
+        lambda: enumerate_partitions([1]),
         lambda: refine("x"),
         lambda: refine(MultiIndex.ones(2)),
         lambda: Partition("11", ()),
@@ -208,6 +209,7 @@ def test_restrict_embed_round_trip():
         lambda: mask_rank(-1),
         lambda: bell_number("3"),
         lambda: bell_number(True),
+        lambda: bell_number([1]),
         lambda: mi("111").restrict(("x",)),
         lambda: mi("101").restrict((0.0, 2)),
         lambda: mi("111").restrict(5),
@@ -219,10 +221,10 @@ def test_restrict_embed_round_trip():
     ],
     ids=[
         "build-asets", "asets-to-json", "scaling", "smooth-chain", "run-suite", "validate", "parse-u1", "parse-fx",
-        "partitions-str", "partitions-none", "refine-str", "refine-index", "partition-str-target",
+        "partitions-str", "partitions-none", "partitions-list", "refine-str", "refine-index", "partition-str-target",
         "partition-str-block", "partition-int-blocks", "parse-int", "parse-none", "parse-bytes", "parse-json-int",
         "ones-str", "ones-negative", "unit-str", "from-string-int", "from-bits-int", "mask-rank-str",
-        "mask-rank-negative", "bell-str", "bell-bool", "restrict-str", "restrict-float", "restrict-int",
+        "mask-rank-negative", "bell-str", "bell-bool", "bell-list", "restrict-str", "restrict-float", "restrict-int",
         "restrict-bool", "embed-str-position", "embed-str-dim", "le-int", "lt-str",
     ],
 )

@@ -474,6 +474,9 @@ def test_a_copied_random_rational_map_gives_the_same_values():
         (lambda: RandomRationalMap(1, 2, "2"), "^codomain_dim must be an int >= 0, not '2'$"),
         (lambda: RandomRationalMap(1, 2, 2)(None), "^point must be a tuple or list, not None$"),
         (lambda: RandomRationalMap(1, 1, 1)(5), "^point must be a tuple or list, not 5$"),
+        (lambda: RandomRationalMap(1, 2, 2)((float("inf"), 1)), "^a point coordinate must be a rational, got inf$"),
+        (lambda: RandomRationalMap(1, 2, 2)((None, 1)), "^a point coordinate must be a rational, got None$"),
+        (lambda: RandomRationalMap(1, 2, 2)((1j, 1)), r"^a point coordinate must be a rational, got 1j$"),
         (lambda: evaluate_delta(None, (1,), []), "^F must be callable, not None$"),
         (lambda: evaluate_delta(square, None, []), "^base must be a tuple or list, not None$"),
         (lambda: evaluate_delta(square, (1,), None), "^directions must be a tuple or list, not None$"),
@@ -488,6 +491,9 @@ def test_a_copied_random_rational_map_gives_the_same_values():
         "map-str-codomain",
         "map-called-on-none",
         "map-called-on-an-int",
+        "map-infinite-coordinate",
+        "map-none-coordinate",
+        "map-complex-coordinate",
         "delta-of-none",
         "delta-base-none",
         "delta-directions-none",
@@ -993,3 +999,10 @@ def test_a_process_whose_parent_changed_takes_no_task():
     finally:
         os.close(queue)
     assert done == {}
+
+
+def test_a_map_reads_a_coordinate_as_the_rational_it_names():
+    f = RandomRationalMap(5, 2, 2)
+    for odd, exact in ((2.0, 2), (True, 1), ("3", 3), (0.5, Fraction(1, 2))):
+        assert f((odd, 1)) is f((exact, 1))  # one key, so one memoized value
+    assert len(f._values) == 4

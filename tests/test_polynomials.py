@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import poly_reference
-from deltachain import polynomials
+from deltachain import numeric, polynomials
 from deltachain.combinatorics import MultiIndex
 from deltachain.polynomials import (
     _LIMIT,
@@ -14,6 +14,9 @@ from deltachain.polynomials import (
     PolynomialMap,
     _Series,
     _fields,
+    _pack,
+    _series,
+    _unpack,
     compose,
     d_alpha,
     directional_derivative,
@@ -598,6 +601,31 @@ def big_coefficients():
 )
 def test_packed_series_match_the_reference(case):
     assert poly_reference.differences(poly_reference.series_cases(*case)) == []
+
+
+def signed_fields(width: int):
+    """Digits of a signed field of ``width`` bits, half of them at an edge."""
+    top = 1 << (width - 1)
+    return st.one_of(st.sampled_from((-top, -top + 1, -1, 0, 1, top - 2, top - 1)), st.integers(-top, top - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([64 << i for i in range(7)]).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(signed_fields(w), max_size=8))
+    ),
+    st.integers(-(2**70), 2**70),
+)
+def test_one_reader_reads_every_packed_layout(case, m):
+    width, digits = case
+    n = len(digits)
+    num = _pack(digits, width)
+    assert _unpack(num, width, n) == digits
+    # the evaluator's fold, fused with scaling, above the low part _tag fills
+    assert _unpack(numeric._pack(digits, 1, width) >> width + 8, width, n) == digits
+    # a series is taken modulo 2^(width·n) where it is made
+    series = _series(n, 1, num + (m << width * n), width, sum(map(abs, digits)))
+    assert series == _series(n, 1, num, width, 0) and series.coeffs == tuple(digits)
 
 
 def test_series_fields_widen_instead_of_overflowing():
