@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import add, neg, sub
 from typing import Any, Callable, Iterator, Sequence
 
-from .combinatorics import MultiIndex
+from .combinatorics import MultiIndex, check_int
 
 Value = tuple[Any, ...]
 
@@ -99,8 +99,7 @@ class Cuboid:
     components: tuple[Value, ...]
 
     def __post_init__(self) -> None:
-        if type(self.dim) is not int or self.dim < 0:
-            raise ValueError(f"dim must be an int >= 0, not {self.dim!r}")
+        check_int("dim", self.dim)
         _check_sequence("components", self.components)
         for c in self.components:
             _check_sequence("each component", c)

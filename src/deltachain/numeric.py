@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
-from .combinatorics import MultiIndex, check_alpha, enumerate_partitions, refine
+from .combinatorics import MultiIndex, check_alpha, check_int, enumerate_partitions, refine
 from .cuboid import (
     Cuboid,
     PointedDirections,
@@ -58,6 +58,7 @@ from .polynomials import (
     _width,
     compose,
     d_alpha,
+    directional_derivative,
     iterated_directional,
     iterated_tangent_lift,
     random_polynomial_map,
@@ -257,22 +258,26 @@ def _eval_rows(table: _NodeTable, bindings: Mapping[str, Any]) -> _Rows:
             return tuple(bound(name, lambda v: isinstance(v, (tuple, list)), "a vector"))
         return bound(name, lambda c: isinstance(c, Cuboid), "a cuboid").component(index)
 
-    rows, values = table.rows, []
+    rows, values, vectors = table.rows, [], []
     push = values.append
+    for i in table.leaves:
+        try:
+            vectors.append(leaf(*rows[i]))
+        except (EvaluationError, ValueError):
+            vectors.append(None)  # the walk below binds it again, and meets the fault in row order
     try:
-        vectors = [leaf(*rows[i]) for i in table.leaves]
         n = len(vectors[0])
         packed = table.bound and all(len(v) == n and set(map(type, v)) <= _RATIONAL for v in vectors)
         for F in [bindings[name] for name in table.maps]:
             packed = packed and type(F) is RandomRationalMap and F.domain_dim == F.codomain_dim == n
-    except (EvaluationError, IndexError, KeyError, ValueError):
-        packed = False  # the walk below meets the fault in row order
+    except (IndexError, KeyError, TypeError):  # no leaf, an unbound map, or a leaf that faulted (None)
+        packed = False
     if packed:
         den, width = _packing(table.bound, vectors)
         tag, add, leaves = _tag(den, width), sum, iter([_pack(v, den, width) for v in vectors])
-        apply, leaf = (lambda F, v: F._memo[v + tag]), (lambda *_: next(leaves))  # leaves in row order
+        apply = lambda F, v: F._memo[v + tag]
     else:
-        tag, add, apply = (), vector_sum, (lambda F, v: tuple(F(v)))  # a tuple plus () is itself
+        tag, add, apply, leaves = (), vector_sum, (lambda F, v: tuple(F(v))), iter(vectors)  # a tuple plus () is itself
     # A ValueError from a cuboid lookup, a vector sum or a bound map becomes
     # an EvaluationError with the same text, whichever node raised it.
     try:
@@ -286,8 +291,9 @@ def _eval_rows(table: _NodeTable, bindings: Mapping[str, Any]) -> _Rows:
                 push(add([values[t] for t in args]))
             elif kind == _APP:
                 push(apply(bound(name, callable, "a map"), values[args]))
-            else:
-                push(leaf(kind, name, args))
+            else:  # a leaf, in row order
+                v = next(leaves)
+                push(leaf(kind, name, args) if v is None else v)
     except ValueError as exc:
         raise EvaluationError(str(exc)) from None
     if not packed:
@@ -362,11 +368,9 @@ class RandomRationalMap:
     """
 
     def __init__(self, seed: int, domain_dim: int, codomain_dim: int):
-        if type(seed) is not int:
-            raise ValueError(f"seed must be an int, not {seed!r}")
-        for name, dim in (("domain_dim", domain_dim), ("codomain_dim", codomain_dim)):
-            if type(dim) is not int or dim < 0:
-                raise ValueError(f"{name} must be an int >= 0, not {dim!r}")
+        check_int("seed", seed, None)
+        check_int("domain_dim", domain_dim)
+        check_int("codomain_dim", codomain_dim)
         self.seed, self.domain_dim, self.codomain_dim = seed, domain_dim, codomain_dim
         self._memo = _Memo()
         self._memo.n = domain_dim
@@ -437,11 +441,6 @@ class VerificationReport:
 
 def reports_to_json(reports: Sequence[VerificationReport]) -> str:
     return json.dumps([r.to_obj() for r in reports], indent=2, sort_keys=True)
-
-
-def _require_count(name: str, n: Any) -> None:
-    if type(n) is not int or n < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {n!r}")
 
 
 _MAX_PROCESSES = 8  # the caller and at most seven forked workers
@@ -545,7 +544,7 @@ def _run_trials(seed: int, specs: Sequence[_Spec]) -> list[VerificationReport]:
     trial order.  A ``trials`` that is not an ``int`` >= 1 (a ``bool``
     included) raises ``ValueError`` before any trial runs."""
     for spec in specs:
-        _require_count("trials", spec[2])
+        check_int("trials", spec[2], 1)
     tasks = [(check, derive_seed(seed, *labels, t)) for _, labels, n, check, _, _ in specs for t in range(n)]
     outcomes = iter(_run_tasks(tasks))
     reports = []
@@ -574,8 +573,8 @@ def verify_chain_expansion(seed: int, trials: int = 50, kmax: int = 5) -> list[V
 
 
 def _chain_specs(trials: int, kmax: int) -> list[_Spec]:
-    _require_count("kmax", kmax)
-    _require_count("trials", trials)  # before any expansion is built
+    check_int("kmax", kmax, 1)
+    check_int("trials", trials, 1)  # before any expansion is built
 
     def spec(k: int) -> _Spec:
         alpha = MultiIndex.ones(k)
@@ -604,8 +603,8 @@ def verify_tangent_expansion(seed: int, trials: int = 50, kmax: int = 5) -> list
 
 
 def _tangent_specs(trials: int, kmax: int) -> list[_Spec]:
-    _require_count("kmax", kmax)
-    _require_count("trials", trials)  # before any expansion is built
+    check_int("kmax", kmax, 1)
+    check_int("trials", trials, 1)  # before any expansion is built
 
     def spec(k: int) -> _Spec:
         alpha = MultiIndex.ones(k)
@@ -762,7 +761,7 @@ MAX_EPS_EXPONENT = 1000
 # The largest |alpha| the scaling suite takes.  A trial draws maps of degree
 # |alpha| + 1 and evaluates them in ε-series of order (|alpha| + 1)² + 1, so
 # its cost grows steeply: `verify --suite scaling --trials 1` with an
-# all-ones alpha takes about 1.8 s at |alpha| = 5 and 27 s at 6 on one CPU.
+# all-ones alpha takes about 1.7 s at |alpha| = 5 and 20-23 s at 6 on one CPU.
 MAX_SCALING_ORDER = 5
 
 
@@ -802,10 +801,8 @@ def scaling_slope(
     ``ValueError``.  The result is degenerate when every norm is zero;
     ``slope`` is ``None`` then or when fewer than two norms are nonzero.
     """
-    if any(not isinstance(j, int) or isinstance(j, bool) or j < 0 for j in eps_exponents):
-        raise ValueError(f"grid exponents must be nonnegative integers, got {list(eps_exponents)}")
-    if any(j > MAX_EPS_EXPONENT for j in eps_exponents):
-        raise ValueError(f"grid exponents must be at most {MAX_EPS_EXPONENT}, got {max(eps_exponents)}")
+    for j in eps_exponents:
+        check_int("grid exponent", j, 0, MAX_EPS_EXPONENT)
     if len(set(eps_exponents)) < 2:
         raise ValueError(f"a slope needs at least two grid points, got {sorted(set(eps_exponents))}")
     df, dg = (max(0, max((p.degree for p in m.components), default=0)) for m in (f, g))
@@ -893,6 +890,17 @@ def verify_smooth_chain(alpha: MultiIndex, seed: int, trials: int = 25) -> Verif
     return report
 
 
+def _derivatives(f: PolynomialMap, us: Sequence[Value], alpha: MultiIndex) -> dict[int, PolynomialMap]:
+    """``d_alpha(f, us, b)`` for every b below alpha, by mask: each entry
+    extends the one without b's highest digit by that digit's direction, the
+    order in which ``d_alpha`` applies them, so it is the map ``d_alpha`` returns."""
+    table = {0: f}
+    for b in alpha.placements()[1:]:  # each after the entry it extends
+        top = b.mask.bit_length() - 1
+        table[b.mask] = directional_derivative(table[b.mask ^ 1 << top], us[top])
+    return table
+
+
 def _smooth_spec(alpha: MultiIndex, trials: int) -> _Spec:
     check_alpha(alpha)
     k = alpha.dim
@@ -908,8 +916,8 @@ def _smooth_spec(alpha: MultiIndex, trials: int) -> _Spec:
         x = random_rational_vector(rng, 2, bound=3)
         us = [random_rational_vector(rng, 2, bound=3) for _ in range(k)]
 
-        gx = g(x)
-        terms = [iterated_directional(f, [d_alpha(g, us, b)(x) for b in p.blocks])(gx) for p in table]
+        dg = {m: D(x) for m, D in _derivatives(g, us, alpha).items()}  # dg[0] is g(x)
+        terms = [iterated_directional(f, [dg[b.mask] for b in p.blocks])(dg[0]) for p in table]
         fg = compose(f, g)
         if d_alpha(fg, us, alpha)(x) != vector_sum(terms):
             return Failure(s, str(alpha), "composition derivative expansion")
@@ -917,8 +925,9 @@ def _smooth_spec(alpha: MultiIndex, trials: int) -> _Spec:
         lift = iterated_tangent_lift(f, k)
         injected = inject(PointedDirections(x, tuple(us)))
         out = Cuboid.from_flat(k, 2, lift(injected.flatten()))
+        df = _derivatives(f, us, MultiIndex.ones(k))
         for beta in injected.indices():
-            if out.component(beta) != d_alpha(f, us, beta)(x):
+            if out.component(beta) != df[beta.mask](x):
                 return Failure(s, str(beta), "lift disagrees on injected cuboid")
 
         cub = random_cuboid(rng, k, 2, bound=3)
@@ -953,8 +962,9 @@ def run_suite(
 ) -> list[VerificationReport]:
     """Run one named verification suite (or all of them) and return reports.
     Every trial of the call runs in one trial pool."""
-    if any(n is not None and (type(n) is not int or n < 1) for n in (trials, kmax)):
-        raise ValueError(f"trials and kmax must be None or an int >= 1, got {trials!r} and {kmax!r}")
+    for count, n in (("trials", trials), ("kmax", kmax)):
+        if n is not None:
+            check_int(count, n, 1)
     if alpha is not None:
         check_alpha(alpha)
     return _run_trials(seed, _suite_specs(name, trials, kmax, alpha, eps_exponents))

@@ -38,7 +38,7 @@ from itertools import product
 from operator import add, sub
 from typing import Any, Callable, Iterable, Sequence
 
-from .combinatorics import MultiIndex, check_alpha
+from .combinatorics import MultiIndex, check_alpha, check_int
 from .cuboid import Value, _check_instance, _check_sequence
 
 _BITS = 16  # the width of one exponent field
@@ -83,11 +83,6 @@ def _fields(key: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _check_index(what: str, i: Any, n: int) -> None:
-    if type(i) is not int or not 0 <= i < n:
-        raise ValueError(f"{what} must be an int in [0, {n}), got {i!r}")
-
-
 class Poly:
     """A polynomial as a dict from packed monomials to nonzero coefficients.
 
@@ -115,8 +110,7 @@ class Poly:
 
     @classmethod
     def make(cls, nvars: int, coeffs: dict[tuple[int, ...], Fraction | int]) -> "Poly":
-        if type(nvars) is not int or nvars < 0:
-            raise ValueError(f"nvars must be an int >= 0, got {nvars!r}")
+        check_int("nvars", nvars)
         packed: dict[int, int | Fraction] = {}
         for expts, c in coeffs.items():
             try:
@@ -127,8 +121,7 @@ class Poly:
                 raise ValueError(f"exponent tuple {expts} does not have {nvars} entries")
             key = 0
             for e in expts:
-                if type(e) is not int or e < 0:
-                    raise ValueError(f"exponents must be nonnegative ints, got {expts}")
+                check_int("exponent", e)
                 key = key << _BITS | e
             if sum(expts) >= _LIMIT:
                 raise ValueError(f"exponent tuple {expts} reaches the degree limit {_LIMIT}")
@@ -144,8 +137,8 @@ class Poly:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
-        _check_index("nvars", nvars, MAX_LIFT_VARIABLES + 1)  # before 1 << nvars fields is built
-        _check_index("variable index", i, nvars)
+        check_int("nvars", nvars, 0, MAX_LIFT_VARIABLES)  # before 1 << nvars fields is built
+        check_int("variable index", i, 0, nvars - 1)
         return cls(nvars, {1 << _BITS * (nvars - 1 - i): 1})
 
     @property
@@ -225,8 +218,7 @@ class Poly:
 
     def __pow__(self, n: int):
         """Power by repeated squaring."""
-        if type(n) is not int or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        check_int("exponent", n)
         if n * self.degree >= _LIMIT:
             raise ValueError(f"a power of degree {n * self.degree} reaches the degree limit {_LIMIT}")
         out, square = None, self
@@ -304,7 +296,7 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         """Derivative in variable i: ``directional`` along the unit vector e_i."""
-        _check_index("variable index", i, self.nvars)
+        check_int("variable index", i, 0, self.nvars - 1)
         return self.directional([int(j == i) for j in range(self.nvars)])
 
     def directional(self, u: Sequence[Fraction | int]) -> "Poly":
@@ -326,7 +318,7 @@ class Poly:
 
     def embed(self, nvars: int) -> "Poly":
         """Reinterpret in a larger variable set: the new variables come last."""
-        _check_index("nvars", nvars, MAX_LIFT_VARIABLES + 1)
+        check_int("nvars", nvars, 0, MAX_LIFT_VARIABLES)
         if self.nvars > nvars:
             raise ValueError("embedding does not fit")
         shift = _BITS * (nvars - self.nvars)
@@ -480,8 +472,7 @@ class _Series:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if type(k) is not int or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        check_int("exponent", k)
         bound = self.bound**k
         width = _width(bound, self.width)
         return _series(self.n, self.den**k, pow(self._at(width), k, 1 << width * self.n), width, bound)
@@ -513,8 +504,7 @@ class PolynomialMap:
     components: tuple[Poly, ...]
 
     def __post_init__(self) -> None:
-        if type(self.domain_dim) is not int or self.domain_dim < 0:
-            raise ValueError(f"domain_dim must be an int >= 0, got {self.domain_dim!r}")
+        check_int("domain_dim", self.domain_dim)
         try:
             object.__setattr__(self, "components", tuple(self.components))
         except TypeError:
@@ -602,8 +592,7 @@ def iterated_tangent_lift(f: PolynomialMap, k: int) -> PolynomialMap:
     """``tangent_lift`` applied k times, on f.domain_dim · 2^k variables;
     ``ValueError`` before any lift when that passes ``MAX_LIFT_VARIABLES``."""
     _check_instance("f", f, PolynomialMap)
-    if type(k) is not int or k < 0:
-        raise ValueError(f"k must be an int >= 0, got {k!r}")
+    check_int("k", k)
     if k.bit_length() > MAX_LIFT_VARIABLES.bit_length() or f.domain_dim << k > MAX_LIFT_VARIABLES:
         raise ValueError(f"{k} lifts of {f.domain_dim} variables pass the limit of {MAX_LIFT_VARIABLES} variables")
     for _ in range(k):

@@ -39,7 +39,7 @@ from operator import attrgetter
 from typing import Callable, Union, get_args
 
 from .asets import _json_array, _json_object, _ones_families
-from .combinatorics import MultiIndex, check_alpha
+from .combinatorics import MultiIndex, check_alpha, check_int
 
 # Every live node, keyed by its class and field values.  The table is weak:
 # a node no expression or caller holds any more drops out of it.
@@ -824,10 +824,8 @@ def parse(s: str, fmt: str = "text", dim: int | None = None) -> Expr:
     """
     if not isinstance(s, str):
         raise ValueError(f"expected a str to parse, not {type(s).__name__}")
-    if dim is not None and (type(dim) is not int or dim < 0):
-        raise ValueError(f"dim must be None or an int >= 0, not {dim!r}")
-    if dim is not None and dim > _MAX_INFERRED_DIM:
-        raise ValueError(f"dim is above {_MAX_INFERRED_DIM}")
+    if dim is not None:
+        check_int("dim", dim, 0, _MAX_INFERRED_DIM)
     if fmt == "json":
         try:
             try:

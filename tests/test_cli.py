@@ -281,7 +281,7 @@ def test_a_scale_exponent_above_the_limit_exits_2(capsys):
 @pytest.mark.parametrize("suite", ["scaling", "all"])
 @pytest.mark.parametrize("alpha", ["111111", "11111111", "1011111"])
 def test_a_scaling_alpha_above_the_order_limit_exits_2(suite, alpha, capsys, monkeypatch):
-    # A scaling trial at order 6 takes about 27 s; no suite runs at all.
+    # A scaling trial at order 6 takes over 20 s; no suite runs at all.
     def no_run(*args, **kwargs):
         raise AssertionError("a suite ran")
 

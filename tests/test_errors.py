@@ -1,0 +1,92 @@
+"""The error contract for integer arguments: every count, dimension, index
+and exponent a public entry point takes is an ``int`` (a ``bool`` is not
+one) within its bounds, or the call raises ``ValueError`` with one message
+shape.  One row per argument: (id, the call, the argument's name, low,
+high), with ``None`` for an open end."""
+
+import re
+
+import pytest
+
+from deltachain.combinatorics import MAX_BELL_N, MultiIndex, bell_number, mask_rank
+from deltachain.cuboid import Cuboid
+from deltachain.numeric import (
+    MAX_EPS_EXPONENT,
+    RandomRationalMap,
+    identity_suite,
+    run_suite,
+    scaling_slope,
+    scaling_trial,
+    verify_chain_expansion,
+    verify_tangent_expansion,
+)
+from deltachain.polynomials import MAX_LIFT_VARIABLES, Poly, PolynomialMap, _Series, iterated_tangent_lift
+from deltachain.symbolic import parse
+
+_ALPHA = MultiIndex.ones(2)
+_TRIAL = scaling_trial(5, _ALPHA)
+
+_TABLE = [
+    ("unit-dim", lambda v: MultiIndex.unit(v, 0), "dim", 0, None),
+    ("unit-position", lambda v: MultiIndex.unit(3, v), "position", 0, 2),
+    ("ones", lambda v: MultiIndex.ones(v), "dim", 0, None),
+    ("embed", lambda v: MultiIndex.ones(1).embed((0,), v), "dim", 0, None),
+    ("mask-rank", lambda v: mask_rank(v), "dim", 0, None),
+    ("bell-number", lambda v: bell_number(v), "n", 0, MAX_BELL_N),
+    ("cuboid", lambda v: Cuboid(v, ((1,), (2,))), "dim", 0, None),
+    ("map-seed", lambda v: RandomRationalMap(v, 2, 2), "seed", None, None),
+    ("map-domain", lambda v: RandomRationalMap(1, v, 2), "domain_dim", 0, None),
+    ("map-codomain", lambda v: RandomRationalMap(1, 2, v), "codomain_dim", 0, None),
+    ("trials", lambda v: identity_suite(1, trials=v), "trials", 1, None),
+    ("chain-trials", lambda v: verify_chain_expansion(1, trials=v, kmax=2), "trials", 1, None),
+    ("chain-kmax", lambda v: verify_chain_expansion(1, trials=1, kmax=v), "kmax", 1, None),
+    ("tangent-trials", lambda v: verify_tangent_expansion(1, trials=v, kmax=2), "trials", 1, None),
+    ("tangent-kmax", lambda v: verify_tangent_expansion(1, trials=1, kmax=v), "kmax", 1, None),
+    ("suite-trials", lambda v: run_suite("theorem-b", 1, trials=v), "trials", 1, None),
+    ("suite-kmax", lambda v: run_suite("smooth-chain", 1, kmax=v), "kmax", 1, None),
+    ("grid-exponent", lambda v: scaling_slope(*_TRIAL, _ALPHA, (3, v)), "grid exponent", 0, MAX_EPS_EXPONENT),
+    ("variable-nvars", lambda v: Poly.variable(v, 0), "nvars", 0, MAX_LIFT_VARIABLES),
+    ("variable-index", lambda v: Poly.variable(2, v), "variable index", 0, 1),
+    ("partial", lambda v: Poly.variable(2, 0).partial(v), "variable index", 0, 1),
+    ("poly-embed", lambda v: Poly.variable(1, 0).embed(v), "nvars", 0, MAX_LIFT_VARIABLES),
+    ("make-nvars", lambda v: Poly.make(v, {}), "nvars", 0, None),
+    ("make-exponent", lambda v: Poly.make(2, {(1, v): 1}), "exponent", 0, None),
+    ("poly-power", lambda v: Poly.variable(2, 0) ** v, "exponent", 0, None),
+    ("series-power", lambda v: _Series.epsilon(3) ** v, "exponent", 0, None),
+    ("polynomial-map", lambda v: PolynomialMap(v, ()), "domain_dim", 0, None),
+    ("tangent-lift", lambda v: iterated_tangent_lift(PolynomialMap(1, ()), v), "k", 0, None),
+    ("parse-dim", lambda v: parse("u_1", dim=v), "dim", 0, 1 << 16),
+]
+
+
+def _cases():
+    for row_id, call, name, low, high in _TABLE:
+        bad = [("bool", True), ("float", 1.5), ("str", "3")]
+        if low is not None:
+            bad.append(("below", low - 1))
+        if high is not None:
+            bad.append(("above", high + 1))
+        for bad_id, value in bad:
+            yield pytest.param(call, name, low, high, value, id=f"{row_id}-{bad_id}")
+
+
+@pytest.mark.parametrize("call, name, low, high, value", _cases())
+def test_a_malformed_integer_argument_raises_one_message(call, name, low, high, value):
+    bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be an int{bounds}, not {value!r}") + "$"):
+        call(value)
+
+
+_LIMITED = [row for row in _TABLE if row[4] is not None]
+
+
+@pytest.mark.parametrize("call, high", [row[1::3] for row in _LIMITED], ids=[row[0] for row in _LIMITED])
+def test_an_upper_bound_is_itself_accepted(call, high):
+    call(high)
+
+
+def test_bell_number_at_its_limit():
+    # Touchard's congruence: B(n + p) = B(n) + B(n + 1) mod a prime p.
+    assert bell_number(MAX_BELL_N) % 997 == (bell_number(3) + bell_number(4)) % 997
+    with pytest.raises(ValueError, match=r"^n must be an int in \[0, 1000\], not 1001$"):
+        bell_number(MAX_BELL_N + 1)

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import random
+import re
 import signal
 import time
 from fractions import Fraction
@@ -36,7 +37,7 @@ from deltachain.numeric import (
     verify_smooth_chain,
     verify_tangent_expansion,
 )
-from deltachain.polynomials import Poly, PolynomialMap, random_polynomial_map
+from deltachain.polynomials import Poly, PolynomialMap, d_alpha, random_polynomial_map
 from deltachain.symbolic import App, DeltaTerm, PointSym, Sum, VecSym, expand_chain, expand_tangent, main_part, parse
 
 import eval_reference
@@ -178,6 +179,25 @@ def test_eval_expr_evaluates_each_distinct_difference_once(monkeypatch):
     monkeypatch.setattr(numeric, "_difference", counting)
     assert eval_expr(expr, bindings) == want
     assert calls == len(distinct) < visits
+
+
+def test_eval_expr_binds_each_leaf_once_when_it_does_not_pack():
+    # A map that is not a RandomRationalMap keeps the rows as tuples; the walk
+    # reads the vectors bound when packing was decided.
+    calls = 0
+
+    class Counting(Cuboid):
+        def component(self, index):
+            nonlocal calls
+            calls += 1
+            return super().component(index)
+
+    expr = expand_tangent(MultiIndex.ones(3))
+    cub = random_cuboid(random.Random(3), 3, 2)
+    f = RandomRationalMap(1, 2, 2)
+    want = eval_expr(expr, {"f": f, "u": cub})
+    assert eval_expr(expr, {"f": lambda p: f(p), "u": Counting(cub.dim, cub.components)}) == want
+    assert calls == len(numeric._NodeTable(expr).leaves)
 
 
 def test_eval_expr_values_match_the_recorded_digest():
@@ -625,7 +645,7 @@ def test_scaling_rejects_a_short_grid_or_a_bad_exponent(grid):
     g = random_polynomial_map(rng, 2, 2, degree=3, dense=True)
     x = (Fraction(1), Fraction(0))
     ws = [(Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))]
-    match = "at least two grid points|must be nonnegative integers"
+    match = r"at least two grid points|grid exponent must be an int in \[0, 1000\], not "
     with pytest.raises(ValueError, match=match):
         scaling_slope(f, g, x, ws, mi("11"), grid)
     with pytest.raises(ValueError, match=match):
@@ -634,7 +654,7 @@ def test_scaling_rejects_a_short_grid_or_a_bad_exponent(grid):
 
 def test_scaling_rejects_an_exponent_above_the_limit():
     alpha = mi("11")
-    with pytest.raises(ValueError, match="grid exponents must be at most 1000, got 1001"):
+    with pytest.raises(ValueError, match=r"grid exponent must be an int in \[0, 1000\], not 1001"):
         scaling_slope(*numeric.scaling_trial(5, alpha), alpha, (3, 1001))
 
 
@@ -681,7 +701,7 @@ def _trial_raises(*args):
     ids=["verify-scaling", "run-suite-scaling", "run-suite-all"],
 )
 def test_scaling_rejects_an_order_above_the_limit_before_any_trial(run, monkeypatch):
-    # A trial at |alpha| = 6 takes about 27 s and one at 8 did not end in
+    # A trial at |alpha| = 6 takes over 20 s and one at 8 did not end in
     # 100 s; the limit is checked before any trial runs.
     monkeypatch.setattr(numeric, "scaling_trial", _trial_raises)
     limit = numeric.MAX_SCALING_ORDER
@@ -746,6 +766,17 @@ def test_smooth_chain_on_sparse_alpha():
     assert report.passed
 
 
+def test_the_smooth_chain_derivative_table_holds_d_alpha_below_alpha():
+    rng = random.Random(5)
+    f = random_polynomial_map(rng, 2, 2, degree=3)
+    us = [random_rational_vector(rng, 2, bound=3) for _ in range(4)]
+    alpha = mi("1011")
+    table = numeric._derivatives(f, us, alpha)
+    assert sorted(table) == sorted(b.mask for b in alpha.placements())
+    for b in alpha.placements():
+        assert table[b.mask] == d_alpha(f, us, b)
+
+
 # -- dispatch -----------------------------------------------------------------------------------
 
 def test_run_suite_dispatch():
@@ -775,7 +806,8 @@ def test_run_suite_all_forwards_overrides():
     ],
 )
 def test_run_suite_rejects_bad_trial_and_depth_counts(name, overrides):
-    with pytest.raises(ValueError, match="must be None or an int >= 1"):
+    ((count, value),) = overrides.items()
+    with pytest.raises(ValueError, match=re.escape(f"{count} must be an int >= 1, not {value!r}")):
         run_suite(name, seed=1, **overrides)
 
 
@@ -796,7 +828,7 @@ def test_run_suite_rejects_bad_trial_and_depth_counts(name, overrides):
 @pytest.mark.parametrize("count", [0, -3, True, 1.5])
 def test_suites_reject_a_count_that_checks_nothing(call, name, count):
     # Each of these once returned a passing report that checked nothing.
-    with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int >= 1, not {count!r}")):
         call(count)
 
 
