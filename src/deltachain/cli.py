@@ -69,18 +69,16 @@ def _alpha_arg(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Mul
     parser.error("one of --alpha or --order is required")
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write ``text`` and a newline to ``output`` or stdout; exit 2 if that fails.
-    The newline is written on its own: ``text + "\\n"`` would copy the text."""
+def _emit(output: str | None, *texts: str) -> None:
+    """Write ``texts`` and a newline to ``output`` or stdout; exit 2 if that fails.
+    Each is written on its own: joining them would copy the output."""
     try:
         if output is None:
-            sys.stdout.write(text)
-            sys.stdout.write("\n")
+            sys.stdout.writelines((*texts, "\n"))
             sys.stdout.flush()
         else:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                fh.write("\n")
+                fh.writelines((*texts, "\n"))
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # The reader is gone; send the unflushed rest to /dev/null so the
@@ -95,8 +93,9 @@ def _formula_command(args: argparse.Namespace, parser: argparse.ArgumentParser, 
     expr = expand(alpha)
     text = render(expr, args.format)
     if args.format == "latex":
-        text = "\\[\n" + text + "\n\\]"
-    _emit(text, args.output)
+        _emit(args.output, "\\[\n", text, "\n\\]")
+    else:
+        _emit(args.output, text)
     return 0
 
 
@@ -160,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "asets":
         alpha = _alpha_arg(parser, args)
-        _emit(asets_to_json(alpha, include_validation=args.validate), args.output)
+        _emit(args.output, asets_to_json(alpha, include_validation=args.validate))
         return 0
 
     if args.command == "verify":
@@ -198,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
             "passed": passed,
             "reports": [r.to_obj() for r in reports],
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+        _emit(args.output, json.dumps(payload, indent=2, sort_keys=True))
         return 0 if passed else 1
 
     parser.error(f"unknown command {args.command!r}")

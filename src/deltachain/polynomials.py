@@ -133,6 +133,7 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, value: Fraction | int) -> "Poly":
+        check_int("nvars", nvars)
         return cls(nvars, _clean({0: value if type(value) is int else _coefficient("a constant", value)}))
 
     @classmethod

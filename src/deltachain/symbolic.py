@@ -38,7 +38,7 @@ from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Callable, Union, get_args
 
-from .asets import _json_array, _json_object, _ones_families
+from .asets import _json_array, _ones_families
 from .combinatorics import MultiIndex, check_alpha, check_int
 
 # Every live node, keyed by its class and field values.  The table is weak:
@@ -379,14 +379,45 @@ def _component_subscript(index: MultiIndex) -> str:
     return "{" + ",".join(positions) + "}"
 
 
-def _json(e: Expr) -> str:
-    """The JSON object form of ``e`` as json.dumps(..., indent=2,
-    sort_keys=True) prints it as the root of the envelope, built once per
-    (node, depth)."""
+def _interleave(texts: list[str], kids: list) -> list[str]:
+    """``texts[0]``, ``kids[0]``, ``texts[1]``, ..., ``kids[-1]``, ``texts[-1]``,
+    with each kid's parts spliced in: a kid is a leaf's text or a list of parts."""
+    if list not in map(type, kids):
+        parts = texts + kids
+        parts[::2] = texts
+        parts[1::2] = kids
+        return parts
+    parts = [texts[0]]
+    for kid, text in zip(kids, texts[1:]):
+        parts += (kid,) if type(kid) is str else kid
+        parts.append(text)
+    return parts
+
+
+def _array_texts(head: str, count: int, depth: int, tail: str) -> list[str]:
+    """The texts around the ``count`` items of a JSON array whose closing
+    bracket sits at ``depth``, the first after ``head`` and the last before ``tail``."""
+    if not count:
+        return [head + "[]" + tail]
+    item = "\n" + "  " * (depth + 1)
+    texts = [f",{item}"] * (count + 1)
+    texts[0] = f"{head}[{item}"
+    texts[-1] = "\n" + "  " * depth + "]" + tail
+    return texts
+
+
+def _json_parts(e: Expr) -> list[str]:
+    """Parts whose join is ``json.dumps({"version": 1, "root": <the object
+    form of e>}, indent=2, sort_keys=True)``.
+
+    A leaf's text is made once per depth it is printed at.  Every other
+    (node, depth) is a list of parts, its own text between its children's
+    parts spliced in, so each byte of the output is copied once, by the
+    caller's join."""
     nodes = _postorder(e)
     # The depths each node is printed at, found parents first.  A node's
-    # strings are dropped after its last reader, the parent that meets it
-    # first here, so a deep chain holds a few levels' text, not every level's.
+    # parts are dropped after its last reader, the parent that meets it
+    # first here, so a deep chain holds a few levels' parts, not every level's.
     depths: dict[Expr, set[int]] = {e: {1}}
     last_read: dict[Expr, list[Expr]] = {}
     for n in reversed(nodes):
@@ -405,35 +436,44 @@ def _json(e: Expr) -> str:
                     depths[child] = set()
                     last_read.setdefault(n, []).append(child)
                 depths[child] |= below
-    out: dict[Expr, dict[int, str]] = {}
+    out: dict[Expr, dict[int, str | list[str]]] = {}
     for n in nodes:
-        strings = out[n] = {}
+        texts = out[n] = {}
         for depth in depths[n]:
+            # As _json_object lays out an object: a field starts at ``pad``.
+            pad = "\n" + "  " * (depth + 1)
+            close = "\n" + "  " * depth + "}"
             if isinstance(n, (PointSym, VecSym)):
-                kind = '"point"' if isinstance(n, PointSym) else '"vector"'
-                fields = (("name", json.dumps(n.name)), ("node", kind))
-            elif isinstance(n, ComponentSym):
-                fields = (
-                    ("cuboid", json.dumps(n.cuboid)),
-                    ("index", json.dumps(str(n.index))),
-                    ("node", '"component"'),
-                )
-            elif isinstance(n, App):
-                fields = (("arg", out[n.arg][depth + 1]), ("func", json.dumps(n.func)), ("node", '"apply"'))
+                kind = "point" if isinstance(n, PointSym) else "vector"
+                texts[depth] = f'{{{pad}"name": {json.dumps(n.name)},{pad}"node": "{kind}"{close}'
+                continue
+            if isinstance(n, ComponentSym):
+                cuboid, index = json.dumps(n.cuboid), json.dumps(str(n.index))
+                texts[depth] = f'{{{pad}"cuboid": {cuboid},{pad}"index": {index},{pad}"node": "component"{close}'
+                continue
+            if isinstance(n, App):
+                kids = [out[n.arg][depth + 1]]
+                own = [f'{{{pad}"arg": ', f',{pad}"func": {json.dumps(n.func)},{pad}"node": "apply"{close}']
             elif isinstance(n, DeltaTerm):
-                fields = (
-                    ("alpha", _json_array(["1"] * len(n.directions), depth + 1)),
-                    ("base", out[n.base][depth + 1]),
-                    ("directions", _json_array([out[d][depth + 2] for d in n.directions], depth + 1)),
-                    ("func", json.dumps(n.func)),
-                    ("node", '"delta"'),
-                )
+                kids = [out[n.base][depth + 1], *(out[d][depth + 2] for d in n.directions)]
+                alpha = _json_array(["1"] * len(n.directions), depth + 1)
+                tail = f',{pad}"func": {json.dumps(n.func)},{pad}"node": "delta"{close}'
+                own = [f'{{{pad}"alpha": {alpha},{pad}"base": ']
+                own += _array_texts(f',{pad}"directions": ', len(n.directions), depth + 1, tail)
             else:
-                fields = (("node", '"sum"'), ("terms", _json_array([out[t][depth + 2] for t in n.terms], depth + 1)))
-            strings[depth] = _json_object(fields, depth)
+                kids = [out[t][depth + 2] for t in n.terms]
+                own = _array_texts(f'{{{pad}"node": "sum",{pad}"terms": ', len(kids), depth + 1, close)
+            texts[depth] = _interleave(own, kids)
         for child in last_read.get(n, ()):
             del out[child]
-    return out[e][1]
+    # The envelope goes into the root's first and last parts: the root's
+    # list, the longest, is not copied.
+    parts = out.pop(e)[1]
+    if type(parts) is str:
+        parts = [parts]
+    parts[0] = '{\n  "root": ' + parts[0]
+    parts[-1] += ',\n  "version": 1\n}'
+    return parts
 
 
 def render(e: Expr, fmt: str = "text") -> str:
@@ -444,9 +484,7 @@ def render(e: Expr, fmt: str = "text") -> str:
     round-trips through ``parse``.
     """
     if fmt == "json":
-        # Byte-identical to json.dumps({"version": 1, "root": <the object
-        # form>}, indent=2, sort_keys=True), without building the tree of dicts.
-        return _json_object((("root", _json(e)), ("version", "1")), 0)
+        return "".join(_json_parts(e))
     if fmt != "text" and fmt != "latex":
         raise ValueError(f"unknown format: {fmt!r}")
     latex = fmt == "latex"

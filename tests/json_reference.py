@@ -1,8 +1,9 @@
 """The JSON object form of an expression, built as a tree of dicts by
 recursion, kept as the reference for ``render(e, "json")``.
 
-``render(e, "json")`` writes each distinct node's text once per depth,
-without building this tree; the tests check that it is byte-identical to
+``render(e, "json")`` makes a leaf's text once per depth and every other
+node's as a list of parts, joined once, without building this tree; the
+tests check that it is byte-identical to
 ``json.dumps({"version": 1, "root": expr_to_obj(e)}, indent=2,
 sort_keys=True)``, the layout the README documents.
 """

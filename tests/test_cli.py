@@ -55,12 +55,13 @@ def test_chain_text(capsys):
 
 
 def test_output_flag_writes_the_same_bytes(tmp_path, capsys):
-    code, out = run_cli(capsys, "expand", "--alpha", "11", "--format", "json")
-    target = tmp_path / "formula.json"
-    code2 = cli.main(["expand", "--alpha", "11", "--format", "json", "--output", str(target)])
-    capsys.readouterr()
-    assert code == code2 == 0
-    assert target.read_text() == out
+    for fmt in ("json", "latex"):
+        code, out = run_cli(capsys, "expand", "--alpha", "11", "--format", fmt)
+        target = tmp_path / f"formula.{fmt}"
+        code2 = cli.main(["expand", "--alpha", "11", "--format", fmt, "--output", str(target)])
+        capsys.readouterr()
+        assert code == code2 == 0
+        assert target.read_text() == out
 
 
 @pytest.mark.parametrize(

@@ -207,6 +207,7 @@ def test_restrict_embed_round_trip():
         lambda: MultiIndex.from_bits(5),
         lambda: mask_rank("3"),
         lambda: mask_rank(-1),
+        lambda: mask_rank([1]),
         lambda: bell_number("3"),
         lambda: bell_number(True),
         lambda: bell_number([1]),
@@ -224,7 +225,8 @@ def test_restrict_embed_round_trip():
         "partitions-str", "partitions-none", "partitions-list", "refine-str", "refine-index", "partition-str-target",
         "partition-str-block", "partition-int-blocks", "parse-int", "parse-none", "parse-bytes", "parse-json-int",
         "ones-str", "ones-negative", "unit-str", "from-string-int", "from-bits-int", "mask-rank-str",
-        "mask-rank-negative", "bell-str", "bell-bool", "bell-list", "restrict-str", "restrict-float", "restrict-int",
+        "mask-rank-negative", "mask-rank-list", "bell-str", "bell-bool", "bell-list", "restrict-str", "restrict-float",
+        "restrict-int",
         "restrict-bool", "embed-str-position", "embed-str-dim", "le-int", "lt-str",
     ],
 )

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from deltachain.combinatorics import MAX_BELL_N, MultiIndex, bell_number, mask_rank
+from deltachain.combinatorics import MAX_BELL_N, MAX_RANK_DIM, MultiIndex, bell_number, mask_rank
 from deltachain.cuboid import Cuboid
 from deltachain.numeric import (
     MAX_EPS_EXPONENT,
@@ -31,7 +31,7 @@ _TABLE = [
     ("unit-position", lambda v: MultiIndex.unit(3, v), "position", 0, 2),
     ("ones", lambda v: MultiIndex.ones(v), "dim", 0, None),
     ("embed", lambda v: MultiIndex.ones(1).embed((0,), v), "dim", 0, None),
-    ("mask-rank", lambda v: mask_rank(v), "dim", 0, None),
+    ("mask-rank", lambda v: mask_rank(v), "dim", 0, MAX_RANK_DIM),
     ("bell-number", lambda v: bell_number(v), "n", 0, MAX_BELL_N),
     ("cuboid", lambda v: Cuboid(v, ((1,), (2,))), "dim", 0, None),
     ("map-seed", lambda v: RandomRationalMap(v, 2, 2), "seed", None, None),
@@ -50,6 +50,7 @@ _TABLE = [
     ("partial", lambda v: Poly.variable(2, 0).partial(v), "variable index", 0, 1),
     ("poly-embed", lambda v: Poly.variable(1, 0).embed(v), "nvars", 0, MAX_LIFT_VARIABLES),
     ("make-nvars", lambda v: Poly.make(v, {}), "nvars", 0, None),
+    ("constant-nvars", lambda v: Poly.constant(v, 1), "nvars", 0, None),
     ("make-exponent", lambda v: Poly.make(2, {(1, v): 1}), "exponent", 0, None),
     ("poly-power", lambda v: Poly.variable(2, 0) ** v, "exponent", 0, None),
     ("series-power", lambda v: _Series.epsilon(3) ** v, "exponent", 0, None),

@@ -1216,10 +1216,76 @@ def awkward_exprs():
     return st.recursive(leaves, extend, max_leaves=12)
 
 
+@st.composite
+def shared_awkward_exprs(draw):
+    # Each new node takes its children from every node drawn before it, so one
+    # subtree is printed at several depths, and sums and differences may be empty.
+    pool = draw(st.lists(awkward_exprs(), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 6))):
+        pick = st.sampled_from(pool)
+        pool.append(
+            draw(
+                st.one_of(
+                    st.tuples(awkward_names, pick).map(lambda t: App(*t)),
+                    st.lists(pick, max_size=4).map(lambda ts: Sum(tuple(ts))),
+                    st.tuples(st.lists(pick, max_size=3), awkward_names, pick).map(
+                        lambda t: DeltaTerm(tuple(t[0]), t[1], t[2])
+                    ),
+                )
+            )
+        )
+    return pool[-1]
+
+
+def _deep_mixed_chain(depth: int):
+    # Mostly applications, and every 20th level a difference along a vector
+    # that every such level shares, a one-term sum or a difference with no
+    # directions.  Indented JSON grows with the square of the depth: 17 MB here.
+    v = VecSym("v")
+    e = PointSym("x")
+    for i in range(depth):
+        e = (DeltaTerm((v,), "g", e), Sum((e,)), DeltaTerm((), "h", e))[i % 3] if i % 20 == 0 else App("f", e)
+    return e
+
+
 @settings(max_examples=500)
-@given(awkward_exprs())
+@given(awkward_exprs() | shared_awkward_exprs())
 def test_json_rendering_is_json_dumps_of_the_object_form(e):
     reference = json.dumps({"version": 1, "root": expr_to_obj(e)}, indent=2, sort_keys=True)
     assert render(e, "json") == reference
     assert parse(reference, "json") is e
+
+
+def test_json_rendering_of_a_chain_2000_levels_deep_is_json_dumps_of_the_object_form():
+    e = _deep_mixed_chain(2000)
+    # The recursive reference and json.dumps take a frame or two a level.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10000))
+    try:
+        reference = json.dumps({"version": 1, "root": expr_to_obj(e)}, indent=2, sort_keys=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert render(e, "json") == reference
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_json_rendering_of_every_expansion_is_json_dumps_of_the_object_form(k):
+    for mask in range(1 << k):
+        alpha = MultiIndex(k, mask)
+        for e in (expand_tangent(alpha), expand_chain(alpha), main_part(alpha)):
+            assert render(e, "json") == json.dumps({"version": 1, "root": expr_to_obj(e)}, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("expand", [expand_chain, expand_tangent], ids=["chain", "tangent"])
+def test_json_rendering_of_an_order_7_expansion_holds_about_its_own_size(expand):
+    e = expand(MultiIndex.ones(7))  # built before tracing
+    tracemalloc.start()
+    try:
+        got = render(e, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Text joined at every level would hold the output about three times over.
+    assert peak <= 1.7 * sys.getsizeof(got)
+    assert got == json.dumps({"version": 1, "root": expr_to_obj(e)}, indent=2, sort_keys=True)
 
