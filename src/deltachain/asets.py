@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .combinatorics import MultiIndex, Partition, _mask_rank, _partition_rows, check_alpha, enumerate_partitions
+from .combinatorics import MultiIndex, Partition, _partition_rows, check_alpha, enumerate_partitions, mask_rank
 
 #: condition names used in validation reports, in check order
 CONDITIONS = ("disjoint", "anchored", "base-extras", "block-extras", "order-increase")
@@ -83,7 +83,7 @@ def _ones_families(dim: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ..
     # by the MultiIndex order (order, digit string), which one sort of their
     # concatenation does in linear time.
     top = 1 << (dim - 1)
-    rank = _mask_rank(dim).__getitem__
+    rank = mask_rank.__wrapped__(dim).__getitem__
     rows = _partition_rows(dim)
     out: list = [None] * len(rows)
     position = {(parent, child): r for r, (_, parent, child) in enumerate(rows)}

@@ -1,10 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
-2 on usage errors (a cube dimension above ``MAX_ORDER`` is one, and so are
-a scale exponent above ``MAX_EPS_EXPONENT`` and a scaling ``--alpha`` of
-order above ``MAX_SCALING_ORDER``) and when
-the output cannot be written (an unwritable ``--output`` path, or a closed
+2 on usage errors (a cube dimension above ``MAX_ORDER`` is one, and so is a
+scaling ``--alpha`` of order above ``MAX_SCALING_ORDER``) and when the
+output cannot be written (an unwritable ``--output`` path, or a closed
 stdout pipe), which prints one ``deltachain: ...`` line to stderr.  Output for a fixed command line and
 seed is byte-identical across runs.
 """
@@ -19,7 +18,7 @@ import sys
 from . import __version__
 from .asets import asets_to_json
 from .combinatorics import MultiIndex, bell_number
-from .numeric import MAX_EPS_EXPONENT, MAX_SCALING_ORDER, SUITE_NAMES, run_suite
+from .numeric import MAX_SCALING_ORDER, SUITE_NAMES, run_suite
 from .symbolic import expand_chain, expand_tangent, render
 
 DEFAULT_SEED = 1729
@@ -28,16 +27,6 @@ DEFAULT_SEED = 1729
 # --alpha, --kmax).  The work grows with the Bell number of the dimension:
 # Bell(8) = 4,140 set partitions, Bell(12) = 4,213,597.
 MAX_ORDER = 8
-
-
-def _env_int(parser: argparse.ArgumentParser, name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"{name} must be an integer, got {raw!r}")
 
 
 def _check_size(parser: argparse.ArgumentParser, flag: str, k: int) -> None:
@@ -69,16 +58,22 @@ def _alpha_arg(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Mul
     parser.error("one of --alpha or --order is required")
 
 
+# Characters per write: a text stream encodes each write into one bytes object.
+_SLICE = 1 << 24
+
+
 def _emit(output: str | None, *texts: str) -> None:
     """Write ``texts`` and a newline to ``output`` or stdout; exit 2 if that fails.
-    Each is written on its own: joining them would copy the output."""
+    Each is written on its own, in slices of at most ``_SLICE`` characters:
+    joining them, or encoding one whole, would copy the output."""
+    slices = (t[i : i + _SLICE] for t in (*texts, "\n") for i in range(0, len(t), _SLICE))
     try:
         if output is None:
-            sys.stdout.writelines((*texts, "\n"))
+            sys.stdout.writelines(slices)
             sys.stdout.flush()
         else:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.writelines((*texts, "\n"))
+                fh.writelines(slices)
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # The reader is gone; send the unflushed rest to /dev/null so the
@@ -129,17 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run numeric verification suites")
     p_verify.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    p_verify.add_argument("--seed", type=int, help=f"root seed (default {DEFAULT_SEED}, or DELTACHAIN_SEED)")
-    p_verify.add_argument("--trials", type=int, help="trial count per check (default per suite, or DELTACHAIN_TRIALS)")
+    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"root seed (default {DEFAULT_SEED})")
+    p_verify.add_argument("--trials", type=int, help="trial count per check (default per suite)")
     p_verify.add_argument("--kmax", type=int, help="largest cube dimension where the suite sweeps dimensions")
     p_verify.add_argument(
         "--alpha",
         help="restrict scaling or smooth-chain checks to this bitstring;"
         f" scaling takes at most {MAX_SCALING_ORDER} ones",
-    )
-    p_verify.add_argument("--eps-pow-min", type=int, default=3, help="smallest j in the scale grid 2**-j")
-    p_verify.add_argument(
-        "--eps-pow-max", type=int, default=10, help=f"largest j in the scale grid 2**-j, at most {MAX_EPS_EXPONENT}"
     )
     p_verify.add_argument("--output", help="write the JSON report to this file instead of stdout")
     # usage errors found after parsing are reported with the subcommand's usage line
@@ -163,15 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "verify":
-        seed = args.seed
-        if seed is None:
-            seed = _env_int(parser, "DELTACHAIN_SEED")
-        if seed is None:
-            seed = DEFAULT_SEED
-        trials = args.trials
-        if trials is None:
-            trials = _env_int(parser, "DELTACHAIN_TRIALS")
-        if trials is not None and trials < 1:
+        if args.trials is not None and args.trials < 1:
             parser.error("--trials must be at least 1")
         if args.kmax is not None:
             if args.kmax < 1:
@@ -183,17 +166,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"--alpha {args.alpha} has order {alpha.order}, above the scaling limit {MAX_SCALING_ORDER}:"
                 " a scaling trial's cost grows steeply with the order"
             )
-        if args.eps_pow_min < 1 or args.eps_pow_max <= args.eps_pow_min:
-            parser.error("need 1 <= eps-pow-min < eps-pow-max: a slope needs two grid points")
-        if args.eps_pow_max > MAX_EPS_EXPONENT:
-            parser.error(f"--eps-pow-max {args.eps_pow_max} is above the limit {MAX_EPS_EXPONENT}")
-        eps_exponents = tuple(range(args.eps_pow_min, args.eps_pow_max + 1))
 
-        reports = run_suite(args.suite, seed, trials=trials, kmax=args.kmax, alpha=alpha, eps_exponents=eps_exponents)
+        reports = run_suite(args.suite, args.seed, trials=args.trials, kmax=args.kmax, alpha=alpha)
         passed = all(r.passed for r in reports)
         payload = {
             "suite": args.suite,
-            "seed": seed,
+            "seed": args.seed,
             "passed": passed,
             "reports": [r.to_obj() for r in reports],
         }

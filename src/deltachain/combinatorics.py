@@ -10,8 +10,8 @@ partitions of the support, so their counts are Bell numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Iterable, Sequence
+from functools import lru_cache, wraps
+from typing import Any, Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,9 +131,11 @@ class MultiIndex:
 
     def down_set(self) -> tuple["MultiIndex", ...]:
         """All multi-indices below self, sorted by ``sort_key``."""
-        # placing keeps the order, so the rank of c sorts the placed indices
+        # placing keeps the order, so the rank of c sorts the placed indices;
+        # the order is an int, and no limit applies to it here
         placed = self.placements()
-        return tuple(map(placed.__getitem__, sorted(range(len(placed)), key=_mask_rank(self.order).__getitem__)))
+        rank = mask_rank.__wrapped__(self.order)
+        return tuple(map(placed.__getitem__, sorted(range(len(placed)), key=rank.__getitem__)))
 
     def restrict(self, positions: Sequence[int]) -> "MultiIndex":
         """Project onto the given positions; support must lie inside them."""
@@ -167,6 +169,26 @@ def check_alpha(alpha: MultiIndex) -> None:
     """Raise ``ValueError`` unless ``alpha`` is a ``MultiIndex``."""
     if type(alpha) is not MultiIndex:
         raise ValueError(f"alpha must be a MultiIndex, not {type(alpha).__name__}")
+
+
+def cached_after(check: Callable[[Any], None]):
+    """Decorator: cache a function of one argument, and run ``check`` on the
+    argument before the cache, which cannot hash a list.  The function keeps
+    the cache's ``cache_info`` and ``cache_clear``, which callers read and
+    clear, and its ``__wrapped__`` is the cache without the check."""
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=None)(fn)
+
+        @wraps(cached)
+        def checked(arg):
+            check(arg)
+            return cached(arg)
+
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+
+    return decorate
 
 
 def _check_positions(positions: Sequence[int], dim: int) -> None:
@@ -226,6 +248,7 @@ class Partition:
 MAX_RANK_DIM = 16  # mask_rank(16) sorts 65,536 masks in about 0.1 s
 
 
+@cached_after(lambda dim: check_int("dim", dim, 0, MAX_RANK_DIM))
 def mask_rank(dim: int) -> tuple[int, ...]:
     """``rank[m]`` is the position of ``MultiIndex(dim, m)`` among the
     indices of dimension ``dim`` sorted by ``sort_key``, for ``dim`` up to
@@ -234,21 +257,11 @@ def mask_rank(dim: int) -> tuple[int, ...]:
     >>> mask_rank(2)  # masks 0, 1, 2, 3 are 00, 10, 01, 11
     (0, 2, 1, 3)
     """
-    check_int("dim", dim, 0, MAX_RANK_DIM)  # before the cache, which cannot hash a list
-    return _mask_rank(dim)
-
-
-@lru_cache(maxsize=None)
-def _mask_rank(dim: int) -> tuple[int, ...]:
     ordered = sorted(range(1 << dim), key=lambda m: MultiIndex(dim, m).sort_key)
     rank = [0] * len(ordered)
     for position, m in enumerate(ordered):
         rank[m] = position
     return tuple(rank)
-
-
-# The public name keeps the cache interface that callers read and clear.
-mask_rank.cache_info, mask_rank.cache_clear = _mask_rank.cache_info, _mask_rank.cache_clear
 
 
 def _refine_masks(blocks: tuple[int, ...], dim: int) -> tuple[tuple[int, ...], ...]:
@@ -278,6 +291,7 @@ def _partition_rows(dim: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     return tuple(rows)
 
 
+@cached_after(check_alpha)
 def enumerate_partitions(alpha: MultiIndex) -> tuple[Partition, ...]:
     """All partitions of ``alpha``, sorted by (size, block digit strings):
     the rows of ``_partition_rows(alpha.order)`` placed on alpha's support,
@@ -286,18 +300,8 @@ def enumerate_partitions(alpha: MultiIndex) -> tuple[Partition, ...]:
     The zero multi-index has exactly one partition: the empty one.  An
     alpha that is not a ``MultiIndex`` raises ``ValueError``.
     """
-    check_alpha(alpha)  # before the cache, which cannot hash a list
-    return _partitions(alpha)
-
-
-@lru_cache(maxsize=None)
-def _partitions(alpha: MultiIndex) -> tuple[Partition, ...]:
     placed = alpha.placements()
     return tuple(Partition(alpha, tuple(map(placed.__getitem__, b))) for b, _, _ in _partition_rows(alpha.order))
-
-
-# The public name keeps the cache interface that callers read and clear.
-enumerate_partitions.cache_info, enumerate_partitions.cache_clear = _partitions.cache_info, _partitions.cache_clear
 
 
 def refine(p: Partition) -> tuple[Partition, ...]:

@@ -753,11 +753,8 @@ def _identity_specs(trials: int) -> list[_Spec]:
 # ---------------------------------------------------------------------------
 # remainder scaling
 
-DEFAULT_EPS_EXPONENTS = tuple(range(3, 11))
-# The largest grid exponent j: a norm at 2**-j is an exact Horner sum whose
-# Fraction gcds grow with j (`verify --suite scaling --trials 1` takes 0.9 s
-# at 1,000 and 17 s at 4,000 on one CPU).
-MAX_EPS_EXPONENT = 1000
+# The scale grid: a remainder norm is reported at each ε = 2**-j.
+EPS_EXPONENTS = tuple(range(3, 11))
 # The largest |alpha| the scaling suite takes.  A trial draws maps of degree
 # |alpha| + 1 and evaluates them in ε-series of order (|alpha| + 1)² + 1, so
 # its cost grows steeply: `verify --suite scaling --trials 1` with an
@@ -788,23 +785,17 @@ def scaling_slope(
     x: Value,
     ws: Sequence[Value],
     alpha: MultiIndex,
-    eps_exponents: Sequence[int] = DEFAULT_EPS_EXPONENTS,
 ) -> ScalingResult:
     """The remainder left after the leading-order truncation at directions
     ε·w, evaluated once in ε-series of order deg f · deg g + 1: exact, as
     both sides have degree at most deg f · deg g in ε.  ``valuation`` is its
     lowest nonzero degree when below |alpha| + 1, else ``None``; ``norms``
-    are max_i |R_i(2**-j)| over the grid, by Horner's rule, and ``slope``
-    their log-log fit on the finest three points (coarse scales still carry
-    next-order corrections).  A grid of fewer than two points, or an
-    exponent not a nonnegative ``int`` or above ``MAX_EPS_EXPONENT``, raises
-    ``ValueError``.  The result is degenerate when every norm is zero;
-    ``slope`` is ``None`` then or when fewer than two norms are nonzero.
+    are max_i |R_i(2**-j)| over ``EPS_EXPONENTS``, by Horner's rule, and
+    ``slope`` their log-log fit on the finest three points (coarse scales
+    still carry next-order corrections).  The result is degenerate when
+    every norm is zero; ``slope`` is ``None`` then or when fewer than two
+    norms are nonzero.
     """
-    for j in eps_exponents:
-        check_int("grid exponent", j, 0, MAX_EPS_EXPONENT)
-    if len(set(eps_exponents)) < 2:
-        raise ValueError(f"a slope needs at least two grid points, got {sorted(set(eps_exponents))}")
     df, dg = (max(0, max((p.degree for p in m.components), default=0)) for m in (f, g))
     eps = _Series.epsilon(df * dg + 1)
     lhs, rhs = _main_term_split(f, g, x, [tuple(eps * c for c in w) for w in ws], alpha)
@@ -812,7 +803,7 @@ def scaling_slope(
     valuation = v if v is not None and v <= alpha.order else None
     rem = [d.coeffs if isinstance(d, _Series) else (d,) for d in vector_sub(lhs, rhs)]
     pts, norms = [], []
-    for j in sorted(eps_exponents):
+    for j in EPS_EXPONENTS:
         e = Fraction(1, 2**j)
         norm = max(abs(functools.reduce(lambda acc, c: acc * e + c, reversed(cs), 0)) for cs in rem)
         norms.append(norm)
@@ -833,12 +824,7 @@ def scaling_trial(s: int, alpha: MultiIndex) -> tuple[PolynomialMap, PolynomialM
     return f, g, x, [random_rational_vector(rng, 2, bound=3) for _ in range(alpha.dim)]
 
 
-def verify_scaling(
-    seed: int,
-    alpha: MultiIndex,
-    trials: int = 3,
-    eps_exponents: Sequence[int] = DEFAULT_EPS_EXPONENTS,
-) -> VerificationReport:
+def verify_scaling(seed: int, alpha: MultiIndex, trials: int = 3) -> VerificationReport:
     """Check that the remainder shrinks at least like the next order.
 
     Each trial makes one ``scaling_slope`` call: one exact ε-series
@@ -847,21 +833,21 @@ def verify_scaling(
     below |alpha| + 1.  The fitted slope is only reported, next to the
     threshold |alpha| + 1 - 0.2 it is expected to clear; a remainder zero
     at every grid point is reported as degenerate, and one nonzero at a
-    single point as having no slope.  A bad grid, an alpha that is not a
-    ``MultiIndex``, or one of order above ``MAX_SCALING_ORDER`` raises
+    single point as having no slope.  An alpha that is not a
+    ``MultiIndex``, or one of order above ``MAX_SCALING_ORDER``, raises
     ``ValueError`` before any trial runs.
     """
-    (report,) = _run_trials(seed, [_scaling_spec(alpha, trials, eps_exponents)])
+    (report,) = _run_trials(seed, [_scaling_spec(alpha, trials)])
     return report
 
 
-def _scaling_spec(alpha: MultiIndex, trials: int, eps_exponents: Sequence[int]) -> _Spec:
+def _scaling_spec(alpha: MultiIndex, trials: int) -> _Spec:
     check_alpha(alpha)
     if alpha.order > MAX_SCALING_ORDER:
         raise ValueError(f"the scaling suite takes |alpha| up to MAX_SCALING_ORDER = {MAX_SCALING_ORDER}, not {alpha.order}")
 
     def check(s: int) -> tuple[Failure | None, str]:
-        result = scaling_slope(*scaling_trial(s, alpha), alpha, eps_exponents)
+        result = scaling_slope(*scaling_trial(s, alpha), alpha)
         if result.degenerate:
             note = "degenerate (remainder identically zero)"
         elif result.slope is None:
@@ -949,7 +935,27 @@ def _smooth_spec(alpha: MultiIndex, trials: int) -> _Spec:
 # ---------------------------------------------------------------------------
 # suite dispatch
 
-SUITE_NAMES = ("theorem-b", "eq9", "identities", "scaling", "smooth-chain", "all")
+def _scaling_suite(trials: int, kmax: int | None, alpha: MultiIndex | None) -> list[_Spec]:
+    alphas = [alpha] if alpha is not None else [MultiIndex.ones(2), MultiIndex.ones(3)]
+    return [_scaling_spec(a, trials) for a in alphas]
+
+
+def _smooth_suite(trials: int, kmax: int, alpha: MultiIndex | None) -> list[_Spec]:
+    alphas = [alpha] if alpha is not None else [MultiIndex.ones(k) for k in range(1, kmax + 1)]
+    return [_smooth_spec(a, trials) for a in alphas]
+
+
+# name: (its specs for (trials, kmax, alpha), default trials, default kmax).
+# A suite that sweeps no dimensions has no kmax; "all" runs every suite, in
+# this order.
+_SUITES: dict[str, tuple[Callable[..., list[_Spec]], int, int | None]] = {
+    "theorem-b": (lambda trials, kmax, alpha: _chain_specs(trials, kmax), 50, 5),
+    "eq9": (lambda trials, kmax, alpha: _tangent_specs(trials, kmax), 50, 5),
+    "identities": (lambda trials, kmax, alpha: _identity_specs(trials), 1000, None),
+    "scaling": (_scaling_suite, 3, None),
+    "smooth-chain": (_smooth_suite, 25, 3),
+}
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(
@@ -958,7 +964,6 @@ def run_suite(
     trials: int | None = None,
     kmax: int | None = None,
     alpha: MultiIndex | None = None,
-    eps_exponents: Sequence[int] = DEFAULT_EPS_EXPONENTS,
 ) -> list[VerificationReport]:
     """Run one named verification suite (or all of them) and return reports.
     Every trial of the call runs in one trial pool."""
@@ -967,24 +972,13 @@ def run_suite(
             check_int(count, n, 1)
     if alpha is not None:
         check_alpha(alpha)
-    return _run_trials(seed, _suite_specs(name, trials, kmax, alpha, eps_exponents))
+    return _run_trials(seed, _suite_specs(name, trials, kmax, alpha))
 
 
-def _suite_specs(
-    name: str, trials: int | None, kmax: int | None, alpha: MultiIndex | None, eps_exponents: Sequence[int]
-) -> list[_Spec]:
-    if name == "theorem-b":
-        return _chain_specs(trials or 50, kmax or 5)
-    if name == "eq9":
-        return _tangent_specs(trials or 50, kmax or 5)
-    if name == "identities":
-        return _identity_specs(trials or 1000)
-    if name == "scaling":
-        alphas = [alpha] if alpha is not None else [MultiIndex.ones(2), MultiIndex.ones(3)]
-        return [_scaling_spec(a, trials or 3, eps_exponents) for a in alphas]
-    if name == "smooth-chain":
-        alphas = [alpha] if alpha is not None else [MultiIndex.ones(k) for k in range(1, (kmax or 3) + 1)]
-        return [_smooth_spec(a, trials or 25) for a in alphas]
+def _suite_specs(name: str, trials: int | None, kmax: int | None, alpha: MultiIndex | None) -> list[_Spec]:
     if name == "all":
-        return [s for n in SUITE_NAMES[:-1] for s in _suite_specs(n, trials, kmax, alpha, eps_exponents)]
-    raise ValueError(f"unknown suite: {name!r}")
+        return [s for n in _SUITES for s in _suite_specs(n, trials, kmax, alpha)]
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite: {name!r}")
+    specs, default_trials, default_kmax = _SUITES[name]
+    return specs(trials or default_trials, kmax or default_kmax, alpha)

@@ -34,12 +34,12 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Union, get_args
 
 from .asets import _json_array, _ones_families
-from .combinatorics import MultiIndex, check_alpha, check_int
+from .combinatorics import MultiIndex, cached_after, check_alpha, check_int
 
 # Every live node, keyed by its class and field values.  The table is weak:
 # a node no expression or caller holds any more drops out of it.
@@ -238,33 +238,38 @@ def sort_key(e: Expr) -> tuple:
 
 def canonicalize(e: Expr) -> Expr:
     """Flatten sums, sort operands, and collapse differences with no
-    directions into plain applications.  Idempotent."""
+    directions into plain applications.  Idempotent.  Sorting compares the
+    operands' keys, nested tuples, recursively: operands equal down to a
+    level deeper than the interpreter can recurse raise ``ValueError``."""
     out: dict[Expr, Expr] = {}
-    for n in _postorder(e):
-        if isinstance(n, (PointSym, VecSym, ComponentSym)):
-            c = n
-        elif isinstance(n, App):
-            c = App(n.func, out[n.arg])
-        elif isinstance(n, Sum):
-            flat: list[Expr] = []
-            for t in n.terms:
-                ct = out[t]
-                if isinstance(ct, Sum):
-                    flat.extend(ct.terms)
+    try:
+        for n in _postorder(e):
+            if isinstance(n, (PointSym, VecSym, ComponentSym)):
+                c = n
+            elif isinstance(n, App):
+                c = App(n.func, out[n.arg])
+            elif isinstance(n, Sum):
+                flat: list[Expr] = []
+                for t in n.terms:
+                    ct = out[t]
+                    if isinstance(ct, Sum):
+                        flat.extend(ct.terms)
+                    else:
+                        flat.append(ct)
+                if len(flat) == 1:
+                    c = flat[0]
                 else:
-                    flat.append(ct)
-            if len(flat) == 1:
-                c = flat[0]
-            else:
-                flat.sort(key=_stored_key)
-                c = Sum(tuple(flat))
-        else:  # a difference term
-            if n.directions:
-                dirs = sorted((out[d] for d in n.directions), key=_stored_key)
-                c = DeltaTerm(tuple(dirs), n.func, out[n.base])
-            else:
-                c = App(n.func, out[n.base])
-        out[n] = c
+                    flat.sort(key=_stored_key)
+                    c = Sum(tuple(flat))
+            else:  # a difference term
+                if n.directions:
+                    dirs = sorted((out[d] for d in n.directions), key=_stored_key)
+                    c = DeltaTerm(tuple(dirs), n.func, out[n.base])
+                else:
+                    c = App(n.func, out[n.base])
+            out[n] = c
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
     return out[e]
 
 
@@ -323,14 +328,13 @@ def _build_expansion(alpha: MultiIndex, families, leaf: Callable[[MultiIndex], E
     return Sum(tuple(terms))
 
 
-@lru_cache(maxsize=None)
+@cached_after(check_alpha)
 def expand_tangent(alpha: MultiIndex) -> Expr:
     """Component ``alpha`` of the conjugated pointwise map ``f`` over the
     cuboid ``u``, as one difference term per partition of ``alpha`` with
     directions and base point given by the per-partition index-set
     families.  Built canonical in one pass over the cached families; an
     alpha that is not a ``MultiIndex`` raises ``ValueError``."""
-    check_alpha(alpha)
     families = (sets for _, sets in _ones_families(alpha.order))
     return _build_expansion(alpha, families, lambda m: ComponentSym("u", m))
 
@@ -345,24 +349,23 @@ def _inner_difference(gamma: MultiIndex) -> Expr:
     return DeltaTerm(dirs, "g", PointSym("x"))
 
 
-@lru_cache(maxsize=None)
+@cached_after(check_alpha)
 def expand_chain(alpha: MultiIndex) -> Expr:
     """Iterated difference of the composite ``f(g(x))`` along the vectors
     ``v_i``: ``expand_tangent(alpha)`` with the inner difference of each
     component's index in place of the component.  Built canonical in one
     pass over the families, without building (or caching) the tangent
     expansion; an alpha that is not a ``MultiIndex`` raises ``ValueError``."""
-    check_alpha(alpha)
     families = (sets for _, sets in _ones_families(alpha.order))
     return _build_expansion(alpha, families, _inner_difference)
 
 
-@lru_cache(maxsize=None)
+@cached_after(check_alpha)
 def main_part(alpha: MultiIndex) -> Expr:
     """The leading-order truncation of ``expand_chain(alpha)``: per partition,
     every direction keeps only its lowest-order summand and the base point
-    collapses to ``g(x)``.  Every term has order exactly |alpha|."""
-    check_alpha(alpha)
+    collapses to ``g(x)``.  Every term has order exactly |alpha|.  An alpha
+    that is not a ``MultiIndex`` raises ``ValueError``."""
     families = (((0,), *((b,) for b in blocks)) for blocks, _ in _ones_families(alpha.order))
     return _build_expansion(alpha, families, _inner_difference)
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from deltachain.combinatorics import MultiIndex, enumerate_partitions
 from deltachain.cuboid import Cuboid, discrete_tangent, vector_add, vector_sub
 from deltachain.numeric import (
-    DEFAULT_EPS_EXPONENTS,
+    EPS_EXPONENTS,
     _check_main_term_remainder_order,
     _main_term_split,
     derive_seed,
@@ -105,11 +105,11 @@ def grid_norms_reference(f, g, x, ws, alpha: MultiIndex, grid) -> tuple:
 
 
 def slope_verdict_fails(norms: tuple, alpha: MultiIndex) -> bool:
-    """The float verdict ``scaling`` used before, on the default grid's
+    """The float verdict ``scaling`` used before, on the grid's
     norms: no slope, or a slope below |alpha| + 1 - 0.2 (fitted on the
     finest three nonzero norms), failed; a remainder zero at every scale
     passed."""
-    grid = sorted(DEFAULT_EPS_EXPONENTS)
+    grid = sorted(EPS_EXPONENTS)
     pts = [(math.log(2.0**-j), math.log(float(n))) for j, n in zip(grid, norms) if n]
     if not pts:
         return False
@@ -123,7 +123,7 @@ def scaling_side_by_side(seed: int, alpha: MultiIndex, t: int) -> dict:
     f, g, x, ws = scaling_trial(s, alpha)
     full = full_remainder_valuation(f, g, x, ws, alpha)
     result = scaling_slope(f, g, x, ws, alpha)
-    norms = grid_norms_reference(f, g, x, ws, alpha, DEFAULT_EPS_EXPONENTS)
+    norms = grid_norms_reference(f, g, x, ws, alpha, EPS_EXPONENTS)
     return {
         "seed": seed,
         "alpha": str(alpha),

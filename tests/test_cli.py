@@ -1,11 +1,13 @@
 import hashlib
+import inspect
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from deltachain import cli
+from deltachain import cli, numeric
 from deltachain.numeric import VerificationReport
 
 
@@ -64,6 +66,33 @@ def test_output_flag_writes_the_same_bytes(tmp_path, capsys):
         assert target.read_text() == out
 
 
+def test_output_is_written_in_slices_with_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # No write is longer than the slice; stdout and --output get the bytes
+    # that one write of each text gave.
+    wanted = {}
+    for fmt in ("json", "latex", "text"):
+        argv = ["chain", "--order", "4", "--format", fmt]
+        wanted[fmt] = run_cli(capsys, *argv)[1]
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, s):
+            writes.append(len(s))
+            return super().write(s)
+
+    monkeypatch.setattr(cli, "_SLICE", 7)
+    for fmt, want in wanted.items():
+        argv = ["chain", "--order", "4", "--format", fmt]
+        stdout = Recorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(argv) == 0
+        assert stdout.getvalue() == want
+        target = tmp_path / f"formula.{fmt}"
+        assert cli.main([*argv, "--output", str(target)]) == 0
+        assert target.read_bytes() == want.encode("utf-8")
+    assert writes and max(writes) == 7
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -102,7 +131,7 @@ def test_outputs_match_recorded_digests(argv, digest, capsys):
         ["verify", "--trials", "0"],
         ["verify", "--kmax", "0"],
         ["verify", "--alpha", "2"],
-        ["verify", "--eps-pow-min", "5", "--eps-pow-max", "3"],
+        ["verify", "--seed", "not-a-number"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -112,15 +141,16 @@ def test_usage_errors_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith(f"usage: deltachain {argv[0]} ")
 
 
-def test_a_one_point_scale_grid_exits_2(capsys):
-    # One point fits no slope; it was once reported as a degenerate remainder.
-    argv = ["verify", "--suite", "scaling", "--eps-pow-min", "1", "--eps-pow-max", "1", "--kmax", "2"]
+@pytest.mark.parametrize("flag", ["--eps-pow-min", "--eps-pow-max"])
+def test_the_removed_scale_grid_options_exit_2(flag, capsys):
+    # The scale grid is fixed: the options are unknown to every parser.
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
+        cli.main(["verify", "--suite", "scaling", flag, "5"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "a slope needs two grid points" in captured.err
+    assert captured.err.startswith("usage: deltachain [")
+    assert f"unrecognized arguments: {flag} 5" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -225,13 +255,6 @@ def test_verify_output_is_byte_deterministic(capsys):
     assert first == second
 
 
-def test_verify_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("DELTACHAIN_SEED", "321")
-    code, out = run_cli(capsys, "verify", "--suite", "identities", "--trials", "1")
-    assert code == 0
-    assert json.loads(out)["seed"] == 321
-
-
 def test_verify_seed_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("DELTACHAIN_SEED", "321")
     code, out = run_cli(capsys, "verify", "--suite", "identities", "--trials", "1", "--seed", "4")
@@ -239,44 +262,57 @@ def test_verify_seed_flag_overrides_env(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 4
 
 
-def test_verify_trials_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("DELTACHAIN_TRIALS", "1")
-    code, out = run_cli(capsys, "verify", "--suite", "identities", "--seed", "4")
-    assert code == 0
-    assert all(r["trials"] == 1 for r in json.loads(out)["reports"])
-
-
 def test_verify_rejects_malformed_env(capsys, monkeypatch):
+    # A malformed seed exits 2 from the flag; the environment plays no part,
+    # so a malformed DELTACHAIN_SEED neither causes nor hides the error.
     monkeypatch.setenv("DELTACHAIN_SEED", "not-a-number")
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "identities", "--trials", "1"])
+        cli.main(["verify", "--suite", "identities", "--trials", "1", "--seed", "not-a-number"])
     assert exc.value.code == 2
+    assert "argument --seed: invalid int value: 'not-a-number'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps_pow_max", ["400", "1000"])
-def test_verify_scaling_passes_on_a_grid_past_float_underflow(eps_pow_max, capsys):
-    # The finest norms are below the smallest float, and 1000 is the largest
-    # exponent: a verification that passes exits 0 with its report.
-    code, out = run_cli(capsys, "verify", "--suite", "scaling", "--trials", "1", "--eps-pow-max", eps_pow_max)
+def test_verify_reads_no_environment_variable(capsys, monkeypatch):
+    # The seed and the trial counts come from the flags alone; with none,
+    # every suite runs at its defaults under seed 1729.
+    monkeypatch.setenv("DELTACHAIN_SEED", "5")
+    monkeypatch.setenv("DELTACHAIN_TRIALS", "1")
+    code, out = run_cli(capsys, "verify")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["passed"] is True
-    assert [r["detail"] for r in payload["reports"]] == [
-        "threshold 2.800; trial 0: slope 3.000",
-        "threshold 3.800; trial 0: slope 4.000",
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "b58d0071b63dc75bada0f292e9264811f3b36600ecba0de4d323383a22c7b1a9"
+    )
+
+
+def test_the_suite_table_holds_every_default():
+    # (default trials, default kmax) per suite; a suite that sweeps no
+    # dimensions has no kmax.  The one-suite wrappers default alike.
+    defaults = {name: row[1:] for name, row in numeric._SUITES.items()}
+    assert defaults == {
+        "theorem-b": (50, 5),
+        "eq9": (50, 5),
+        "identities": (1000, None),
+        "scaling": (3, None),
+        "smooth-chain": (25, 3),
+    }
+    wrappers = {
+        "theorem-b": numeric.verify_chain_expansion,
+        "eq9": numeric.verify_tangent_expansion,
+        "identities": numeric.identity_suite,
+        "scaling": numeric.verify_scaling,
+        "smooth-chain": numeric.verify_smooth_chain,
+    }
+    for name, wrapper in wrappers.items():
+        parameters = inspect.signature(wrapper).parameters
+        assert parameters["trials"].default == defaults[name][0]
+        if "kmax" in parameters:
+            assert parameters["kmax"].default == defaults[name][1]
+    verify = cli.build_parser().parse_args(["verify"]).parser
+    (suite,) = [a for a in verify._actions if a.dest == "suite"]
+    assert tuple(suite.choices) == (*numeric._SUITES, "all")
+    assert sorted(o for a in verify._actions for o in a.option_strings if o not in ("-h", "--help")) == [
+        "--alpha", "--kmax", "--output", "--seed", "--suite", "--trials",
     ]
-
-
-def test_a_scale_exponent_above_the_limit_exits_2(capsys):
-    # The grid norms' exact cost grows faster than linearly in the exponent.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "scaling", "--trials", "1", "--eps-pow-max", "1001"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--eps-pow-max 1001 is above the limit 1000" in captured.err
-    help_text = " ".join(cli.build_parser().parse_args(["verify"]).parser.format_help().split())
-    assert "largest j in the scale grid 2**-j, at most 1000" in help_text
 
 
 @pytest.mark.parametrize("suite", ["scaling", "all"])

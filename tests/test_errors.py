@@ -1,30 +1,28 @@
-"""The error contract for integer arguments: every count, dimension, index
-and exponent a public entry point takes is an ``int`` (a ``bool`` is not
-one) within its bounds, or the call raises ``ValueError`` with one message
-shape.  One row per argument: (id, the call, the argument's name, low,
+"""The error contract for integer and multi-index arguments: every count,
+dimension, index and exponent a public entry point takes is an ``int`` (a
+``bool`` is not one) within its bounds, and every ``alpha`` is a
+``MultiIndex``, or the call raises ``ValueError`` with one message shape.
+One row per integer argument: (id, the call, the argument's name, low,
 high), with ``None`` for an open end."""
 
 import re
 
 import pytest
 
-from deltachain.combinatorics import MAX_BELL_N, MAX_RANK_DIM, MultiIndex, bell_number, mask_rank
+from deltachain.asets import asets_to_json, build_asets
+from deltachain.combinatorics import MAX_BELL_N, MAX_RANK_DIM, MultiIndex, bell_number, enumerate_partitions, mask_rank
 from deltachain.cuboid import Cuboid
 from deltachain.numeric import (
-    MAX_EPS_EXPONENT,
     RandomRationalMap,
     identity_suite,
     run_suite,
-    scaling_slope,
-    scaling_trial,
     verify_chain_expansion,
+    verify_scaling,
+    verify_smooth_chain,
     verify_tangent_expansion,
 )
-from deltachain.polynomials import MAX_LIFT_VARIABLES, Poly, PolynomialMap, _Series, iterated_tangent_lift
-from deltachain.symbolic import parse
-
-_ALPHA = MultiIndex.ones(2)
-_TRIAL = scaling_trial(5, _ALPHA)
+from deltachain.polynomials import MAX_LIFT_VARIABLES, Poly, PolynomialMap, _Series, d_alpha, iterated_tangent_lift
+from deltachain.symbolic import expand_chain, expand_tangent, main_part, parse
 
 _TABLE = [
     ("unit-dim", lambda v: MultiIndex.unit(v, 0), "dim", 0, None),
@@ -44,7 +42,6 @@ _TABLE = [
     ("tangent-kmax", lambda v: verify_tangent_expansion(1, trials=1, kmax=v), "kmax", 1, None),
     ("suite-trials", lambda v: run_suite("theorem-b", 1, trials=v), "trials", 1, None),
     ("suite-kmax", lambda v: run_suite("smooth-chain", 1, kmax=v), "kmax", 1, None),
-    ("grid-exponent", lambda v: scaling_slope(*_TRIAL, _ALPHA, (3, v)), "grid exponent", 0, MAX_EPS_EXPONENT),
     ("variable-nvars", lambda v: Poly.variable(v, 0), "nvars", 0, MAX_LIFT_VARIABLES),
     ("variable-index", lambda v: Poly.variable(2, v), "variable index", 0, 1),
     ("partial", lambda v: Poly.variable(2, 0).partial(v), "variable index", 0, 1),
@@ -91,3 +88,32 @@ def test_bell_number_at_its_limit():
     assert bell_number(MAX_BELL_N) % 997 == (bell_number(3) + bell_number(4)) % 997
     with pytest.raises(ValueError, match=r"^n must be an int in \[0, 1000\], not 1001$"):
         bell_number(MAX_BELL_N + 1)
+
+
+# Every public entry point that takes an alpha, through one check; the
+# cached ones run it before the cache, which cannot hash a list.
+_ALPHA_TAKERS = [
+    ("enumerate-partitions", enumerate_partitions),
+    ("expand-tangent", expand_tangent),
+    ("expand-chain", expand_chain),
+    ("main-part", main_part),
+    ("build-asets", build_asets),
+    ("asets-to-json", asets_to_json),
+    ("verify-scaling", lambda a: verify_scaling(1, a)),
+    ("verify-smooth-chain", lambda a: verify_smooth_chain(a, 1)),
+    ("run-suite", lambda a: run_suite("scaling", 1, alpha=a)),
+    ("d-alpha", lambda a: d_alpha(PolynomialMap(2, ()), [(1, 0)], a)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{row_id}-{value_id}")
+        for row_id, call in _ALPHA_TAKERS
+        for value_id, value in (("list", [1, 1]), ("str", "11"), ("int", 3))
+    ],
+)
+def test_an_alpha_that_is_not_a_multi_index_raises_one_message(call, value):
+    with pytest.raises(ValueError, match="^" + re.escape(f"alpha must be a MultiIndex, not {type(value).__name__}") + "$"):
+        call(value)

@@ -293,11 +293,6 @@ def test_generators_reject_malformed_input_with_value_error(call):
         call()
 
 
-def test_unhashable_generator_input_raises_the_cache_type_error():
-    with pytest.raises(TypeError):
-        expand_chain([1, 1])
-
-
 def test_substitute_components():
     e = Sum((ComponentSym("u", mi("10")), App("f", ComponentSym("u", mi("01")))))
     out = substitute_components(e, lambda c: VecSym(f"s_{c.index.mask}"))
@@ -868,6 +863,16 @@ def _deep_delta(depth: int):
     for _ in range(depth):
         e = DeltaTerm((VecSym("v"),), "f", e)
     return e
+
+
+def test_canonicalize_of_operands_equal_far_down_raises_nesting_too_deep():
+    # Sorting compares the keys of the two 5,000-deep chains, nested tuples
+    # that differ only at the bottom, recursively.
+    v, w = VecSym("v"), VecSym("w")
+    for _ in range(5000):
+        v, w = App("f", v), App("f", w)
+    with pytest.raises(ValueError, match="^nesting too deep$"):
+        canonicalize(Sum((w, v)))
 
 
 def _frames() -> int:
