@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 on usage errors (a cube dimension above ``MAX_ORDER`` is one, and so is a
 scaling ``--alpha`` of order above ``MAX_SCALING_ORDER``) and when the
 output cannot be written (an unwritable ``--output`` path, or a closed
-stdout pipe), which prints one ``deltachain: ...`` line to stderr.  Output for a fixed command line and
+stdout pipe), which prints one ``deltachain: ...`` line to stderr unless
+stderr is that closed pipe too.  Output for a fixed command line and
 seed is byte-identical across runs.
 """
 
@@ -75,11 +76,15 @@ def _emit(output: str | None, *texts: str) -> None:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.writelines(slices)
     except OSError as exc:
+        # The reader is gone; send the unflushed rest to /dev/null so the
+        # flush at interpreter exit does not fail a second time.  Stderr may
+        # be the same closed pipe (2>&1): its line is then written nowhere.
         if isinstance(exc, BrokenPipeError):
-            # The reader is gone; send the unflushed rest to /dev/null so the
-            # flush at interpreter exit does not fail a second time.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"deltachain: cannot write output: {exc}", file=sys.stderr)
+        try:
+            print(f"deltachain: cannot write output: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         sys.exit(2)
 
 

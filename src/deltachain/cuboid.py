@@ -28,22 +28,36 @@ def _check_sequence(what: str, value: Any) -> None:
         raise ValueError(f"{what} must be a tuple or list, not {value!r}")
 
 
+def _check_callable(name: str, value: Any) -> None:
+    if not callable(value):
+        raise ValueError(f"{name} must be callable, not {value!r}")
+
+
 def _check_instance(name: str, value: Any, cls: type) -> None:
     """Raise ``ValueError`` naming the argument when ``value`` is not a ``cls``."""
     if not isinstance(value, cls):
         raise ValueError(f"{name} must be a {cls.__name__}, not {value!r}")
 
 
+# No guard runs before the work, as these run once per corner on the tuple
+# path: an operand without a length, or entries without + or -, raise a
+# TypeError that becomes a ValueError naming both operands.
 def vector_add(a: Value, b: Value) -> Value:
-    if len(a) != len(b):
-        raise ValueError(f"space dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(map(add, a, b))
+    try:
+        if len(a) != len(b):
+            raise ValueError(f"space dimension mismatch: {len(a)} vs {len(b)}")
+        return tuple(map(add, a, b))
+    except TypeError:
+        raise ValueError(f"cannot add {a!r} and {b!r} as vectors") from None
 
 
 def vector_sub(a: Value, b: Value) -> Value:
-    if len(a) != len(b):
-        raise ValueError(f"space dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(map(sub, a, b))
+    try:
+        if len(a) != len(b):
+            raise ValueError(f"space dimension mismatch: {len(a)} vs {len(b)}")
+        return tuple(map(sub, a, b))
+    except TypeError:
+        raise ValueError(f"cannot subtract {b!r} from {a!r} as vectors") from None
 
 
 def vector_neg(a: Value) -> Value:
@@ -154,13 +168,14 @@ class Cuboid:
 
     @classmethod
     def from_flat(cls, dim: int, space: int, values: Sequence[Any]) -> "Cuboid":
+        check_int("dim", dim)
+        check_int("space", space, 1)
         _check_sequence("values", values)
-        if len(values) != (1 << dim) * space:
+        n, rest = divmod(len(values), space)
+        # bit_length first: a huge dim must not build the integer 1 << dim
+        if rest or n.bit_length() != dim + 1 or n != 1 << dim:
             raise ValueError("flat length does not match dim and space")
-        comps = tuple(
-            tuple(values[i * space : (i + 1) * space]) for i in range(1 << dim)
-        )
-        return cls(dim, comps)
+        return cls(dim, tuple(tuple(values[i * space : (i + 1) * space]) for i in range(n)))
 
     def to_json(self) -> str:
         obj = {
@@ -269,10 +284,11 @@ def inject(p: PointedDirections) -> Cuboid:
 def pointwise(f: Callable[[Value], Value], c: Cuboid) -> Cuboid:
     """Apply a map to every component."""
     _check_instance("c", c, Cuboid)
+    _check_callable("f", f)
     return Cuboid(c.dim, tuple(tuple(f(v)) for v in c.components))
 
 
 def discrete_tangent(f: Callable[[Value], Value], c: Cuboid) -> Cuboid:
     """Conjugate the pointwise map by the difference operator; ``delta_inv``
-    checks ``c``."""
+    checks ``c`` and ``pointwise`` checks ``f``."""
     return delta(pointwise(f, delta_inv(c)))

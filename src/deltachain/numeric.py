@@ -30,15 +30,17 @@ import os
 import pickle
 import random
 import statistics
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from .combinatorics import MultiIndex, check_alpha, check_int, enumerate_partitions, refine
 from .cuboid import (
     Cuboid,
     PointedDirections,
     Value,
+    _check_callable,
     _check_sequence,
     corners,
     delta,
@@ -147,8 +149,7 @@ def evaluate_delta(F: Callable[[Value], Value], base: Value, directions: Sequenc
     that is not callable, or a ``base``, ``directions`` or direction that is
     not a tuple or list, raises ``ValueError``.
     """
-    if not callable(F):
-        raise ValueError(f"F must be callable, not {F!r}")
+    _check_callable("F", F)
     _check_sequence("base", base)
     _check_sequence("directions", directions)
     for d in directions:
@@ -313,8 +314,11 @@ def eval_expr(e: Expr | _NodeTable, bindings: Mapping[str, Any]) -> Value:
     space and every map a ``RandomRationalMap`` of it, else tuples, with
     each map called on a tuple.  Of several faults, the one met first in
     that order is reported.  The oracle suites build each expansion's table
-    once and pass it for ``e``.  No value is kept between calls.
+    once and pass it for ``e``.  No value is kept between calls.  A
+    ``bindings`` that is not a ``Mapping`` raises ``ValueError``.
     """
+    if not isinstance(bindings, Mapping):
+        raise ValueError(f"bindings must be a Mapping, not {bindings!r}")
     return _eval_rows(e if type(e) is _NodeTable else _NodeTable(e), bindings)[-1]
 
 
@@ -541,10 +545,7 @@ def _run_trials(seed: int, specs: Sequence[_Spec]) -> list[VerificationReport]:
     of every spec runs in one call of the trial pool, ``_run_tasks``.  A
     check returns a ``Failure`` or ``None``; with a ``detail``, it returns
     ``(failure, note)``, and the report's detail is ``detail(notes)`` in
-    trial order.  A ``trials`` that is not an ``int`` >= 1 (a ``bool``
-    included) raises ``ValueError`` before any trial runs."""
-    for spec in specs:
-        check_int("trials", spec[2], 1)
+    trial order."""
     tasks = [(check, derive_seed(seed, *labels, t)) for _, labels, n, check, _, _ in specs for t in range(n)]
     outcomes = iter(_run_tasks(tasks))
     reports = []
@@ -565,17 +566,14 @@ def _chain_bindings(f: Any, g: Any, x: Value, vs: Sequence[Value]) -> dict[str, 
     return {"f": f, "g": g, "x": x, **{f"v_{i + 1}": v for i, v in enumerate(vs)}}
 
 
-def verify_chain_expansion(seed: int, trials: int = 50, kmax: int = 5) -> list[VerificationReport]:
+def verify_chain_expansion(seed: int, trials: int | None = None, kmax: int | None = None) -> list[VerificationReport]:
     """Evaluate the symbolic expansion of an iterated difference of f(g(x))
     against direct evaluation, with fresh pseudorandom maps per trial: x,
     g(x) and f(g(x)) all lie in the plane."""
-    return _run_trials(seed, _chain_specs(trials, kmax))
+    return run_suite("theorem-b", seed, trials, kmax)
 
 
 def _chain_specs(trials: int, kmax: int) -> list[_Spec]:
-    check_int("kmax", kmax, 1)
-    check_int("trials", trials, 1)  # before any expansion is built
-
     def spec(k: int) -> _Spec:
         alpha = MultiIndex.ones(k)
         table = _NodeTable(expand_chain(alpha))
@@ -595,17 +593,14 @@ def _chain_specs(trials: int, kmax: int) -> list[_Spec]:
     return [spec(k) for k in range(1, kmax + 1)]
 
 
-def verify_tangent_expansion(seed: int, trials: int = 50, kmax: int = 5) -> list[VerificationReport]:
+def verify_tangent_expansion(seed: int, trials: int | None = None, kmax: int | None = None) -> list[VerificationReport]:
     """Evaluate the symbolic top component of the conjugated pointwise map
     against the cuboid-level computation on random cuboids: the cuboid's
     vectors and f's values lie in the plane."""
-    return _run_trials(seed, _tangent_specs(trials, kmax))
+    return run_suite("eq9", seed, trials, kmax)
 
 
 def _tangent_specs(trials: int, kmax: int) -> list[_Spec]:
-    check_int("kmax", kmax, 1)
-    check_int("trials", trials, 1)  # before any expansion is built
-
     def spec(k: int) -> _Spec:
         alpha = MultiIndex.ones(k)
         table = _NodeTable(expand_tangent(alpha))
@@ -738,9 +733,9 @@ _IDENTITY_CHECKS = (
 )
 
 
-def identity_suite(seed: int, trials: int = 1000) -> list[VerificationReport]:
+def identity_suite(seed: int, trials: int | None = None) -> list[VerificationReport]:
     """Run every exact structural identity check ``trials`` times each."""
-    return _run_trials(seed, _identity_specs(trials))
+    return run_suite("identities", seed, trials)
 
 
 def _identity_specs(trials: int) -> list[_Spec]:
@@ -824,7 +819,7 @@ def scaling_trial(s: int, alpha: MultiIndex) -> tuple[PolynomialMap, PolynomialM
     return f, g, x, [random_rational_vector(rng, 2, bound=3) for _ in range(alpha.dim)]
 
 
-def verify_scaling(seed: int, alpha: MultiIndex, trials: int = 3) -> VerificationReport:
+def verify_scaling(seed: int, alpha: MultiIndex, trials: int | None = None) -> VerificationReport:
     """Check that the remainder shrinks at least like the next order.
 
     Each trial makes one ``scaling_slope`` call: one exact ε-series
@@ -837,12 +832,12 @@ def verify_scaling(seed: int, alpha: MultiIndex, trials: int = 3) -> Verificatio
     ``MultiIndex``, or one of order above ``MAX_SCALING_ORDER``, raises
     ``ValueError`` before any trial runs.
     """
-    (report,) = _run_trials(seed, [_scaling_spec(alpha, trials)])
+    check_alpha(alpha)
+    (report,) = run_suite("scaling", seed, trials, alpha=alpha)
     return report
 
 
 def _scaling_spec(alpha: MultiIndex, trials: int) -> _Spec:
-    check_alpha(alpha)
     if alpha.order > MAX_SCALING_ORDER:
         raise ValueError(f"the scaling suite takes |alpha| up to MAX_SCALING_ORDER = {MAX_SCALING_ORDER}, not {alpha.order}")
 
@@ -867,12 +862,13 @@ def _scaling_spec(alpha: MultiIndex, trials: int) -> _Spec:
 # ---------------------------------------------------------------------------
 # smooth composition suite
 
-def verify_smooth_chain(alpha: MultiIndex, seed: int, trials: int = 25) -> VerificationReport:
+def verify_smooth_chain(alpha: MultiIndex, seed: int, trials: int | None = None) -> VerificationReport:
     """Exact polynomial checks of the derivative-level composition formula,
     the lifted tangent map on injected and general cuboids, and (for small
     dimensions) functoriality of the lift.  An alpha that is not a
     ``MultiIndex`` raises ``ValueError``."""
-    (report,) = _run_trials(seed, [_smooth_spec(alpha, trials)])
+    check_alpha(alpha)
+    (report,) = run_suite("smooth-chain", seed, trials, alpha=alpha)
     return report
 
 
@@ -888,7 +884,6 @@ def _derivatives(f: PolynomialMap, us: Sequence[Value], alpha: MultiIndex) -> di
 
 
 def _smooth_spec(alpha: MultiIndex, trials: int) -> _Spec:
-    check_alpha(alpha)
     k = alpha.dim
     table = enumerate_partitions(alpha)
     for p in table:
@@ -966,7 +961,11 @@ def run_suite(
     alpha: MultiIndex | None = None,
 ) -> list[VerificationReport]:
     """Run one named verification suite (or all of them) and return reports.
-    Every trial of the call runs in one trial pool."""
+    Every trial of the call runs in one trial pool.  Only this function
+    checks ``seed``, ``trials``, ``kmax`` and ``alpha``, before any spec is
+    built; a ``None`` takes the suite's default, and each suite wrapper
+    above is one call of this function."""
+    check_int("seed", seed, None)
     for count, n in (("trials", trials), ("kmax", kmax)):
         if n is not None:
             check_int(count, n, 1)

@@ -109,10 +109,12 @@ def test_component_count_is_validated():
         (lambda: PointedDirections(5, ()), "base must be a tuple or list, not 5"),
         (lambda: PointedDirections((1,), (5,)), "each direction vector must be a tuple or list, not 5"),
         (lambda: Cuboid.from_flat(1, 1, 5), "values must be a tuple or list, not 5"),
+        (lambda: Cuboid.from_flat(10**9, 1, []), "flat length does not match dim and space"),
+        (lambda: Cuboid.from_flat(1, 2, [1, 2, 3]), "flat length does not match dim and space"),
     ],
     ids=[
         "negative-dim", "str-dim", "bool-dim", "float-dim", "int-components", "huge-dim", "space-zero", "inject-empty",
-        "int-component", "int-base", "int-vector", "int-flat-values",
+        "int-component", "int-base", "int-vector", "int-flat-values", "flat-huge-dim", "flat-length",
     ],
 )
 def test_constructor_rejects_malformed_fields(build, message):

@@ -3,7 +3,8 @@ dimension, index and exponent a public entry point takes is an ``int`` (a
 ``bool`` is not one) within its bounds, and every ``alpha`` is a
 ``MultiIndex``, or the call raises ``ValueError`` with one message shape.
 One row per integer argument: (id, the call, the argument's name, low,
-high), with ``None`` for an open end."""
+high), with ``None`` for an open end.  An argument of another kind where a
+vector, a map or bindings belong raises ``ValueError`` naming it too."""
 
 import re
 
@@ -11,9 +12,10 @@ import pytest
 
 from deltachain.asets import asets_to_json, build_asets
 from deltachain.combinatorics import MAX_BELL_N, MAX_RANK_DIM, MultiIndex, bell_number, enumerate_partitions, mask_rank
-from deltachain.cuboid import Cuboid
+from deltachain.cuboid import Cuboid, discrete_tangent, pointwise, vector_add, vector_sub
 from deltachain.numeric import (
     RandomRationalMap,
+    eval_expr,
     identity_suite,
     run_suite,
     verify_chain_expansion,
@@ -32,6 +34,8 @@ _TABLE = [
     ("mask-rank", lambda v: mask_rank(v), "dim", 0, MAX_RANK_DIM),
     ("bell-number", lambda v: bell_number(v), "n", 0, MAX_BELL_N),
     ("cuboid", lambda v: Cuboid(v, ((1,), (2,))), "dim", 0, None),
+    ("from-flat-dim", lambda v: Cuboid.from_flat(v, 1, []), "dim", 0, None),
+    ("from-flat-space", lambda v: Cuboid.from_flat(0, v, []), "space", 1, None),
     ("map-seed", lambda v: RandomRationalMap(v, 2, 2), "seed", None, None),
     ("map-domain", lambda v: RandomRationalMap(1, v, 2), "domain_dim", 0, None),
     ("map-codomain", lambda v: RandomRationalMap(1, 2, v), "codomain_dim", 0, None),
@@ -42,6 +46,8 @@ _TABLE = [
     ("tangent-kmax", lambda v: verify_tangent_expansion(1, trials=1, kmax=v), "kmax", 1, None),
     ("suite-trials", lambda v: run_suite("theorem-b", 1, trials=v), "trials", 1, None),
     ("suite-kmax", lambda v: run_suite("smooth-chain", 1, kmax=v), "kmax", 1, None),
+    ("suite-seed", lambda v: run_suite("identities", v, trials=1), "seed", None, None),
+    ("identity-seed", lambda v: identity_suite(v, trials=1), "seed", None, None),
     ("variable-nvars", lambda v: Poly.variable(v, 0), "nvars", 0, MAX_LIFT_VARIABLES),
     ("variable-index", lambda v: Poly.variable(2, v), "variable index", 0, 1),
     ("partial", lambda v: Poly.variable(2, 0).partial(v), "variable index", 0, 1),
@@ -117,3 +123,27 @@ _ALPHA_TAKERS = [
 def test_an_alpha_that_is_not_a_multi_index_raises_one_message(call, value):
     with pytest.raises(ValueError, match="^" + re.escape(f"alpha must be a MultiIndex, not {type(value).__name__}") + "$"):
         call(value)
+
+
+_ONE = Cuboid(0, ((1,),))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: vector_add("3", [None]), "cannot add '3' and [None] as vectors"),
+        (lambda: vector_add(None, (1,)), "cannot add None and (1,) as vectors"),
+        (lambda: vector_sub((), MultiIndex.ones(2)), "cannot subtract MultiIndex(dim=2, mask=3) from () as vectors"),
+        (lambda: pointwise(None, _ONE), "f must be callable, not None"),
+        (lambda: discrete_tangent(None, _ONE), "f must be callable, not None"),
+        (lambda: eval_expr(expand_chain(MultiIndex.ones(1)), None), "bindings must be a Mapping, not None"),
+        (lambda: eval_expr(expand_chain(MultiIndex.ones(1)), [1]), "bindings must be a Mapping, not [1]"),
+    ],
+    ids=[
+        "vector-add-str", "vector-add-none", "vector-sub-index", "pointwise", "discrete-tangent", "eval-expr-none",
+        "eval-expr-list",
+    ],
+)
+def test_an_argument_of_another_kind_raises_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()

@@ -861,6 +861,44 @@ def test_run_suite_rejects_unknown_names():
         run_suite("nope", seed=1)
 
 
+def test_each_suite_wrapper_returns_its_run_suite_call(monkeypatch):
+    # With small defaults in the table, a wrapper called without trials or
+    # kmax takes them from there, as its run_suite call does.
+    small = {"theorem-b": (2, 2), "eq9": (2, 2), "identities": (3, None), "scaling": (1, None), "smooth-chain": (2, 2)}
+    for name, defaults in small.items():
+        monkeypatch.setitem(numeric._SUITES, name, (numeric._SUITES[name][0], *defaults))
+    a = mi("11")
+    pairs = [
+        (verify_chain_expansion(5), run_suite("theorem-b", 5)),
+        (verify_tangent_expansion(5), run_suite("eq9", 5)),
+        (identity_suite(5), run_suite("identities", 5)),
+        ([verify_scaling(5, a)], run_suite("scaling", 5, alpha=a)),
+        ([verify_smooth_chain(a, 5)], run_suite("smooth-chain", 5, alpha=a)),
+        (verify_chain_expansion(5, 1, 3), run_suite("theorem-b", 5, 1, 3)),
+        (verify_tangent_expansion(5, 1, 3), run_suite("eq9", 5, 1, 3)),
+        (identity_suite(5, 2), run_suite("identities", 5, 2)),
+        ([verify_scaling(5, a, 2)], run_suite("scaling", 5, 2, alpha=a)),
+        ([verify_smooth_chain(a, 5, 1)], run_suite("smooth-chain", 5, 1, alpha=a)),
+    ]
+    for got, want in pairs:
+        assert reports_to_json(got) == reports_to_json(want)
+    assert [r.trials for got, _ in pairs[:5] for r in got] == [2, 2, 2, 2, *[3] * 7, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda s: run_suite("identities", s, trials=1), lambda s: identity_suite(s, trials=1)],
+    ids=["run-suite", "identity-suite"],
+)
+@pytest.mark.parametrize("seed", ["11", None])
+def test_a_suite_seed_that_is_not_an_int_raises(monkeypatch, call, seed):
+    # derive_seed writes the seed with str, so "11" once ran seed 11's trials;
+    # test_errors.py takes True, 1.5 and "3" through the same two calls.
+    monkeypatch.setattr(numeric, "_run_tasks", lambda tasks: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match="^" + re.escape(f"seed must be an int, not {seed!r}") + "$"):
+        call(seed)
+
+
 # -- the trial pool ---------------------------------------------------------------
 
 def counted_forks(monkeypatch) -> list[int]:
