@@ -1,6 +1,8 @@
 """Symbolic and exact-numeric engine for higher-order finite differences of
 composed maps: multi-index combinatorics, cuboid calculus, expansion
-formulas, and rational verification suites."""
+formulas, and rational verification suites.  An argument of the wrong kind
+or out of its bounds raises ``ValueError`` from ``combinatorics.check_type``
+or ``check_int``, as the README's "Arguments" rule lists."""
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .combinatorics import MultiIndex, Partition, _partition_rows, check_alpha, enumerate_partitions, mask_rank
+from .combinatorics import MultiIndex, Partition, _partition_rows, check_type, enumerate_partitions, mask_rank
 
 #: condition names used in validation reports, in check order
 CONDITIONS = ("disjoint", "anchored", "base-extras", "block-extras", "order-increase")
@@ -112,9 +112,8 @@ def build_asets(alpha: MultiIndex) -> dict[Partition, ASetFamily]:
     ``enumerate_partitions(alpha)``: the all-ones families of alpha's
     order placed on its support.  Both follow the rows of
     ``combinatorics._partition_rows``, so family r belongs to partition r.
-    An alpha that is not a ``MultiIndex`` raises ``ValueError``.
     """
-    check_alpha(alpha)
+    check_type("alpha", alpha, MultiIndex)
     placed = alpha.placements()
     built: dict[Partition, ASetFamily] = {}
     for partition, (_, mask_sets) in zip(enumerate_partitions(alpha), _ones_families(alpha.order)):
@@ -164,18 +163,13 @@ def validate(family: ASetFamily) -> FamilyValidation:
     order-increase  members of a key's set other than the key itself have
                     order strictly greater than the key
 
-    Anything but an ``ASetFamily``, a partition that is not a ``Partition``,
-    sets that are not a ``dict``, a key without a set, a set that is not a
-    tuple or list, or a member that is not a ``MultiIndex`` of the target's
-    dimension raises ``ValueError``.
+    A key without a set, or a member of another dimension than the
+    target's, raises ``ValueError``.
     """
-    if not isinstance(family, ASetFamily):
-        raise ValueError(f"expected an ASetFamily, not {type(family).__name__}")
+    check_type("family", family, ASetFamily)
     p = family.partition
-    if not isinstance(p, Partition):
-        raise ValueError(f"the family's partition is {p!r}, not a Partition")
-    if not isinstance(family.sets, dict):
-        raise ValueError(f"the family's sets are {family.sets!r}, not a dict")
+    check_type("the family's partition", p, Partition)
+    check_type("the family's sets", family.sets, dict)
     dim, target, mo = p.target.dim, p.target.mask, p.maxord
     keys = family.keys()
     sets = []
@@ -184,13 +178,11 @@ def validate(family: ASetFamily) -> FamilyValidation:
             s = family.sets[k]
         except KeyError:
             raise ValueError(f"the family has no set for key {k}") from None
-        if not isinstance(s, (tuple, list)):
-            raise ValueError(f"the set of key {k} is {s!r}, not a tuple or list")
+        check_type(f"the set of key {k}", s, (tuple, list))
         masks = [m.mask for m in s if isinstance(m, MultiIndex) and m.dim == dim]
         if len(masks) != len(s):
             for m in s:
-                if not isinstance(m, MultiIndex):
-                    raise ValueError(f"the set of key {k} holds {m!r}, which is not a MultiIndex")
+                check_type(f"a member of the set of key {k}", m, MultiIndex)
                 if m.dim != dim:
                     raise ValueError(f"dimension mismatch: {m.dim} vs {dim}")
         sets.append(masks)
@@ -225,7 +217,7 @@ def asets_to_json(alpha: MultiIndex, include_validation: bool = False) -> str:
     rows ``ASetFamily.to_obj`` and ``FamilyValidation.to_obj`` describe,
     written from the cached all-ones families without building them.
     """
-    check_alpha(alpha)
+    check_type("alpha", alpha, MultiIndex)
     # The all-ones families are validated against the all-ones target, and
     # mask c is named by its placement on alpha's support: placing is
     # injective and keeps <=, the order and the digit-string order, so every

@@ -9,16 +9,18 @@ partitions of the support, so their counts are Bell numbers.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any
 
 
 @dataclass(frozen=True, slots=True)
 class MultiIndex:
     """An element of {0,1}^k under the componentwise partial order.
 
-    Stored as the dimension k and a mask with bit i set iff digit i+1 is 1.
+    Stored as the dimension k, at most ``MAX_DIM``, and a mask with bit i
+    set iff digit i+1 is 1.
 
     >>> a = MultiIndex.from_string("101")
     >>> a.order, a.dim, a.mask, a.support
@@ -31,13 +33,9 @@ class MultiIndex:
     mask: int
 
     def __post_init__(self) -> None:
-        if type(self.dim) is not int or type(self.mask) is not int:
-            raise ValueError(f"dim and mask must be integers: {self.dim!r}, {self.mask!r}")
-        if self.dim < 0:
-            raise ValueError(f"a multi-index has no negative dimension: {self.dim}")
-        # bit_length, not 1 << dim: a huge dim must not build a huge integer
-        if self.mask < 0 or self.mask.bit_length() > self.dim:
-            raise ValueError(f"mask {self.mask} out of range for dim {self.dim}")
+        check_int("dim", self.dim, 0, MAX_DIM)
+        if type(self.mask) is not int or self.mask < 0 or self.mask.bit_length() > self.dim:
+            raise malformed("mask", f"an int in [0, 2**{self.dim} - 1]", self.mask)
 
     @classmethod
     def empty(cls) -> "MultiIndex":
@@ -48,17 +46,17 @@ class MultiIndex:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "MultiIndex":
         """The multi-index with the given digits, first digit first."""
-        if not isinstance(bits, Iterable):
-            raise ValueError(f"digits must be an iterable of 0s and 1s, not {bits!r}")
+        check_type("bits", bits, Iterable)
         bits = tuple(bits)
         if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"digits must be 0 or 1: {bits!r}")
+            raise malformed("bits", "an Iterable of 0s and 1s", bits)
         return cls(len(bits), sum(int(b) << i for i, b in enumerate(bits)))
 
     @classmethod
     def from_string(cls, s: str) -> "MultiIndex":
-        if type(s) is not str or any(c not in "01" for c in s):
-            raise ValueError(f"not a bitstring: {s!r}")
+        check_type("s", s, str)
+        if any(c not in "01" for c in s):
+            raise malformed("s", "a bitstring", s)
         return cls(len(s), int(s[::-1] or "0", 2))
 
     @classmethod
@@ -68,13 +66,13 @@ class MultiIndex:
     @classmethod
     def unit(cls, dim: int, position: int) -> "MultiIndex":
         """The multi-index with a single 1-digit at ``position`` (0-based)."""
-        check_int("dim", dim)
+        check_int("dim", dim, 0, MAX_DIM)
         check_int("position", position, 0, dim - 1)
         return cls(dim, 1 << position)
 
     @classmethod
     def ones(cls, dim: int) -> "MultiIndex":
-        check_int("dim", dim)
+        check_int("dim", dim, 0, MAX_DIM)
         return cls(dim, (1 << dim) - 1)
 
     @property
@@ -102,8 +100,7 @@ class MultiIndex:
         return bin(self.mask | 1 << self.dim)[:2:-1]
 
     def __le__(self, other: "MultiIndex") -> bool:
-        if type(other) is not MultiIndex:
-            raise ValueError(f"a MultiIndex compares only with a MultiIndex, not {other!r}")
+        check_type("other", other, MultiIndex)
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return not self.mask & ~other.mask
@@ -114,7 +111,7 @@ class MultiIndex:
     def diamond(self, digit: int) -> "MultiIndex":
         """Append one digit."""
         if digit not in (0, 1):
-            raise ValueError(f"digit must be 0 or 1: {digit!r}")
+            raise malformed("digit", "0 or 1", digit)
         return MultiIndex(self.dim + 1, self.mask | int(digit) << self.dim)
 
     def placements(self) -> tuple["MultiIndex", ...]:
@@ -147,7 +144,7 @@ class MultiIndex:
 
     def embed(self, positions: Sequence[int], dim: int) -> "MultiIndex":
         """Place the digits of self at ``positions`` inside a zero index of ``dim``."""
-        check_int("dim", dim)
+        check_int("dim", dim, 0, MAX_DIM)
         _check_positions(positions, dim)
         if len(positions) != self.dim:
             raise ValueError("positions must match dimension")
@@ -157,18 +154,45 @@ class MultiIndex:
         return MultiIndex(dim, mask)
 
 
+MAX_DIM = 1 << 16  # the largest dimension of a multi-index: a mask of 2^16 bits is 8 KB
+
+_SHOWN = 80  # the most characters of an argument's repr that a message quotes
+
+
+def malformed(name: str, noun: str, value: Any) -> ValueError:
+    """The one error for an argument ``name`` that is not ``noun``:
+    ``ValueError("{name} must be {noun}, not {value}")``, the value written
+    as its repr cut to ``_SHOWN`` characters.  An int of more than 240 bits,
+    which may have too many digits to print, is named by its bit length, and
+    a value whose repr fails by its type."""
+    if isinstance(value, int) and value.bit_length() > 240:  # 240 bits print in at most 73 digits
+        shown = f"an int of {value.bit_length()} bits"
+    else:
+        try:
+            shown = repr(value)
+        except Exception:  # any repr may fail: an int too long to print inside a list, or deep nesting
+            shown = f"a {type(value).__name__} that cannot be printed"
+        if len(shown) > _SHOWN:
+            shown = shown[: _SHOWN - 3] + "..."
+    return ValueError(f"{name} must be {noun}, not {shown}")
+
+
 def check_int(name: str, value: Any, low: int | None = 0, high: int | None = None) -> None:
     """Raise ``ValueError`` unless ``value`` is an ``int`` in [low, high]; a
     ``bool`` is not one, and a ``None`` bound leaves that end open."""
     if type(value) is not int or low is not None and value < low or high is not None and value > high:
         bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
-        raise ValueError(f"{name} must be an int{bounds}, not {value!r}")
+        raise malformed(name, f"an int{bounds}", value)
 
 
-def check_alpha(alpha: MultiIndex) -> None:
-    """Raise ``ValueError`` unless ``alpha`` is a ``MultiIndex``."""
-    if type(alpha) is not MultiIndex:
-        raise ValueError(f"alpha must be a MultiIndex, not {type(alpha).__name__}")
+def check_type(name: str, value: Any, kind: type | tuple[type, ...]) -> None:
+    """Raise ``ValueError`` unless ``isinstance(value, kind)``: ``kind`` is a
+    class or a tuple of classes, abstract ones such as ``Callable`` too, and
+    the message names each, as in ``"c must be a tuple or a list, not 3"``."""
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        noun = " or ".join(("an " if k.__name__[0] in "AEIOUaeiou" else "a ") + k.__name__ for k in kinds)
+        raise malformed(name, noun, value)
 
 
 def cached_after(check: Callable[[Any], None]):
@@ -192,12 +216,11 @@ def cached_after(check: Callable[[Any], None]):
 
 
 def _check_positions(positions: Sequence[int], dim: int) -> None:
-    if not isinstance(positions, (tuple, list)) or any(type(p) is not int for p in positions):
-        raise ValueError(f"positions must be a tuple or list of ints, not {positions!r}")
-    if not all(0 <= p < dim for p in positions):
-        raise ValueError(f"positions {positions} outside dimension {dim}")
+    check_type("positions", positions, (tuple, list))
+    for p in positions:
+        check_int("position", p, 0, dim - 1)
     if len(set(positions)) != len(positions):
-        raise ValueError(f"positions {positions} repeat a position")
+        raise malformed("positions", "distinct", positions)
 
 
 @dataclass(frozen=True)
@@ -213,8 +236,8 @@ class Partition:
     blocks: tuple[MultiIndex, ...]
 
     def __post_init__(self) -> None:
-        if type(self.target) is not MultiIndex or not isinstance(self.blocks, (tuple, list)):
-            raise ValueError(f"a Partition takes a MultiIndex and a tuple, not {self.target!r}, {self.blocks!r}")
+        check_type("target", self.target, MultiIndex)
+        check_type("blocks", self.blocks, (tuple, list))
         blocks = tuple(self.blocks)
         if self.target.order == 0:
             if blocks:
@@ -223,8 +246,7 @@ class Partition:
             return
         seen = 0
         for b in blocks:
-            if type(b) is not MultiIndex:
-                raise ValueError(f"a block must be a MultiIndex, not {b!r}")
+            check_type("block", b, MultiIndex)
             if b.dim != self.target.dim:
                 raise ValueError("block dimension mismatch")
             if not b.mask:
@@ -291,14 +313,13 @@ def _partition_rows(dim: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     return tuple(rows)
 
 
-@cached_after(check_alpha)
+@cached_after(lambda alpha: check_type("alpha", alpha, MultiIndex))
 def enumerate_partitions(alpha: MultiIndex) -> tuple[Partition, ...]:
     """All partitions of ``alpha``, sorted by (size, block digit strings):
     the rows of ``_partition_rows(alpha.order)`` placed on alpha's support,
     which keeps their order.
 
-    The zero multi-index has exactly one partition: the empty one.  An
-    alpha that is not a ``MultiIndex`` raises ``ValueError``.
+    The zero multi-index has exactly one partition: the empty one.
     """
     placed = alpha.placements()
     return tuple(Partition(alpha, tuple(map(placed.__getitem__, b))) for b, _, _ in _partition_rows(alpha.order))
@@ -310,11 +331,9 @@ def refine(p: Partition) -> tuple[Partition, ...]:
     The first child appends 0 to every block and adds the new singleton
     block; child i (1-based) appends 1 to block i and 0 to the others.
     Across all partitions of the target these children disjointly exhaust
-    the partitions of target⋄1.  Anything but a ``Partition`` raises
-    ``ValueError``.
+    the partitions of target⋄1.
     """
-    if not isinstance(p, Partition):
-        raise ValueError(f"expected a Partition, not {type(p).__name__}")
+    check_type("p", p, Partition)
     target = p.target.diamond(1)
     children = _refine_masks(tuple(b.mask for b in p.blocks), p.target.dim)
     return tuple(Partition(target, tuple(MultiIndex(target.dim, b) for b in blocks)) for blocks in children)

@@ -10,33 +10,18 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg, sub
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any
 
-from .combinatorics import MultiIndex, check_int
+from .combinatorics import MultiIndex, check_int, check_type, malformed
 
 Value = tuple[Any, ...]
 
 # An entry string as ``to_json`` writes it; Fraction("1e100000000") would build 10**100000000.
 _ENTRY_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
-def _check_sequence(what: str, value: Any) -> None:
-    if not isinstance(value, (tuple, list)):
-        raise ValueError(f"{what} must be a tuple or list, not {value!r}")
-
-
-def _check_callable(name: str, value: Any) -> None:
-    if not callable(value):
-        raise ValueError(f"{name} must be callable, not {value!r}")
-
-
-def _check_instance(name: str, value: Any, cls: type) -> None:
-    """Raise ``ValueError`` naming the argument when ``value`` is not a ``cls``."""
-    if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, not {value!r}")
 
 
 # No guard runs before the work, as these run once per corner on the tuple
@@ -61,13 +46,19 @@ def vector_sub(a: Value, b: Value) -> Value:
 
 
 def vector_neg(a: Value) -> Value:
-    return tuple(map(neg, a))
+    try:
+        return tuple(map(neg, a))
+    except TypeError:
+        raise malformed("a", "a vector", a) from None
 
 
 def vector_sum(vectors: Sequence[Value], signs: Sequence[int] | None = None) -> Value:
     """The sum of nonempty ``vectors``, each negated where ``signs`` is -1."""
-    signs = signs or (1,) * len(vectors)
-    acc = vectors[0] if signs[0] > 0 else vector_neg(vectors[0])
+    try:
+        first, signs = vectors[0], signs or (1,) * len(vectors)
+    except (IndexError, KeyError, TypeError):
+        raise malformed("vectors", "a nonempty sequence", vectors) from None
+    acc = first if signs[0] > 0 else vector_neg(first)
     for v, s in zip(vectors[1:], signs[1:]):
         acc = vector_add(acc, v) if s > 0 else vector_sub(acc, v)
     return acc
@@ -77,8 +68,11 @@ def corners(base: Value, dirs: Sequence[Value]) -> list[Value]:
     """The 2^k corners: entry m is base plus ``dirs[i]`` for each bit i of m.
     The list doubles at each direction, one ``vector_add`` per new corner."""
     out = [base]
-    for d in dirs:
-        out += [vector_add(x, d) for x in out]
+    try:
+        for d in dirs:
+            out += [vector_add(x, d) for x in out]
+    except TypeError:  # vector_add raises no TypeError
+        raise malformed("dirs", "a sequence of vectors", dirs) from None
     return out
 
 
@@ -90,10 +84,10 @@ class PointedDirections:
     vectors: tuple[Value, ...]
 
     def __post_init__(self) -> None:
-        _check_sequence("base", self.base)
-        _check_sequence("vectors", self.vectors)
+        check_type("base", self.base, (tuple, list))
+        check_type("vectors", self.vectors, (tuple, list))
         for v in self.vectors:
-            _check_sequence("each direction vector", v)
+            check_type("each direction vector", v, (tuple, list))
             if len(v) != len(self.base):
                 raise ValueError("direction dimension differs from base point")
         object.__setattr__(self, "base", tuple(self.base))
@@ -114,9 +108,9 @@ class Cuboid:
 
     def __post_init__(self) -> None:
         check_int("dim", self.dim)
-        _check_sequence("components", self.components)
+        check_type("components", self.components, (tuple, list))
         for c in self.components:
-            _check_sequence("each component", c)
+            check_type("each component", c, (tuple, list))
         object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
         n = len(self.components)
         # bit_length first: a huge dim must not build the integer 1 << dim
@@ -134,12 +128,17 @@ class Cuboid:
 
     @classmethod
     def build(cls, dim: int, fn: Callable[[MultiIndex], Value]) -> "Cuboid":
+        check_int("dim", dim)
+        check_type("fn", fn, Callable)
         return cls(dim, tuple(fn(m) for m in _indices(dim)))
 
     def component(self, index: MultiIndex) -> Value:
-        if index.dim != self.dim:
-            raise ValueError(f"index dimension {index.dim} differs from cuboid dimension {self.dim}")
-        return self.components[index.mask]
+        try:
+            if index.dim != self.dim:
+                raise ValueError(f"index dimension {index.dim} differs from cuboid dimension {self.dim}")
+            return self.components[index.mask]
+        except AttributeError:
+            raise malformed("index", "a MultiIndex", index) from None
 
     def indices(self) -> Iterator[MultiIndex]:
         return iter(_indices(self.dim))
@@ -170,7 +169,7 @@ class Cuboid:
     def from_flat(cls, dim: int, space: int, values: Sequence[Any]) -> "Cuboid":
         check_int("dim", dim)
         check_int("space", space, 1)
-        _check_sequence("values", values)
+        check_type("values", values, (tuple, list))
         n, rest = divmod(len(values), space)
         # bit_length first: a huge dim must not build the integer 1 << dim
         if rest or n.bit_length() != dim + 1 or n != 1 << dim:
@@ -191,8 +190,7 @@ class Cuboid:
     def from_json(cls, text: str) -> "Cuboid":
         """Inverse of ``to_json``; malformed input, such as a non-``str``, nesting
         too deep or an entry string ``to_json`` does not write, raises ``ValueError``."""
-        if not isinstance(text, str):
-            raise ValueError(f"expected a str of JSON, not {type(text).__name__}")
+        check_type("text", text, str)
         try:
             obj = json.loads(text)
         except RecursionError:
@@ -237,27 +235,27 @@ def _butterfly(values: list, dim: int, combine: Callable[[Any, Any], Any]) -> li
 def delta(c: Cuboid) -> Cuboid:
     """Alternating down-set sums: component alpha becomes
     sum over beta <= alpha of (-1)^(|alpha|-|beta|) c_beta."""
-    _check_instance("c", c, Cuboid)
+    check_type("c", c, Cuboid)
     return Cuboid(c.dim, tuple(_butterfly(list(c.components), c.dim, vector_sub)))
 
 
 def delta_inv(c: Cuboid) -> Cuboid:
     """Down-set sums: component alpha becomes sum over beta <= alpha of c_beta."""
-    _check_instance("c", c, Cuboid)
+    check_type("c", c, Cuboid)
     return Cuboid(c.dim, tuple(_butterfly(list(c.components), c.dim, vector_add)))
 
 
 def pair(u: Cuboid, v: Cuboid) -> Cuboid:
     """Join two k-cuboids into a (k+1)-cuboid along a new last axis."""
-    _check_instance("u", u, Cuboid)
-    _check_instance("v", v, Cuboid)
+    check_type("u", u, Cuboid)
+    check_type("v", v, Cuboid)
     u._check_shape(v)
     return Cuboid(u.dim + 1, u.components + v.components)
 
 
 def split(w: Cuboid) -> tuple[Cuboid, Cuboid]:
     """Inverse of ``pair``."""
-    _check_instance("w", w, Cuboid)
+    check_type("w", w, Cuboid)
     if w.dim == 0:
         raise ValueError("cannot split a 0-dimensional cuboid")
     half = 1 << (w.dim - 1)
@@ -267,7 +265,7 @@ def split(w: Cuboid) -> tuple[Cuboid, Cuboid]:
 def inject(p: PointedDirections) -> Cuboid:
     """The cuboid with base p.base, the i-th vector at each unit index, and
     zero at every index of order two or more."""
-    _check_instance("p", p, PointedDirections)
+    check_type("p", p, PointedDirections)
     base, vectors = p.base, p.vectors
     zero = tuple(x - x for x in base)
 
@@ -283,8 +281,8 @@ def inject(p: PointedDirections) -> Cuboid:
 
 def pointwise(f: Callable[[Value], Value], c: Cuboid) -> Cuboid:
     """Apply a map to every component."""
-    _check_instance("c", c, Cuboid)
-    _check_callable("f", f)
+    check_type("c", c, Cuboid)
+    check_type("f", f, Callable)
     return Cuboid(c.dim, tuple(tuple(f(v)) for v in c.components))
 
 

@@ -30,18 +30,16 @@ import os
 import pickle
 import random
 import statistics
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any
 
-from .combinatorics import MultiIndex, check_alpha, check_int, enumerate_partitions, refine
+from .combinatorics import MultiIndex, check_int, check_type, enumerate_partitions, refine
 from .cuboid import (
     Cuboid,
     PointedDirections,
     Value,
-    _check_callable,
-    _check_sequence,
     corners,
     delta,
     delta_inv,
@@ -145,15 +143,13 @@ def evaluate_delta(F: Callable[[Value], Value], base: Value, directions: Sequenc
     ``RandomRationalMap`` and exact vectors of its domain, the corners are
     packed ints read through the map's memo, and its values are summed as
     ints; any other map is called at corners added by + and -.  Both run
-    ``_difference``, as ``eval_expr`` does at each difference node.  An F
-    that is not callable, or a ``base``, ``directions`` or direction that is
-    not a tuple or list, raises ``ValueError``.
+    ``_difference``, as ``eval_expr`` does at each difference node.
     """
-    _check_callable("F", F)
-    _check_sequence("base", base)
-    _check_sequence("directions", directions)
+    check_type("F", F, Callable)
+    check_type("base", base, (tuple, list))
+    check_type("directions", directions, (tuple, list))
     for d in directions:
-        _check_sequence("each direction", d)
+        check_type("each direction", d, (tuple, list))
     vectors = [tuple(base), *map(tuple, directions)]
     if type(F) is not RandomRationalMap or any(len(v) != F.domain_dim or set(map(type, v)) - _RATIONAL for v in vectors):
         return _difference(F, vectors[0], vectors[1:])
@@ -314,11 +310,9 @@ def eval_expr(e: Expr | _NodeTable, bindings: Mapping[str, Any]) -> Value:
     space and every map a ``RandomRationalMap`` of it, else tuples, with
     each map called on a tuple.  Of several faults, the one met first in
     that order is reported.  The oracle suites build each expansion's table
-    once and pass it for ``e``.  No value is kept between calls.  A
-    ``bindings`` that is not a ``Mapping`` raises ``ValueError``.
+    once and pass it for ``e``.  No value is kept between calls.
     """
-    if not isinstance(bindings, Mapping):
-        raise ValueError(f"bindings must be a Mapping, not {bindings!r}")
+    check_type("bindings", bindings, Mapping)
     return _eval_rows(e if type(e) is _NodeTable else _NodeTable(e), bindings)[-1]
 
 
@@ -366,9 +360,7 @@ class RandomRationalMap:
     its point as ``_packing`` packs it alone.  A key is decoded only on a
     miss, to hash the text of each reduced coordinate, as str(Fraction)
     writes it, joined by ``|``: coordinate j hashes ``f"{seed};{j};"`` and
-    then that text, from a copy of the prefix's hash state.  A ``seed`` that
-    is not an ``int``, a dimension that is not an ``int`` >= 0, or a point
-    that is not a tuple or list raises ``ValueError``.
+    then that text, from a copy of the prefix's hash state.
     """
 
     def __init__(self, seed: int, domain_dim: int, codomain_dim: int):
@@ -386,7 +378,7 @@ class RandomRationalMap:
         return type(self), (self.seed, self.domain_dim, self.codomain_dim)
 
     def __call__(self, point: Value) -> Value:
-        _check_sequence("point", point)
+        check_type("point", point, (tuple, list))
         if len(point) != self.domain_dim:
             raise ValueError(f"need {self.domain_dim} coordinates, got {len(point)}")
         exact = [c if type(c) in _RATIONAL else _coefficient("a point coordinate", c) for c in point]
@@ -791,6 +783,11 @@ def scaling_slope(
     every norm is zero; ``slope`` is ``None`` then or when fewer than two
     norms are nonzero.
     """
+    check_type("f", f, PolynomialMap)
+    check_type("g", g, PolynomialMap)
+    check_type("x", x, (tuple, list))
+    check_type("ws", ws, (tuple, list))
+    check_type("alpha", alpha, MultiIndex)
     df, dg = (max(0, max((p.degree for p in m.components), default=0)) for m in (f, g))
     eps = _Series.epsilon(df * dg + 1)
     lhs, rhs = _main_term_split(f, g, x, [tuple(eps * c for c in w) for w in ws], alpha)
@@ -828,11 +825,10 @@ def verify_scaling(seed: int, alpha: MultiIndex, trials: int | None = None) -> V
     below |alpha| + 1.  The fitted slope is only reported, next to the
     threshold |alpha| + 1 - 0.2 it is expected to clear; a remainder zero
     at every grid point is reported as degenerate, and one nonzero at a
-    single point as having no slope.  An alpha that is not a
-    ``MultiIndex``, or one of order above ``MAX_SCALING_ORDER``, raises
-    ``ValueError`` before any trial runs.
+    single point as having no slope.  An alpha of order above
+    ``MAX_SCALING_ORDER`` raises ``ValueError`` before any trial runs.
     """
-    check_alpha(alpha)
+    check_type("alpha", alpha, MultiIndex)
     (report,) = run_suite("scaling", seed, trials, alpha=alpha)
     return report
 
@@ -865,9 +861,8 @@ def _scaling_spec(alpha: MultiIndex, trials: int) -> _Spec:
 def verify_smooth_chain(alpha: MultiIndex, seed: int, trials: int | None = None) -> VerificationReport:
     """Exact polynomial checks of the derivative-level composition formula,
     the lifted tangent map on injected and general cuboids, and (for small
-    dimensions) functoriality of the lift.  An alpha that is not a
-    ``MultiIndex`` raises ``ValueError``."""
-    check_alpha(alpha)
+    dimensions) functoriality of the lift."""
+    check_type("alpha", alpha, MultiIndex)
     (report,) = run_suite("smooth-chain", seed, trials, alpha=alpha)
     return report
 
@@ -970,7 +965,7 @@ def run_suite(
         if n is not None:
             check_int(count, n, 1)
     if alpha is not None:
-        check_alpha(alpha)
+        check_type("alpha", alpha, MultiIndex)
     return _run_trials(seed, _suite_specs(name, trials, kmax, alpha))
 
 

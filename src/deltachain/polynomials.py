@@ -31,15 +31,16 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
 from operator import add, sub
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any
 
-from .combinatorics import MultiIndex, check_alpha, check_int
-from .cuboid import Value, _check_instance, _check_sequence
+from .combinatorics import MultiIndex, check_int, check_type, malformed
+from .cuboid import Value
 
 _BITS = 16  # the width of one exponent field
 _FIELD = (1 << _BITS) - 1
@@ -58,7 +59,7 @@ def _coefficient(what: str, c: Any) -> int | Fraction:
     try:
         return _rational(Fraction(c))
     except (TypeError, ValueError, ArithmeticError):
-        raise ValueError(f"{what} must be a rational, got {c!r}") from None
+        raise malformed(what, "a rational", c) from None
 
 
 def _clean(coeffs: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
@@ -111,12 +112,13 @@ class Poly:
     @classmethod
     def make(cls, nvars: int, coeffs: dict[tuple[int, ...], Fraction | int]) -> "Poly":
         check_int("nvars", nvars)
+        check_type("coeffs", coeffs, Mapping)
         packed: dict[int, int | Fraction] = {}
         for expts, c in coeffs.items():
             try:
                 expts = tuple(expts)
             except TypeError:
-                raise ValueError(f"a monomial key must be a sequence of exponents, got {expts!r}") from None
+                raise malformed("a monomial key", "a sequence of exponents", expts) from None
             if len(expts) != nvars:
                 raise ValueError(f"exponent tuple {expts} does not have {nvars} entries")
             key = 0
@@ -245,7 +247,7 @@ class Poly:
         try:
             low = args[::-1]  # variable i sits in field nvars-1-i from the lowest
         except (TypeError, KeyError):  # KeyError: a dict, where slices are hashable (3.12 on)
-            raise ValueError(f"arguments must be a sequence, got {args!r}") from None
+            raise malformed("arguments", "a sequence", args) from None
         if len(low) != nvars:
             raise ValueError(f"need {nvars} arguments, got {len(low)}")
         if nvars and type(args[0]) is _Series and self.degree > 0:
@@ -305,7 +307,7 @@ class Poly:
         try:
             low = [uj if type(uj) is int else _coefficient("a direction entry", uj) for uj in reversed(u)]
         except TypeError:
-            raise ValueError(f"a direction must be a sequence, got {u!r}") from None
+            raise malformed("u", "a sequence", u) from None
         if len(low) != self.nvars:
             raise ValueError("direction dimension mismatch")
         coeffs: dict[int, int | Fraction] = {}
@@ -485,6 +487,8 @@ def series_valuation(lhs: Sequence[Any], rhs: Sequence[Any]) -> int | None:
     ``None`` when the difference is zero mod ε^n.  Rational entries count as
     constants.  Truncation mod ε^n is a ring map, so below n the lowest
     nonzero degree is that of the untruncated difference."""
+    check_type("lhs", lhs, (tuple, list))
+    check_type("rhs", rhs, (tuple, list))
     if len(lhs) != len(rhs):
         raise ValueError(f"space dimension mismatch: {len(lhs)} vs {len(rhs)}")
     low = None
@@ -509,10 +513,9 @@ class PolynomialMap:
         try:
             object.__setattr__(self, "components", tuple(self.components))
         except TypeError:
-            raise ValueError(f"components must be iterable, not {self.components!r}") from None
+            raise malformed("components", "an Iterable", self.components) from None
         for p in self.components:
-            if not isinstance(p, Poly):
-                raise ValueError(f"a component must be a Poly, got {type(p).__name__}")
+            check_type("each component", p, Poly)
             if p.nvars != self.domain_dim:
                 raise ValueError("component variable count differs from domain")
 
@@ -526,8 +529,8 @@ class PolynomialMap:
 
 def compose(outer: PolynomialMap, inner: PolynomialMap) -> PolynomialMap:
     """The polynomial map ``outer after inner``."""
-    _check_instance("outer", outer, PolynomialMap)
-    _check_instance("inner", inner, PolynomialMap)
+    check_type("outer", outer, PolynomialMap)
+    check_type("inner", inner, PolynomialMap)
     if outer.domain_dim != inner.codomain_dim:
         raise ValueError("domain of outer differs from codomain of inner")
     comps = []
@@ -540,13 +543,13 @@ def compose(outer: PolynomialMap, inner: PolynomialMap) -> PolynomialMap:
 
 
 def directional_derivative(f: PolynomialMap, u: Sequence[Fraction | int]) -> PolynomialMap:
-    _check_instance("f", f, PolynomialMap)
+    check_type("f", f, PolynomialMap)
     return PolynomialMap(f.domain_dim, tuple(p.directional(u) for p in f.components))
 
 
 def iterated_directional(f: PolynomialMap, vectors: Sequence[Sequence[Fraction | int]]) -> PolynomialMap:
-    _check_instance("f", f, PolynomialMap)
-    _check_sequence("vectors", vectors)
+    check_type("f", f, PolynomialMap)
+    check_type("vectors", vectors, (tuple, list))
     return reduce(directional_derivative, vectors, f)
 
 
@@ -556,8 +559,8 @@ def d_alpha(
     alpha: MultiIndex,
 ) -> PolynomialMap:
     """Mixed directional derivative: direction i applied alpha_i times."""
-    _check_sequence("vectors", vectors)
-    check_alpha(alpha)
+    check_type("vectors", vectors, (tuple, list))
+    check_type("alpha", alpha, MultiIndex)
     if alpha.dim != len(vectors):
         raise ValueError("one direction vector per digit is required")
     seq = [vectors[i] for i in alpha.support]
@@ -568,7 +571,7 @@ def tangent_lift(f: PolynomialMap) -> PolynomialMap:
     """The map (x, u) -> (f(x), derivative of f at x along u) on doubled
     variables; base variables come first, fiber variables second.  A lift
     of more than ``MAX_LIFT_VARIABLES`` variables raises ``ValueError``."""
-    _check_instance("f", f, PolynomialMap)
+    check_type("f", f, PolynomialMap)
     n = f.domain_dim
     if 2 * n > MAX_LIFT_VARIABLES:
         raise ValueError(f"a lift of {n} variables has {2 * n}, above the limit of {MAX_LIFT_VARIABLES}")
@@ -592,7 +595,7 @@ def tangent_lift(f: PolynomialMap) -> PolynomialMap:
 def iterated_tangent_lift(f: PolynomialMap, k: int) -> PolynomialMap:
     """``tangent_lift`` applied k times, on f.domain_dim · 2^k variables;
     ``ValueError`` before any lift when that passes ``MAX_LIFT_VARIABLES``."""
-    _check_instance("f", f, PolynomialMap)
+    check_type("f", f, PolynomialMap)
     check_int("k", k)
     if k.bit_length() > MAX_LIFT_VARIABLES.bit_length() or f.domain_dim << k > MAX_LIFT_VARIABLES:
         raise ValueError(f"{k} lifts of {f.domain_dim} variables pass the limit of {MAX_LIFT_VARIABLES} variables")
@@ -613,6 +616,10 @@ def random_polynomial_map(
     With ``dense=True`` every monomial up to the degree carries a nonzero
     coefficient, which keeps remainder terms generically nonzero.
     """
+    check_type("rng", rng, random.Random)
+    check_int("domain_dim", domain_dim)
+    check_int("codomain_dim", codomain_dim)
+    check_int("degree", degree)
     exponents = [
         e for e in product(range(degree + 1), repeat=domain_dim) if sum(e) <= degree
     ]

@@ -39,7 +39,7 @@ from operator import attrgetter
 from typing import Callable, Union, get_args
 
 from .asets import _json_array, _ones_families
-from .combinatorics import MultiIndex, cached_after, check_alpha, check_int
+from .combinatorics import MAX_DIM, MultiIndex, cached_after, check_int, check_type
 
 # Every live node, keyed by its class and field values.  The table is weak:
 # a node no expression or caller holds any more drops out of it.
@@ -83,8 +83,7 @@ class PointSym(_Node):
     name: str
 
     def __post_init__(self) -> None:
-        if type(self.name) is not str:
-            raise ValueError("a symbol name must be a str")
+        check_type("name", self.name, str)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +93,7 @@ class VecSym(_Node):
     name: str
 
     def __post_init__(self) -> None:
-        if type(self.name) is not str:
-            raise ValueError("a symbol name must be a str")
+        check_type("name", self.name, str)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +104,8 @@ class ComponentSym(_Node):
     index: MultiIndex
 
     def __post_init__(self) -> None:
-        if type(self.cuboid) is not str:
-            raise ValueError("a cuboid name must be a str")
-        if type(self.index) is not MultiIndex:
-            raise ValueError("ComponentSym.index must be a MultiIndex")
+        check_type("cuboid", self.cuboid, str)
+        check_type("index", self.index, MultiIndex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +116,7 @@ class App(_Node):
     arg: "Expr"
 
     def __post_init__(self) -> None:
-        if type(self.func) is not str:
-            raise ValueError("a function name must be a str")
+        check_type("func", self.func, str)
 
     def _children(self) -> tuple:
         return (self.arg,)
@@ -137,11 +132,9 @@ class DeltaTerm(_Node):
     base: "Expr"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.directions, (tuple, list)):
-            raise ValueError(f"DeltaTerm.directions must be a tuple or list, not {self.directions!r}")
+        check_type("directions", self.directions, (tuple, list))
         object.__setattr__(self, "directions", tuple(self.directions))
-        if type(self.func) is not str:
-            raise ValueError("a function name must be a str")
+        check_type("func", self.func, str)
 
     def _children(self) -> tuple:
         return (*self.directions, self.base)
@@ -152,8 +145,7 @@ class Sum(_Node):
     terms: tuple["Expr", ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.terms, (tuple, list)):
-            raise ValueError(f"Sum.terms must be a tuple or list, not {self.terms!r}")
+        check_type("terms", self.terms, (tuple, list))
         object.__setattr__(self, "terms", tuple(self.terms))
 
     def _children(self) -> tuple:
@@ -328,13 +320,12 @@ def _build_expansion(alpha: MultiIndex, families, leaf: Callable[[MultiIndex], E
     return Sum(tuple(terms))
 
 
-@cached_after(check_alpha)
+@cached_after(lambda alpha: check_type("alpha", alpha, MultiIndex))
 def expand_tangent(alpha: MultiIndex) -> Expr:
     """Component ``alpha`` of the conjugated pointwise map ``f`` over the
     cuboid ``u``, as one difference term per partition of ``alpha`` with
     directions and base point given by the per-partition index-set
-    families.  Built canonical in one pass over the cached families; an
-    alpha that is not a ``MultiIndex`` raises ``ValueError``."""
+    families.  Built canonical in one pass over the cached families."""
     families = (sets for _, sets in _ones_families(alpha.order))
     return _build_expansion(alpha, families, lambda m: ComponentSym("u", m))
 
@@ -349,23 +340,22 @@ def _inner_difference(gamma: MultiIndex) -> Expr:
     return DeltaTerm(dirs, "g", PointSym("x"))
 
 
-@cached_after(check_alpha)
+@cached_after(lambda alpha: check_type("alpha", alpha, MultiIndex))
 def expand_chain(alpha: MultiIndex) -> Expr:
     """Iterated difference of the composite ``f(g(x))`` along the vectors
     ``v_i``: ``expand_tangent(alpha)`` with the inner difference of each
     component's index in place of the component.  Built canonical in one
     pass over the families, without building (or caching) the tangent
-    expansion; an alpha that is not a ``MultiIndex`` raises ``ValueError``."""
+    expansion."""
     families = (sets for _, sets in _ones_families(alpha.order))
     return _build_expansion(alpha, families, _inner_difference)
 
 
-@cached_after(check_alpha)
+@cached_after(lambda alpha: check_type("alpha", alpha, MultiIndex))
 def main_part(alpha: MultiIndex) -> Expr:
     """The leading-order truncation of ``expand_chain(alpha)``: per partition,
     every direction keeps only its lowest-order summand and the base point
-    collapses to ``g(x)``.  Every term has order exactly |alpha|.  An alpha
-    that is not a ``MultiIndex`` raises ``ValueError``."""
+    collapses to ``g(x)``.  Every term has order exactly |alpha|."""
     families = (((0,), *((b,) for b in blocks)) for blocks, _ in _ones_families(alpha.order))
     return _build_expansion(alpha, families, _inner_difference)
 
@@ -525,11 +515,6 @@ def render(e: Expr, fmt: str = "text") -> str:
 # would have returned, since nodes are interned.
 
 _TOO_DEEP = "nesting too deep"
-
-# The largest component dimension ``parse`` takes or infers from text.  A
-# larger one comes from no formula this library can build, and is rejected
-# before a multi-index of that dimension is allocated.
-_MAX_INFERRED_DIM = 1 << 16
 
 # The most directions ``expr_from_obj`` lists for one difference term, so
 # that a few ``alpha`` digits cannot ask for a tuple too large to build.
@@ -855,18 +840,16 @@ def parse(s: str, fmt: str = "text", dim: int | None = None) -> Expr:
     ``z`` points, and any other name a vector.  The text form needs the
     component dimension ``dim`` to rebuild subscripts like ``u_{1,3}``;
     when omitted it is inferred as the largest position appearing in any
-    component subscript, which may not exceed 2**16, and text whose only
-    components are ``u_0`` raises ``ValueError``.  A ``dim`` that is not
-    ``None`` or an int from 0 to 2**16 raises ``ValueError`` before any text
-    is read.  Input that is not a ``str``, a numeral of more than 4,300
-    digits, and input nested deeper than the interpreter can recurse raise
-    ``ValueError``.  Each distinct subexpression is built once,
+    component subscript, which may not exceed ``MAX_DIM`` = 2**16, and text
+    whose only components are ``u_0`` raises ``ValueError``.  A ``dim``
+    outside [0, ``MAX_DIM``] raises it before any text is read; a numeral of
+    more than 4,300 digits, and input nested deeper than the interpreter can
+    recurse, raise it too.  Each distinct subexpression is built once,
     and the result is the interned node.
     """
-    if not isinstance(s, str):
-        raise ValueError(f"expected a str to parse, not {type(s).__name__}")
+    check_type("s", s, str)
     if dim is not None:
-        check_int("dim", dim, 0, _MAX_INFERRED_DIM)
+        check_int("dim", dim, 0, MAX_DIM)
     if fmt == "json":
         try:
             try:
@@ -889,8 +872,8 @@ def parse(s: str, fmt: str = "text", dim: int | None = None) -> Expr:
         raise ValueError(f"cannot tokenize at: {s[unreadable.start():].strip()[:20]!r}")
     if dim is None:
         dim = _infer_dim(s)
-        if dim > _MAX_INFERRED_DIM:
-            raise ValueError(f"component position {dim} is above {_MAX_INFERRED_DIM}")
+        if dim > MAX_DIM:
+            raise ValueError(f"component position {dim} is above {MAX_DIM}")
         dim = dim or None  # no position to infer it from
     reader = _Reader(s, dim)
     try:

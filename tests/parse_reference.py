@@ -35,9 +35,8 @@ import re
 import sys
 from itertools import accumulate, compress, count
 
-from deltachain.combinatorics import MultiIndex
+from deltachain.combinatorics import MAX_DIM, MultiIndex
 from deltachain.symbolic import (
-    _MAX_INFERRED_DIM,
     _TOO_DEEP,
     App,
     ComponentSym,
@@ -318,8 +317,8 @@ def reference_parse(s: str, dim: int | None = None) -> Expr:
     parser = _Parser(s, dim)
     if dim is None:
         dim = _infer_dim(parser.kinds, parser.texts)
-        if dim > _MAX_INFERRED_DIM:
-            raise ValueError(f"component position {dim} is above {_MAX_INFERRED_DIM}")
+        if dim > MAX_DIM:
+            raise ValueError(f"component position {dim} is above {MAX_DIM}")
         parser.dim = dim or None  # no position to infer it from
     try:
         expr = parser.parse_expr()

@@ -171,12 +171,12 @@ def test_validation_catches_an_order_decrease():
     "sets, message",
     [
         ({}, "no set for key 00"),
-        ({mi("00"): (mi("00"),), mi("11"): (mi("11"), "00")}, "holds '00', which is not a MultiIndex"),
+        ({mi("00"): (mi("00"),), mi("11"): (mi("11"), "00")}, "a member of the set of key 11 must be a MultiIndex, not '00'"),
         ({mi("00"): (mi("00"),), mi("11"): (mi("11"), mi("011"))}, "dimension mismatch: 3 vs 2"),
-        ([], r"sets are \[\], not a dict"),
-        ({mi("00"): 5, mi("11"): (mi("11"),)}, "set of key 00 is 5, not a tuple or list"),
-        ({mi("00"): None, mi("11"): (mi("11"),)}, "set of key 00 is None, not a tuple or list"),
-        (ASetFamily("x", {}), "partition is 'x', not a Partition"),
+        ([], r"the family's sets must be a dict, not \[\]"),
+        ({mi("00"): 5, mi("11"): (mi("11"),)}, "the set of key 00 must be a tuple or a list, not 5"),
+        ({mi("00"): None, mi("11"): (mi("11"),)}, "the set of key 00 must be a tuple or a list, not None"),
+        (ASetFamily("x", {}), "the family's partition must be a Partition, not 'x'"),
     ],
 )
 def test_validation_rejects_malformed_families(sets, message):

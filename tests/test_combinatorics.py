@@ -173,7 +173,7 @@ def test_restrict_embed_round_trip():
             mi("01010").restrict(bad)
         with pytest.raises(ValueError):
             mi("10").embed(bad, 5)
-    with pytest.raises(ValueError, match="tuple or list of ints"):
+    with pytest.raises(ValueError, match="position must be an int"):
         mi("111").restrict((True, 1, 2))
 
 

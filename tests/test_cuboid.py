@@ -101,14 +101,14 @@ def test_component_count_is_validated():
         (lambda: Cuboid("1", ((1,), (2,))), "dim must be an int >= 0, not '1'"),
         (lambda: Cuboid(True, ((1,), (2,))), "dim must be an int >= 0, not True"),
         (lambda: Cuboid(1.0, ((1,), (2,))), "dim must be an int >= 0, not 1.0"),
-        (lambda: Cuboid(1, 5), "components must be a tuple or list, not 5"),
+        (lambda: Cuboid(1, 5), "components must be a tuple or a list, not 5"),
         (lambda: Cuboid(10**9, ()), "need 2^1000000000 components, got 0"),
         (lambda: Cuboid(0, ((),)), "a cuboid's space dimension must be at least 1"),
         (lambda: inject(PointedDirections((), ())), "a cuboid's space dimension must be at least 1"),
-        (lambda: Cuboid(0, (5,)), "each component must be a tuple or list, not 5"),
-        (lambda: PointedDirections(5, ()), "base must be a tuple or list, not 5"),
-        (lambda: PointedDirections((1,), (5,)), "each direction vector must be a tuple or list, not 5"),
-        (lambda: Cuboid.from_flat(1, 1, 5), "values must be a tuple or list, not 5"),
+        (lambda: Cuboid(0, (5,)), "each component must be a tuple or a list, not 5"),
+        (lambda: PointedDirections(5, ()), "base must be a tuple or a list, not 5"),
+        (lambda: PointedDirections((1,), (5,)), "each direction vector must be a tuple or a list, not 5"),
+        (lambda: Cuboid.from_flat(1, 1, 5), "values must be a tuple or a list, not 5"),
         (lambda: Cuboid.from_flat(10**9, 1, []), "flat length does not match dim and space"),
         (lambda: Cuboid.from_flat(1, 2, [1, 2, 3]), "flat length does not match dim and space"),
     ],

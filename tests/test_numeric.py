@@ -492,16 +492,16 @@ def test_a_copied_random_rational_map_gives_the_same_values():
         (lambda: RandomRationalMap(1, -1, 2), "^domain_dim must be an int >= 0, not -1$"),
         (lambda: RandomRationalMap(1, True, 2), "^domain_dim must be an int >= 0, not True$"),
         (lambda: RandomRationalMap(1, 2, "2"), "^codomain_dim must be an int >= 0, not '2'$"),
-        (lambda: RandomRationalMap(1, 2, 2)(None), "^point must be a tuple or list, not None$"),
-        (lambda: RandomRationalMap(1, 1, 1)(5), "^point must be a tuple or list, not 5$"),
-        (lambda: RandomRationalMap(1, 2, 2)((float("inf"), 1)), "^a point coordinate must be a rational, got inf$"),
-        (lambda: RandomRationalMap(1, 2, 2)((None, 1)), "^a point coordinate must be a rational, got None$"),
-        (lambda: RandomRationalMap(1, 2, 2)((1j, 1)), r"^a point coordinate must be a rational, got 1j$"),
-        (lambda: evaluate_delta(None, (1,), []), "^F must be callable, not None$"),
-        (lambda: evaluate_delta(square, None, []), "^base must be a tuple or list, not None$"),
-        (lambda: evaluate_delta(square, (1,), None), "^directions must be a tuple or list, not None$"),
-        (lambda: evaluate_delta(square, (1,), [None]), "^each direction must be a tuple or list, not None$"),
-        (lambda: evaluate_delta(RandomRationalMap(1, 1, 1), (1,), 5), "^directions must be a tuple or list, not 5$"),
+        (lambda: RandomRationalMap(1, 2, 2)(None), "^point must be a tuple or a list, not None$"),
+        (lambda: RandomRationalMap(1, 1, 1)(5), "^point must be a tuple or a list, not 5$"),
+        (lambda: RandomRationalMap(1, 2, 2)((float("inf"), 1)), "^a point coordinate must be a rational, not inf$"),
+        (lambda: RandomRationalMap(1, 2, 2)((None, 1)), "^a point coordinate must be a rational, not None$"),
+        (lambda: RandomRationalMap(1, 2, 2)((1j, 1)), r"^a point coordinate must be a rational, not 1j$"),
+        (lambda: evaluate_delta(None, (1,), []), "^F must be a Callable, not None$"),
+        (lambda: evaluate_delta(square, None, []), "^base must be a tuple or a list, not None$"),
+        (lambda: evaluate_delta(square, (1,), None), "^directions must be a tuple or a list, not None$"),
+        (lambda: evaluate_delta(square, (1,), [None]), "^each direction must be a tuple or a list, not None$"),
+        (lambda: evaluate_delta(RandomRationalMap(1, 1, 1), (1,), 5), "^directions must be a tuple or a list, not 5$"),
     ],
     ids=[
         "map-all-none",

@@ -702,24 +702,24 @@ _PLANE = random_polynomial_map(random.Random(1), 2, 2, 2)
 @pytest.mark.parametrize(
     "build, named",
     [
-        (lambda: Poly.make(2, {(1, 1): None}), "a coefficient must be a rational, got None"),
-        (lambda: Poly.constant(1, None), "a constant must be a rational, got None"),
-        (lambda: Poly.make(1, {5: 1}), "a monomial key must be a sequence of exponents, got 5"),
-        (lambda: Poly.variable(1, 0)(5), "arguments must be a sequence, got 5"),
-        (lambda: PolynomialMap(1, (Poly.variable(1, 0),))(5), "arguments must be a sequence, got 5"),
-        (lambda: Poly.variable(1, 0).directional([None]), "a direction entry must be a rational, got None"),
-        (lambda: Poly.variable(1, 0).directional(5), "a direction must be a sequence, got 5"),
+        (lambda: Poly.make(2, {(1, 1): None}), "a coefficient must be a rational, not None"),
+        (lambda: Poly.constant(1, None), "a constant must be a rational, not None"),
+        (lambda: Poly.make(1, {5: 1}), "a monomial key must be a sequence of exponents, not 5"),
+        (lambda: Poly.variable(1, 0)(5), "arguments must be a sequence, not 5"),
+        (lambda: PolynomialMap(1, (Poly.variable(1, 0),))(5), "arguments must be a sequence, not 5"),
+        (lambda: Poly.variable(1, 0).directional([None]), "a direction entry must be a rational, not None"),
+        (lambda: Poly.variable(1, 0).directional(5), "u must be a sequence, not 5"),
         (lambda: compose(None, _PLANE), "outer must be a PolynomialMap, not None"),
         (lambda: compose(_PLANE, None), "inner must be a PolynomialMap, not None"),
         (lambda: directional_derivative(None, (1, 0)), "f must be a PolynomialMap, not None"),
         (lambda: iterated_directional(None, [(1, 0)]), "f must be a PolynomialMap, not None"),
-        (lambda: iterated_directional(_PLANE, None), "vectors must be a tuple or list, not None"),
+        (lambda: iterated_directional(_PLANE, None), "vectors must be a tuple or a list, not None"),
         (lambda: tangent_lift(None), "f must be a PolynomialMap, not None"),
         (lambda: iterated_tangent_lift(None, 1), "f must be a PolynomialMap, not None"),
         (lambda: d_alpha(None, [(1, 0)], mi("1")), "f must be a PolynomialMap, not None"),
-        (lambda: d_alpha(_PLANE, None, mi("1")), "vectors must be a tuple or list, not None"),
-        (lambda: d_alpha(_PLANE, [(1, 0)], "1"), "alpha must be a MultiIndex, not str"),
-        (lambda: PolynomialMap(2, None), "components must be iterable, not None"),
+        (lambda: d_alpha(_PLANE, None, mi("1")), "vectors must be a tuple or a list, not None"),
+        (lambda: d_alpha(_PLANE, [(1, 0)], "1"), "alpha must be a MultiIndex, not '1'"),
+        (lambda: PolynomialMap(2, None), "components must be an Iterable, not None"),
         (lambda: PolynomialMap(1.5, ()), "domain_dim must be an int >= 0, not 1.5"),
     ],
     ids=[

@@ -554,11 +554,11 @@ def test_the_text_reader_matches_the_reference_reader_on(text):
 
 @pytest.mark.parametrize(
     "text, dim",
-    [("u_0", 10**20), ("u_1", 2**40), ("x", symbolic._MAX_INFERRED_DIM + 1)],
+    [("u_0", 10**20), ("u_1", 2**40), ("x", combinatorics.MAX_DIM + 1)],
     ids=["u_0-at-1e20", "u_1-at-2^40", "x-one-past-the-limit"],
 )
 def test_a_dim_above_the_limit_is_rejected_before_any_text_is_read(text, dim):
-    limit = symbolic._MAX_INFERRED_DIM
+    limit = combinatorics.MAX_DIM
     with pytest.raises(ValueError, match="^" + re.escape(f"dim must be an int in [0, {limit}], not {dim!r}") + "$"):
         parse(text, dim=dim)
     assert parse("u_1", dim=limit) is ComponentSym("u", MultiIndex(limit, 1))
