@@ -50,7 +50,8 @@ class MultiIndex:
         bits = tuple(bits)
         if any(b not in (0, 1) for b in bits):
             raise malformed("bits", "an Iterable of 0s and 1s", bits)
-        return cls(len(bits), sum(int(b) << i for i, b in enumerate(bits)))
+        check_int("dim", len(bits), 0, MAX_DIM)
+        return cls(len(bits), int("".join(map(str, map(int, reversed(bits)))) or "0", 2))
 
     @classmethod
     def from_string(cls, s: str) -> "MultiIndex":
@@ -159,22 +160,25 @@ MAX_DIM = 1 << 16  # the largest dimension of a multi-index: a mask of 2^16 bits
 _SHOWN = 80  # the most characters of an argument's repr that a message quotes
 
 
+def shown(value: Any) -> str:
+    """``value`` as an error message quotes it: its repr cut to ``_SHOWN``
+    characters.  An int of more than 240 bits, which may have too many
+    digits to print, is named by its bit length, and a value whose repr
+    fails by its type."""
+    if isinstance(value, int) and value.bit_length() > 240:  # 240 bits print in at most 73 digits
+        return f"an int of {value.bit_length()} bits"
+    try:
+        text = repr(value)
+    except Exception:  # any repr may fail: an int too long to print inside a list, or deep nesting
+        return f"a {type(value).__name__} that cannot be printed"
+    return text if len(text) <= _SHOWN else text[: _SHOWN - 3] + "..."
+
+
 def malformed(name: str, noun: str, value: Any) -> ValueError:
     """The one error for an argument ``name`` that is not ``noun``:
     ``ValueError("{name} must be {noun}, not {value}")``, the value written
-    as its repr cut to ``_SHOWN`` characters.  An int of more than 240 bits,
-    which may have too many digits to print, is named by its bit length, and
-    a value whose repr fails by its type."""
-    if isinstance(value, int) and value.bit_length() > 240:  # 240 bits print in at most 73 digits
-        shown = f"an int of {value.bit_length()} bits"
-    else:
-        try:
-            shown = repr(value)
-        except Exception:  # any repr may fail: an int too long to print inside a list, or deep nesting
-            shown = f"a {type(value).__name__} that cannot be printed"
-        if len(shown) > _SHOWN:
-            shown = shown[: _SHOWN - 3] + "..."
-    return ValueError(f"{name} must be {noun}, not {shown}")
+    by ``shown``."""
+    return ValueError(f"{name} must be {noun}, not {shown(value)}")
 
 
 def check_int(name: str, value: Any, low: int | None = 0, high: int | None = None) -> None:

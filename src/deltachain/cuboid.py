@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add, neg, sub
 from typing import Any
 
-from .combinatorics import MultiIndex, check_int, check_type, malformed
+from .combinatorics import MultiIndex, check_int, check_type, malformed, shown
 
 Value = tuple[Any, ...]
 
@@ -33,7 +33,7 @@ def vector_add(a: Value, b: Value) -> Value:
             raise ValueError(f"space dimension mismatch: {len(a)} vs {len(b)}")
         return tuple(map(add, a, b))
     except TypeError:
-        raise ValueError(f"cannot add {a!r} and {b!r} as vectors") from None
+        raise ValueError(f"cannot add {shown(a)} and {shown(b)} as vectors") from None
 
 
 def vector_sub(a: Value, b: Value) -> Value:
@@ -42,7 +42,7 @@ def vector_sub(a: Value, b: Value) -> Value:
             raise ValueError(f"space dimension mismatch: {len(a)} vs {len(b)}")
         return tuple(map(sub, a, b))
     except TypeError:
-        raise ValueError(f"cannot subtract {b!r} from {a!r} as vectors") from None
+        raise ValueError(f"cannot subtract {shown(b)} from {shown(a)} as vectors") from None
 
 
 def vector_neg(a: Value) -> Value:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .combinatorics import MultiIndex, check_int, check_type, enumerate_partitions, refine
+from .combinatorics import MultiIndex, check_int, check_type, enumerate_partitions, refine, shown
 from .cuboid import (
     Cuboid,
     PointedDirections,
@@ -558,6 +558,17 @@ def _chain_bindings(f: Any, g: Any, x: Value, vs: Sequence[Value]) -> dict[str, 
     return {"f": f, "g": g, "x": x, **{f"v_{i + 1}": v for i, v in enumerate(vs)}}
 
 
+def _chain_sides(
+    expr: Expr | _NodeTable, f: Any, g: Any, x: Value, dirs: Sequence[Value], alpha: MultiIndex
+) -> tuple[Value, Value]:
+    """The direct difference of f∘g at x along the ``dirs`` on alpha's
+    support, and ``expr`` evaluated with f, g, x and ``v_i`` = ``dirs[i - 1]``.
+    The expression is evaluated first: the direct side's map calls then
+    read the values its packed walk left in a map's memo."""
+    expanded = eval_expr(expr, _chain_bindings(f, g, x, dirs))
+    return evaluate_delta(lambda p: f(g(p)), x, [dirs[i] for i in alpha.support]), expanded
+
+
 def verify_chain_expansion(seed: int, trials: int | None = None, kmax: int | None = None) -> list[VerificationReport]:
     """Evaluate the symbolic expansion of an iterated difference of f(g(x))
     against direct evaluation, with fresh pseudorandom maps per trial: x,
@@ -565,24 +576,23 @@ def verify_chain_expansion(seed: int, trials: int | None = None, kmax: int | Non
     return run_suite("theorem-b", seed, trials, kmax)
 
 
-def _chain_specs(trials: int, kmax: int) -> list[_Spec]:
-    def spec(k: int) -> _Spec:
-        alpha = MultiIndex.ones(k)
-        table = _NodeTable(expand_chain(alpha))
+def _chain_spec(alpha: MultiIndex, expr: Expr, trials: int) -> _Spec:
+    """The chain oracle on ``expr``, an expansion of Δ^alpha (f∘g)(x):
+    each trial draws f, g, x and alpha.dim directions in the plane."""
+    k, table = alpha.dim, _NodeTable(expr)
 
-        def check(s: int) -> Failure | None:
-            rng = random.Random(s)
-            g = RandomRationalMap(derive_seed(s, "g"), 2, 2)
-            f = RandomRationalMap(derive_seed(s, "f"), 2, 2)
-            x = random_rational_vector(rng, 2)
-            vs = [random_rational_vector(rng, 2) for _ in range(k)]
-            if eval_expr(table, _chain_bindings(f, g, x, vs)) != evaluate_delta(lambda p: f(g(p)), x, vs):
-                return Failure(s, str(alpha), "expansion differs from direct difference")
-            return None
+    def check(s: int) -> Failure | None:
+        rng = random.Random(s)
+        g = RandomRationalMap(derive_seed(s, "g"), 2, 2)
+        f = RandomRationalMap(derive_seed(s, "f"), 2, 2)
+        x = random_rational_vector(rng, 2)
+        vs = [random_rational_vector(rng, 2) for _ in range(k)]
+        direct, expanded = _chain_sides(table, f, g, x, vs, alpha)
+        if expanded != direct:
+            return Failure(s, str(alpha), "expansion differs from direct difference")
+        return None
 
-        return f"chain-expansion-k{k}", ("chain", k), trials, check, True, None
-
-    return [spec(k) for k in range(1, kmax + 1)]
+    return f"chain-expansion-k{k}", ("chain", k), trials, check, True, None
 
 
 def verify_tangent_expansion(seed: int, trials: int | None = None, kmax: int | None = None) -> list[VerificationReport]:
@@ -592,22 +602,20 @@ def verify_tangent_expansion(seed: int, trials: int | None = None, kmax: int | N
     return run_suite("eq9", seed, trials, kmax)
 
 
-def _tangent_specs(trials: int, kmax: int) -> list[_Spec]:
-    def spec(k: int) -> _Spec:
-        alpha = MultiIndex.ones(k)
-        table = _NodeTable(expand_tangent(alpha))
+def _tangent_spec(alpha: MultiIndex, expr: Expr, trials: int) -> _Spec:
+    """The tangent oracle on ``expr``, an expansion of the alpha component
+    of the conjugated map: each trial draws f and a cuboid in the plane."""
+    k, table = alpha.dim, _NodeTable(expr)
 
-        def check(s: int) -> Failure | None:
-            rng = random.Random(s)
-            f = RandomRationalMap(derive_seed(s, "f"), 2, 2)
-            cub = random_cuboid(rng, k, 2)
-            if eval_expr(table, {"f": f, "u": cub}) != discrete_tangent(f, cub).component(alpha):
-                return Failure(s, str(alpha), "expansion differs from cuboid computation")
-            return None
+    def check(s: int) -> Failure | None:
+        rng = random.Random(s)
+        f = RandomRationalMap(derive_seed(s, "f"), 2, 2)
+        cub = random_cuboid(rng, k, 2)
+        if eval_expr(table, {"f": f, "u": cub}) != discrete_tangent(f, cub).component(alpha):
+            return Failure(s, str(alpha), "expansion differs from cuboid computation")
+        return None
 
-        return f"tangent-expansion-k{k}", ("tangent", k), trials, check, True, None
-
-    return [spec(k) for k in range(1, kmax + 1)]
+    return f"tangent-expansion-k{k}", ("tangent", k), trials, check, True, None
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +738,9 @@ def identity_suite(seed: int, trials: int | None = None) -> list[VerificationRep
     return run_suite("identities", seed, trials)
 
 
-def _identity_specs(trials: int) -> list[_Spec]:
-    return [
-        (name, (name,), trials, lambda s, c=check: None if (d := c(s)) is None else Failure(s, "", d), True, None)
-        for name, check in _IDENTITY_CHECKS
-    ]
+def _identity_spec(case: tuple[str, Callable[[int], str | None]], trials: int) -> _Spec:
+    name, check = case
+    return name, (name,), trials, lambda s: None if (d := check(s)) is None else Failure(s, "", d), True, None
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +751,8 @@ EPS_EXPONENTS = tuple(range(3, 11))
 # The largest |alpha| the scaling suite takes.  A trial draws maps of degree
 # |alpha| + 1 and evaluates them in ε-series of order (|alpha| + 1)² + 1, so
 # its cost grows steeply: `verify --suite scaling --trials 1` with an
-# all-ones alpha takes about 1.7 s at |alpha| = 5 and 20-23 s at 6 on one CPU.
+# all-ones alpha takes about 1 s at |alpha| = 5, and one trial about 19 s at
+# 6, on one CPU (Python 3.11.7, a shared 2-CPU Xeon).
 MAX_SCALING_ORDER = 5
 
 
@@ -755,15 +762,6 @@ class ScalingResult:
     degenerate: bool
     norms: tuple[Fraction, ...]
     valuation: int | None = None
-
-
-def _main_term_split(
-    f: PolynomialMap, g: PolynomialMap, x: Value, dirs: Sequence[Value], alpha: MultiIndex
-) -> tuple[Value, Value]:
-    """The direct difference of f∘g at x along the ``dirs`` on alpha's
-    support, and its main part."""
-    direct = evaluate_delta(lambda p: f(g(p)), x, [dirs[i] for i in alpha.support])
-    return direct, eval_expr(main_part(alpha), _chain_bindings(f, g, x, dirs))
 
 
 def scaling_slope(
@@ -790,7 +788,7 @@ def scaling_slope(
     check_type("alpha", alpha, MultiIndex)
     df, dg = (max(0, max((p.degree for p in m.components), default=0)) for m in (f, g))
     eps = _Series.epsilon(df * dg + 1)
-    lhs, rhs = _main_term_split(f, g, x, [tuple(eps * c for c in w) for w in ws], alpha)
+    lhs, rhs = _chain_sides(main_part(alpha), f, g, x, [tuple(eps * c for c in w) for w in ws], alpha)
     v = series_valuation(lhs, rhs)
     valuation = v if v is not None and v <= alpha.order else None
     rem = [d.coeffs if isinstance(d, _Series) else (d,) for d in vector_sub(lhs, rhs)]
@@ -925,25 +923,22 @@ def _smooth_spec(alpha: MultiIndex, trials: int) -> _Spec:
 # ---------------------------------------------------------------------------
 # suite dispatch
 
-def _scaling_suite(trials: int, kmax: int | None, alpha: MultiIndex | None) -> list[_Spec]:
-    alphas = [alpha] if alpha is not None else [MultiIndex.ones(2), MultiIndex.ones(3)]
-    return [_scaling_spec(a, trials) for a in alphas]
+def _ones(kmax: int, alpha: MultiIndex | None = None) -> list[MultiIndex]:
+    """1^1 ... 1^kmax: the cases of a suite that sweeps dimensions."""
+    return [MultiIndex.ones(k) for k in range(1, kmax + 1)]
 
 
-def _smooth_suite(trials: int, kmax: int, alpha: MultiIndex | None) -> list[_Spec]:
-    alphas = [alpha] if alpha is not None else [MultiIndex.ones(k) for k in range(1, kmax + 1)]
-    return [_smooth_spec(a, trials) for a in alphas]
-
-
-# name: (its specs for (trials, kmax, alpha), default trials, default kmax).
-# A suite that sweeps no dimensions has no kmax; "all" runs every suite, in
-# this order.
-_SUITES: dict[str, tuple[Callable[..., list[_Spec]], int, int | None]] = {
-    "theorem-b": (lambda trials, kmax, alpha: _chain_specs(trials, kmax), 50, 5),
-    "eq9": (lambda trials, kmax, alpha: _tangent_specs(trials, kmax), 50, 5),
-    "identities": (lambda trials, kmax, alpha: _identity_specs(trials), 1000, None),
-    "scaling": (_scaling_suite, 3, None),
-    "smooth-chain": (_smooth_suite, 25, 3),
+# name: (the spec of one case, given the case and trials; the suite's cases,
+# given kmax and alpha; default trials; default kmax).  The oracle suites
+# check the expansion of each 1^k and ignore alpha; scaling and smooth-chain
+# check alpha alone when one is given.  A suite that sweeps no dimensions has
+# no kmax.  "all" runs every suite, in this order.
+_SUITES: dict[str, tuple[Callable[[Any, int], _Spec], Callable[..., Sequence[Any]], int, int | None]] = {
+    "theorem-b": (lambda a, trials: _chain_spec(a, expand_chain(a), trials), _ones, 50, 5),
+    "eq9": (lambda a, trials: _tangent_spec(a, expand_tangent(a), trials), _ones, 50, 5),
+    "identities": (_identity_spec, lambda kmax, alpha: _IDENTITY_CHECKS, 1000, None),
+    "scaling": (_scaling_spec, lambda kmax, alpha: _ones(3)[1:] if alpha is None else [alpha], 3, None),
+    "smooth-chain": (_smooth_spec, lambda kmax, alpha: _ones(kmax) if alpha is None else [alpha], 25, 3),
 }
 SUITE_NAMES = (*_SUITES, "all")
 
@@ -973,6 +968,6 @@ def _suite_specs(name: str, trials: int | None, kmax: int | None, alpha: MultiIn
     if name == "all":
         return [s for n in _SUITES for s in _suite_specs(n, trials, kmax, alpha)]
     if name not in _SUITES:
-        raise ValueError(f"unknown suite: {name!r}")
-    specs, default_trials, default_kmax = _SUITES[name]
-    return specs(trials or default_trials, kmax or default_kmax, alpha)
+        raise ValueError(f"unknown suite: {shown(name)}")
+    spec, cases, default_trials, default_kmax = _SUITES[name]
+    return [spec(case, trials or default_trials) for case in cases(kmax or default_kmax, alpha)]

@@ -39,7 +39,7 @@ from operator import attrgetter
 from typing import Callable, Union, get_args
 
 from .asets import _json_array, _ones_families
-from .combinatorics import MAX_DIM, MultiIndex, cached_after, check_int, check_type
+from .combinatorics import MAX_DIM, MultiIndex, cached_after, check_int, check_type, shown
 
 # Every live node, keyed by its class and field values.  The table is weak:
 # a node no expression or caller holds any more drops out of it.
@@ -56,7 +56,7 @@ class _HashConsed(type):
         children = node._children()
         if not _NODE_TYPES.issuperset(map(type, children)):
             bad = next(c for c in children if type(c) not in _NODE_TYPES)
-            raise ValueError(f"not an expression: {bad!r}")
+            raise ValueError(f"not an expression: {shown(bad)}")
         table_key = (cls, *node.__dict__.values())
         found = _NODES.get(table_key)
         if found is not None:
@@ -161,7 +161,7 @@ def _postorder(root: Expr) -> list[Expr]:
     postorder finishes them, found with an explicit stack so that nesting
     has no limit.  A root that is not a node raises ``TypeError``."""
     if type(root) not in _NODE_TYPES:
-        raise TypeError(f"not an expression: {root!r}")
+        raise TypeError(f"not an expression: {shown(root)}")
     # A node is marked when it is pushed: the graph has no cycles, so no
     # node is met again below itself before it is finished.
     seen = {root}
@@ -224,7 +224,7 @@ def sort_key(e: Expr) -> tuple:
     """Total order on expressions used everywhere a canonical order is needed:
     the key ``e`` was given when it was interned."""
     if type(e) not in _NODE_TYPES:
-        raise TypeError(f"not an expression: {e!r}")
+        raise TypeError(f"not an expression: {shown(e)}")
     return e._key
 
 
@@ -479,7 +479,7 @@ def render(e: Expr, fmt: str = "text") -> str:
     if fmt == "json":
         return "".join(_json_parts(e))
     if fmt != "text" and fmt != "latex":
-        raise ValueError(f"unknown format: {fmt!r}")
+        raise ValueError(f"unknown format: {shown(fmt)}")
     latex = fmt == "latex"
     out: dict[Expr, str] = {}
     for n in _postorder(e):
@@ -553,7 +553,7 @@ def _node_of(memo: dict, nested: bool, obj):
     if not nested and "root" in obj or nested and type(obj) in _NODE_TYPES:
         return obj
     if nested and not isinstance(obj, dict) or "node" not in obj:  # json.loads gives only dicts
-        raise ValueError(f"malformed expression node: {obj!r}")
+        raise ValueError(f"malformed expression node: {shown(obj)}")
     kind = obj["node"]
     try:
         if kind == "point" or kind == "vector":
@@ -608,7 +608,7 @@ def _node_of(memo: dict, nested: bool, obj):
                 key = (kind, func, arg)
                 return memo.get(key) or memo.setdefault(key, App(func, arg))
         else:
-            raise ValueError(f"unknown node kind: {kind!r}")
+            raise ValueError(f"unknown node kind: {shown(kind)}")
     except KeyError as exc:
         raise ValueError(f"{kind} node lacks the field {exc}") from None
     except RecursionError:
@@ -866,7 +866,7 @@ def parse(s: str, fmt: str = "text", dim: int | None = None) -> Expr:
             raise ValueError("expected an envelope {'version': 1, 'root': ...}")
         return expr_from_obj(obj["root"])
     if fmt != "text":
-        raise ValueError(f"unknown format: {fmt!r}")
+        raise ValueError(f"unknown format: {shown(fmt)}")
     unreadable = _UNREADABLE_RE.search(s)
     if unreadable:
         raise ValueError(f"cannot tokenize at: {s[unreadable.start():].strip()[:20]!r}")

@@ -1,8 +1,11 @@
 import hashlib
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +56,27 @@ def test_chain_text(capsys):
         "Δ_{Δ^2_{v_1, v_2} g(x)} f(g(x) + Δ_{v_1} g(x) + Δ_{v_2} g(x))"
         " + Δ^2_{Δ_{v_1} g(x), Δ_{v_2} g(x)} f(g(x))\n"
     )
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """Each ``$ deltachain ...`` line of the README's shell blocks that is
+    followed by printed lines: (its arguments, the lines up to the next
+    blank line or prompt, each ending in a newline)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for example in re.split(r"\n(?=\$ )|\n\n", block):
+            command, *printed = example.strip("\n").split("\n")
+            if command.startswith("$ deltachain ") and printed:
+                examples.append((shlex.split(command)[2:], "".join(line + "\n" for line in printed)))
+    return examples
+
+
+def test_the_readme_examples_print_what_the_readme_shows(capsys):
+    examples = readme_examples()
+    assert {"expand --alpha 11", "chain --order 2"} <= {" ".join(argv) for argv, _ in examples}
+    for argv, printed in examples:
+        assert run_cli(capsys, *argv) == (0, printed)
 
 
 def test_output_flag_writes_the_same_bytes(tmp_path, capsys):
@@ -108,6 +132,7 @@ def test_output_is_written_in_slices_with_the_same_bytes(tmp_path, capsys, monke
         (["verify", "--suite", "eq9", "--kmax", "6", "--trials", "3", "--seed", "11"], "c5c2989a14362014be6af967b966850474c99c01db63174c3f803b147bd4c8d5"),
         (["verify", "--suite", "scaling", "--alpha", "1011", "--seed", "8", "--trials", "2"], "865c2fac647e1c7f6cdce86a1775ca77001d78ca774838dce2510fcc18aa1caa"),
         (["expand", "--order", "6", "--format", "json"], "137137b2aeed93aa94997330c48c50bfb4c879284224f58098890c2f88642573"),
+        (["verify", "--suite", "all", "--alpha", "1011", "--kmax", "3", "--trials", "2", "--seed", "11"], "71409b0c67dd96d70eb25437fe54ec81952180d00c5802ce387d69b9b7ddc7a7"),
     ],
 )
 def test_outputs_match_recorded_digests(argv, digest, capsys):
@@ -300,7 +325,7 @@ def test_the_suite_table_holds_every_default():
     # (default trials, default kmax) per suite; a suite that sweeps no
     # dimensions has no kmax.  The one-suite wrappers default to None, which
     # run_suite reads from this table.
-    defaults = {name: row[1:] for name, row in numeric._SUITES.items()}
+    defaults = {name: row[2:] for name, row in numeric._SUITES.items()}
     assert defaults == {
         "theorem-b": (50, 5),
         "eq9": (50, 5),

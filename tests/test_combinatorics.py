@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 import partition_reference
 from deltachain.asets import asets_to_json, build_asets, validate
 from deltachain.combinatorics import (
+    MAX_DIM,
     MultiIndex,
     Partition,
     bell_number,
@@ -69,6 +72,17 @@ def test_mask_matches_bit_packing(bits):
     a = MultiIndex.from_bits(bits)
     assert a.mask == sum(b << i for i, b in enumerate(bits))
     assert a.order == sum(bits)
+    assert a == MultiIndex.from_bits(tuple(bits)) == mi("".join(map(str, bits)))
+
+
+def test_from_bits_reads_the_longest_index_as_from_string_does():
+    rng = random.Random(5)
+    bits = [rng.randint(0, 1) for _ in range(MAX_DIM)]
+    assert MultiIndex.from_bits(bits) == mi("".join(map(str, bits)))
+    # A digit is anything equal to 0 or 1, as int() reads it.
+    assert MultiIndex.from_bits([True, 0.0, 1.0, False, 1]) == mi("10101")
+    with pytest.raises(ValueError, match=rf"^dim must be an int in \[0, {MAX_DIM}\], not {MAX_DIM + 1}$"):
+        MultiIndex.from_bits([1] * (MAX_DIM + 1))
 
 
 # Every multi-index of dimension 1 to 8, as (dim, mask).

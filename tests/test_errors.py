@@ -72,7 +72,23 @@ from deltachain.polynomials import (
     series_valuation,
     tangent_lift,
 )
-from deltachain.symbolic import App, ComponentSym, DeltaTerm, PointSym, Sum, VecSym, expand_chain, expand_tangent, main_part, parse
+from deltachain.symbolic import (
+    App,
+    ComponentSym,
+    DeltaTerm,
+    PointSym,
+    Sum,
+    VecSym,
+    canonicalize,
+    expand_chain,
+    expand_tangent,
+    expr_from_obj,
+    main_part,
+    order_of,
+    parse,
+    render,
+    sort_key,
+)
 
 _TABLE = [
     ("multi-index-dim", lambda v: MultiIndex(v, 0), "dim", 0, MAX_DIM),
@@ -320,6 +336,8 @@ def test_an_argument_of_another_kind_raises_value_error_naming_it(call, message)
 
 _LONG = list(range(100000))
 _HUGE = 10**5000  # more digits than CPython's str() of an int allows by default
+_NAME = "x" * 100000
+_ONE_TERM = expand_chain(MultiIndex.ones(1))
 
 
 @pytest.mark.parametrize(
@@ -332,14 +350,35 @@ _HUGE = 10**5000  # more digits than CPython's str() of an int allows by default
         (lambda: MultiIndex.unit(2, _HUGE), "position must be an int in [0, 1], not an int of 16610 bits"),
         (lambda: MultiIndex(2, _HUGE), "mask must be an int in [0, 2**2 - 1], not an int of 16610 bits"),
         (lambda: validate([_HUGE]), "family must be an ASetFamily, not a list that cannot be printed"),
+        (lambda: vector_add(_LONG, None), f"cannot add {repr(_LONG)[:77]}... and None as vectors"),
+        (lambda: vector_sub(_LONG, None), f"cannot subtract None from {repr(_LONG)[:77]}... as vectors"),
+        (lambda: App("f", _LONG), f"not an expression: {repr(_LONG)[:77]}..."),
+        (lambda: run_suite(_NAME, 1), f"unknown suite: {repr(_NAME)[:77]}..."),
+        (lambda: render(_ONE_TERM, _NAME), f"unknown format: {repr(_NAME)[:77]}..."),
+        (lambda: parse("x", _NAME), f"unknown format: {repr(_NAME)[:77]}..."),
+        (lambda: expr_from_obj(_LONG), f"malformed expression node: {repr(_LONG)[:77]}..."),
+        (lambda: expr_from_obj({"node": _NAME}), f"unknown node kind: {repr(_NAME)[:77]}..."),
     ],
-    ids=["long-list", "long-sets", "long-set", "huge-dim", "huge-position", "huge-mask", "unprintable"],
+    ids=[
+        "long-list", "long-sets", "long-set", "huge-dim", "huge-position", "huge-mask", "unprintable", "vector-add",
+        "vector-sub", "app-argument", "suite-name", "render-format", "parse-format", "json-node", "json-node-kind",
+    ],
 )
 def test_a_message_quotes_a_bounded_part_of_the_argument(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
     assert len(message) < 200
+
+
+@pytest.mark.parametrize("call", [sort_key, order_of, canonicalize], ids=["sort-key", "order-of", "canonicalize"])
+def test_a_walk_of_a_value_that_is_not_a_node_quotes_a_bounded_part_of_it(call):
+    # sort_key, and every pass that walks an expression's nodes, raise
+    # TypeError for a root that is not a node.
+    with pytest.raises(TypeError) as info:
+        call(_LONG)
+    assert str(info.value) == f"not an expression: {repr(_LONG)[:77]}..."
+    assert len(str(info.value)) < 200
 
 
 # Each subcommand's flags, with values that are well formed and values that

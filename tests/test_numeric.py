@@ -866,7 +866,7 @@ def test_each_suite_wrapper_returns_its_run_suite_call(monkeypatch):
     # kmax takes them from there, as its run_suite call does.
     small = {"theorem-b": (2, 2), "eq9": (2, 2), "identities": (3, None), "scaling": (1, None), "smooth-chain": (2, 2)}
     for name, defaults in small.items():
-        monkeypatch.setitem(numeric._SUITES, name, (numeric._SUITES[name][0], *defaults))
+        monkeypatch.setitem(numeric._SUITES, name, (*numeric._SUITES[name][:2], *defaults))
     a = mi("11")
     pairs = [
         (verify_chain_expansion(5), run_suite("theorem-b", 5)),
@@ -928,10 +928,9 @@ def test_reports_are_identical_with_any_cpu_count(monkeypatch, name):
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("suite", ["theorem-b", "eq9"])
 def test_oracle_trials_do_not_walk_the_expansion_again(monkeypatch, suite, cpus):
-    specs = numeric._chain_specs if suite == "theorem-b" else numeric._tangent_specs
     monkeypatch.setattr(numeric, "_cpu_count", lambda: cpus)
     want = run_suite(suite, seed=13, trials=3, kmax=4)
-    built = specs(3, 4)
+    built = numeric._suite_specs(suite, 3, 4, None)
 
     def no_walk(e):
         raise AssertionError("a trial walked its expansion again")
