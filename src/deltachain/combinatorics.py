@@ -162,12 +162,12 @@ _SHOWN = 80  # the most characters of an argument's repr that a message quotes
 
 def shown(value: Any) -> str:
     """``value`` as an error message quotes it: its repr cut to ``_SHOWN``
-    characters.  An int of more than 240 bits, which may have too many
-    digits to print, is named by its bit length, and a value whose repr
-    fails by its type."""
-    if isinstance(value, int) and value.bit_length() > 240:  # 240 bits print in at most 73 digits
-        return f"an int of {value.bit_length()} bits"
+    characters.  An int whose repr is longer than that is named by its bit
+    length, and its repr is not made above 266 bits, which print in more
+    than 80 digits; a value whose repr fails is named by its type."""
     try:
+        if isinstance(value, int) and (value.bit_length() > 266 or len(repr(value)) > _SHOWN):
+            return f"an int of {value.bit_length()} bits"
         text = repr(value)
     except Exception:  # any repr may fail: an int too long to print inside a list, or deep nesting
         return f"a {type(value).__name__} that cannot be printed"

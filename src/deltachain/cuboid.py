@@ -52,6 +52,15 @@ def vector_neg(a: Value) -> Value:
         raise malformed("a", "a vector", a) from None
 
 
+def _returned(value: Any) -> Value:
+    """The tuple of what a map returned.  A value with no items raises
+    ``ValueError``; a ``TypeError`` inside the map was raised before this."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"a map returned {shown(value)}, not a vector") from None
+
+
 def vector_sum(vectors: Sequence[Value], signs: Sequence[int] | None = None) -> Value:
     """The sum of nonempty ``vectors``, each negated where ``signs`` is -1."""
     try:
@@ -283,7 +292,7 @@ def pointwise(f: Callable[[Value], Value], c: Cuboid) -> Cuboid:
     """Apply a map to every component."""
     check_type("c", c, Cuboid)
     check_type("f", f, Callable)
-    return Cuboid(c.dim, tuple(tuple(f(v)) for v in c.components))
+    return Cuboid(c.dim, tuple(_returned(f(v)) for v in c.components))
 
 
 def discrete_tangent(f: Callable[[Value], Value], c: Cuboid) -> Cuboid:

@@ -40,6 +40,7 @@ from .cuboid import (
     Cuboid,
     PointedDirections,
     Value,
+    _returned,
     corners,
     delta,
     delta_inv,
@@ -126,7 +127,7 @@ def _difference(F: Callable[[Value], Value], base: Any, dirs: Sequence[Any]) -> 
     corners ``cuboid.corners`` builds, and summed by ``vector_sum``."""
     if type(base) is not int:
         signs = [-1 if (len(dirs) - m.bit_count()) % 2 else 1 for m in range(1 << len(dirs))]
-        return vector_sum([tuple(F(c)) for c in corners(base, dirs)], signs)
+        return vector_sum([_returned(F(c)) for c in corners(base, dirs)], signs)
     plus, minus = [base], []
     for step in dirs:
         plus, minus = minus + [c + step for c in plus], plus + [c + step for c in minus]
@@ -172,17 +173,18 @@ class _NodeTable:
     application, its terms' sum for a sum, 2^d for a difference along d
     directions.  ``bound`` is the largest of them and of each difference's
     corners (its base's and directions' bounds added), or 0 if a sum is
-    empty.  A suite that evaluates one expression in many trials builds its
-    table once."""
+    empty.  ``index`` maps each node to its row, so ``_eval_rows(table,
+    b)[table.index[t]]`` is the value of an expansion's term t.  A suite
+    that evaluates one expression in many trials builds its table once."""
 
-    __slots__ = ("rows", "bounds", "bound", "leaves", "maps")
+    __slots__ = ("rows", "bounds", "bound", "leaves", "maps", "index")
 
     def __init__(self, e: Expr):
         try:
             nodes = _postorder(e)
         except TypeError as exc:
             raise EvaluationError(str(exc)) from None
-        row = {n: i for i, n in enumerate(nodes)}
+        self.index = row = {n: i for i, n in enumerate(nodes)}
         rows, bounds, top = [], [], 1
         for n in nodes:
             kind = type(n)
@@ -274,7 +276,7 @@ def _eval_rows(table: _NodeTable, bindings: Mapping[str, Any]) -> _Rows:
         tag, add, leaves = _tag(den, width), sum, iter([_pack(v, den, width) for v in vectors])
         apply = lambda F, v: F._memo[v + tag]
     else:
-        tag, add, apply, leaves = (), vector_sum, (lambda F, v: tuple(F(v))), iter(vectors)  # a tuple plus () is itself
+        tag, add, apply, leaves = (), vector_sum, (lambda F, v: _returned(F(v))), iter(vectors)  # a tuple plus () is itself
     # A ValueError from a cuboid lookup, a vector sum or a bound map becomes
     # an EvaluationError with the same text, whichever node raised it.
     try:

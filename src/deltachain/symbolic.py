@@ -24,7 +24,8 @@ The expansion generators take only alpha and write fixed names (``f``,
 one pass over the cached mask families and place each leaf below alpha;
 each node is built once, its operands already in canonical order, so
 nothing is canonicalized or substituted afterwards; ``expand_chain`` does
-not build (or fill the cache of) ``expand_tangent``.
+not build (or fill the cache of) ``expand_tangent``.  Each builds term r
+from family r, in partition-row order (``_row_terms``), and sorts once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Callable, Union, get_args
 
@@ -284,8 +285,8 @@ def substitute_components(e: Expr, repl: Callable[[ComponentSym], Expr]) -> Expr
     return out[e]
 
 
-def _build_expansion(alpha: MultiIndex, families, leaf: Callable[[MultiIndex], Expr]) -> Expr:
-    """The sum over ``families`` of one difference of ``f`` each, built
+def _build_expansion(alpha: MultiIndex, families, leaf: Callable[[MultiIndex], Expr]) -> tuple[Expr, ...]:
+    """One difference of ``f`` per family, in family order, each built
     canonical: the node ``canonicalize`` returns for it, in one pass.
 
     Each family is a tuple of mask sets, the base set first and then one
@@ -314,10 +315,23 @@ def _build_expansion(alpha: MultiIndex, families, leaf: Callable[[MultiIndex], E
     for base, *blocks in families:
         dirs = sorted(map(summed, blocks), key=_stored_key)
         terms.append(DeltaTerm(tuple(dirs), "f", summed(base)) if dirs else App("f", summed(base)))
-    if len(terms) == 1:
-        return terms[0]
-    terms.sort(key=_stored_key)
-    return Sum(tuple(terms))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=None)
+def _row_terms(alpha: MultiIndex, kind: str) -> tuple[Expr, ...]:
+    """The terms of an expansion of ``alpha`` in partition-row order: term r
+    belongs to ``enumerate_partitions(alpha)[r]``.  ``kind`` is "tangent",
+    "chain" (family r's sets) or "main" (partition r's blocks, at ``g(x)``)."""
+    rows = _ones_families(alpha.order)
+    families = (((0,), *((b,) for b in blocks)) if kind == "main" else sets for blocks, sets in rows)
+    return _build_expansion(alpha, families, partial(ComponentSym, "u") if kind == "tangent" else _inner_difference)
+
+
+def _expansion(alpha: MultiIndex, kind: str) -> Expr:
+    """The ``kind`` expansion's one term, or the sum of its terms sorted."""
+    terms = _row_terms(alpha, kind)
+    return terms[0] if len(terms) == 1 else Sum(tuple(sorted(terms, key=_stored_key)))
 
 
 @cached_after(lambda alpha: check_type("alpha", alpha, MultiIndex))
@@ -326,8 +340,7 @@ def expand_tangent(alpha: MultiIndex) -> Expr:
     cuboid ``u``, as one difference term per partition of ``alpha`` with
     directions and base point given by the per-partition index-set
     families.  Built canonical in one pass over the cached families."""
-    families = (sets for _, sets in _ones_families(alpha.order))
-    return _build_expansion(alpha, families, lambda m: ComponentSym("u", m))
+    return _expansion(alpha, "tangent")
 
 
 def _inner_difference(gamma: MultiIndex) -> Expr:
@@ -347,8 +360,7 @@ def expand_chain(alpha: MultiIndex) -> Expr:
     component's index in place of the component.  Built canonical in one
     pass over the families, without building (or caching) the tangent
     expansion."""
-    families = (sets for _, sets in _ones_families(alpha.order))
-    return _build_expansion(alpha, families, _inner_difference)
+    return _expansion(alpha, "chain")
 
 
 @cached_after(lambda alpha: check_type("alpha", alpha, MultiIndex))
@@ -356,8 +368,7 @@ def main_part(alpha: MultiIndex) -> Expr:
     """The leading-order truncation of ``expand_chain(alpha)``: per partition,
     every direction keeps only its lowest-order summand and the base point
     collapses to ``g(x)``.  Every term has order exactly |alpha|."""
-    families = (((0,), *((b,) for b in blocks)) for blocks, _ in _ones_families(alpha.order))
-    return _build_expansion(alpha, families, _inner_difference)
+    return _expansion(alpha, "main")
 
 
 # ---------------------------------------------------------------------------

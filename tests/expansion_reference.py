@@ -10,6 +10,12 @@ builds each node once, already in canonical order.  Nodes are interned, so
 the two agree exactly when they return the same object; both must, and
 the library's result must be its own canonical form.
 
+The library builds each expansion's terms in partition-row order
+(``symbolic._row_terms``) and sorts them once, so the sweep also checks
+the rows: row r of each expansion is the reference's term r, built from
+family r of ``build_asets`` (for the main part, from the blocks of
+partition r) and canonicalized on its own.
+
 The reference reads the families through ``build_asets`` and the
 partitions through ``enumerate_partitions``; the library reads the cached
 mask families of ``asets._ones_families`` and places their leaves itself,
@@ -48,6 +54,7 @@ from deltachain.symbolic import (
     PointSym,
     Sum,
     VecSym,
+    _row_terms,
     canonicalize,
     expand_chain,
     expand_tangent,
@@ -107,58 +114,71 @@ def reference_sort_key(e: Expr) -> tuple:
     return reference_keys(e)[e]
 
 
-def _set_sum(indices, cuboid: str) -> Expr:
-    parts = tuple(ComponentSym(cuboid, m) for m in indices)
+def _set_sum(indices) -> Expr:
+    parts = tuple(ComponentSym("u", m) for m in indices)
     return parts[0] if len(parts) == 1 else Sum(parts)
 
 
-def expand_tangent_reference(alpha: MultiIndex, func: str = "f", cuboid: str = "u") -> Expr:
-    terms = []
-    for partition, fam in build_asets(alpha).items():
-        base = _set_sum(fam.base_set, cuboid)
-        dirs = tuple(_set_sum(fam.sets[b], cuboid) for b in partition.blocks)
-        terms.append(DeltaTerm(dirs, func, base))
-    return canonicalize(Sum(tuple(terms)))
-
-
-def inner_difference_reference(gamma: MultiIndex, inner: str, point: str, vec: str) -> Expr:
+def inner_difference_reference(gamma: MultiIndex) -> Expr:
     if gamma.order == 0:
-        return App(inner, PointSym(point))
-    dirs = tuple(VecSym(f"{vec}_{i + 1}") for i in gamma.support)
-    return DeltaTerm(dirs, inner, PointSym(point))
+        return App("g", PointSym("x"))
+    dirs = tuple(VecSym(f"v_{i + 1}") for i in gamma.support)
+    return DeltaTerm(dirs, "g", PointSym("x"))
 
 
-def expand_chain_reference(
-    alpha: MultiIndex, outer: str = "f", inner: str = "g", point: str = "x", vec: str = "v"
-) -> Expr:
-    tangent = expand_tangent_reference(alpha, outer, "u")
-    return canonicalize(
-        substitute_components(tangent, lambda c: inner_difference_reference(c.index, inner, point, vec))
-    )
+def _inner(c: ComponentSym) -> Expr:
+    return inner_difference_reference(c.index)
 
 
-def main_part_reference(
-    alpha: MultiIndex, outer: str = "f", inner: str = "g", point: str = "x", vec: str = "v"
-) -> Expr:
-    terms = []
-    for p in enumerate_partitions(alpha):
-        dirs = tuple(inner_difference_reference(b, inner, point, vec) for b in p.blocks)
-        terms.append(DeltaTerm(dirs, outer, App(inner, PointSym(point))))
-    return canonicalize(Sum(tuple(terms)))
+def reference_terms(alpha: MultiIndex, kind: str) -> list[Expr]:
+    """The terms of the ``kind`` expansion ("tangent", "chain" or "main"),
+    in row order and before any ``canonicalize``: term r is built from
+    family r of ``build_asets(alpha)``, with the inner differences in place
+    of the components for "chain", or for "main" from the blocks of
+    partition r of ``enumerate_partitions(alpha)``."""
+    if kind == "main":
+        base = App("g", PointSym("x"))
+        return [DeltaTerm(tuple(map(inner_difference_reference, p.blocks)), "f", base) for p in enumerate_partitions(alpha)]
+    terms = [
+        DeltaTerm(tuple(_set_sum(fam.sets[b]) for b in partition.blocks), "f", _set_sum(fam.base_set))
+        for partition, fam in build_asets(alpha).items()
+    ]
+    return terms if kind == "tangent" else [substitute_components(t, _inner) for t in terms]
+
+
+def reference_rows(alpha: MultiIndex, kind: str) -> list[Expr]:
+    """Each of ``reference_terms(alpha, kind)`` canonicalized on its own."""
+    return [canonicalize(t) for t in reference_terms(alpha, kind)]
+
+
+def expand_tangent_reference(alpha: MultiIndex) -> Expr:
+    return canonicalize(Sum(tuple(reference_terms(alpha, "tangent"))))
+
+
+def expand_chain_reference(alpha: MultiIndex) -> Expr:
+    return canonicalize(substitute_components(expand_tangent_reference(alpha), _inner))
+
+
+def main_part_reference(alpha: MultiIndex) -> Expr:
+    return canonicalize(Sum(tuple(reference_terms(alpha, "main"))))
 
 
 def differences(alpha: MultiIndex) -> list[str]:
-    """What differs between the library and the reference at ``alpha``."""
+    """What differs between the library and the reference at ``alpha``:
+    each expansion's node, and its terms in partition-row order."""
     out = []
-    for name, got, want in (
-        ("expand_tangent", expand_tangent(alpha), expand_tangent_reference(alpha)),
-        ("expand_chain", expand_chain(alpha), expand_chain_reference(alpha)),
-        ("main_part", main_part(alpha), main_part_reference(alpha)),
+    for name, kind, got, want in (
+        ("expand_tangent", "tangent", expand_tangent(alpha), expand_tangent_reference(alpha)),
+        ("expand_chain", "chain", expand_chain(alpha), expand_chain_reference(alpha)),
+        ("main_part", "main", main_part(alpha), main_part_reference(alpha)),
     ):
         if got is not want:
             out.append(f"{name}({alpha}) is not the reference's node")
         if canonicalize(got) is not got:
             out.append(f"{name}({alpha}) is not canonical")
+        rows, want_rows = _row_terms(alpha, kind), reference_rows(alpha, kind)
+        if len(rows) != len(want_rows) or any(a is not b for a, b in zip(rows, want_rows)):
+            out.append(f"the rows of {name}({alpha}) are not the reference's terms in row order")
     return out
 
 

@@ -40,6 +40,7 @@ from deltachain.polynomials import (
 )
 from deltachain.symbolic import (
     Sum,
+    _row_terms,
     canonicalize,
     expand_chain,
     expand_tangent,
@@ -59,6 +60,7 @@ def announce(number: str, name: str, elapsed: float, note: str = "") -> None:
 def clear_formula_caches() -> None:
     expand_tangent.cache_clear()
     expand_chain.cache_clear()
+    _row_terms.cache_clear()
     enumerate_partitions.cache_clear()
     _ones_families.cache_clear()
     _partition_rows.cache_clear()
@@ -321,6 +323,7 @@ def test_criterion_9_determinism(capsys):
             assert render(expand_chain(alpha), fmt) == render(expand_chain(alpha), fmt)
         expand_chain.cache_clear()
         expand_tangent.cache_clear()
+        _row_terms.cache_clear()
         assert render(expand_chain(alpha), "json") == render(expand_chain(alpha), "json")
 
     args = ["verify", "--suite", "scaling", "--alpha", "11", "--seed", "7"]

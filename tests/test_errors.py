@@ -47,6 +47,7 @@ from deltachain.cuboid import (
 )
 from deltachain.numeric import (
     SUITE_NAMES,
+    EvaluationError,
     RandomRationalMap,
     eval_expr,
     evaluate_delta,
@@ -322,16 +323,46 @@ def test_an_argument_of_the_wrong_kind_raises_one_message(call, name, noun, valu
         (lambda: MultiIndex.from_string("102"), "s must be a bitstring, not '102'"),
         (lambda: MultiIndex.ones(2).diamond(2), "digit must be 0 or 1, not 2"),
         (lambda: MultiIndex.ones(3).restrict((1, 1)), "positions must be distinct, not (1, 1)"),
+        (lambda: evaluate_delta(lambda p: None, (1, 2), [(1, 0)]), "a map returned None, not a vector"),
+        (lambda: pointwise(lambda p: None, _ONE), "a map returned None, not a vector"),
+        (lambda: discrete_tangent(lambda p: 3, _ONE), "a map returned 3, not a vector"),
     ],
     ids=[
         "vector-add-str", "vector-add-none", "vector-sub-index", "pointwise", "discrete-tangent", "eval-expr-none",
         "eval-expr-list", "vector-sum-empty", "mask-above", "bits-digit", "string-digit", "diamond-digit",
-        "repeated-position",
+        "repeated-position", "evaluate-delta-map-value", "pointwise-map-value", "discrete-tangent-map-value",
     ],
 )
 def test_an_argument_of_another_kind_raises_value_error_naming_it(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "expr, bindings",
+    [
+        (expand_tangent(MultiIndex.ones(1)), {"f": lambda p: None, "u": _TWO}),
+        (main_part(MultiIndex.ones(1)), {"f": RandomRationalMap(1, 2, 2), "g": lambda p: None, "x": (1, 2), "v_1": (0, 1)}),
+    ],
+    ids=["differenced", "applied"],
+)
+def test_a_map_value_with_no_items_is_an_evaluation_error(expr, bindings):
+    with pytest.raises(EvaluationError, match="^a map returned None, not a vector$"):
+        eval_expr(expr, bindings)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: evaluate_delta(f, (1, 2), [(1, 0)]),
+        lambda f: pointwise(f, _ONE),
+        lambda f: eval_expr(expand_tangent(MultiIndex.ones(1)), {"f": f, "u": _TWO}),
+    ],
+    ids=["evaluate-delta", "pointwise", "eval-expr"],
+)
+def test_a_type_error_inside_a_map_reaches_the_caller(call):
+    with pytest.raises(TypeError, match="^object of type 'NoneType' has no len\\(\\)$"):
+        call(lambda p: len(None))
 
 
 _LONG = list(range(100000))
@@ -358,10 +389,15 @@ _ONE_TERM = expand_chain(MultiIndex.ones(1))
         (lambda: parse("x", _NAME), f"unknown format: {repr(_NAME)[:77]}..."),
         (lambda: expr_from_obj(_LONG), f"malformed expression node: {repr(_LONG)[:77]}..."),
         (lambda: expr_from_obj({"node": _NAME}), f"unknown node kind: {repr(_NAME)[:77]}..."),
+        (lambda: vector_add(2**250, (1,)), f"cannot add {2**250} and (1,) as vectors"),
+        (lambda: MultiIndex.unit(2, 10**79), f"position must be an int in [0, 1], not {10**79}"),
+        (lambda: MultiIndex.unit(2, -(10**79)), "position must be an int in [0, 1], not an int of 263 bits"),
+        (lambda: MultiIndex.unit(2, 2**266), "position must be an int in [0, 1], not an int of 267 bits"),
     ],
     ids=[
         "long-list", "long-sets", "long-set", "huge-dim", "huge-position", "huge-mask", "unprintable", "vector-add",
         "vector-sub", "app-argument", "suite-name", "render-format", "parse-format", "json-node", "json-node-kind",
+        "int-of-76-digits", "int-of-80-characters", "int-of-81-characters", "int-of-267-bits",
     ],
 )
 def test_a_message_quotes_a_bounded_part_of_the_argument(call, message):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltachain import numeric
+from deltachain import numeric, symbolic
 from deltachain.combinatorics import MultiIndex, enumerate_partitions
 from deltachain.cuboid import Cuboid, discrete_tangent, vector_add
 from deltachain.numeric import (
@@ -411,10 +411,30 @@ def test_eval_rows_keeps_every_root_term(name, k, seed):
         bindings, want = {"f": f, "u": cub}, discrete_tangent(f, cub).component(MultiIndex.ones(k))
     rows = numeric._eval_rows(table, bindings)
     assert rows[-1] == rows[len(table.rows) - 1] == eval_expr(expr, bindings) == want
-    terms = expr.terms if isinstance(expr, Sum) else (expr,)
-    root_rows = table.rows[-1][2] if isinstance(expr, Sum) else [len(table.rows) - 1]
-    for term, row in zip(terms, root_rows):
-        assert rows[row] == eval_expr(term, bindings)
+    for term in expr.terms if isinstance(expr, Sum) else (expr,):
+        assert rows[table.index[term]] == eval_expr(term, bindings)
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "tuples"])
+@pytest.mark.parametrize("name, k", [(name, k) for name in ("chain", "tangent") for k in range(1, 6)])
+def test_the_node_table_indexes_the_row_of_every_root_term(name, k, packed):
+    # The maps wrapped in functions send every row down the tuple path.
+    alpha = MultiIndex.ones(k)
+    table = numeric._NodeTable((expand_chain if name == "chain" else expand_tangent)(alpha))
+    seed = derive_seed(3, name, k)
+    rng = random.Random(seed)
+    f, g = RandomRationalMap(derive_seed(seed, "f"), 2, 2), RandomRationalMap(derive_seed(seed, "g"), 2, 2)
+    if not packed:
+        f, g = (lambda p, F=F: F(p) for F in (f, g))
+    if name == "chain":
+        x, *vs = [random_rational_vector(rng, 2) for _ in range(k + 1)]
+        bindings = numeric._chain_bindings(f, g, x, vs)
+    else:
+        bindings = {"f": f, "u": random_cuboid(rng, k, 2)}
+    rows = numeric._eval_rows(table, bindings)
+    assert (rows.leaves is not None) == packed
+    for t in symbolic._row_terms(alpha, name):
+        assert rows[table.index[t]] == eval_expr(t, bindings)
 
 
 # -- seeds and random sources ----------------------------------------------------------

@@ -267,7 +267,7 @@ def test_expansions_are_built_without_canonicalize_or_substitution(monkeypatch):
     monkeypatch.setattr(asets, "build_asets", no_table)
     monkeypatch.setattr(asets, "enumerate_partitions", no_table)
     monkeypatch.setattr(combinatorics, "enumerate_partitions", no_table)
-    for cache in (expand_tangent, expand_chain, main_part, asets._ones_families, combinatorics.mask_rank):
+    for cache in (expand_tangent, expand_chain, main_part, symbolic._row_terms, asets._ones_families, combinatorics.mask_rank):
         cache.cache_clear()
     for i, alpha in enumerate(alphas):
         tangent, chain, main = want[alpha]
@@ -276,6 +276,27 @@ def test_expansions_are_built_without_canonicalize_or_substitution(monkeypatch):
         # expand_chain no longer builds, or caches, the tangent expansion.
         assert expand_tangent.cache_info().currsize == i
         assert expand_tangent(alpha) is tangent
+
+
+_EXPANSIONS = {"tangent": expand_tangent, "chain": expand_chain, "main": main_part}
+
+
+@pytest.mark.parametrize("kind", _EXPANSIONS)
+@pytest.mark.parametrize("dim", range(7))
+def test_row_r_of_an_expansion_is_the_term_of_partition_r(kind, dim):
+    # Every alpha of dimension dim, zero digits included: row r has one
+    # direction per block of partition r, is the reference's term r built
+    # from family r of build_asets (partition r's blocks for the main part),
+    # and the rows sorted are the expansion.
+    for bits in product((0, 1), repeat=dim):
+        alpha = MultiIndex.from_bits(bits)
+        rows = symbolic._row_terms(alpha, kind)
+        partitions = combinatorics.enumerate_partitions(alpha)
+        assert len(rows) == len(partitions) == bell_number(alpha.order)
+        assert [len(t.directions) if isinstance(t, DeltaTerm) else 0 for t in rows] == [len(p.blocks) for p in partitions]
+        assert list(rows) == expref.reference_rows(alpha, kind)
+        want = rows[0] if len(rows) == 1 else Sum(tuple(sorted(rows, key=sort_key)))
+        assert _EXPANSIONS[kind](alpha) is want
 
 
 @pytest.mark.parametrize(
@@ -1065,7 +1086,7 @@ def test_a_key_is_made_once_per_newly_interned_node(monkeypatch):
         calls.append(n)
         return key_of(n)
 
-    for cached in (expand_chain, expand_tangent, main_part):
+    for cached in (expand_chain, expand_tangent, main_part, symbolic._row_terms):
         cached.cache_clear()
     gc.collect()
     before = set(symbolic._NODES.keys())
